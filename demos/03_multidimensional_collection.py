@@ -4,6 +4,8 @@ Runs the four solution families over the bundled census-style table and
 compares estimation quality (averaged MSE).  The fake-data solutions hide
 which attribute each user really reported; drawing the fakes from public
 priors (rs_rfd) instead of uniformly (rs_fd) recovers part of the accuracy.
+Both run through one engine: a CollectionConfig names the solution and
+resolves its fake distribution, and rs_sanitize_batch / rs_estimate take it.
 """
 
 import math
@@ -60,18 +62,14 @@ rows["smp[grr]"] = averaged(smp_mse)
 for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
     label = variant if variant == "grr" else f"{flavor}_r"
 
-    def fd_mse(rep, variant=variant, flavor=flavor):
-        b, _ = mdm.rsfd_sanitize_batch(ds.rows, md, variant, flavor, EPS,
-                                       stream(2024_03, 3, rep))
-        return mse_avg(truth, mdm.rsfd_estimate(b, md, variant, flavor, EPS))
+    for solution in ("rs_fd", "rs_rfd"):
+        cfg = mdm.CollectionConfig(md, solution, variant, flavor, EPS, priors)
 
-    def rfd_mse(rep, variant=variant, flavor=flavor):
-        b, _ = mdm.rsrfd_sanitize_batch(ds.rows, md, priors, variant, flavor, EPS,
-                                        stream(2024_03, 3, rep))
-        return mse_avg(truth, mdm.rsrfd_estimate(b, md, priors, variant, flavor, EPS))
+        def fake_data_mse(rep, cfg=cfg):
+            b, _ = mdm.rs_sanitize_batch(ds.rows, cfg, stream(2024_03, 3, rep))
+            return mse_avg(truth, mdm.rs_estimate(b))
 
-    rows[f"rs_fd[{label}]"] = averaged(fd_mse)
-    rows[f"rs_rfd[{label}]"] = averaged(rfd_mse)
+        rows[f"{solution}[{label}]"] = averaged(fake_data_mse)
 
 print(f"{'solution':<16} {'MSE_avg':>12}   (mean over {REPS} paired runs)")
 for name, value in rows.items():

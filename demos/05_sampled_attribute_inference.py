@@ -8,6 +8,7 @@ fakes (rs_rfd) close the gap again.
 """
 
 from ldpsim.attacks import run_attr_infer_experiment
+from ldpsim.multidim import CollectionConfig
 from ldpsim.datasets import laplace_prior, true_frequencies, uniform_dataset, zipf_dataset
 from ldpsim.rng import stream
 
@@ -26,7 +27,7 @@ for name, ds in [("skewed (zipf)", skewed), ("uniform", uniform)]:
     for label, variant, flavor in variants:
         for eps in (1.0, 10.0):
             res = run_attr_infer_experiment(
-                ds.rows, ds.multidomain, variant, flavor, eps,
+                ds.rows, CollectionConfig(ds.multidomain, "rs_fd", variant, flavor, eps),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1,
                 seed=2024_07,
             )
@@ -40,9 +41,9 @@ print(f"{'variant':<8} {'eps':>4} {'nk':>7} {'pk':>7} {'hm':>7}")
 for label, variant, flavor in [("grr", "grr", None), ("oue_r", "ue_r", "oue")]:
     for eps in (1.0, 10.0):
         res = run_attr_infer_experiment(
-            skewed.rows, skewed.multidomain, variant, flavor, eps,
-            attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1,
-            solution="rs_rfd", priors=priors, seed=2024_08,
+            skewed.rows,
+            CollectionConfig(skewed.multidomain, "rs_rfd", variant, flavor, eps, priors),
+            attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=2024_08,
         )
         vals = {r.model: r.value for r in res}
         print(f"{label:<8} {eps:>4} {vals['nk']:>7.1f} {vals['pk']:>7.1f} "

@@ -35,7 +35,6 @@ from .attacks import (
     SurveysConfig,
     analytic_acc,
     build_learning_set,
-    classifier_predict,
     classifier_train,
     empirical_attack_acc,
     infer_sampled_attribute,
@@ -46,18 +45,16 @@ from .attacks import (
     run_reident_experiment,
 )
 from .multidim import (
+    CollectionConfig,
     MultiDomain,
     SmpReport,
     SmpUserState,
     FullVector,
     amplified_epsilon,
-    rsfd_estimate,
-    rsfd_sanitize,
-    rsfd_sanitize_batch,
-    rsrfd_estimate,
-    rsrfd_sanitize,
-    rsrfd_sanitize_batch,
-    rsrfd_variance,
+    rs_estimate,
+    rs_sanitize,
+    rs_sanitize_batch,
+    rs_variance,
     smp_sanitize,
     spl_sanitize,
     uniform_priors,

@@ -26,17 +26,16 @@ from scipy import stats
 
 from .budget import alpha_from_bayes_error, bayes_alpha_clamped, epsilon_from_alpha
 from .errors import ParameterError
+from .classifier import NaiveBayes
+from .datasets import synthesize_profiles
 from .multidim import (
+    FAKE_DATA_VARIANTS,
+    CollectionConfig,
     MultiDomain,
     TupleBatch,
-    _categorical,
-    rs_params,
-    rsfd_estimate,
-    rsfd_sanitize_batch,
-    rsrfd_estimate,
-    rsrfd_sanitize_batch,
+    rs_estimate,
+    rs_sanitize_batch,
 )
-from .classifier import NaiveBayes
 from .oracles import (
     ProtocolParams,
     ReportBatch,
@@ -377,7 +376,7 @@ def run_reident_experiment(
     """
     if attack_mode not in ("fk", "pk", "null"):
         raise ParameterError(f"unknown attack_mode {attack_mode!r}")
-    if solution not in ("smp", "rs_fd", "rs_rfd"):
+    if solution not in ("smp", *FAKE_DATA_VARIANTS):
         raise ParameterError(f"unknown solution {solution!r}")
     md, rows = dataset.multidomain, dataset.rows
     n, d = rows.shape
@@ -509,15 +508,10 @@ def _rs_survey_step(rows, md, solution, variant, flavor, eps_list, attrs,
     # non-pass-through attribute's; an all-pass-through subset degenerates
     # to a near-noiseless budget
     eps = min(finite) if finite else 50.0
-    if solution == "rs_fd":
-        batch, _ = rsfd_sanitize_batch(sub_rows, sub_md, variant, flavor, eps, rng)
-        est = rsfd_estimate(batch, sub_md, variant, flavor, eps)
-        cfg = CollectionConfig(sub_md, "rs_fd", variant, flavor, eps)
-    else:
-        priors = [rfd_priors[a] for a in attrs]
-        batch, _ = rsrfd_sanitize_batch(sub_rows, sub_md, priors, variant, flavor, eps, rng)
-        est = rsrfd_estimate(batch, sub_md, priors, variant, flavor, eps)
-        cfg = CollectionConfig(sub_md, "rs_rfd", variant, flavor, eps, tuple(priors))
+    priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
+    cfg = CollectionConfig(sub_md, solution, variant, flavor, eps, priors)
+    batch, _ = rs_sanitize_batch(sub_rows, cfg, rng)
+    est = rs_estimate(batch)
     learn = build_learning_set("nk", estimated_freqs=est, s=int(round(nk_s_mult * n)),
                                cfg=cfg, rng=rng)
     clf = classifier_train(learn, cfg)
@@ -526,26 +520,13 @@ def _rs_survey_step(rows, md, solution, variant, flavor, eps_list, attrs,
         m = jhat == ai
         if not m.any():
             continue
-        params = rs_params(variant, flavor, eps, sub_md.d, sub_md.domains[ai].k)
-        rb = ReportBatch(params, batch.columns[ai][m])
+        rb = ReportBatch(cfg.params(ai), batch.columns[ai][m])
         profile[m, a] = predict_batch(rb, rng)
 
 
 # ---------------------------------------------------------------------------
 # Sampled-attribute inference (NK / PK / HM)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CollectionConfig:
-    """Everything the attacker knows about how tuples are produced."""
-
-    md: MultiDomain
-    solution: str            # 'rs_fd' | 'rs_rfd'
-    variant: str
-    flavor: str | None
-    epsilon: float
-    priors: tuple | None = None
-
 
 @dataclass
 class LearningSet:
@@ -556,24 +537,9 @@ class LearningSet:
 
 def encode_features(batch: TupleBatch) -> np.ndarray:
     """Tuple batch -> classifier features: value indices or concatenated bits."""
-    if batch.variant == "grr":
+    if batch.cfg.variant == "grr":
         return np.column_stack(batch.columns)
     return np.hstack(batch.columns)
-
-
-def sanitize_with_config(rows: np.ndarray, cfg: CollectionConfig,
-                         rng: np.random.Generator) -> tuple[TupleBatch, np.ndarray]:
-    if cfg.solution == "rs_fd":
-        return rsfd_sanitize_batch(rows, cfg.md, cfg.variant, cfg.flavor, cfg.epsilon, rng)
-    return rsrfd_sanitize_batch(
-        rows, cfg.md, list(cfg.priors), cfg.variant, cfg.flavor, cfg.epsilon, rng
-    )
-
-
-def synthesize_rows(freqs: Sequence[np.ndarray], count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Independent categorical draws per attribute; freqs must be clipped already."""
-    return np.column_stack([_categorical(np.asarray(f), count, rng) for f in freqs])
 
 
 def build_learning_set(
@@ -601,8 +567,8 @@ def build_learning_set(
         if s <= 0:
             raise ParameterError("nk needs s > 0 synthetic profiles")
         clipped = [clip_normalize(f) for f in estimated_freqs]
-        synth_rows = synthesize_rows(clipped, s, rng)
-        batch, labels = sanitize_with_config(synth_rows, cfg, rng)
+        synth_rows = synthesize_profiles(clipped, s, rng, cfg.md).rows
+        batch, labels = rs_sanitize_batch(synth_rows, cfg, rng)
         parts.append((encode_features(batch), labels))
     if model in ("pk", "hm"):
         if compromised is None or n_pk <= 0:
@@ -629,10 +595,6 @@ def classifier_train(learning_set: LearningSet, cfg: CollectionConfig) -> NaiveB
     return clf
 
 
-def classifier_predict(model: NaiveBayes, features: np.ndarray) -> np.ndarray:
-    return model.predict(features)
-
-
 def infer_sampled_attribute(model: NaiveBayes, features: np.ndarray,
                             true_labels: np.ndarray) -> tuple[float, np.ndarray]:
     """AIF-ACC (percent) plus the per-user predicted sampled attribute."""
@@ -643,32 +605,22 @@ def infer_sampled_attribute(model: NaiveBayes, features: np.ndarray,
 
 def run_attr_infer_experiment(
     rows: np.ndarray,
-    md: MultiDomain,
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
+    cfg: CollectionConfig,
     attack_models: Sequence[str] = ("nk", "pk", "hm"),
     s_mult: float = 1.0,
     npk_frac: float = 0.1,
-    solution: str = "rs_fd",
-    priors: Sequence[np.ndarray] | None = None,
     run: int = 0,
     seed: int = 0,
 ) -> list[AttackResult]:
-    """One collection + the three inference attacks against it."""
+    """One collection under ``cfg`` + the three inference attacks against it."""
     n = len(rows)
     rng = stream(seed, 404, run)
-    cfg = CollectionConfig(md, solution, variant, flavor, epsilon,
-                           None if priors is None else tuple(priors))
-    batch, labels = sanitize_with_config(np.asarray(rows), cfg, rng)
+    batch, labels = rs_sanitize_batch(rows, cfg, rng)
     features = encode_features(batch)
-    if solution == "rs_fd":
-        est = rsfd_estimate(batch, md, variant, flavor, epsilon)
-    else:
-        est = rsrfd_estimate(batch, md, list(priors), variant, flavor, epsilon)
+    est = rs_estimate(batch)
 
     results = []
-    proto_name = variant_label(variant, flavor)
+    proto_name = variant_label(cfg.variant, cfg.flavor)
     n_pk = int(round(npk_frac * n))
     s = int(round(s_mult * n))
     for model in attack_models:
@@ -694,8 +646,8 @@ def run_attr_infer_experiment(
             extra.append("single_class")
         results.append(
             AttackResult(
-                metric="aif_acc", value=acc, protocol=proto_name, solution=solution,
-                epsilon=epsilon, model=model, run=run, seed=seed,
+                metric="aif_acc", value=acc, protocol=proto_name, solution=cfg.solution,
+                epsilon=cfg.epsilon, model=model, run=run, seed=seed,
                 flags=";".join(extra),
             )
         )

@@ -43,14 +43,16 @@ from .datasets import (
     uniform_dataset,
     zipf_dataset,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .multidim import (
-    rsfd_estimate,
-    rsfd_sanitize_batch,
-    rsrfd_estimate,
-    rsrfd_sanitize_batch,
+    FAKE_DATA_VARIANTS,
+    CollectionConfig,
+    check_collection,
+    rs_estimate,
+    rs_sanitize_batch,
     uniform_priors,
 )
+from .oracles import PROTOCOLS
 from .rng import stream
 
 KINDS = ("analytic", "attack_oracle", "reident", "attr_infer", "mse")
@@ -146,11 +148,36 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in _VARIANT_TAGS:
                 raise ConfigError(f"unknown variant {v!r}; use one of {sorted(_VARIANT_TAGS)}")
+        if self.experiment == "reident":
+            if self.solution not in ("smp", *FAKE_DATA_VARIANTS):
+                raise ConfigError(f"unknown solution {self.solution!r}; use one of "
+                                  f"{('smp', *FAKE_DATA_VARIANTS)}")
+            pairs = [(p, self.solution) for p in self.protocols]
+        elif self.experiment in ("attr_infer", "mse"):
+            pairs = [(v, s) for v in self.variants for s in self.solutions]
+        else:
+            pairs = [(p, "smp") for p in self.protocols]
+        for tag, solution in pairs:
+            _check_pair(tag, solution)
         if self.prior_mode not in ("laplace", "exact", "uniform"):
             raise ConfigError(f"unknown prior_mode {self.prior_mode!r}")
         if self.sampling_mode not in ("without_replacement", "with_replacement"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
         return self
+
+
+def _check_pair(tag: str, solution: str) -> None:
+    """Reject a protocol (smp) or variant tag (fake data) the solution does not run."""
+    if solution == "smp":
+        if tag not in PROTOCOLS:
+            raise ConfigError(f"unknown protocol {tag!r}; use one of {PROTOCOLS}")
+        return
+    if tag not in _VARIANT_TAGS:
+        raise ConfigError(f"unknown variant {tag!r}; use one of {sorted(_VARIANT_TAGS)}")
+    try:
+        check_collection(solution, *_VARIANT_TAGS[tag])
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _coerce(text: str):
@@ -303,7 +330,7 @@ def _make_priors(cfg: ExperimentConfig, ds: Dataset, rng) -> list[np.ndarray]:
 def _run_reident_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
                        proto: str, privacy: tuple, model: str, run: int,
                        priors) -> list[ResultRow]:
-    variant, flavor = _VARIANT_TAGS.get(proto, ("grr", None))
+    variant, flavor = _VARIANT_TAGS.get(proto, ("grr", None))  # smp: unused
     results = run_reident_experiment(
         ds,
         protocol=proto if cfg.solution == "smp" else "grr",
@@ -331,12 +358,10 @@ def _run_reident_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
 def _run_attr_infer_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
                           vtag: str, eps: float, run: int, solution: str,
                           priors) -> list[ResultRow]:
-    variant, flavor = _VARIANT_TAGS[vtag]
+    collection = CollectionConfig(ds.multidomain, solution, *_VARIANT_TAGS[vtag], eps, priors)
     results = run_attr_infer_experiment(
-        ds.rows, ds.multidomain, variant, flavor, eps,
-        attack_models=cfg.attack, s_mult=cfg.s_mult, npk_frac=cfg.npk_frac,
-        solution=solution, priors=priors, run=run,
-        seed=_point_seed(cfg.seed, grid_idx),
+        ds.rows, collection, attack_models=cfg.attack, s_mult=cfg.s_mult,
+        npk_frac=cfg.npk_frac, run=run, seed=_point_seed(cfg.seed, grid_idx),
     )
     return [
         _from_attack_result(cfg, r, metric=f"aif_acc_{r.model}")
@@ -352,14 +377,9 @@ def _run_mse_point(cfg: ExperimentConfig, ds: Dataset, pair_idx: int,
     # rs_fd / rs_rfd comparison is paired on identical streams
     rng = stream(_point_seed(cfg.seed, pair_idx), run)
     truth = true_frequencies(ds)
-    if solution == "rs_fd":
-        batch, _ = rsfd_sanitize_batch(ds.rows, ds.multidomain, variant, flavor, eps, rng)
-        est = rsfd_estimate(batch, ds.multidomain, variant, flavor, eps)
-    else:
-        batch, _ = rsrfd_sanitize_batch(ds.rows, ds.multidomain, priors, variant,
-                                        flavor, eps, rng)
-        est = rsrfd_estimate(batch, ds.multidomain, priors, variant, flavor, eps)
-    value = mse_avg(truth, est)
+    collection = CollectionConfig(ds.multidomain, solution, variant, flavor, eps, priors)
+    batch, _ = rs_sanitize_batch(ds.rows, collection, rng)
+    value = mse_avg(truth, rs_estimate(batch))
     return [ResultRow(cfg.experiment, variant_label(variant, flavor), solution,
                       eps, None, "mse_avg", value, None, run, cfg.seed,
                       f"prior_mode={cfg.prior_mode}")]
@@ -400,16 +420,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         ds = resolve_dataset(cfg)
         grid = [(v, e, s) for v in cfg.variants for e in cfg.epsilons
                 for s in cfg.solutions]
-        priors_cache = {}
+        priors = (_make_priors(cfg, ds, stream(cfg.seed, 7003))
+                  if "rs_rfd" in cfg.solutions else None)
         for gi, (v, e, s) in enumerate(grid):
-            pr = None
-            if s == "rs_rfd":
-                if "p" not in priors_cache:
-                    priors_cache["p"] = _make_priors(cfg, ds, stream(cfg.seed, 7003))
-                pr = priors_cache["p"]
             for run in range(cfg.runs):
-                tasks.append(((gi, run), lambda v=v, e=e, s=s, gi=gi, run=run, pr=pr:
-                              _run_attr_infer_point(cfg, ds, gi, v, float(e), run, s, pr)))
+                tasks.append(((gi, run), lambda v=v, e=e, s=s, gi=gi, run=run:
+                              _run_attr_infer_point(cfg, ds, gi, v, float(e), run, s, priors)))
 
     elif cfg.experiment == "mse":
         ds = resolve_dataset(cfg)

@@ -12,13 +12,17 @@ Four families of solutions for collecting d categorical attributes per user:
                 distributions, which both hides the sampled slot better and
                 lets the estimator reclaim the fake mass.
 
-The rs_fd variants are ``grr`` (plain values, uniform fakes), ``ue_z``
-(unary encoding on all-zero fake vectors) and ``ue_r`` (unary encoding on
-uniform one-hot fakes); rs_rfd supports ``grr`` and ``ue_r`` only.  UE
-variants take a ``flavor`` of ``sue`` or ``oue``.
+rs_fd and rs_rfd differ only in where the fakes come from, so one engine
+runs both.  A :class:`CollectionConfig` describes a collection and resolves
+its fake distribution; ``rs_sanitize_batch`` / ``rs_sanitize``,
+``rs_estimate`` / ``rs_estimate_from_counts`` and ``rs_variance`` take it
+(or its parts) for every solution and variant.
 
-Estimators here are raw and unbiased: the rs_fd ones invert the uniform
-fake mass, the rs_rfd ones invert the prior mass, and the rs_rfd estimator
+The variants are ``grr`` (plain values), ``ue_z`` (unary encoding on
+all-zero fake vectors, rs_fd only) and ``ue_r`` (unary encoding on one-hot
+fakes).  UE variants take a ``flavor`` of ``sue`` or ``oue``.
+
+Estimators are raw and unbiased: they invert the fake mass, and their
 variance has the closed form  d^2 gamma (1-gamma) / (n (p-q)^2)  with gamma
 the per-report support probability read off the sampling probability tree.
 """
@@ -45,6 +49,7 @@ from .oracles import (
 
 RS_FD_VARIANTS = ("grr", "ue_z", "ue_r")
 RS_RFD_VARIANTS = ("grr", "ue_r")
+FAKE_DATA_VARIANTS = {"rs_fd": RS_FD_VARIANTS, "rs_rfd": RS_RFD_VARIANTS}
 UE_FLAVORS = ("sue", "oue")
 
 
@@ -229,8 +234,58 @@ def smp_sanitize(
 
 
 # ---------------------------------------------------------------------------
-# RS+FD / RS+RFD sanitizers (batch core, scalar wrappers)
+# Fake-data engine (RS+FD and RS+RFD): one collection description, batch core
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CollectionConfig:
+    """How fake-data tuples are produced; everything the server and attacker know.
+
+    The constructor rejects a (solution, variant, flavor, priors) combination
+    the engine does not run and resolves ``fake``, the per-attribute fake
+    distribution: uniform for rs_fd, the validated ``priors`` for rs_rfd
+    (required there, ignored by rs_fd) and None for ue_z, whose fakes are
+    randomized all-zero vectors.
+    """
+
+    md: MultiDomain
+    solution: str            # 'rs_fd' | 'rs_rfd'
+    variant: str
+    flavor: str | None
+    epsilon: float
+    priors: tuple | None = None
+    fake: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_collection(self.solution, self.variant, self.flavor)
+        if self.variant == "ue_z":
+            fake = None
+        elif self.solution == "rs_fd":
+            fake = tuple(uniform_priors(self.md))
+        elif self.priors is None:
+            raise ParameterError("rs_rfd needs one prior vector per attribute")
+        else:
+            fake = tuple(validate_priors(self.priors, self.md))
+        object.__setattr__(self, "fake", fake)
+
+    def params(self, a: int) -> ProtocolParams:
+        """Randomizer parameters for attribute a's sampled slot."""
+        return rs_params(self.variant, self.flavor, self.epsilon, self.md.d,
+                         self.md.domains[a].k)
+
+
+def check_collection(solution: str, variant: str, flavor: str | None) -> None:
+    """Reject a (solution, variant, flavor) triple the fake-data engine does not run."""
+    variants = FAKE_DATA_VARIANTS.get(solution)
+    if variants is None:
+        raise ParameterError(
+            f"unknown fake-data solution {solution!r}; use one of {tuple(FAKE_DATA_VARIANTS)}"
+        )
+    if variant not in variants:
+        raise ParameterError(f"{solution} variant must be one of {variants}, got {variant!r}")
+    if variant != "grr" and flavor not in UE_FLAVORS:
+        raise ParameterError(f"UE variant needs flavor in {UE_FLAVORS}, got {flavor!r}")
+
 
 @dataclass
 class TupleBatch:
@@ -242,11 +297,7 @@ class TupleBatch:
     simulator keeps them separately when it needs ground truth.
     """
 
-    solution: str
-    variant: str
-    flavor: str | None
-    md: MultiDomain
-    epsilon: float
+    cfg: CollectionConfig
     columns: list
 
     def __len__(self) -> int:
@@ -254,23 +305,16 @@ class TupleBatch:
         return len(first)
 
 
-def _rs_sanitize_batch(
-    rows: np.ndarray,
-    md: MultiDomain,
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-    rng: np.random.Generator,
-    fake_priors: list[np.ndarray] | None,
-    solution: str,
+def rs_sanitize_batch(
+    rows: np.ndarray, cfg: CollectionConfig, rng: np.random.Generator
 ) -> tuple[TupleBatch, np.ndarray]:
-    """Shared client-side pipeline for rs_fd and rs_rfd.
+    """Client side for n users; returns (batch, simulator-only sampled indices).
 
-    ``fake_priors`` is None only for the ue_z variant (zero-vector fakes);
-    rs_fd's uniform fakes are the uniform-prior special case so that both
-    solutions consume the random stream identically at equal seeds.
+    Every fake draw goes through ``cfg.fake``, so rs_fd (uniform) and rs_rfd
+    (priors) consume the random stream identically at equal seeds.
     """
     rows = np.asarray(rows, dtype=np.int64)
+    md = cfg.md
     n, d = rows.shape
     if d != md.d:
         raise DomainError(f"rows have {d} columns, domain has {md.d}")
@@ -278,246 +322,112 @@ def _rs_sanitize_batch(
     columns = []
     for a, dom in enumerate(md.domains):
         k = dom.k
-        params = rs_params(variant, flavor, epsilon, d, k)
+        params = cfg.params(a)
         mask = sampled == a
         m = int(mask.sum())
-        if variant == "grr":
+        if cfg.variant == "grr":
             col = np.empty(n, dtype=np.int64)
             col[mask] = randomize_batch(rows[mask, a], params, rng).data
-            col[~mask] = _categorical(fake_priors[a], n - m, rng)
+            col[~mask] = _categorical(cfg.fake[a], n - m, rng)
         else:
             col = np.empty((n, k), dtype=np.uint8)
             col[mask] = randomize_batch(rows[mask, a], params, rng).data
-            if variant == "ue_z":
+            if cfg.variant == "ue_z":
                 col[~mask] = (rng.random((n - m, k)) < params.q).astype(np.uint8)
             else:  # ue_r: unary-encode a categorical fake draw
-                fake_vals = _categorical(fake_priors[a], n - m, rng)
+                fake_vals = _categorical(cfg.fake[a], n - m, rng)
                 col[~mask] = randomize_batch(fake_vals, params, rng).data
         columns.append(col)
-    batch = TupleBatch(solution, variant, flavor, md, epsilon, columns)
-    return batch, sampled
+    return TupleBatch(cfg, columns), sampled
 
 
-def rsfd_sanitize_batch(
-    rows: np.ndarray,
-    md: MultiDomain,
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[TupleBatch, np.ndarray]:
-    """rs_fd client side for n users; returns (batch, sampled indices)."""
-    if variant not in RS_FD_VARIANTS:
-        raise ParameterError(f"rs_fd variant must be one of {RS_FD_VARIANTS}")
-    priors = None if variant == "ue_z" else uniform_priors(md)
-    return _rs_sanitize_batch(rows, md, variant, flavor, epsilon, rng, priors, "rs_fd")
-
-
-def rsrfd_sanitize_batch(
-    rows: np.ndarray,
-    md: MultiDomain,
-    priors: Sequence[np.ndarray],
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[TupleBatch, np.ndarray]:
-    """rs_rfd client side: fakes drawn from per-attribute priors."""
-    if variant not in RS_RFD_VARIANTS:
-        raise ParameterError(f"rs_rfd variant must be one of {RS_RFD_VARIANTS}")
-    priors = validate_priors(priors, md)
-    return _rs_sanitize_batch(rows, md, variant, flavor, epsilon, rng, priors, "rs_rfd")
-
-
-def _wrap_tuple(batch: TupleBatch) -> FullVector:
+def rs_sanitize(
+    values: Sequence[int], cfg: CollectionConfig, rng: np.random.Generator
+) -> tuple[FullVector, int]:
+    """Single-user wrapper; returns the tuple and (simulator-only) sampled index."""
+    batch, sampled = rs_sanitize_batch(np.asarray([values], dtype=np.int64), cfg, rng)
     reports = []
     for col in batch.columns:
-        if batch.variant == "grr":
+        if cfg.variant == "grr":
             reports.append(ValueReport(int(col[0])))
         else:
             reports.append(BitsReport(tuple(int(b) for b in col[0])))
-    return FullVector(
-        solution=batch.solution, reports=tuple(reports),
-        variant=batch.variant, flavor=batch.flavor,
-    )
+    tup = FullVector(solution=cfg.solution, reports=tuple(reports),
+                     variant=cfg.variant, flavor=cfg.flavor)
+    return tup, int(sampled[0])
 
-
-def rsfd_sanitize(
-    values: Sequence[int],
-    md: MultiDomain,
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[FullVector, int]:
-    """Single-user rs_fd; returns the tuple and (simulator-only) sampled index."""
-    batch, sampled = rsfd_sanitize_batch(
-        np.asarray([values], dtype=np.int64), md, variant, flavor, epsilon, rng
-    )
-    return _wrap_tuple(batch), int(sampled[0])
-
-
-def rsrfd_sanitize(
-    values: Sequence[int],
-    md: MultiDomain,
-    priors: Sequence[np.ndarray],
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[FullVector, int]:
-    """Single-user rs_rfd; returns the tuple and (simulator-only) sampled index."""
-    batch, sampled = rsrfd_sanitize_batch(
-        np.asarray([values], dtype=np.int64), md, priors, variant, flavor, epsilon, rng
-    )
-    return _wrap_tuple(batch), int(sampled[0])
-
-
-def tuples_to_batch(
-    tuples: Sequence[FullVector], md: MultiDomain, epsilon: float
-) -> TupleBatch:
-    """Pack full-vector tuples into a column batch for estimation."""
-    if not tuples:
-        raise ParameterError("empty tuple list")
-    first = tuples[0]
-    if first.solution not in ("rs_fd", "rs_rfd"):
-        raise ParameterError(f"column batching covers fake-data tuples, not {first.solution!r}")
-    for t in tuples:
-        if (t.solution, t.variant, t.flavor) != (first.solution, first.variant, first.flavor):
-            raise ParameterError("mixed solutions/variants in one batch")
-    columns = []
-    for a, dom in enumerate(md.domains):
-        if first.variant == "grr":
-            columns.append(np.asarray([t.reports[a].index for t in tuples], dtype=np.int64))
-        else:
-            columns.append(np.asarray([t.reports[a].bits for t in tuples], dtype=np.uint8))
-    return TupleBatch(first.solution, first.variant, first.flavor, md, epsilon, columns)
-
-
-# ---------------------------------------------------------------------------
-# Estimators
-# ---------------------------------------------------------------------------
 
 def _batch_counts(batch: TupleBatch) -> list[np.ndarray]:
     counts = []
-    for a, dom in enumerate(batch.md.domains):
+    for a, dom in enumerate(batch.cfg.md.domains):
         col = batch.columns[a]
-        if batch.variant == "grr":
+        if batch.cfg.variant == "grr":
             counts.append(np.bincount(col, minlength=dom.k).astype(np.int64))
         else:
             counts.append(col.sum(axis=0, dtype=np.int64))
     return counts
 
 
-def rsfd_estimate_from_counts(
-    counts: Sequence[np.ndarray],
-    md: MultiDomain,
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-    n: int,
+def rs_estimate_from_counts(
+    counts: Sequence[np.ndarray], cfg: CollectionConfig, n: int
 ) -> list[np.ndarray]:
-    """Debias rs_fd support counts (uniform fake mass) per attribute."""
-    d = md.d
+    """Debias per-attribute support counts by inverting the fake mass t.
+
+    t is the fake distribution (1/k for rs_fd, the prior for rs_rfd) and 0
+    for ue_z:
+
+      grr:  f = (d c - n (q + (d-1) t)) / (n (p-q))
+      UE :  f = (d c - n (q + (p-q)(d-1) t + q (d-1))) / (n (p-q))
+    """
+    d = cfg.md.d
     out = []
-    for a, dom in enumerate(md.domains):
-        k = dom.k
-        params = rs_params(variant, flavor, epsilon, d, k)
+    for a in range(d):
+        params = cfg.params(a)
         p, q = params.p, params.q
         c = np.asarray(counts[a], dtype=np.float64)
-        if variant == "grr":
-            est = (c * d * k - n * (d - 1 + q * k)) / (n * k * (p - q))
-        elif variant == "ue_z":
-            est = d * (c - n * q) / (n * (p - q))
-        else:  # ue_r
-            est = (c * d * k - n * (q * k + (p - q) * (d - 1) + q * k * (d - 1))) / (
-                n * k * (p - q)
-            )
+        t = 0.0 if cfg.fake is None else cfg.fake[a]
+        if cfg.variant == "grr":
+            est = (d * c - n * (q + (d - 1) * t)) / (n * (p - q))
+        else:
+            est = (d * c - n * (q + (p - q) * (d - 1) * t + q * (d - 1))) / (n * (p - q))
         out.append(est)
     return out
 
 
-def rsfd_estimate(
-    data: TupleBatch | Sequence[FullVector],
-    md: MultiDomain,
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-) -> list[np.ndarray]:
-    """Raw unbiased per-attribute frequency estimates for rs_fd tuples."""
-    if not isinstance(data, TupleBatch):
-        data = tuples_to_batch(data, md, epsilon)
-    return rsfd_estimate_from_counts(
-        _batch_counts(data), md, variant, flavor, epsilon, len(data)
-    )
+def rs_estimate(batch: TupleBatch) -> list[np.ndarray]:
+    """Raw unbiased per-attribute frequency estimates for a tuple batch."""
+    return rs_estimate_from_counts(_batch_counts(batch), batch.cfg, len(batch))
 
 
-def rsrfd_estimate_from_counts(
-    counts: Sequence[np.ndarray],
-    md: MultiDomain,
-    priors: Sequence[np.ndarray],
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-    n: int,
-) -> list[np.ndarray]:
-    """Debias rs_rfd support counts (prior fake mass) per attribute."""
-    d = md.d
-    priors = validate_priors(priors, md)
-    out = []
-    for a, dom in enumerate(md.domains):
-        k = dom.k
-        params = rs_params(variant, flavor, epsilon, d, k)
-        p, q = params.p, params.q
-        c = np.asarray(counts[a], dtype=np.float64)
-        tilde = priors[a]
-        if variant == "grr":
-            est = (d * c - n * (q + (d - 1) * tilde)) / (n * (p - q))
-        else:  # ue_r
-            est = (d * c - n * (q + (p - q) * (d - 1) * tilde + q * (d - 1))) / (n * (p - q))
-        out.append(est)
-    return out
-
-
-def rsrfd_estimate(
-    data: TupleBatch | Sequence[FullVector],
-    md: MultiDomain,
-    priors: Sequence[np.ndarray],
-    variant: str,
-    flavor: str | None,
-    epsilon: float,
-) -> list[np.ndarray]:
-    """Raw unbiased per-attribute frequency estimates for rs_rfd tuples."""
-    if not isinstance(data, TupleBatch):
-        data = tuples_to_batch(data, md, epsilon)
-    return rsrfd_estimate_from_counts(
-        _batch_counts(data), md, priors, variant, flavor, epsilon, len(data)
-    )
-
-
-def rsrfd_variance(
+def rs_variance(
     f_v: float,
-    prior_v: float,
+    fake_v: float,
     p: float,
     q: float,
     d: int,
     n: int,
     variant: str = "grr",
 ) -> float:
-    """Closed-form variance of the rs_rfd estimator for one value.
+    """Closed-form variance of the fake-data estimator for one value.
 
-    gamma is the probability that one report supports the value, read off
-    the sampling probability tree:
+    ``fake_v`` is the fake distribution's mass on the value (1/k for rs_fd,
+    the prior for rs_rfd; ue_z ignores it).  gamma is the probability that
+    one report supports the value, read off the sampling probability tree:
 
-      grr :  gamma = (q + f (p-q) + (d-1) f_tilde) / d
-      ue_r:  gamma = (f (p-q) + q + (d-1)(f_tilde (p-q) + q)) / d
+      gamma = (q + f (p-q) + (d-1) s) / d
+
+    with s the support probability of a fake slot: f_tilde for grr,
+    f_tilde (p-q) + q for ue_r, and q for ue_z.
     """
     if variant == "grr":
-        gamma = (q + f_v * (p - q) + (d - 1) * prior_v) / d
+        fake_support = fake_v
     elif variant == "ue_r":
-        gamma = (f_v * (p - q) + q + (d - 1) * (prior_v * (p - q) + q)) / d
+        fake_support = fake_v * (p - q) + q
+    elif variant == "ue_z":
+        fake_support = q
     else:
-        raise ParameterError(f"variance defined for grr/ue_r, got {variant!r}")
+        raise ParameterError(f"variance defined for {RS_FD_VARIANTS}, got {variant!r}")
+    gamma = (q + f_v * (p - q) + (d - 1) * fake_support) / d
     if not (0.0 <= gamma <= 1.0):
         raise ParameterError(f"inconsistent parameters: gamma={gamma} outside [0, 1]")
     return d * d * gamma * (1.0 - gamma) / (n * (p - q) ** 2)

@@ -137,12 +137,9 @@ def test_c03_estimator_unbiasedness():
             rng = stream(7401, vi, r)
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
-            if solution == "rs_fd":
-                batch, _ = mdm.rsfd_sanitize_batch(rows, md, variant, flavor, 1.0, rng)
-                ests.append(mdm.rsfd_estimate(batch, md, variant, flavor, 1.0))
-            else:
-                batch, _ = mdm.rsrfd_sanitize_batch(rows, md, priors, variant, flavor, 1.0, rng)
-                ests.append(mdm.rsrfd_estimate(batch, md, priors, variant, flavor, 1.0))
+            cfg = mdm.CollectionConfig(md, solution, variant, flavor, 1.0, priors)
+            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batch))
         for a in range(3):
             assert _bias_ok([e[a] for e in ests], freqs[a], runs), (solution, variant, flavor, a)
         checked.append(f"{solution}[{atk.variant_label(variant, flavor)}]")
@@ -166,13 +163,14 @@ def test_c04_variance_formulas():
             rng = stream(7700, vi, r)
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
-            batch, _ = mdm.rsrfd_sanitize_batch(rows, md, priors, variant, flavor, 1.0, rng)
-            ests.append(mdm.rsrfd_estimate(batch, md, priors, variant, flavor, 1.0))
+            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors)
+            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batch))
         for a, k in enumerate(ks):
             arr = np.array([e[a] for e in ests])
             params = mdm.rs_params(variant, flavor, 1.0, 3, k)
             theo = np.array([
-                mdm.rsrfd_variance(freqs[a][v], priors[a][v], params.p, params.q, 3, n, variant)
+                mdm.rs_variance(freqs[a][v], priors[a][v], params.p, params.q, 3, n, variant)
                 for v in range(k)
             ])
             emp = arr.var(axis=0, ddof=1)
@@ -278,7 +276,7 @@ def test_c07_attribute_inference():
     d = len(ks)
 
     res = atk.run_attr_infer_experiment(
-        skewed.rows, skewed.multidomain, "ue_z", "sue", 10.0,
+        skewed.rows, mdm.CollectionConfig(skewed.multidomain, "rs_fd", "ue_z", "sue", 10.0),
         attack_models=("nk",), s_mult=1.0, npk_frac=0.1, seed=8000,
     )
     suez_acc = res[0].value
@@ -288,7 +286,8 @@ def test_c07_attribute_inference():
     for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
         for eps in (1.0, 4.0, 7.0, 10.0):
             res = atk.run_attr_infer_experiment(
-                skewed.rows, skewed.multidomain, variant, flavor, eps,
+                skewed.rows,
+                mdm.CollectionConfig(skewed.multidomain, "rs_fd", variant, flavor, eps),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8001,
             )
             for r in res:
@@ -300,7 +299,8 @@ def test_c07_attribute_inference():
     worst_dev = 0.0
     for variant, flavor in [("grr", None), ("ue_r", "oue")]:
         res = atk.run_attr_infer_experiment(
-            uniform.rows, uniform.multidomain, variant, flavor, 10.0,
+            uniform.rows,
+            mdm.CollectionConfig(uniform.multidomain, "rs_fd", variant, flavor, 10.0),
             attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8002,
         )
         for r in res:
@@ -330,14 +330,14 @@ def mse_paired_runs():
     out = {}
     for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
         for eps in EPS_GRID_MSE:
+            fd = mdm.CollectionConfig(md, "rs_fd", variant, flavor, eps)
+            rfd = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, eps, priors)
             pairs = []
             for run in range(20):
-                b1, _ = mdm.rsfd_sanitize_batch(ds.rows, md, variant, flavor, eps,
-                                                stream(808, run))
-                m1 = mse_avg(truth, mdm.rsfd_estimate(b1, md, variant, flavor, eps))
-                b2, _ = mdm.rsrfd_sanitize_batch(ds.rows, md, priors, variant, flavor,
-                                                 eps, stream(808, run))
-                m2 = mse_avg(truth, mdm.rsrfd_estimate(b2, md, priors, variant, flavor, eps))
+                b1, _ = mdm.rs_sanitize_batch(ds.rows, fd, stream(808, run))
+                m1 = mse_avg(truth, mdm.rs_estimate(b1))
+                b2, _ = mdm.rs_sanitize_batch(ds.rows, rfd, stream(808, run))
+                m2 = mse_avg(truth, mdm.rs_estimate(b2))
                 pairs.append((m1, m2))
             out[(atk.variant_label(variant, flavor), eps)] = pairs
     return out
@@ -399,9 +399,9 @@ def test_c08_countermeasure_aif_gain():
     for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
         for eps in (1.0, 4.0, 10.0):
             res = atk.run_attr_infer_experiment(
-                ds.rows, ds.multidomain, variant, flavor, eps,
-                attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1,
-                solution="rs_rfd", priors=priors, seed=8100,
+                ds.rows,
+                mdm.CollectionConfig(ds.multidomain, "rs_rfd", variant, flavor, eps, priors),
+                attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8100,
             )
             for r in res:
                 worst = max(worst, r.value - base)

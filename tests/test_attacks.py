@@ -8,7 +8,7 @@ from scipy import stats
 from ldpsim import attacks as atk
 from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
-from ldpsim.datasets import Dataset
+from ldpsim.datasets import Dataset, synthesize_profiles
 from ldpsim.errors import ParameterError
 from ldpsim.rng import stream
 
@@ -315,14 +315,14 @@ def _collection(ks, n, seed, variant="grr", flavor=None, eps=1.0):
     md = mdm.MultiDomain.from_ks(ks)
     rng = stream(seed, 0)
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
-    cfg = atk.CollectionConfig(md, "rs_fd", variant, flavor, eps)
-    batch, labels = atk.sanitize_with_config(rows, cfg, rng)
+    cfg = mdm.CollectionConfig(md, "rs_fd", variant, flavor, eps)
+    batch, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
     return md, rows, cfg, batch, labels
 
 
 def test_build_learning_set_nk_uniform_labels():
     md, rows, cfg, batch, labels = _collection([4, 5, 3], 30_000, 16)
-    est = mdm.rsfd_estimate(batch, md, "grr", None, 1.0)
+    est = mdm.rs_estimate(batch)
     learn = atk.build_learning_set("nk", estimated_freqs=est, s=30_000, cfg=cfg,
                                    rng=stream(16, 1))
     counts = np.bincount(learn.labels, minlength=3)
@@ -345,7 +345,7 @@ def test_build_learning_set_pk_boundaries():
 def test_build_learning_set_hm_union_size():
     md, rows, cfg, batch, labels = _collection([4, 5, 3], 500, 18)
     feats = atk.encode_features(batch)
-    est = mdm.rsfd_estimate(batch, md, "grr", None, 1.0)
+    est = mdm.rs_estimate(batch)
     learn = atk.build_learning_set("hm", estimated_freqs=est,
                                    compromised=(feats, labels), s=250, n_pk=100,
                                    cfg=cfg, rng=stream(18, 1))
@@ -355,7 +355,7 @@ def test_build_learning_set_hm_union_size():
 
 def test_build_learning_set_degenerate_estimates_rejected():
     md = mdm.MultiDomain.from_ks([3, 3])
-    cfg = atk.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
     bad = [np.array([-0.1, -0.2, -0.3]), np.array([0.5, 0.3, 0.2])]
     with pytest.raises(ParameterError):
         atk.build_learning_set("nk", estimated_freqs=bad, s=10, cfg=cfg, rng=stream(19, 0))
@@ -370,10 +370,10 @@ def test_nk_synthetic_features_match_real_distribution():
     n = 60_000
     freqs = [stream(20, 9).dirichlet(np.ones(k)) for k in ks]
     rows = np.column_stack([rng.choice(k, n, p=f) for k, f in zip(ks, freqs)])
-    cfg = atk.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
-    real_batch, _ = atk.sanitize_with_config(rows, cfg, rng)
-    synth_rows = atk.synthesize_rows(freqs, n, rng)
-    synth_batch, _ = atk.sanitize_with_config(synth_rows, cfg, rng)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
+    real_batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+    synth_rows = synthesize_profiles(freqs, n, rng).rows
+    synth_batch, _ = mdm.rs_sanitize_batch(synth_rows, cfg, rng)
     for a, k in enumerate(ks):
         c_real = np.bincount(real_batch.columns[a], minlength=k)
         c_synth = np.bincount(synth_batch.columns[a], minlength=k)
@@ -384,7 +384,7 @@ def test_nk_synthetic_features_match_real_distribution():
 def test_classifier_pipeline_separable():
     # class label equals a deterministic feature -> perfect training accuracy
     md = mdm.MultiDomain.from_ks([3, 3, 3])
-    cfg = atk.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
     labels = np.arange(300) % 3
     feats = np.column_stack([labels, np.zeros(300, dtype=int), np.zeros(300, dtype=int)])
     learn = atk.LearningSet(feats, labels, "compromised")
@@ -405,8 +405,7 @@ def test_random_baseline_accuracy():
 
 def test_aif_uniform_data_at_baseline():
     md, rows, cfg, batch, labels = _collection([6, 5, 4, 3], 30_000, 22)
-    res = atk.run_attr_infer_experiment(rows, md, "grr", None, 1.0,
-                                        attack_models=("nk", "pk", "hm"), seed=22)
+    res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk", "pk", "hm"), seed=22)
     sig = 300 * math.sqrt(0.25 * 0.75 / 27_000)
     for r in res:
         assert abs(r.value - 25.0) < sig, (r.model, r.value)
@@ -417,16 +416,15 @@ def test_aif_sue_z_high_budget_near_perfect():
     ks = [6, 5, 4]
     rows = np.column_stack([rng.integers(0, k, 5000) for k in ks])
     md = mdm.MultiDomain.from_ks(ks)
-    res = atk.run_attr_infer_experiment(rows, md, "ue_z", "sue", 10.0,
-                                        attack_models=("nk",), seed=23)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "ue_z", "sue", 10.0)
+    res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), seed=23)
     assert res[0].value >= 95.0
 
 
 def test_aif_near_zero_budget_matches_prior_rule():
     # with essentially no signal the classifier reduces to its prior argmax
     md, rows, cfg, batch, labels = _collection([6, 5, 4], 20_000, 24, eps=0.01)
-    res = atk.run_attr_infer_experiment(rows, md, "grr", None, 0.01,
-                                        attack_models=("nk",), seed=24)
+    res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), seed=24)
     baseline = 100 / 3
     sig = 300 * math.sqrt((1 / 3) * (2 / 3) / 20_000)
     assert abs(res[0].value - baseline) < 3 + sig
@@ -434,8 +432,9 @@ def test_aif_near_zero_budget_matches_prior_rule():
 
 def test_attack_result_metadata():
     md, rows, cfg, batch, labels = _collection([4, 4], 2000, 25)
-    res = atk.run_attr_infer_experiment(rows, md, "ue_r", "oue", 2.0,
-                                        attack_models=("pk",), npk_frac=0.2, seed=25, run=3)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "ue_r", "oue", 2.0)
+    res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), npk_frac=0.2,
+                                        seed=25, run=3)
     r = res[0]
     assert r.metric == "aif_acc" and r.model == "pk" and r.run == 3
     assert r.protocol == "oue_r" and r.epsilon == 2.0 and r.seed == 25

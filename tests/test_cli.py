@@ -99,3 +99,20 @@ def test_console_entry_point(tmp_path, analytic_cfg):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    ("mse", "solutions = rs_fdd\n"),
+    ("reident", "solution = rs_fd\nprotocols = oue\n"),
+    ("attr-infer", "solutions = rsfd\n"),
+    ("reident", "solution = rsfd\n"),
+    ("mse", "variants = sue_z\nsolutions = rs_rfd\n"),
+], ids=["mse-unknown-solution", "reident-protocol-for-fake-data", "attr-infer-unknown-solution",
+        "reident-unknown-solution", "mse-variant-not-run-by-solution"])
+def test_unknown_solution_or_variant_is_config_error(tmp_path, command, body):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dataset = fixture:adult_style_100\nepsilons = 1\nseed = 1\n" + body)
+    out = tmp_path / "out.csv"
+    rc = run_cli([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()

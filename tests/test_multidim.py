@@ -139,8 +139,9 @@ def test_smp_attrs_subset_and_mode_validation():
 def test_rsfd_single_attribute_degenerate():
     md = md_of([7])
     assert mdm.amplified_epsilon(1.0, 1) == 1.0
-    batch, sampled = mdm.rsfd_sanitize_batch(
-        np.arange(7).reshape(-1, 1), md, "grr", None, 1.0, stream(9, 0)
+    batch, sampled = mdm.rs_sanitize_batch(
+        np.arange(7).reshape(-1, 1), mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0),
+        stream(9, 0),
     )
     assert (sampled == 0).all()  # no fake slots exist
 
@@ -150,7 +151,8 @@ def test_rsfd_uez_fake_bit_count():
     n = 100_000
     rng = stream(10, 0)
     rows = np.zeros((n, 2), dtype=int)
-    batch, sampled = mdm.rsfd_sanitize_batch(rows, md, "ue_z", "oue", 1.0, rng)
+    batch, sampled = mdm.rs_sanitize_batch(
+        rows, mdm.CollectionConfig(md, "rs_fd", "ue_z", "oue", 1.0), rng)
     params = mdm.rs_params("ue_z", "oue", 1.0, 2, 9)
     fakes = batch.columns[1][sampled != 1]
     m = len(fakes)
@@ -164,7 +166,8 @@ def test_rsfd_grr_fake_slot_uniform():
     n = 100_000
     rng = stream(11, 0)
     rows = np.zeros((n, 2), dtype=int)
-    batch, sampled = mdm.rsfd_sanitize_batch(rows, md, "grr", None, 1.0, rng)
+    batch, sampled = mdm.rs_sanitize_batch(
+        rows, mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), rng)
     fakes = batch.columns[1][sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts)
@@ -173,7 +176,8 @@ def test_rsfd_grr_fake_slot_uniform():
 
 def test_rsfd_tuple_object_hides_sampled_index():
     md = md_of([3, 4])
-    tup, sampled = mdm.rsfd_sanitize([1, 2], md, "grr", None, 1.0, stream(12, 0))
+    tup, sampled = mdm.rs_sanitize([1, 2], mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0),
+                                   stream(12, 0))
     assert isinstance(tup, mdm.FullVector)
     assert not hasattr(tup, "sampled_index")
     assert 0 <= sampled < 2
@@ -186,13 +190,15 @@ def test_rsfd_variant_validation():
     md = md_of([3, 4])
     rows = np.zeros((5, 2), dtype=int)
     with pytest.raises(ParameterError):
-        mdm.rsfd_sanitize_batch(rows, md, "ue_q", "oue", 1.0, stream(13, 0))
+        mdm.rs_sanitize_batch(rows, mdm.CollectionConfig(md, "rs_fd", "ue_q", "oue", 1.0),
+                              stream(13, 0))
     with pytest.raises(ParameterError):
-        mdm.rsrfd_sanitize_batch(rows, md, mdm.uniform_priors(md), "ue_z", "oue", 1.0,
-                                 stream(13, 1))
+        mdm.rs_sanitize_batch(
+            rows, mdm.CollectionConfig(md, "rs_rfd", "ue_z", "oue", 1.0, mdm.uniform_priors(md)),
+            stream(13, 1))
     with pytest.raises(DomainError):
-        mdm.rsfd_sanitize_batch(np.zeros((5, 3), dtype=int), md, "grr", None, 1.0,
-                                stream(13, 2))
+        mdm.rs_sanitize_batch(np.zeros((5, 3), dtype=int),
+                              mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), stream(13, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +240,8 @@ def test_rsfd_estimator_exact_on_expected_counts(variant, flavor):
     md = md_of([4, 3, 5])
     freqs = dirichlet_freqs(md, 14)
     counts = _tree_expected_counts(md, freqs, mdm.uniform_priors(md), variant, flavor, 1.0, 1000)
-    est = mdm.rsfd_estimate_from_counts(counts, md, variant, flavor, 1.0, 1000)
+    est = mdm.rs_estimate_from_counts(
+        counts, mdm.CollectionConfig(md, "rs_fd", variant, flavor, 1.0), 1000)
     for a in range(3):
         assert est[a] == pytest.approx(freqs[a], abs=1e-12)
 
@@ -245,7 +252,8 @@ def test_rsrfd_estimator_exact_on_expected_counts(variant, flavor):
     freqs = dirichlet_freqs(md, 15)
     priors = dirichlet_freqs(md, 16)
     counts = _tree_expected_counts(md, freqs, priors, variant, flavor, 1.0, 1000)
-    est = mdm.rsrfd_estimate_from_counts(counts, md, priors, variant, flavor, 1.0, 1000)
+    est = mdm.rs_estimate_from_counts(
+        counts, mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors), 1000)
     for a in range(3):
         assert est[a] == pytest.approx(freqs[a], abs=1e-12)
 
@@ -259,8 +267,9 @@ def test_rsfd_estimate_monte_carlo_bias():
         for r in range(runs):
             rng = stream(18, r)
             rows = draw_rows(md, freqs, n, rng)
-            batch, _ = mdm.rsfd_sanitize_batch(rows, md, variant, flavor, 1.0, rng)
-            ests.append(mdm.rsfd_estimate(batch, md, variant, flavor, 1.0))
+            cfg = mdm.CollectionConfig(md, "rs_fd", variant, flavor, 1.0)
+            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batch))
         for a in range(3):
             arr = np.array([e[a] for e in ests])
             se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -274,8 +283,9 @@ def test_rsfd_uniform_data_estimates_uniform():
     for r in range(runs):
         rng = stream(19, r)
         rows = np.column_stack([rng.integers(0, k, n) for k in md.ks])
-        batch, _ = mdm.rsfd_sanitize_batch(rows, md, "grr", None, 1.0, rng)
-        ests.append(mdm.rsfd_estimate(batch, md, "grr", None, 1.0))
+        batch, _ = mdm.rs_sanitize_batch(
+            rows, mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), rng)
+        ests.append(mdm.rs_estimate(batch))
     for a, k in enumerate(md.ks):
         arr = np.array([e[a] for e in ests])
         se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -287,14 +297,16 @@ def test_rsrfd_uniform_prior_degenerates_to_rsfd():
     freqs = dirichlet_freqs(md, 20)
     rows = draw_rows(md, freqs, 20_000, stream(21, 0))
     for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
-        b1, s1 = mdm.rsfd_sanitize_batch(rows, md, variant, flavor, 0.9, stream(22, 5))
-        b2, s2 = mdm.rsrfd_sanitize_batch(rows, md, mdm.uniform_priors(md), variant, flavor,
-                                          0.9, stream(22, 5))
+        b1, s1 = mdm.rs_sanitize_batch(
+            rows, mdm.CollectionConfig(md, "rs_fd", variant, flavor, 0.9), stream(22, 5))
+        b2, s2 = mdm.rs_sanitize_batch(
+            rows, mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 0.9, mdm.uniform_priors(md)),
+            stream(22, 5))
         assert np.array_equal(s1, s2)
         for c1, c2 in zip(b1.columns, b2.columns):
             assert np.array_equal(c1, c2)
-        e1 = mdm.rsfd_estimate(b1, md, variant, flavor, 0.9)
-        e2 = mdm.rsrfd_estimate(b2, md, mdm.uniform_priors(md), variant, flavor, 0.9)
+        e1 = mdm.rs_estimate(b1)
+        e2 = mdm.rs_estimate(b2)
         for a in range(3):
             assert np.abs(e1[a] - e2[a]).max() < 1e-9
 
@@ -303,7 +315,8 @@ def test_rsrfd_point_mass_prior_fake_slots_constant():
     md = md_of([4, 5])
     priors = [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0, 0])]
     rows = np.column_stack([np.full(5000, 3), np.full(5000, 4)])
-    batch, sampled = mdm.rsrfd_sanitize_batch(rows, md, priors, "grr", None, 1.0, stream(23, 0))
+    batch, sampled = mdm.rs_sanitize_batch(
+        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", None, 1.0, priors), stream(23, 0))
     assert (batch.columns[0][sampled != 0] == 0).all()
     assert (batch.columns[1][sampled != 1] == 2).all()
 
@@ -312,7 +325,8 @@ def test_rsrfd_fake_slots_follow_prior():
     md = md_of([3, 6])
     priors = dirichlet_freqs(md, 24)
     rows = np.zeros((100_000, 2), dtype=int)
-    batch, sampled = mdm.rsrfd_sanitize_batch(rows, md, priors, "grr", None, 1.0, stream(25, 0))
+    batch, sampled = mdm.rs_sanitize_batch(
+        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", None, 1.0, priors), stream(25, 0))
     fakes = batch.columns[1][sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts, f_exp=len(fakes) * priors[1])
@@ -329,8 +343,9 @@ def test_rsrfd_monte_carlo_bias():
         for r in range(runs):
             rng = stream(28, r)
             rows = draw_rows(md, freqs, n, rng)
-            batch, _ = mdm.rsrfd_sanitize_batch(rows, md, priors, variant, flavor, 1.0, rng)
-            ests.append(mdm.rsrfd_estimate(batch, md, priors, variant, flavor, 1.0))
+            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors)
+            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batch))
         for a in range(3):
             arr = np.array([e[a] for e in ests])
             se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -352,8 +367,8 @@ def test_invalid_priors_rejected():
 # ---------------------------------------------------------------------------
 
 def test_variance_scales_inversely_with_n():
-    v1 = mdm.rsrfd_variance(0.3, 0.2, 0.8, 0.1, 4, 1000, "grr")
-    v2 = mdm.rsrfd_variance(0.3, 0.2, 0.8, 0.1, 4, 2000, "grr")
+    v1 = mdm.rs_variance(0.3, 0.2, 0.8, 0.1, 4, 1000, "grr")
+    v2 = mdm.rs_variance(0.3, 0.2, 0.8, 0.1, 4, 2000, "grr")
     assert v1 == pytest.approx(2 * v2)
 
 
@@ -361,15 +376,15 @@ def test_variance_d1_reduces_to_pure_binomial():
     params = oc.protocol_params("grr", 1.0, 6)
     f = 0.37
     expected = oc.pure_estimator_variance(f, params, 5000)
-    got = mdm.rsrfd_variance(f, 1.0 / 6, params.p, params.q, 1, 5000, "grr")
+    got = mdm.rs_variance(f, 1.0 / 6, params.p, params.q, 1, 5000, "grr")
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_variance_gamma_out_of_range():
     with pytest.raises(ParameterError):
-        mdm.rsrfd_variance(5.0, 5.0, 0.9, 0.1, 3, 100, "grr")
+        mdm.rs_variance(5.0, 5.0, 0.9, 0.1, 3, 100, "grr")
     with pytest.raises(ParameterError):
-        mdm.rsrfd_variance(0.3, 0.2, 0.8, 0.1, 3, 100, "ue_q")
+        mdm.rs_variance(0.3, 0.2, 0.8, 0.1, 3, 100, "ue_q")
 
 
 def test_variance_matches_monte_carlo():
@@ -382,16 +397,40 @@ def test_variance_matches_monte_carlo():
         for r in range(runs):
             rng = stream(31, r)
             rows = draw_rows(md, freqs, n, rng)
-            batch, _ = mdm.rsrfd_sanitize_batch(rows, md, priors, variant, flavor, 1.0, rng)
-            ests.append(mdm.rsrfd_estimate(batch, md, priors, variant, flavor, 1.0)[0])
+            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors)
+            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batch)[0])
         arr = np.array(ests)
         params = mdm.rs_params(variant, flavor, 1.0, 3, 4)
         theo = np.array([
-            mdm.rsrfd_variance(freqs[0][v], priors[0][v], params.p, params.q, 3, n, variant)
+            mdm.rs_variance(freqs[0][v], priors[0][v], params.p, params.q, 3, n, variant)
             for v in range(4)
         ])
         emp = arr.var(axis=0, ddof=1)
         assert emp.sum() == pytest.approx(theo.sum(), rel=0.15)
+
+
+def test_rsfd_variance_matches_monte_carlo():
+    # rs_fd fakes are uniform (mass 1/k per value); ue_z fakes carry no mass
+    md = md_of([4, 3, 5])
+    freqs = dirichlet_freqs(md, 34)
+    n, runs = 10_000, 400
+    for variant, flavor in [("grr", None), ("ue_z", "sue"), ("ue_r", "oue")]:
+        cfg = mdm.CollectionConfig(md, "rs_fd", variant, flavor, 1.0)
+        ests = []
+        for r in range(runs):
+            rng = stream(35, r)
+            rows = draw_rows(md, freqs, n, rng)
+            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batch))
+        for a, k in enumerate(md.ks):
+            params = cfg.params(a)
+            theo = np.array([
+                mdm.rs_variance(freqs[a][v], 1.0 / k, params.p, params.q, 3, n, variant)
+                for v in range(k)
+            ])
+            emp = np.array([e[a] for e in ests]).var(axis=0, ddof=1)
+            assert emp.sum() == pytest.approx(theo.sum(), rel=0.15), (variant, flavor, a)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +459,9 @@ def test_estimation_error_shrinks_as_sqrt_n():
         for r in range(16):
             rng = stream(33, n, r)
             rows = draw_rows(md, freqs, n, rng)
-            batch, _ = mdm.rsfd_sanitize_batch(rows, md, "grr", None, 1.0, rng)
-            est = mdm.rsfd_estimate(batch, md, "grr", None, 1.0)
+            batch, _ = mdm.rs_sanitize_batch(
+                rows, mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), rng)
+            est = mdm.rs_estimate(batch)
             errs.append(max(np.abs(est[a] - freqs[a]).max() for a in range(3)))
         mean_err.append(np.mean(errs))
     slope = np.polyfit(np.log(ns), np.log(mean_err), 1)[0]
