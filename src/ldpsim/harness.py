@@ -140,18 +140,19 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
-        if self.experiment in ("analytic", "attack_oracle", "reident", "attr_infer", "mse"):
-            if self.experiment != "reident" and not self.epsilons:
-                raise ConfigError("epsilons grid must be non-empty")
-            if self.experiment == "reident" and not (self.epsilons or self.betas):
-                raise ConfigError("reident needs an epsilons or betas grid")
+        if self.experiment != "reident" and not self.epsilons:
+            raise ConfigError("epsilons grid must be non-empty")
         for v in self.variants:
             if v not in _VARIANT_TAGS:
                 raise ConfigError(f"unknown variant {v!r}; use one of {sorted(_VARIANT_TAGS)}")
         if self.experiment == "reident":
+            if not (self.epsilons or self.betas):
+                raise ConfigError("reident needs an epsilons or betas grid")
             if self.solution not in ("smp", *FAKE_DATA_VARIANTS):
                 raise ConfigError(f"unknown solution {self.solution!r}; use one of "
                                   f"{('smp', *FAKE_DATA_VARIANTS)}")
+            if self.surveys < 2:
+                raise ConfigError("reident needs surveys >= 2 (RID is scored from survey 2 on)")
             pairs = [(p, self.solution) for p in self.protocols]
         elif self.experiment in ("attr_infer", "mse"):
             pairs = [(v, s) for v in self.variants for s in self.solutions]
@@ -161,9 +162,18 @@ class ExperimentConfig:
             _check_pair(tag, solution)
         if self.prior_mode not in ("laplace", "exact", "uniform"):
             raise ConfigError(f"unknown prior_mode {self.prior_mode!r}")
+        if self.uses_rfd and self.prior_mode == "laplace" and not 0 < self.prior_epsilon < math.inf:
+            raise ConfigError(f"prior_epsilon must be finite and > 0, got {self.prior_epsilon!r}")
         if self.sampling_mode not in ("without_replacement", "with_replacement"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
         return self
+
+    @property
+    def uses_rfd(self) -> bool:
+        """Whether some collection of this experiment draws fakes from rs_rfd priors."""
+        if self.experiment == "reident":
+            return self.solution == "rs_rfd"
+        return self.experiment in ("attr_infer", "mse") and "rs_rfd" in self.solutions
 
 
 def _check_pair(tag: str, solution: str) -> None:
@@ -311,20 +321,16 @@ def _run_attack_oracle_point(cfg: ExperimentConfig, grid_idx: int, proto: str,
     ]
 
 
-def _reident_priors(cfg: ExperimentConfig, ds: Dataset):
-    if cfg.solution != "rs_rfd":
+def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> list[np.ndarray] | None:
+    """The rs_rfd priors (laplace noise from stream 7003); None when no collection uses them."""
+    if not cfg.uses_rfd:
         return None
-    return _make_priors(cfg, ds, stream(cfg.seed, 7003))
-
-
-def _make_priors(cfg: ExperimentConfig, ds: Dataset, rng) -> list[np.ndarray]:
     if cfg.prior_mode == "uniform":
         return uniform_priors(ds.multidomain)
     freqs = true_frequencies(ds)
     if cfg.prior_mode == "exact":
         return freqs
-    priors, fallback = laplace_prior(freqs, cfg.prior_epsilon, ds.n, rng)
-    return priors
+    return laplace_prior(freqs, cfg.prior_epsilon, ds.n, stream(cfg.seed, 7003))[0]
 
 
 def _run_reident_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
@@ -406,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     elif cfg.experiment == "reident":
         ds = resolve_dataset(cfg)
-        priors = _reident_priors(cfg, ds)
+        priors = _rfd_priors(cfg, ds)
         privacy_grid = [("epsilon", float(e)) for e in cfg.epsilons]
         privacy_grid += [("beta", float(b)) for b in cfg.betas]
         grid = [(p, pv, m) for p in cfg.protocols for pv in privacy_grid
@@ -420,8 +426,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         ds = resolve_dataset(cfg)
         grid = [(v, e, s) for v in cfg.variants for e in cfg.epsilons
                 for s in cfg.solutions]
-        priors = (_make_priors(cfg, ds, stream(cfg.seed, 7003))
-                  if "rs_rfd" in cfg.solutions else None)
+        priors = _rfd_priors(cfg, ds)
         for gi, (v, e, s) in enumerate(grid):
             for run in range(cfg.runs):
                 tasks.append(((gi, run), lambda v=v, e=e, s=s, gi=gi, run=run:
@@ -429,7 +434,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     elif cfg.experiment == "mse":
         ds = resolve_dataset(cfg)
-        priors = _make_priors(cfg, ds, stream(cfg.seed, 7003))
+        priors = _rfd_priors(cfg, ds)
         pairs = [(v, e) for v in cfg.variants for e in cfg.epsilons]
         grid = [(s, v, e) for s in cfg.solutions for (v, e) in pairs]
         for gi, (s, v, e) in enumerate(grid):

@@ -308,6 +308,97 @@ def test_reident_pk_uses_column_subset():
 
 
 # ---------------------------------------------------------------------------
+# Rank kernel
+# ---------------------------------------------------------------------------
+
+def _cube_closer_tied(profiles, bk_rows, bk_cols):
+    """Reference: (n, n_bk, c) mismatch cube over the known entries, summed per record."""
+    P = profiles[:, bk_cols]
+    diff = (P[:, None, :] != bk_rows[:, bk_cols][None, :, :]) & (P >= 0)[:, None, :]
+    dist = diff.sum(axis=2)
+    own = dist[np.arange(len(P)), np.arange(len(P))][:, None]
+    return (dist < own).sum(axis=1), (dist == own).sum(axis=1)
+
+
+class _EdgeDraw:
+    """rng stand-in whose bounded draw returns the lowest or the highest value."""
+
+    def __init__(self, highest):
+        self.highest = highest
+
+    def integers(self, low, high, size=None):
+        return np.asarray(high) - 1 if self.highest else np.full(np.shape(high), low)
+
+
+def _kernel_closer_tied(profiles, bk_rows, bk_cols, chunk=256):
+    lo = atk._rank_of_true(profiles, bk_rows, bk_cols, _EdgeDraw(False), chunk=chunk)
+    hi = atk._rank_of_true(profiles, bk_rows, bk_cols, _EdgeDraw(True), chunk=chunk)
+    return lo, hi - lo + 1
+
+
+def _noisy_profiles(rows, rng, flip, unknown):
+    """Each user's own record with a fraction of entries redrawn and some set to -1."""
+    profiles = rows.copy()
+    redraw = rng.random(rows.shape) < flip
+    profiles[redraw] = rng.choice(np.unique(rows), int(redraw.sum()))
+    profiles[rng.random(rows.shape) < unknown] = -1
+    return profiles
+
+
+@pytest.mark.parametrize("chunk", [7, 256])
+@pytest.mark.parametrize("scale", [1, 128])
+def test_rank_kernel_counts_match_cube_reference(chunk, scale):
+    # scale 128 puts 0 and 256 in one column: a compare in int8 would equate them
+    rng = stream(20, 0)
+    rows = rng.integers(0, 3, size=(50, 6)) * scale
+    profiles = _noisy_profiles(rows, rng, flip=0.4, unknown=0.3)
+    for bk_cols in (np.arange(6), np.array([0, 2, 3, 5])):
+        closer, tied = _kernel_closer_tied(profiles, rows, bk_cols, chunk)
+        ref_closer, ref_tied = _cube_closer_tied(profiles, rows, bk_cols)
+        assert (tied > 1).any() and (closer > 0).any()
+        np.testing.assert_array_equal(closer, ref_closer)
+        np.testing.assert_array_equal(tied, ref_tied)
+
+
+def test_rank_kernel_tie_rank_uniform():
+    # user 0 ([5, 5, ?]): rows 1-2 match both known entries, rows 3-7 one entry
+    # like its own record, rows 8-9 none -> 2 closer, 6 tied, rank ~ U{2..7}
+    rows = np.array([[5, 9, 1], [5, 5, 0], [5, 5, 1], [5, 0, 0], [5, 1, 1],
+                     [1, 5, 0], [0, 5, 2], [5, 3, 3], [0, 0, 0], [1, 1, 1]])
+    profiles = np.full_like(rows, -1)
+    profiles[0] = [5, 5, -1]
+    rng = stream(21, 0)
+    trials = 6000
+    ranks = np.array([atk._rank_of_true(profiles, rows, np.arange(3), rng)[0]
+                      for _ in range(trials)])
+    counts = np.bincount(ranks, minlength=10)
+    assert counts[:2].sum() == 0 and counts[8:].sum() == 0
+    assert stats.chisquare(counts[2:8]).pvalue > 1e-3
+
+
+def test_rank_kernel_null_model_uniform():
+    n = 40
+    rows = stream(22, 0).integers(0, 4, size=(n, 3))
+    rng = stream(22, 1)
+    ranks = np.concatenate([
+        atk._rank_of_true(rows, rows, np.arange(3), rng, null_attack=True) for _ in range(250)
+    ])
+    assert ranks.min() >= 0 and ranks.max() < n
+    assert stats.chisquare(np.bincount(ranks, minlength=n)).pvalue > 1e-3
+
+
+def test_rank_kernel_more_than_255_columns_exact():
+    # own-record match counts near 285 of 300 would wrap in a uint8 counter
+    rng = stream(23, 0)
+    rows = rng.integers(0, 2, size=(60, 300))
+    profiles = _noisy_profiles(rows, rng, flip=0.05, unknown=0.03)
+    closer, tied = _cube_closer_tied(profiles, rows, np.arange(300))
+    assert (tied == 1).all()
+    ranks = atk._rank_of_true(profiles, rows, np.arange(300), stream(23, 1))
+    np.testing.assert_array_equal(ranks, closer)
+
+
+# ---------------------------------------------------------------------------
 # Sampled-attribute inference
 # ---------------------------------------------------------------------------
 

@@ -116,3 +116,28 @@ def test_unknown_solution_or_variant_is_config_error(tmp_path, command, body):
     rc = run_cli([command, "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("surveys", [0, 1])
+def test_reident_needs_two_surveys(tmp_path, surveys):
+    # RID is scored from the second survey on: fewer surveys would export no rows
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"dataset = fixture:adult_style_100\nepsilons = 1\nseed = 1\nsurveys = {surveys}\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["reident", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solutions,prior_epsilon,code", [
+    ("rs_fd", "0", 0),
+    ("rs_rfd", "0", 2),
+    ("rs_fd, rs_rfd", "nan", 2),
+    ("rs_rfd", "inf", 2),
+])
+def test_mse_prior_epsilon_checked_only_for_rs_rfd(tmp_path, solutions, prior_epsilon, code):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("dataset = fixture:adult_style_100\nepsilons = 1\nseed = 1\n"
+                   f"solutions = {solutions}\nprior_epsilon = {prior_epsilon}\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["mse", "--config", str(cfg), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
