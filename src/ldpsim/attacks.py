@@ -44,7 +44,7 @@ from .oracles import (
     protocol_params,
     randomize_batch,
 )
-from .rng import hash_bucket, stream
+from .rng import chunk_rows, hash_matches, stream
 
 # epsilon assigned when an alpha budget of 0 admits no randomizer; at this
 # scale every protocol is indistinguishable from its epsilon -> 0 limit
@@ -55,16 +55,27 @@ EPSILON_FLOOR = 1e-6
 # Per-report value prediction
 # ---------------------------------------------------------------------------
 
-def _pick_from_rows(matrix: np.ndarray, counts: np.ndarray, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Uniform pick of a set column per row of a 0/1 matrix.
+def _pick_from_rows(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform pick of a set column per row of an (n, k) 0/1 matrix.
 
-    Rows with no set column fall back to a uniform draw over [0, k).
+    Rows with no set column fall back to a uniform draw over [0, k).  The
+    row cumsum is taken once in ``np.min_scalar_type(k)`` (uint8 up to
+    k = 255, uint16 beyond), its last column gives the counts, and the
+    ``cs > r`` compare runs in row chunks in that dtype.  ``r`` for all
+    rows, then the empty-row values, are each one ``rng.integers`` call:
+    drawing both per chunk would interleave them and change the stream.
     """
     n = len(matrix)
-    r = rng.integers(0, np.maximum(counts, 1))
-    cs = np.cumsum(matrix, axis=1)
-    pred = np.argmax(cs > r[:, None], axis=1)
+    cs = np.cumsum(matrix, axis=1, dtype=np.min_scalar_type(k))
+    counts = cs[:, -1]
+    r = rng.integers(0, np.maximum(counts, 1)).astype(cs.dtype)
+    pred = np.empty(n, dtype=np.int64)
+    rows = chunk_rows(k)
+    above = np.empty((min(rows, n), k), dtype=bool)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        np.greater(cs[lo:hi], r[lo:hi, None], out=above[: hi - lo])
+        pred[lo:hi] = above[: hi - lo].argmax(axis=1)
     empty = counts == 0
     if empty.any():
         pred[empty] = rng.integers(0, k, int(empty.sum()))
@@ -80,16 +91,12 @@ def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
         return batch.data.copy()
     if proto == "olh":
         seeds, buckets = batch.data
-        cand = np.arange(k, dtype=np.uint64)
-        matches = (hash_bucket(seeds[:, None], cand[None, :], params.aux)
-                   == buckets[:, None]).astype(np.uint8)
-        return _pick_from_rows(matches, matches.sum(axis=1), k, rng)
+        return _pick_from_rows(hash_matches(seeds, buckets, k, params.aux).view(np.uint8), k, rng)
     if proto == "ss":
         n, omega = batch.data.shape
         pick = rng.integers(0, omega, n)
         return batch.data[np.arange(n), pick]
-    bits = batch.data
-    return _pick_from_rows(bits, bits.sum(axis=1), k, rng)
+    return _pick_from_rows(batch.data, k, rng)
 
 
 def predict_value(report: SanitizedReport, params: ProtocolParams,

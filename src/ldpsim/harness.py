@@ -47,12 +47,13 @@ from .errors import ConfigError, ParameterError
 from .multidim import (
     FAKE_DATA_VARIANTS,
     CollectionConfig,
+    amplified_epsilon,
     check_collection,
     rs_estimate,
     rs_sanitize_batch,
     uniform_priors,
 )
-from .oracles import PROTOCOLS
+from .oracles import PROTOCOLS, protocol_params
 from .rng import stream
 
 KINDS = ("analytic", "attack_oracle", "reident", "attr_infer", "mse")
@@ -63,6 +64,10 @@ EXPORT_COLUMNS = (
     "experiment", "protocol", "solution", "epsilon", "beta",
     "metric", "value", "stderr", "run", "seed", "flags",
 )
+
+# integer-valued keys (scalars and lists), checked before any comparison
+_INT_KEYS = ("seed", "runs", "threads", "n", "subsample", "synth_n", "surveys",
+             "ks", "synth_ks", "top_k")
 
 _VARIANT_TAGS = {
     "grr": ("grr", None),
@@ -134,6 +139,11 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {KINDS}, got {self.experiment!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory (no wall-clock seeding)")
+        for key in _INT_KEYS:
+            values = getattr(self, key)
+            for v in values if isinstance(values, list) else [values]:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ConfigError(f"{key} must be an integer, got {v!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.threads < 1:
@@ -142,6 +152,10 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
         if self.experiment != "reident" and not self.epsilons:
             raise ConfigError("epsilons grid must be non-empty")
+        if self.n < 1:
+            raise ConfigError("n must be >= 1")
+        if self.experiment in ("analytic", "attack_oracle") and any(k < 2 for k in self.ks):
+            raise ConfigError(f"every ks entry must be >= 2, got {self.ks}")
         for v in self.variants:
             if v not in _VARIANT_TAGS:
                 raise ConfigError(f"unknown variant {v!r}; use one of {sorted(_VARIANT_TAGS)}")
@@ -160,6 +174,7 @@ class ExperimentConfig:
             pairs = [(p, "smp") for p in self.protocols]
         for tag, solution in pairs:
             _check_pair(tag, solution)
+        _check_epsilons(self)
         if self.prior_mode not in ("laplace", "exact", "uniform"):
             raise ConfigError(f"unknown prior_mode {self.prior_mode!r}")
         if self.uses_rfd and self.prior_mode == "laplace" and not 0 < self.prior_epsilon < math.inf:
@@ -174,6 +189,27 @@ class ExperimentConfig:
         if self.experiment == "reident":
             return self.solution == "rs_rfd"
         return self.experiment in ("attr_infer", "mse") and "rs_rfd" in self.solutions
+
+
+def _check_epsilons(cfg: ExperimentConfig, d: int | None = None) -> None:
+    """Every epsilon is finite, > 0 and calibrates every protocol the grid runs.
+
+    Fake-data collections randomize at the amplified epsilon; pass the
+    dataset's attribute count ``d`` to check that too.
+    """
+    fake = cfg.experiment in ("attr_infer", "mse") or (
+        cfg.experiment == "reident" and cfg.solution != "smp")
+    tags = cfg.variants if cfg.experiment in ("attr_infer", "mse") else cfg.protocols
+    protocols = {_VARIANT_TAGS[t][1] or "grr" for t in tags} if fake else set(tags)
+    for eps in cfg.epsilons:
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf:
+            raise ConfigError(f"every epsilon must be finite and > 0, got {eps!r}")
+        try:
+            eps_run = amplified_epsilon(eps, d) if fake and d else eps
+            for proto in sorted(protocols):
+                protocol_params(proto, eps_run, 2)
+        except (ParameterError, OverflowError) as exc:
+            raise ConfigError(f"epsilon {eps!r}: {exc}") from exc
 
 
 def _check_pair(tag: str, solution: str) -> None:
@@ -412,6 +448,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     elif cfg.experiment == "reident":
         ds = resolve_dataset(cfg)
+        _check_epsilons(cfg, ds.d)
         priors = _rfd_priors(cfg, ds)
         privacy_grid = [("epsilon", float(e)) for e in cfg.epsilons]
         privacy_grid += [("beta", float(b)) for b in cfg.betas]
@@ -424,6 +461,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     elif cfg.experiment == "attr_infer":
         ds = resolve_dataset(cfg)
+        _check_epsilons(cfg, ds.d)
         grid = [(v, e, s) for v in cfg.variants for e in cfg.epsilons
                 for s in cfg.solutions]
         priors = _rfd_priors(cfg, ds)
@@ -434,6 +472,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     elif cfg.experiment == "mse":
         ds = resolve_dataset(cfg)
+        _check_epsilons(cfg, ds.d)
         priors = _rfd_priors(cfg, ds)
         pairs = [(v, e) for v in cfg.variants for e in cfg.epsilons]
         grid = [(s, v, e) for s in cfg.solutions for (v, e) in pairs]

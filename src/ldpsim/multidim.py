@@ -45,6 +45,7 @@ from .oracles import (
     protocol_params,
     randomize,
     randomize_batch,
+    unary_bits,
 )
 
 RS_FD_VARIANTS = ("grr", "ue_z", "ue_r")
@@ -333,7 +334,7 @@ def rs_sanitize_batch(
             col = np.empty((n, k), dtype=np.uint8)
             col[mask] = randomize_batch(rows[mask, a], params, rng).data
             if cfg.variant == "ue_z":
-                col[~mask] = (rng.random((n - m, k)) < params.q).astype(np.uint8)
+                col[~mask] = unary_bits(n - m, k, params.q, rng)
             else:  # ue_r: unary-encode a categorical fake draw
                 fake_vals = _categorical(cfg.fake[a], n - m, rng)
                 col[~mask] = randomize_batch(fake_vals, params, rng).data

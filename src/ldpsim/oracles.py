@@ -14,6 +14,12 @@ Every randomizer has two surfaces: a per-report API returning typed report
 objects, and a vectorized batch API used by the Monte-Carlo harness.  The
 scalar API is a thin wrapper over the batch one, so both follow the same law
 by construction.
+
+The batch kernels whose work is (n, k) -- SS keys, UE bits, OLH support
+hashing -- run over row chunks of ``rng.chunk_rows(k)`` rows, so their
+temporaries stay O(rows * k) and cache-sized.  A chunked
+``rng.random((rows, k))`` draw yields the values of one (n, k) draw, so
+chunking changes no random stream.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, NonIdentifiableError, ParameterError
-from .rng import draw_hash_seeds, hash_bucket
+from .rng import chunk_rows, draw_hash_seeds, hash_bucket, hash_matches
 
 PROTOCOLS = ("grr", "olh", "ss", "sue", "oue")
 
@@ -127,16 +133,21 @@ def protocol_params(protocol: str, epsilon: float, k: int) -> ProtocolParams:
     protocol = protocol.lower()
     if protocol not in PROTOCOLS:
         raise ParameterError(f"unknown protocol {protocol!r}")
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be finite and > 0, got {epsilon!r}")
     if k < 2:
         raise DomainError(f"domain size k={k} is degenerate; randomization needs k >= 2")
 
-    ee = math.exp(epsilon)
+    try:
+        ee = math.exp(epsilon)
+    except OverflowError:
+        raise ParameterError(f"epsilon={epsilon!r} is too large: e^epsilon overflows") from None
     if protocol == "grr":
         return ProtocolParams("grr", epsilon, k, ee / (ee + k - 1), 1.0 / (ee + k - 1))
     if protocol == "olh":
         g = max(2, round(ee) + 1)
+        if g > 1 << 63:  # buckets are int64
+            raise ParameterError(f"epsilon={epsilon!r} is too large for olh: g={g} > 2^63")
         return ProtocolParams("olh", epsilon, k, ee / (ee + g - 1), 1.0 / g, aux=g)
     if protocol == "ss":
         omega = min(max(1, round(k / (ee + 1.0))), k - 1)
@@ -220,26 +231,50 @@ def randomize_batch(
         return ReportBatch(params, (seeds, buckets))
 
     if proto == "ss":
+        # row chunks of iid uniform keys; the true value's key is +inf, so it
+        # is never drawn as an "other"; omega = 1 needs only the argmin
         omega = params.aux
         include = rng.random(n) < params.p
-        keys = rng.random((n, k))
-        keys[np.arange(n), values] = np.inf  # true value is never drawn as an "other"
-        order = np.argsort(keys, axis=1)
         out = np.empty((n, omega), dtype=np.int64)
-        if omega > 1:
-            out[include, 0] = values[include]
-            out[include, 1:] = order[include, : omega - 1]
-        else:
-            out[include, 0] = values[include]
-        out[~include, :] = order[~include, :omega]
-        out.sort(axis=1)
+        rows = chunk_rows(k)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            keys = rng.random((hi - lo, k))
+            keys[np.arange(hi - lo), values[lo:hi]] = np.inf
+            inc, o = include[lo:hi], out[lo:hi]
+            if omega == 1:
+                o[:, 0] = np.where(inc, values[lo:hi], keys.argmin(axis=1))
+            else:
+                order = np.argsort(keys, axis=1)
+                o[inc, 0] = values[lo:hi][inc]
+                o[inc, 1:] = order[inc, : omega - 1]
+                o[~inc] = order[~inc, :omega]
+                o.sort(axis=1)
         return ReportBatch(params, out)
 
-    # sue / oue
-    u = rng.random((n, k))
-    thresh = np.full((n, k), params.q)
-    thresh[np.arange(n), values] = params.p
-    return ReportBatch(params, (u < thresh).astype(np.uint8))
+    return ReportBatch(params, unary_bits(n, k, params.q, rng, values, params.p))
+
+
+def unary_bits(n: int, k: int, q: float, rng: np.random.Generator,
+               values: np.ndarray | None = None, p: float | None = None) -> np.ndarray:
+    """(n, k) uint8 unary-encoding bits: bit v of row i is set w.p. q, or p at v = values[i].
+
+    Row chunks draw ``rng.random((rows, k))`` -- the stream of one (n, k)
+    draw -- and write ``u < q`` straight into the output, then reset each
+    true column to ``u < p``.  ``values=None`` encodes no true value (the
+    ue_z fake rows).
+    """
+    out = np.empty((n, k), dtype=np.uint8)
+    rows = chunk_rows(k)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        u = rng.random((hi - lo, k))
+        np.less(u, q, out=out[lo:hi].view(bool))
+        if values is not None:
+            idx = np.arange(hi - lo)
+            v = values[lo:hi]
+            out[lo + idx, v] = u[idx, v] < p
+    return out
 
 
 def randomize(value_index: int, params: ProtocolParams, rng: np.random.Generator) -> SanitizedReport:
@@ -283,16 +318,7 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
         return np.bincount(batch.data, minlength=k).astype(np.int64)
     if proto == "olh":
         seeds, buckets = batch.data
-        counts = np.zeros(k, dtype=np.int64)
-        # chunked so the (n, k) hash matrix stays small
-        chunk = max(1, 4_000_000 // max(k, 1))
-        cand = np.arange(k, dtype=np.uint64)
-        for lo in range(0, len(buckets), chunk):
-            s = seeds[lo : lo + chunk]
-            b = buckets[lo : lo + chunk]
-            h = hash_bucket(s[:, None], cand[None, :], params.aux)
-            counts += (h == b[:, None]).sum(axis=0)
-        return counts
+        return hash_matches(seeds, buckets, k, params.aux).sum(axis=0, dtype=np.int64)
     if proto == "ss":
         return np.bincount(batch.data.ravel(), minlength=k).astype(np.int64)
     return batch.data.sum(axis=0, dtype=np.int64)

@@ -6,7 +6,9 @@ order in which parallel workers execute can never change a result.
 
 The 64-bit mixing function used by the hashing oracle is SplitMix64, chosen
 because it is bit-exact reproducible from its published constants in any
-language.
+language.  ``hash_matches`` evaluates it for every (report, candidate) pair
+in cache-sized row chunks (``CHUNK_ELEMENTS``, the row budget every (n, k)
+kernel shares).
 """
 
 from __future__ import annotations
@@ -20,24 +22,43 @@ _MIX1 = 0xBF58_476D_1CE4_E5B9
 _MIX2 = 0x94D0_49BB_1331_11EB
 
 
+# Row chunks of the per-report (n, k) kernels hold about this many elements,
+# so their float64 / uint64 temporaries (256 KiB each) stay in cache.
+CHUNK_ELEMENTS = 1 << 15
+
+
+def chunk_rows(k: int) -> int:
+    """Rows per chunk of an (n, k) kernel."""
+    return max(1, CHUNK_ELEMENTS // k)
+
+
+def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of the uint64 array ``z``, in place; ``tmp`` is scratch."""
+    z += np.uint64(_GAMMA)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
 def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
     """SplitMix64 finalizer applied to an integer or a uint64 array."""
-    if np.ndim(x) == 0:
-        z = (int(x) + _GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
-    with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    scalar = np.ndim(x) == 0
+    z = np.array(int(x) & MASK64 if scalar else x, dtype=np.uint64, ndmin=1)
+    z = _splitmix64_inplace(z, np.empty_like(z))
+    return int(z[0]) if scalar else z.reshape(np.shape(x))
 
 
 def hash_bucket(seed: np.ndarray | int, value: np.ndarray | int, g: int) -> np.ndarray | int:
     """Map (seed, value) into a bucket in [0, g) via SplitMix64 mixing.
 
-    Modulo bias is accepted: g is never larger than e^10 + 1, far below 2^64.
+    ``g`` must be at most 2^63 so that buckets fit int64 (OLH's
+    g = round(e^eps) + 1 reaches that near eps = 43.7, which
+    ``protocol_params`` rejects).  The modulo bias, at most g / 2^64 in
+    relative terms, is accepted: about 5e-7 at eps = 30 (g ~ 1e13).
     """
     if np.ndim(seed) == 0 and np.ndim(value) == 0:
         return splitmix64(int(seed) ^ splitmix64(int(value))) % g
@@ -45,6 +66,33 @@ def hash_bucket(seed: np.ndarray | int, value: np.ndarray | int, g: int) -> np.n
     value = np.asarray(value, dtype=np.uint64)
     mixed = splitmix64(seed ^ splitmix64(value))
     return (mixed % np.uint64(g)).astype(np.int64)
+
+
+def hash_matches(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int) -> np.ndarray:
+    """(n, k) bool matrix: ``hash_bucket(seeds[i], v, g) == buckets[i]``.
+
+    The candidate hashes ``splitmix64(v)`` are computed once; the outer
+    SplitMix64, the ``% g`` and the compare run in place on two reused
+    uint64 buffers of ``chunk_rows(k)`` rows, so the only (n, k) array is
+    the bool result.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    buckets = np.asarray(buckets).astype(np.uint64)
+    n = len(seeds)
+    out = np.empty((n, k), dtype=bool)
+    cand = splitmix64(np.arange(k, dtype=np.uint64))
+    rows = chunk_rows(k)
+    z = np.empty((min(rows, n), k), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    g = np.uint64(g)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        zc, tc = z[: hi - lo], tmp[: hi - lo]
+        np.bitwise_xor(seeds[lo:hi, None], cand, out=zc)
+        _splitmix64_inplace(zc, tc)
+        np.remainder(zc, g, out=zc)
+        np.equal(zc, buckets[lo:hi, None], out=out[lo:hi])
+    return out
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:

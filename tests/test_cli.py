@@ -141,3 +141,48 @@ def test_mse_prior_epsilon_checked_only_for_rs_rfd(tmp_path, solutions, prior_ep
     out = tmp_path / "out.csv"
     assert run_cli(["mse", "--config", str(cfg), "--out", str(out)]) == code
     assert out.exists() == (code == 0)
+
+
+_ORACLE = "n = 50\nks = 4\nprotocols = grr\n"
+_FIXTURE = "dataset = fixture:adult_style_100\n"
+
+
+@pytest.mark.parametrize("command,body", [
+    ("attack-oracle", _ORACLE + "epsilons = nan\n"),
+    ("attack-oracle", _ORACLE + "epsilons = inf\n"),
+    ("attack-oracle", _ORACLE + "epsilons = -1\n"),
+    ("attack-oracle", _ORACLE + "epsilons = 1, 800\n"),
+    ("attack-oracle", _ORACLE + "epsilons = 45\nprotocols = grr, olh\n"),
+    ("attack-oracle", _ORACLE + "epsilons = abc\n"),
+    ("attack-oracle", _ORACLE + "epsilons = 1\nn = 0\n"),
+    ("attack-oracle", _ORACLE + "epsilons = 1\nks = 74, 1\n"),
+    ("attack-oracle", _ORACLE + "epsilons = 1\nruns = abc\n"),
+    ("attack-oracle", _ORACLE + "epsilons = 1\nthreads = abc\n"),
+    ("attack-oracle", _ORACLE + "epsilons = 1\nn = 1e5\n"),
+    ("analytic", "epsilons = 1\nks = 5, 1\n"),
+    ("analytic", "epsilons = 1\nruns = abc\n"),
+    ("mse", _FIXTURE + "epsilons = 1\nsolutions = rs_fd\nthreads = abc\n"),
+    ("mse", _FIXTURE + "epsilons = 709\nsolutions = rs_fd\n"),
+    ("attr-infer", _FIXTURE + "epsilons = nan\n"),
+    ("reident", _FIXTURE + "protocols = olh\nepsilons = 44\n"),
+], ids=["oracle-eps-nan", "oracle-eps-inf", "oracle-eps-negative", "oracle-eps-exp-overflow",
+        "oracle-eps-olh-g-overflow", "oracle-eps-text", "oracle-n-zero", "oracle-k-one",
+        "oracle-runs-text", "oracle-threads-text", "oracle-n-float", "analytic-k-one",
+        "analytic-runs-text", "mse-threads-text", "mse-amplified-eps-overflow",
+        "attr-infer-eps-nan", "reident-olh-g-overflow"])
+def test_bad_grid_value_is_config_error(tmp_path, command, body):
+    # each of these exited 3 (or 1 with a traceback), most after the run had started
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\n" + body)
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_attack_oracle_large_olh_epsilon_still_runs(tmp_path):
+    # OLH's g ~ e^43 still fits int64 buckets
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("seed = 1\n" + _ORACLE + "protocols = olh\nepsilons = 30, 43\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["attack-oracle", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()

@@ -1,0 +1,199 @@
+"""The chunked per-report kernels against reference copies of the whole-matrix code.
+
+Each reference below is the earlier (n, k) implementation, kept verbatim in
+spirit: one ``rng.random((n, k))`` draw, an int64 cumsum, a broadcast hash.
+The kernels must return the same arrays and leave the generator in the same
+state (the next ``rng.random()`` agrees), at row counts around the chunk
+boundaries, at k = 300 (uint16 cumsum), for SS subset sizes 1 and > 1 and
+for OLH bucket counts that are and are not powers of two.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ldpsim import attacks as atk
+from ldpsim import oracles as oc
+from ldpsim.rng import chunk_rows, hash_matches, stream
+
+KS = (2, 74, 300)
+
+
+def _ns(k):
+    rows = chunk_rows(k)
+    return (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3)
+
+
+def _grid():
+    return [(k, n) for k in KS for n in _ns(k)]
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the whole-matrix kernels
+# ---------------------------------------------------------------------------
+
+def _ref_splitmix64(x):
+    with np.errstate(over="ignore"):
+        z = np.asarray(x, dtype=np.uint64) + np.uint64(0x9E37_79B9_7F4A_7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58_476D_1CE4_E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D0_49BB_1331_11EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _ref_hash(seeds, values, g):
+    mixed = _ref_splitmix64(np.asarray(seeds, dtype=np.uint64)
+                            ^ _ref_splitmix64(np.asarray(values, dtype=np.uint64)))
+    return (mixed % np.uint64(g)).astype(np.int64)
+
+
+def _ref_pick_from_rows(matrix, counts, k, rng):
+    r = rng.integers(0, np.maximum(counts, 1))
+    cs = np.cumsum(matrix, axis=1)
+    pred = np.argmax(cs > r[:, None], axis=1)
+    empty = counts == 0
+    if empty.any():
+        pred[empty] = rng.integers(0, k, int(empty.sum()))
+    return pred
+
+
+def _ref_olh_matches(seeds, buckets, k, g):
+    cand = np.arange(k, dtype=np.uint64)
+    return (_ref_hash(seeds[:, None], cand[None, :], g) == buckets[:, None]).astype(np.uint8)
+
+
+def _ref_ss(values, p, omega, k, rng):
+    n = len(values)
+    include = rng.random(n) < p
+    keys = rng.random((n, k))
+    keys[np.arange(n), values] = np.inf
+    order = np.argsort(keys, axis=1)
+    out = np.empty((n, omega), dtype=np.int64)
+    out[include, 0] = values[include]
+    if omega > 1:
+        out[include, 1:] = order[include, : omega - 1]
+    out[~include, :] = order[~include, :omega]
+    out.sort(axis=1)
+    return out
+
+
+def _ref_ue(values, p, q, k, rng):
+    n = len(values)
+    u = rng.random((n, k))
+    thresh = np.full((n, k), q)
+    thresh[np.arange(n), values] = p
+    return (u < thresh).astype(np.uint8)
+
+
+def _values(k, n, seed):
+    return stream(seed, k, n).integers(0, k, n)
+
+
+def _pair(seed, k, n):
+    return stream(seed, k, n, 1), stream(seed, k, n, 1)
+
+
+# ---------------------------------------------------------------------------
+# Byte identity
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k,n", _grid())
+@pytest.mark.parametrize("eps", [1.0, 4.0])
+def test_ss_randomize_matches_reference(k, n, eps):
+    params = oc.protocol_params("ss", eps, k)
+    values = _values(k, n, 31)
+    rng, ref_rng = _pair(31, k, n)
+    got = oc.randomize_batch(values, params, rng).data
+    ref = _ref_ss(values, params.p, params.aux, k, ref_rng)
+    np.testing.assert_array_equal(got, ref)
+    assert rng.random() == ref_rng.random()
+
+
+def test_ss_grid_has_both_subset_sizes():
+    omegas = {oc.protocol_params("ss", eps, k).aux > 1 for k in KS for eps in (1.0, 4.0)}
+    assert omegas == {False, True}
+
+
+@pytest.mark.parametrize("k,n", _grid())
+@pytest.mark.parametrize("proto", ["sue", "oue"])
+def test_ue_randomize_and_predict_match_reference(k, n, proto):
+    params = oc.protocol_params(proto, 1.0, k)
+    values = _values(k, n, 32)
+    rng, ref_rng = _pair(32, k, n)
+    batch = oc.randomize_batch(values, params, rng)
+    ref = _ref_ue(values, params.p, params.q, k, ref_rng)
+    np.testing.assert_array_equal(batch.data, ref)
+    assert batch.data.dtype == np.uint8
+    np.testing.assert_array_equal(oc.support_counts(batch), ref.sum(axis=0))
+    pred = atk.predict_batch(batch, rng)
+    ref_pred = _ref_pick_from_rows(ref, ref.sum(axis=1), k, ref_rng)
+    np.testing.assert_array_equal(pred, ref_pred)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("k,n", _grid())
+def test_unary_fake_rows_match_reference(k, n):
+    # the ue_z fake rows: every bit set w.p. q, no true column
+    rng, ref_rng = _pair(33, k, n)
+    got = oc.unary_bits(n, k, 0.3, rng)
+    np.testing.assert_array_equal(got, (ref_rng.random((n, k)) < 0.3).astype(np.uint8))
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("k,n", _grid())
+@pytest.mark.parametrize("eps", [1.0, 4.0], ids=["g4", "g56"])
+def test_olh_predict_and_counts_match_reference(k, n, eps):
+    params = oc.protocol_params("olh", eps, k)
+    g = params.aux
+    assert (g & (g - 1) == 0) == (eps == 1.0)
+    values = _values(k, n, 34)
+    rng, ref_rng = _pair(34, k, n)
+    batch = oc.randomize_batch(values, params, rng)
+    oc.randomize_batch(values, params, ref_rng)  # GRR on buckets: untouched here
+    seeds, buckets = batch.data
+    ref_matches = _ref_olh_matches(seeds, buckets, k, g)
+    np.testing.assert_array_equal(hash_matches(seeds, buckets, k, g), ref_matches)
+    np.testing.assert_array_equal(oc.support_counts(batch), ref_matches.sum(axis=0))
+    pred = atk.predict_batch(batch, rng)
+    ref_pred = _ref_pick_from_rows(ref_matches, ref_matches.sum(axis=1), k, ref_rng)
+    np.testing.assert_array_equal(pred, ref_pred)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("k,n", _grid())
+@pytest.mark.parametrize("density", [0.02, 0.5, 0.97])
+def test_pick_from_rows_matches_reference(k, n, density):
+    # density 0.97 at k = 300 puts more than 255 set bits in a row
+    matrix = (stream(35, k, n).random((n, k)) < density).astype(np.uint8)
+    rng, ref_rng = _pair(35, k, n)
+    pred = atk._pick_from_rows(matrix, k, rng)
+    ref = _ref_pick_from_rows(matrix, matrix.sum(axis=1), k, ref_rng)
+    np.testing.assert_array_equal(pred, ref)
+    assert rng.random() == ref_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# Memory bound
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("proto", ["sue", "olh"])
+def test_randomize_and_predict_peak_memory_bounded(proto):
+    # the whole-matrix kernels peaked near 18 x n*k bytes (float64 / int64 temporaries)
+    n, k = 50_000, 74
+    params = oc.protocol_params(proto, 1.0, k)
+    values = _values(k, n, 36)
+    rng = stream(36, 0)
+    batch, peak = _traced_peak(lambda: oc.randomize_batch(values, params, rng))
+    if proto == "sue":
+        assert peak < 1.5 * n * k
+    _, peak = _traced_peak(lambda: atk.predict_batch(batch, rng))
+    assert peak < 3 * n * k
