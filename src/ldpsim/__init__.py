@@ -26,7 +26,6 @@ from .errors import (
     LdpSimError,
     NonIdentifiableError,
     ParameterError,
-    SamplingExhaustedError,
 )
 from .attacks import (
     AttackResult,
@@ -55,6 +54,7 @@ from .multidim import (
     rs_sanitize,
     rs_sanitize_batch,
     rs_variance,
+    smp_sample,
     smp_sanitize,
     spl_sanitize,
     uniform_priors,

@@ -35,6 +35,7 @@ from .multidim import (
     TupleBatch,
     rs_estimate,
     rs_sanitize_batch,
+    smp_sample,
 )
 from .oracles import (
     ProtocolParams,
@@ -177,37 +178,23 @@ def smp_attack_acc_mc(protocol: str, epsilon: float, ks: Sequence[int],
                       mode: str, n: int, rng: np.random.Generator) -> float:
     """Monte-Carlo full-profile attack accuracy for the sampling solution.
 
-    Simulates d surveys over d attributes.  Uniform mode samples without
-    replacement (a fresh attribute each survey); non-uniform samples with
-    replacement and only complete, all-distinct profiles can score.
+    Runs d surveys over all d attributes through the reident survey step
+    (:func:`_smp_survey_step`).  ``uniform`` samples without replacement, so
+    every user reports each attribute once; ``non_uniform`` samples with
+    replacement, a repeat re-sends the memoized report, and a profile scores
+    only when it is complete and every prediction is right.
     """
-    d = len(ks)
-    params = [protocol_params(protocol, epsilon, k) for k in ks]
-    values = np.column_stack([rng.integers(0, k, size=n) for k in ks])
-    if mode == "uniform":
-        choice = np.argsort(rng.random((n, d)), axis=1)  # per-user permutation
-    elif mode == "non_uniform":
-        choice = rng.integers(0, d, size=(n, d))
-    else:
+    sampling_mode = {"uniform": "without_replacement",
+                     "non_uniform": "with_replacement"}.get(mode)
+    if sampling_mode is None:
         raise ParameterError(f"unknown mode {mode!r}")
-    correct = np.ones(n, dtype=bool)
-    seen = np.zeros((n, d), dtype=bool)
-    for s in range(d):
-        js = choice[:, s]
-        first = ~seen[np.arange(n), js]
-        seen[np.arange(n), js] = True
-        for a in range(d):
-            m = (js == a) & first  # memoized repeats keep their old prediction
-            cnt = int(m.sum())
-            if cnt == 0:
-                continue
-            batch = randomize_batch(values[m, a], params[a], rng)
-            preds = predict_batch(batch, rng)
-            ok = preds == values[m, a]
-            idx = np.flatnonzero(m)
-            correct[idx[~ok]] = False
-    complete = seen.all(axis=1)
-    return 100.0 * float(np.mean(correct & complete))
+    md = MultiDomain.from_ks(ks)
+    values = np.column_stack([rng.integers(0, k, size=n) for k in ks])
+    profile = np.full((n, md.d), -1, dtype=np.int64)
+    for _ in range(md.d):
+        _smp_survey_step(values, md, protocol, [epsilon] * md.d, np.arange(md.d),
+                         sampling_mode, profile, rng, [])
+    return 100.0 * float(np.mean((profile == values).all(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +299,11 @@ class SurveysConfig:
     min_frac: float = 0.5       # each survey draws at least ceil(d * min_frac) attrs
     all_attributes: bool = False
 
+    def __post_init__(self):
+        # min_frac > 0 keeps every survey's pool non-empty
+        if not 0 < self.min_frac <= 1:
+            raise ParameterError(f"survey min_frac must lie in (0, 1], got {self.min_frac!r}")
+
 
 @dataclass(frozen=True)
 class AttackResult:
@@ -332,21 +324,20 @@ class AttackResult:
 
 
 def _per_attribute_privacy(privacy: tuple, md: MultiDomain, n: int):
-    """Resolve the privacy spec into per-attribute (epsilon, pass_through) lists."""
+    """Resolve the privacy spec into per-attribute epsilons (inf: pass-through)."""
     kind, value = privacy
     flags = []
     if kind == "epsilon":
-        return [float(value)] * md.d, [False] * md.d, float(value), None, flags
+        return [float(value)] * md.d, float(value), None, flags
     if kind != "beta":
         raise ParameterError(f"privacy spec kind must be epsilon or beta, got {kind!r}")
     beta = float(value)
     alpha = alpha_from_bayes_error(beta, n)
     if bayes_alpha_clamped(beta, n):
         flags.append("alpha_clamped")
-    eps_list, passthrough = [], []
+    eps_list = []
     for k in md.ks:
         dec = epsilon_from_alpha(alpha, n, k)
-        passthrough.append(dec.pass_through)
         if dec.pass_through:
             eps_list.append(math.inf)
         elif dec.epsilon <= 0.0:
@@ -355,7 +346,7 @@ def _per_attribute_privacy(privacy: tuple, md: MultiDomain, n: int):
                 flags.append("epsilon_floor")
         else:
             eps_list.append(dec.epsilon)
-    return eps_list, passthrough, None, beta, flags
+    return eps_list, None, beta, flags
 
 
 def run_reident_experiment(
@@ -414,9 +405,7 @@ def run_reident_experiment(
         else:
             bk_cols = np.arange(d)
 
-        eps_list, passthrough, eps_out, beta_out, flags = _per_attribute_privacy(
-            privacy, md, n
-        )
+        eps_list, eps_out, beta_out, flags = _per_attribute_privacy(privacy, md, n)
         rng_rep = stream(seed, 202, run)
         rng_match = stream(seed, 303, run)
 
@@ -424,10 +413,8 @@ def run_reident_experiment(
 
         for s_idx, attrs in enumerate(subsets):
             if solution == "smp":
-                _smp_survey_step(
-                    rows, md, protocol, eps_list, passthrough, attrs, sampling_mode,
-                    profile, rng_rep, flags,
-                )
+                _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
+                                 profile, rng_rep, flags)
             else:
                 _rs_survey_step(
                     rows, md, solution, variant, flavor, eps_list, attrs,
@@ -459,33 +446,20 @@ def run_reident_experiment(
     return results
 
 
-def _smp_survey_step(rows, md, protocol, eps_list, passthrough, attrs, sampling_mode,
+def _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
                      profile, rng, flags):
     # profile >= 0 marks an attribute the user has reported before: under smp
-    # its entry is the prediction from that user's memoized report
-    n, d = rows.shape
-    attrs = np.asarray(attrs)
-    keys = rng.random((n, len(attrs)))
-    if sampling_mode == "without_replacement":
-        # prefer unused attributes; a fully-used row falls back to reuse
-        js = attrs[np.argmin(keys + (profile[:, attrs] >= 0), axis=1)]
-        if (profile[np.arange(n), js] >= 0).any() and "smp_pool_reused" not in flags:
-            flags.append("smp_pool_reused")
-    elif sampling_mode == "with_replacement":
-        js = attrs[rng.integers(0, len(attrs), size=n)]
-    else:
-        raise ParameterError(f"unknown sampling_mode {sampling_mode!r}")
-
+    # its entry is the prediction from that user's memoized report, which a
+    # repeat re-sends, so only fresh draws are randomized and predicted
+    js, fresh = smp_sample(profile >= 0, attrs, sampling_mode, rng)
+    reused = sampling_mode == "without_replacement" and not fresh.all()
+    if reused and "smp_pool_reused" not in flags:
+        flags.append("smp_pool_reused")
     for a in attrs:
-        m = js == a
-        if passthrough[a]:
+        m = (js == a) & fresh
+        if math.isinf(eps_list[a]):  # pass-through under a beta budget
             profile[m, a] = rows[m, a]
-            continue
-        if sampling_mode == "with_replacement":
-            # a repeated attribute re-sends the memoized report, so the
-            # attacker's prediction for it is carried over unchanged
-            m &= profile[:, a] < 0
-        if m.any():
+        elif m.any():
             params = protocol_params(protocol, eps_list[a], md.domains[a].k)
             batch = randomize_batch(rows[m, a], params, rng)
             profile[m, a] = predict_batch(batch, rng)

@@ -17,9 +17,5 @@ class NonIdentifiableError(LdpSimError, ValueError):
     """Raised when an estimator cannot be inverted (p == q, i.e. the epsilon = 0 path)."""
 
 
-class SamplingExhaustedError(LdpSimError, RuntimeError):
-    """Raised when without-replacement attribute sampling has used the whole domain."""
-
-
 class ConfigError(LdpSimError, ValueError):
     """Raised for malformed experiment configurations."""

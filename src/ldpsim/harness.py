@@ -46,6 +46,7 @@ from .datasets import (
 from .errors import ConfigError, ParameterError
 from .multidim import (
     FAKE_DATA_VARIANTS,
+    SAMPLING_MODES,
     CollectionConfig,
     amplified_epsilon,
     check_collection,
@@ -65,9 +66,17 @@ EXPORT_COLUMNS = (
     "metric", "value", "stderr", "run", "seed", "flags",
 )
 
-# integer-valued keys (scalars and lists), checked before any comparison
-_INT_KEYS = ("seed", "runs", "threads", "n", "subsample", "synth_n", "surveys",
-             "ks", "synth_ks", "top_k")
+# the type of every value of a typed key (scalars and lists), checked before
+# any comparison; a float key also takes an int
+_KEY_TYPES = {
+    **dict.fromkeys(("seed", "runs", "threads", "n", "subsample", "synth_n", "surveys",
+                     "ks", "synth_ks", "top_k"), int),
+    **dict.fromkeys(("epsilons", "betas", "survey_min_frac", "synth_zipf_a", "s_mult",
+                     "nk_s_mult", "npk_frac", "prior_epsilon"), float),
+    "survey_all_attributes": bool,
+}
+_ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
+             bool: (bool,)}
 
 _VARIANT_TAGS = {
     "grr": ("grr", None),
@@ -139,11 +148,11 @@ class ExperimentConfig:
             raise ConfigError(f"experiment must be one of {KINDS}, got {self.experiment!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory (no wall-clock seeding)")
-        for key in _INT_KEYS:
+        for key, typ in _KEY_TYPES.items():
             values = getattr(self, key)
             for v in values if isinstance(values, list) else [values]:
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                    raise ConfigError(f"{key} must be an integer, got {v!r}")
+                if isinstance(v, bool) != (typ is bool) or not isinstance(v, _ACCEPTED[typ]):
+                    raise ConfigError(f"{key} must be of type {typ.__name__}, got {v!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.threads < 1:
@@ -167,6 +176,14 @@ class ExperimentConfig:
                                   f"{('smp', *FAKE_DATA_VARIANTS)}")
             if self.surveys < 2:
                 raise ConfigError("reident needs surveys >= 2 (RID is scored from survey 2 on)")
+            try:
+                SurveysConfig(self.surveys, self.survey_min_frac, self.survey_all_attributes)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from exc
+            if not all(0 < beta < 1 for beta in self.betas):
+                raise ConfigError(f"every beta must lie in (0, 1), got {self.betas}")
+            if any(k < 1 for k in self.top_k):
+                raise ConfigError(f"every top_k entry must be >= 1, got {self.top_k}")
             pairs = [(p, self.solution) for p in self.protocols]
         elif self.experiment in ("attr_infer", "mse"):
             pairs = [(v, s) for v in self.variants for s in self.solutions]
@@ -179,7 +196,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown prior_mode {self.prior_mode!r}")
         if self.uses_rfd and self.prior_mode == "laplace" and not 0 < self.prior_epsilon < math.inf:
             raise ConfigError(f"prior_epsilon must be finite and > 0, got {self.prior_epsilon!r}")
-        if self.sampling_mode not in ("without_replacement", "with_replacement"):
+        if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
         return self
 
@@ -202,7 +219,7 @@ def _check_epsilons(cfg: ExperimentConfig, d: int | None = None) -> None:
     tags = cfg.variants if cfg.experiment in ("attr_infer", "mse") else cfg.protocols
     protocols = {_VARIANT_TAGS[t][1] or "grr" for t in tags} if fake else set(tags)
     for eps in cfg.epsilons:
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf:
+        if not 0 < eps < math.inf:
             raise ConfigError(f"every epsilon must be finite and > 0, got {eps!r}")
         try:
             eps_run = amplified_epsilon(eps, d) if fake and d else eps

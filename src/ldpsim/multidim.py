@@ -3,8 +3,9 @@
 Four families of solutions for collecting d categorical attributes per user:
 
 * ``spl``    -- split the budget: every attribute randomized at epsilon/d.
-* ``smp``    -- sample one attribute, spend the whole budget on it, and tell
-                the server which one (optionally memoizing repeats).
+* ``smp``    -- sample one attribute (``smp_sample``), spend the whole budget
+                on it, and tell the server which one; a repeated attribute
+                re-sends the user's memoized report.
 * ``rs_fd``  -- sample one attribute secretly, randomize it at the amplified
                 budget eps' = ln(d(e^eps - 1) + 1), and emit uniform fake
                 data for every other attribute.
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SamplingExhaustedError
+from .errors import DomainError, ParameterError
 from .oracles import (
     AttributeDomain,
     ProtocolParams,
@@ -52,6 +53,7 @@ RS_FD_VARIANTS = ("grr", "ue_z", "ue_r")
 RS_RFD_VARIANTS = ("grr", "ue_r")
 FAKE_DATA_VARIANTS = {"rs_fd": RS_FD_VARIANTS, "rs_rfd": RS_RFD_VARIANTS}
 UE_FLAVORS = ("sue", "oue")
+SAMPLING_MODES = ("without_replacement", "with_replacement")
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,10 @@ SurveyTuple = SmpReport | FullVector
 class SmpUserState:
     """Per-user sampling state carried across surveys.
 
-    ``used`` drives without-replacement sampling; ``memo`` caches reports
-    keyed by (attribute, protocol, epsilon) so a repeated attribute under
-    with-replacement sampling re-sends the identical report.
+    ``memo`` maps each attribute the user has reported to the report sent;
+    a repeat of that attribute re-sends it unchanged.
     """
 
-    used: set = field(default_factory=set)
     memo: dict = field(default_factory=dict)
 
 
@@ -192,6 +192,34 @@ def spl_sanitize(
     return FullVector(solution="spl", reports=reports, flavor=protocol)
 
 
+def smp_sample(reported: np.ndarray, attrs: Sequence[int], sampling_mode: str,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The SMP sampling law: one attribute of the pool ``attrs`` per user.
+
+    ``reported`` is the (n, d) bool matrix of attributes each user has
+    reported so far; it is updated in place.  ``without_replacement`` draws
+    uniformly over the user's unreported pool attributes, and over the whole
+    pool once none are left; ``with_replacement`` draws uniformly over the
+    pool.  Both draw an (n, len(attrs)) matrix of uniform keys; dropping the
+    draw where ``with_replacement`` ignores it would move its reident tables.
+
+    Returns (js, fresh).  A user with ``fresh`` false drew an attribute
+    reported before and re-sends its memoized report, in both modes.
+    """
+    if sampling_mode not in SAMPLING_MODES:
+        raise ParameterError(f"unknown sampling_mode {sampling_mode!r}")
+    attrs = np.asarray(attrs)
+    n = len(reported)
+    keys = rng.random((n, len(attrs)))
+    if sampling_mode == "without_replacement":
+        js = attrs[np.argmin(keys + reported[:, attrs], axis=1)]
+    else:
+        js = attrs[rng.integers(0, len(attrs), size=n)]
+    fresh = ~reported[np.arange(n), js]
+    reported[np.arange(n), js] = True
+    return js, fresh
+
+
 def smp_sanitize(
     values: Sequence[int],
     md: MultiDomain,
@@ -204,34 +232,22 @@ def smp_sanitize(
 ) -> SmpReport:
     """Sample one attribute and spend the full budget on it.
 
-    ``without_replacement`` keeps a per-user record of reported attributes
-    and raises :class:`SamplingExhaustedError` once none remain;
-    ``with_replacement`` memoizes, so re-sampling an attribute returns the
-    previously sent report unchanged.  ``attrs`` restricts the draw to a
-    survey's attribute subset (default: all attributes).
+    One user's draw through :func:`smp_sample`; ``state.memo`` holds the
+    reports sent so far, so a repeated attribute (with replacement, or once
+    the pool is exhausted without) re-sends its report unchanged.  ``attrs``
+    restricts the draw to a survey's attribute subset (default: all
+    attributes).
     """
-    if sampling_mode not in ("without_replacement", "with_replacement"):
-        raise ParameterError(f"unknown sampling_mode {sampling_mode!r}")
     if len(values) != md.d:
         raise DomainError(f"expected {md.d} values, got {len(values)}")
-    pool = list(range(md.d)) if attrs is None else sorted(int(a) for a in attrs)
-
-    if sampling_mode == "without_replacement":
-        avail = [a for a in pool if a not in state.used]
-        if not avail:
-            raise SamplingExhaustedError("all attributes in the pool already sampled")
-        j = avail[rng.integers(len(avail))]
-        state.used.add(j)
+    pool = np.arange(md.d) if attrs is None else np.sort(np.asarray(attrs, dtype=np.int64))
+    reported = np.isin(np.arange(md.d), list(state.memo))[None]
+    js, fresh = smp_sample(reported, pool, sampling_mode, rng)
+    j = int(js[0])
+    if fresh[0]:
         params = protocol_params(protocol, epsilon, md.domains[j].k)
-        return SmpReport(j, randomize(int(values[j]), params, rng))
-
-    j = pool[rng.integers(len(pool))]
-    key = (j, protocol, epsilon)
-    if key not in state.memo:
-        params = protocol_params(protocol, epsilon, md.domains[j].k)
-        state.memo[key] = randomize(int(values[j]), params, rng)
-    state.used.add(j)
-    return SmpReport(j, state.memo[key])
+        state.memo[j] = randomize(int(values[j]), params, rng)
+    return SmpReport(j, state.memo[j])
 
 
 # ---------------------------------------------------------------------------

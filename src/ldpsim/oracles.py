@@ -289,24 +289,14 @@ def randomize(value_index: int, params: ProtocolParams, rng: np.random.Generator
 
 def supports(report: SanitizedReport, candidate_index: int, params: ProtocolParams) -> bool:
     """Whether ``report`` counts toward candidate value ``candidate_index``."""
-    expected = _REPORT_TYPES[params.protocol]
-    if not isinstance(report, expected):
-        raise ParameterError(
-            f"report variant {type(report).__name__} does not match protocol {params.protocol}"
-        )
+    batch = as_batch([report], params)  # rejects a report of another protocol
     if not (0 <= candidate_index < params.k):
         raise DomainError(f"candidate {candidate_index} out of domain [0, {params.k})")
-    if isinstance(report, ValueReport):
-        return report.index == candidate_index
-    if isinstance(report, HashedReport):
-        return hash_bucket(report.seed, candidate_index, params.aux) == report.bucket
-    if isinstance(report, SubsetReport):
-        return candidate_index in report.members
-    if len(report.bits) != params.k:
+    if isinstance(report, BitsReport) and len(report.bits) != params.k:
         raise ParameterError(
             f"bit vector of length {len(report.bits)} does not match k={params.k}"
         )
-    return report.bits[candidate_index] == 1
+    return bool(support_counts(batch)[candidate_index] > 0)
 
 
 def support_counts(batch: ReportBatch) -> np.ndarray:

@@ -206,6 +206,22 @@ def _unique_dataset(n=400):
     return Dataset(mdm.MultiDomain.from_ks(ks), rows)
 
 
+@pytest.mark.parametrize("mode", mdm.SAMPLING_MODES)
+def test_smp_survey_step_exhausted_pool_resends_memo(mode):
+    # every pool attribute already reported: each user re-sends a memoized
+    # report, so no prediction moves and no budget is spent again
+    md = mdm.MultiDomain.from_ks([4, 4, 4])
+    n = 2_000
+    rows = np.zeros((n, 3), dtype=np.int64)
+    profile = np.tile(np.array([1, -1, 2], dtype=np.int64), (n, 1))
+    before = profile.copy()
+    flags = []
+    atk._smp_survey_step(rows, md, "grr", [1.0] * 3, np.array([0, 2]), mode,
+                         profile, stream(16, 0), flags)
+    assert (profile == before).all()
+    assert flags == (["smp_pool_reused"] if mode == "without_replacement" else [])
+
+
 def test_reident_noiseless_unique_records():
     ds = _unique_dataset()
     res = atk.run_reident_experiment(

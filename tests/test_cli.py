@@ -165,13 +165,27 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("mse", _FIXTURE + "epsilons = 709\nsolutions = rs_fd\n"),
     ("attr-infer", _FIXTURE + "epsilons = nan\n"),
     ("reident", _FIXTURE + "protocols = olh\nepsilons = 44\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsurvey_min_frac = 0\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsurvey_min_frac = 1.5\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsurvey_min_frac = nan\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsurvey_min_frac = abc\n"),
+    ("reident", _FIXTURE + "betas = 1.5\n"),
+    ("reident", _FIXTURE + "betas = 0.5, nan\n"),
+    ("reident", _FIXTURE + "epsilons = 1\ntop_k = 0\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nnk_s_mult = abc\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsurvey_all_attributes = 1\n"),
+    ("mse", "dataset = synth:zipf\nepsilons = 1\nsynth_zipf_a = abc\n"),
 ], ids=["oracle-eps-nan", "oracle-eps-inf", "oracle-eps-negative", "oracle-eps-exp-overflow",
         "oracle-eps-olh-g-overflow", "oracle-eps-text", "oracle-n-zero", "oracle-k-one",
         "oracle-runs-text", "oracle-threads-text", "oracle-n-float", "analytic-k-one",
         "analytic-runs-text", "mse-threads-text", "mse-amplified-eps-overflow",
-        "attr-infer-eps-nan", "reident-olh-g-overflow"])
+        "attr-infer-eps-nan", "reident-olh-g-overflow", "reident-min-frac-zero",
+        "reident-min-frac-above-one", "reident-min-frac-nan", "reident-min-frac-text",
+        "reident-beta-above-one", "reident-beta-nan", "reident-top-k-zero",
+        "reident-nk-s-mult-text", "reident-all-attributes-int", "mse-zipf-a-text"])
 def test_bad_grid_value_is_config_error(tmp_path, command, body):
-    # each of these exited 3 (or 1 with a traceback), most after the run had started
+    # each of these exited 3, 1 with a traceback or 0 ignoring the value, most after
+    # the run had started
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\n" + body)
     out = tmp_path / "out.csv"

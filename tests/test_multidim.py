@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
-from ldpsim.errors import DomainError, ParameterError, SamplingExhaustedError
+from ldpsim.errors import DomainError, ParameterError
 from ldpsim.rng import stream
 
 
@@ -81,13 +82,15 @@ def test_smp_without_replacement_is_permutation():
     md = md_of([3, 4, 5])
     state = mdm.SmpUserState()
     rng = stream(5, 0)
-    sampled = [
-        mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, rng, "without_replacement", state).sampled_index
+    reps = [
+        mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, rng, "without_replacement", state)
         for _ in range(3)
     ]
+    sampled = [rep.sampled_index for rep in reps]
     assert sorted(sampled) == [0, 1, 2]
-    with pytest.raises(SamplingExhaustedError):
-        mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, rng, "without_replacement", state)
+    # the exhausted pool re-sends the earlier report of the drawn attribute
+    fourth = mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, rng, "without_replacement", state)
+    assert fourth.report == reps[sampled.index(fourth.sampled_index)].report
 
 
 def test_smp_memoization_byte_identical():
@@ -130,6 +133,40 @@ def test_smp_attrs_subset_and_mode_validation():
     assert rep.sampled_index == 2
     with pytest.raises(ParameterError):
         mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, stream(8, 1), "sideways", state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(1, 30),
+    mode=st.sampled_from(mdm.SAMPLING_MODES),
+    data=st.data(),
+)
+def test_smp_sample_law_properties(d, n, mode, data):
+    before = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d),
+                                         min_size=n, max_size=n)), dtype=bool)
+    pool = np.array(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    reported = before.copy()
+    js, fresh = mdm.smp_sample(reported, pool, mode, stream(14, data.draw(st.integers(0, 99))))
+    rows = np.arange(n)
+    assert np.isin(js, pool).all()
+    if mode == "without_replacement":
+        open_left = ~before[:, pool].all(axis=1)
+        assert not before[rows[open_left], js[open_left]].any()
+    assert (fresh == ~before[rows, js]).all()
+    onehot = np.zeros_like(before)
+    onehot[rows, js] = True
+    assert (reported == (before | onehot)).all()
+
+
+def test_smp_sample_exhausted_rows_uniform_over_pool():
+    pool = np.array([0, 2, 3, 5])
+    reported = np.ones((40_000, 6), dtype=bool)
+    js, fresh = mdm.smp_sample(reported, pool, "without_replacement", stream(15, 0))
+    assert not fresh.any()
+    counts = np.bincount(js, minlength=6)
+    assert counts[[1, 4]].sum() == 0
+    assert stats.chisquare(counts[pool]).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
