@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .harness import (
+    KINDS,
     build_config,
     export_results,
     parse_config,
@@ -27,13 +28,7 @@ from .harness import (
     run_experiment,
 )
 
-SUBCOMMANDS = {
-    "analytic": "analytic",
-    "attack-oracle": "attack_oracle",
-    "reident": "reident",
-    "attr-infer": "attr_infer",
-    "mse": "mse",
-}
+SUBCOMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

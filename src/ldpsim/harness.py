@@ -1,10 +1,14 @@
 """Experiment orchestration: config parsing, grid execution, result export.
 
 Experiments are declared in a flat key/value config file (``key = value``,
-comma-separated lists, ``#`` comments).  Each grid point runs in a worker
-with rng streams derived from (master seed, grid index, run index), so the
-thread count can never change a result; a single collector sorts rows into
-a stable order before writing.
+comma-separated lists, ``#`` comments).  The fields of ``ExperimentConfig``
+are the key table: each one carries its value type, list-ness, domain and
+the experiment kinds that read it, and that table alone drives list
+promotion, type and domain checks and the rejection of keys a kind ignores.
+
+Each grid point runs in a worker with rng streams derived from (master
+seed, grid index, run index), so the thread count can never change a
+result; results are collected in grid order before writing.
 
 Output rows share one schema: experiment, protocol, solution, epsilon,
 beta, metric, value, stderr, run, seed, flags.  Floats are printed with 10
@@ -18,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +48,7 @@ from .datasets import (
     uniform_dataset,
     zipf_dataset,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, LdpSimError, ParameterError
 from .multidim import (
     FAKE_DATA_VARIANTS,
     SAMPLING_MODES,
@@ -58,6 +63,8 @@ from .oracles import PROTOCOLS, protocol_params
 from .rng import stream
 
 KINDS = ("analytic", "attack_oracle", "reident", "attr_infer", "mse")
+_DATA = ("reident", "attr_infer", "mse")  # the kinds that load a dataset
+_FAKE = ("attr_infer", "mse")             # the kinds whose grid runs fake-data variants
 
 THREADS_ENV_VAR = "LDPSIM_THREADS"
 
@@ -66,17 +73,9 @@ EXPORT_COLUMNS = (
     "metric", "value", "stderr", "run", "seed", "flags",
 )
 
-# the type of every value of a typed key (scalars and lists), checked before
-# any comparison; a float key also takes an int
-_KEY_TYPES = {
-    **dict.fromkeys(("seed", "runs", "threads", "n", "subsample", "synth_n", "surveys",
-                     "ks", "synth_ks", "top_k"), int),
-    **dict.fromkeys(("epsilons", "betas", "survey_min_frac", "synth_zipf_a", "s_mult",
-                     "nk_s_mult", "npk_frac", "prior_epsilon"), float),
-    "survey_all_attributes": bool,
-}
+# the Python types a value of each key type may have; a float key also takes an int
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
-             bool: (bool,)}
+             bool: (bool,), str: (str,)}
 
 _VARIANT_TAGS = {
     "grr": ("grr", None),
@@ -85,6 +84,41 @@ _VARIANT_TAGS = {
     "sue_r": ("ue_r", "sue"),
     "oue_r": ("ue_r", "oue"),
 }
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A real interval as a key domain; ``value in interval`` tests membership."""
+
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = True
+
+    def __contains__(self, value) -> bool:
+        above = self.lo < value if self.lo_open else self.lo <= value
+        below = value < self.hi if self.hi_open else value <= self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        return f"{'[('[self.lo_open]}{self.lo:g}, {self.hi:g}{'])'[self.hi_open]}"
+
+
+_POSITIVE = Interval(0, lo_open=True)
+
+
+def _key(default, type_: type, kinds: tuple = KINDS, domain=None):
+    """One config key: its default, value type, the kinds that read it and its domain.
+
+    A list default makes a list key, whose scalar value is promoted to a
+    one-element list and whose every element is checked.  ``domain`` is a
+    tuple of allowed values or an ``Interval``; None allows any value of the type.
+    """
+    many = isinstance(default, list)
+    meta = {"type": type_, "many": many, "kinds": kinds, "domain": domain}
+    if many:
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -104,127 +138,100 @@ class ResultRow:
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = ""
-    seed: int | None = None
-    runs: int = 1
-    threads: int = 1
-    out: str = "results.csv"
-    format: str = "csv"
+    experiment: str = _key("", str, domain=KINDS)
+    seed: int | None = _key(None, int, domain=Interval(0))  # mandatory
+    runs: int = _key(1, int, domain=Interval(1))
+    threads: int = _key(1, int, domain=Interval(1))
+    out: str = _key("results.csv", str)
+    format: str = _key("csv", str, domain=("csv", "jsonl"))
     # dataset
-    dataset: str = ""
-    columns: list = field(default_factory=list)
-    id_column: str = "id"
-    subsample: int = 0
-    synth_n: int = 10000
-    synth_ks: list = field(default_factory=lambda: [16, 12, 8, 6, 4])
-    synth_zipf_a: float = 1.2
+    dataset: str = _key("", str, _DATA)
+    columns: list = _key([], str, _DATA)
+    id_column: str = _key("id", str, _DATA)
+    subsample: int = _key(0, int, _DATA, Interval(0))  # 0: every row
+    synth_n: int = _key(10000, int, _DATA, Interval(1))
+    synth_ks: list = _key([16, 12, 8, 6, 4], int, _DATA, Interval(2))
+    synth_zipf_a: float = _key(1.2, float, _DATA, Interval(-math.inf, lo_open=True))
     # grids
-    protocols: list = field(default_factory=lambda: ["grr"])
-    epsilons: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
-    ks: list = field(default_factory=lambda: [74, 7, 16])
-    modes: list = field(default_factory=lambda: ["uniform", "non_uniform"])
-    n: int = 100000
-    # reident
-    solution: str = "smp"
-    surveys: int = 5
-    survey_min_frac: float = 0.5
-    survey_all_attributes: bool = False
-    sampling_mode: str = "without_replacement"
-    attack_models: list = field(default_factory=lambda: ["fk"])
-    top_k: list = field(default_factory=lambda: [1, 5, 10])
-    nk_s_mult: float = 1.0
+    protocols: list = _key(["grr"], str, ("analytic", "attack_oracle", "reident"))
+    epsilons: list = _key([], float, domain=_POSITIVE)
+    betas: list = _key([], float, ("reident",), Interval(0, 1, lo_open=True))
+    ks: list = _key([74, 7, 16], int, ("analytic", "attack_oracle"), Interval(2))
+    modes: list = _key(["uniform", "non_uniform"], str, ("analytic",),
+                       ("uniform", "non_uniform"))
+    n: int = _key(100000, int, ("attack_oracle",), Interval(1))
+    # reident; RID is scored from survey 2 on, so fewer surveys export no rows
+    solution: str = _key("smp", str, ("reident",), ("smp", *FAKE_DATA_VARIANTS))
+    surveys: int = _key(5, int, ("reident",), Interval(2))
+    survey_min_frac: float = _key(0.5, float, ("reident",),
+                                  Interval(0, 1, lo_open=True, hi_open=False))
+    survey_all_attributes: bool = _key(False, bool, ("reident",))
+    sampling_mode: str = _key("without_replacement", str, ("reident",), SAMPLING_MODES)
+    attack_models: list = _key(["fk"], str, ("reident",), ("fk", "pk", "null"))
+    top_k: list = _key([1, 5, 10], int, ("reident",), Interval(1))
+    nk_s_mult: float = _key(1.0, float, ("reident",), _POSITIVE)
     # attr-infer / mse
-    variants: list = field(default_factory=lambda: ["grr"])
-    attack: list = field(default_factory=lambda: ["nk", "pk", "hm"])
-    s_mult: float = 1.0
-    npk_frac: float = 0.1
-    solutions: list = field(default_factory=lambda: ["rs_fd", "rs_rfd"])
-    prior_mode: str = "laplace"
-    prior_epsilon: float = 0.1
+    variants: list = _key(["grr"], str, _FAKE, tuple(_VARIANT_TAGS))
+    attack: list = _key(["nk", "pk", "hm"], str, ("attr_infer",), ("nk", "pk", "hm"))
+    s_mult: float = _key(1.0, float, ("attr_infer",), _POSITIVE)
+    npk_frac: float = _key(0.1, float, ("attr_infer",), Interval(0, 1, lo_open=True))
+    solutions: list = _key(["rs_fd", "rs_rfd"], str, _FAKE, tuple(FAKE_DATA_VARIANTS))
+    prior_mode: str = _key("laplace", str, _DATA, ("laplace", "exact", "uniform"))
+    # checked against (0, inf) only when laplace rs_rfd priors are drawn
+    prior_epsilon: float = _key(0.1, float, _DATA)
 
     def validate(self) -> "ExperimentConfig":
-        if self.experiment not in KINDS:
-            raise ConfigError(f"experiment must be one of {KINDS}, got {self.experiment!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory (no wall-clock seeding)")
-        for key, typ in _KEY_TYPES.items():
-            values = getattr(self, key)
-            for v in values if isinstance(values, list) else [values]:
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            if meta["many"] != isinstance(value, list):
+                raise ConfigError(f"{f.name} must be {'a list' if meta['many'] else 'one value'}"
+                                  f", got {value!r}")
+            typ, domain = meta["type"], meta["domain"]
+            for v in value if meta["many"] else [value]:
                 if isinstance(v, bool) != (typ is bool) or not isinstance(v, _ACCEPTED[typ]):
-                    raise ConfigError(f"{key} must be of type {typ.__name__}, got {v!r}")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.format not in ("csv", "jsonl"):
-            raise ConfigError(f"format must be csv or jsonl, got {self.format!r}")
-        if self.experiment != "reident" and not self.epsilons:
-            raise ConfigError("epsilons grid must be non-empty")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.experiment in ("analytic", "attack_oracle") and any(k < 2 for k in self.ks):
-            raise ConfigError(f"every ks entry must be >= 2, got {self.ks}")
-        for v in self.variants:
-            if v not in _VARIANT_TAGS:
-                raise ConfigError(f"unknown variant {v!r}; use one of {sorted(_VARIANT_TAGS)}")
-        if self.experiment == "reident":
-            if not (self.epsilons or self.betas):
-                raise ConfigError("reident needs an epsilons or betas grid")
-            if self.solution not in ("smp", *FAKE_DATA_VARIANTS):
-                raise ConfigError(f"unknown solution {self.solution!r}; use one of "
-                                  f"{('smp', *FAKE_DATA_VARIANTS)}")
-            if self.surveys < 2:
-                raise ConfigError("reident needs surveys >= 2 (RID is scored from survey 2 on)")
-            try:
-                SurveysConfig(self.surveys, self.survey_min_frac, self.survey_all_attributes)
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
-            if not all(0 < beta < 1 for beta in self.betas):
-                raise ConfigError(f"every beta must lie in (0, 1), got {self.betas}")
-            if any(k < 1 for k in self.top_k):
-                raise ConfigError(f"every top_k entry must be >= 1, got {self.top_k}")
-            pairs = [(p, self.solution) for p in self.protocols]
-        elif self.experiment in ("attr_infer", "mse"):
-            pairs = [(v, s) for v in self.variants for s in self.solutions]
-        else:
-            pairs = [(p, "smp") for p in self.protocols]
-        for tag, solution in pairs:
+                    raise ConfigError(f"{f.name} must be of type {typ.__name__}, got {v!r}")
+                if domain is not None and v not in domain:
+                    raise ConfigError(f"{f.name} must be in {domain}, got {v!r}")
+        if not (self.epsilons or self.betas):
+            raise ConfigError("the grid needs epsilons (or, for reident, betas)")
+        for tag, solution in self.collections:
             _check_pair(tag, solution)
         _check_epsilons(self)
-        if self.prior_mode not in ("laplace", "exact", "uniform"):
-            raise ConfigError(f"unknown prior_mode {self.prior_mode!r}")
-        if self.uses_rfd and self.prior_mode == "laplace" and not 0 < self.prior_epsilon < math.inf:
-            raise ConfigError(f"prior_epsilon must be finite and > 0, got {self.prior_epsilon!r}")
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
+        if self.uses_rfd and self.prior_mode == "laplace" and self.prior_epsilon not in _POSITIVE:
+            raise ConfigError(f"prior_epsilon must be in {_POSITIVE}, got {self.prior_epsilon!r}")
         return self
+
+    @property
+    def collections(self) -> list[tuple[str, str]]:
+        """Every (protocol or variant tag, solution) pair the grid runs."""
+        if self.experiment in _FAKE:
+            return [(v, s) for v in self.variants for s in self.solutions]
+        solution = self.solution if self.experiment == "reident" else "smp"
+        return [(p, solution) for p in self.protocols]
 
     @property
     def uses_rfd(self) -> bool:
         """Whether some collection of this experiment draws fakes from rs_rfd priors."""
-        if self.experiment == "reident":
-            return self.solution == "rs_rfd"
-        return self.experiment in ("attr_infer", "mse") and "rs_rfd" in self.solutions
+        return any(solution == "rs_rfd" for _, solution in self.collections)
+
+
+KEYS = {f.name: f.metadata for f in fields(ExperimentConfig)}
 
 
 def _check_epsilons(cfg: ExperimentConfig, d: int | None = None) -> None:
-    """Every epsilon is finite, > 0 and calibrates every protocol the grid runs.
+    """Every epsilon calibrates every protocol the grid runs.
 
     Fake-data collections randomize at the amplified epsilon; pass the
     dataset's attribute count ``d`` to check that too.
     """
-    fake = cfg.experiment in ("attr_infer", "mse") or (
-        cfg.experiment == "reident" and cfg.solution != "smp")
-    tags = cfg.variants if cfg.experiment in ("attr_infer", "mse") else cfg.protocols
-    protocols = {_VARIANT_TAGS[t][1] or "grr" for t in tags} if fake else set(tags)
+    calibrations = {(tag, False) if solution == "smp" else (_VARIANT_TAGS[tag][1] or "grr", True)
+                    for tag, solution in cfg.collections}
     for eps in cfg.epsilons:
-        if not 0 < eps < math.inf:
-            raise ConfigError(f"every epsilon must be finite and > 0, got {eps!r}")
         try:
-            eps_run = amplified_epsilon(eps, d) if fake and d else eps
-            for proto in sorted(protocols):
-                protocol_params(proto, eps_run, 2)
+            for proto, fake in sorted(calibrations):
+                protocol_params(proto, amplified_epsilon(eps, d) if fake and d else eps, 2)
         except (ParameterError, OverflowError) as exc:
             raise ConfigError(f"epsilon {eps!r}: {exc}") from exc
 
@@ -260,8 +267,9 @@ def _coerce(text: str):
 
 
 def parse_config(text: str) -> dict:
-    """Parse the flat key/value config format into a raw dict."""
+    """Parse the flat key/value config format into a raw dict; a key may appear once."""
     out: dict = {}
+    lines: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -270,6 +278,9 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
+        if key in lines:
+            raise ConfigError(f"line {line_no}: key {key!r} repeats line {lines[key]}")
+        lines[key] = line_no
         if "," in value:
             out[key] = [_coerce(v) for v in value.split(",") if v.strip()]
         else:
@@ -278,46 +289,54 @@ def parse_config(text: str) -> dict:
 
 
 def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Raw dict (+ CLI overrides, which win) -> validated config."""
+    """Raw dict (+ CLI overrides, which win) -> validated config.
+
+    A key the experiment kind does not read is an error, not ignored.
+    """
     merged = dict(raw)
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(merged) - known
+    unknown = set(merged) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    kind = merged.get("experiment")
+    if kind in KINDS:
+        unread = sorted(key for key in merged if kind not in KEYS[key]["kinds"])
+        if unread:
+            raise ConfigError(f"{kind} does not read the keys {unread}")
     cfg = ExperimentConfig()
-    list_fields = {f.name for f in fields(ExperimentConfig)
-                   if isinstance(getattr(cfg, f.name), list)}
     for key, value in merged.items():
-        if key in list_fields and not isinstance(value, list):
+        if KEYS[key]["many"] and not isinstance(value, list):
             value = [value]
         setattr(cfg, key, value)
     return cfg.validate()
 
 
 def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Materialize the dataset named by the config."""
+    """Materialize the dataset named by the config; a spec that fails is a config error."""
     spec = cfg.dataset
     if not spec:
         raise ConfigError("this experiment needs a dataset")
-    if spec.startswith("fixture:"):
-        ds = load_fixture(spec.split(":", 1)[1])
-    elif spec.startswith("synth:"):
-        kind = spec.split(":", 1)[1]
-        rng = stream(cfg.seed, 7001)
-        if kind == "zipf":
-            ds = zipf_dataset(cfg.synth_n, cfg.synth_ks, cfg.synth_zipf_a, rng)
-        elif kind == "uniform":
-            ds = uniform_dataset(cfg.synth_n, cfg.synth_ks, rng)
+    try:
+        if spec.startswith("fixture:"):
+            ds = load_fixture(spec.split(":", 1)[1])
+        elif spec.startswith("synth:"):
+            kind = spec.split(":", 1)[1]
+            rng = stream(cfg.seed, 7001)
+            if kind == "zipf":
+                ds = zipf_dataset(cfg.synth_n, cfg.synth_ks, cfg.synth_zipf_a, rng)
+            elif kind == "uniform":
+                ds = uniform_dataset(cfg.synth_n, cfg.synth_ks, rng)
+            else:
+                raise ConfigError(f"unknown synthetic dataset {kind!r}")
         else:
-            raise ConfigError(f"unknown synthetic dataset {kind!r}")
-    else:
-        ds = load_dataset(spec, cfg.columns or None,
-                          cfg.id_column if cfg.id_column else None)
-    if cfg.subsample:
-        ds = ds.subsample(cfg.subsample, stream(cfg.seed, 7002))
+            ds = load_dataset(spec, cfg.columns or None,
+                              cfg.id_column if cfg.id_column else None)
+        if cfg.subsample:
+            ds = ds.subsample(cfg.subsample, stream(cfg.seed, 7002))
+    except (OSError, UnicodeDecodeError, LdpSimError) as exc:
+        raise ConfigError(f"dataset {spec!r}: {exc}") from exc
     return ds
 
 
@@ -346,23 +365,20 @@ def _from_attack_result(cfg: ExperimentConfig, r: AttackResult, metric: str,
 
 
 # ---------------------------------------------------------------------------
-# Experiment kinds
+# Experiment kinds: one point function each, called as
+# fn(cfg, dataset, rs_rfd priors, point seed, *grid axes, run)
 # ---------------------------------------------------------------------------
 
-def _run_analytic_point(cfg: ExperimentConfig, grid_idx: int, proto: str,
-                        eps: float, run: int) -> list[ResultRow]:
-    rows = []
-    for mode in cfg.modes:
-        value = multi_collection_acc(proto, eps, cfg.ks, mode)
-        rows.append(ResultRow(cfg.experiment, proto, "smp", eps, None,
-                              f"acc_{mode}", value, None, run, cfg.seed))
-    return rows
+def _analytic_point(cfg: ExperimentConfig, ds, priors, seed: int, proto: str,
+                    eps: float, run: int) -> list[ResultRow]:
+    return [ResultRow(cfg.experiment, proto, "smp", eps, None, f"acc_{mode}",
+                      multi_collection_acc(proto, eps, cfg.ks, mode), None, run, cfg.seed)
+            for mode in cfg.modes]
 
 
-def _run_attack_oracle_point(cfg: ExperimentConfig, grid_idx: int, proto: str,
-                             eps: float, k: int, run: int) -> list[ResultRow]:
-    rng = stream(_point_seed(cfg.seed, grid_idx), run)
-    emp = empirical_attack_acc(proto, eps, k, cfg.n, rng)
+def _attack_oracle_point(cfg: ExperimentConfig, ds, priors, seed: int, proto: str,
+                         eps: float, k: int, run: int) -> list[ResultRow]:
+    emp = empirical_attack_acc(proto, eps, k, cfg.n, stream(seed, run))
     ana = analytic_acc(proto, eps, k)
     se = 100.0 * math.sqrt(max(ana / 100 * (1 - ana / 100), 0.0) / cfg.n)
     flag = f"k={k}"
@@ -386,9 +402,8 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> list[np.ndarray] | None:
     return laplace_prior(freqs, cfg.prior_epsilon, ds.n, stream(cfg.seed, 7003))[0]
 
 
-def _run_reident_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
-                       proto: str, privacy: tuple, model: str, run: int,
-                       priors) -> list[ResultRow]:
+def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto: str,
+                   privacy: tuple, model: str, run: int) -> list[ResultRow]:
     variant, flavor = _VARIANT_TAGS.get(proto, ("grr", None))  # smp: unused
     results = run_reident_experiment(
         ds,
@@ -400,27 +415,23 @@ def _run_reident_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
         top_ks=cfg.top_k,
         sampling_mode=cfg.sampling_mode,
         runs=1,
-        seed=_point_seed(cfg.seed, grid_idx) + run,
+        seed=seed + run,
         variant=variant,
         flavor=flavor,
         rfd_priors=priors,
         nk_s_mult=cfg.nk_s_mult,
     )
-    rows = []
-    for r in results:
-        r = replace(r, run=run)
-        rows.append(_from_attack_result(
-            cfg, r, metric=f"rid_acc_top{r.top_k}_sv{r.surveys}"))
-    return rows
+    return [_from_attack_result(cfg, replace(r, run=run),
+                                metric=f"rid_acc_top{r.top_k}_sv{r.surveys}")
+            for r in results]
 
 
-def _run_attr_infer_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
-                          vtag: str, eps: float, run: int, solution: str,
-                          priors) -> list[ResultRow]:
+def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vtag: str,
+                      eps: float, solution: str, run: int) -> list[ResultRow]:
     collection = CollectionConfig(ds.multidomain, solution, *_VARIANT_TAGS[vtag], eps, priors)
     results = run_attr_infer_experiment(
         ds.rows, collection, attack_models=cfg.attack, s_mult=cfg.s_mult,
-        npk_frac=cfg.npk_frac, run=run, seed=_point_seed(cfg.seed, grid_idx),
+        npk_frac=cfg.npk_frac, run=run, seed=seed,
     )
     return [
         _from_attack_result(cfg, r, metric=f"aif_acc_{r.model}")
@@ -428,88 +439,59 @@ def _run_attr_infer_point(cfg: ExperimentConfig, ds: Dataset, grid_idx: int,
     ]
 
 
-def _run_mse_point(cfg: ExperimentConfig, ds: Dataset, pair_idx: int,
-                   solution: str, vtag: str, eps: float, run: int,
-                   priors) -> list[ResultRow]:
+def _mse_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, solution: str,
+               vtag: str, eps: float, run: int) -> list[ResultRow]:
     variant, flavor = _VARIANT_TAGS[vtag]
-    # seed shared by both solutions of a (variant, eps, run) pair so the
-    # rs_fd / rs_rfd comparison is paired on identical streams
-    rng = stream(_point_seed(cfg.seed, pair_idx), run)
     truth = true_frequencies(ds)
     collection = CollectionConfig(ds.multidomain, solution, variant, flavor, eps, priors)
-    batch, _ = rs_sanitize_batch(ds.rows, collection, rng)
+    batch, _ = rs_sanitize_batch(ds.rows, collection, stream(seed, run))
     value = mse_avg(truth, rs_estimate(batch))
     return [ResultRow(cfg.experiment, variant_label(variant, flavor), solution,
                       eps, None, "mse_avg", value, None, run, cfg.seed,
                       f"prior_mode={cfg.prior_mode}")]
 
 
+def _grid(cfg: ExperimentConfig) -> list[tuple]:
+    """(seed index, point function, axes) for every grid point, in output order."""
+    eps = [float(e) for e in cfg.epsilons]
+    kind = cfg.experiment
+    if kind == "analytic":
+        fn, points = _analytic_point, [(p, e) for p in cfg.protocols for e in eps]
+    elif kind == "attack_oracle":
+        fn, points = _attack_oracle_point, [(p, e, int(k)) for p in cfg.protocols
+                                            for e in eps for k in cfg.ks]
+    elif kind == "reident":
+        privacy = [("epsilon", e) for e in eps] + [("beta", float(b)) for b in cfg.betas]
+        fn, points = _reident_point, [(p, pv, m) for p in cfg.protocols for pv in privacy
+                                      for m in cfg.attack_models]
+    elif kind == "attr_infer":
+        fn, points = _attr_infer_point, [(v, e, s) for v in cfg.variants for e in eps
+                                         for s in cfg.solutions]
+    else:
+        # both solutions of a (variant, eps) pair, and a repeated pair, share
+        # one seed, so the rs_fd / rs_rfd comparison runs on identical streams
+        pairs = [(v, e) for v in cfg.variants for e in eps]
+        return [(pairs.index((v, e)), _mse_point, (s, v, e))
+                for s in cfg.solutions for v, e in pairs]
+    return [(i, fn, axes) for i, axes in enumerate(points)]
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Execute every grid point x run of the configured experiment."""
     cfg.validate()
-    tasks = []  # (order key, callable)
-
-    if cfg.experiment == "analytic":
-        grid = [(p, e) for p in cfg.protocols for e in cfg.epsilons]
-        for gi, (p, e) in enumerate(grid):
-            for run in range(cfg.runs):
-                tasks.append(((gi, run), lambda p=p, e=e, gi=gi, run=run:
-                              _run_analytic_point(cfg, gi, p, float(e), run)))
-
-    elif cfg.experiment == "attack_oracle":
-        grid = [(p, e, k) for p in cfg.protocols for e in cfg.epsilons for k in cfg.ks]
-        for gi, (p, e, k) in enumerate(grid):
-            for run in range(cfg.runs):
-                tasks.append(((gi, run), lambda p=p, e=e, k=k, gi=gi, run=run:
-                              _run_attack_oracle_point(cfg, gi, p, float(e), int(k), run)))
-
-    elif cfg.experiment == "reident":
+    ds = priors = None
+    if cfg.experiment in _DATA:
         ds = resolve_dataset(cfg)
         _check_epsilons(cfg, ds.d)
         priors = _rfd_priors(cfg, ds)
-        privacy_grid = [("epsilon", float(e)) for e in cfg.epsilons]
-        privacy_grid += [("beta", float(b)) for b in cfg.betas]
-        grid = [(p, pv, m) for p in cfg.protocols for pv in privacy_grid
-                for m in cfg.attack_models]
-        for gi, (p, pv, m) in enumerate(grid):
-            for run in range(cfg.runs):
-                tasks.append(((gi, run), lambda p=p, pv=pv, m=m, gi=gi, run=run:
-                              _run_reident_point(cfg, ds, gi, p, pv, m, run, priors)))
-
-    elif cfg.experiment == "attr_infer":
-        ds = resolve_dataset(cfg)
-        _check_epsilons(cfg, ds.d)
-        grid = [(v, e, s) for v in cfg.variants for e in cfg.epsilons
-                for s in cfg.solutions]
-        priors = _rfd_priors(cfg, ds)
-        for gi, (v, e, s) in enumerate(grid):
-            for run in range(cfg.runs):
-                tasks.append(((gi, run), lambda v=v, e=e, s=s, gi=gi, run=run:
-                              _run_attr_infer_point(cfg, ds, gi, v, float(e), run, s, priors)))
-
-    elif cfg.experiment == "mse":
-        ds = resolve_dataset(cfg)
-        _check_epsilons(cfg, ds.d)
-        priors = _rfd_priors(cfg, ds)
-        pairs = [(v, e) for v in cfg.variants for e in cfg.epsilons]
-        grid = [(s, v, e) for s in cfg.solutions for (v, e) in pairs]
-        for gi, (s, v, e) in enumerate(grid):
-            pair_idx = pairs.index((v, e))
-            for run in range(cfg.runs):
-                tasks.append(((gi, run), lambda s=s, v=v, e=e, pi=pair_idx, run=run:
-                              _run_mse_point(cfg, ds, pi, s, v, float(e), run, priors)))
-
+    tasks = [partial(fn, cfg, ds, priors, _point_seed(cfg.seed, seed_idx), *axes, run)
+             for seed_idx, fn, axes in _grid(cfg) for run in range(cfg.runs)]
     if cfg.threads == 1:
-        collected = [(key, fn()) for key, fn in tasks]
+        batches = [task() for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [(key, pool.submit(fn)) for key, fn in tasks]
-            collected = [(key, fut.result()) for key, fut in futures]
-    collected.sort(key=lambda item: item[0])
-    rows: list[ResultRow] = []
-    for _, batch in collected:
-        rows.extend(batch)
-    return rows
+            batches = list(pool.map(lambda task: task(), tasks))
+    return [row for batch in batches for row in batch]
 
 
 # ---------------------------------------------------------------------------

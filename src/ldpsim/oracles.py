@@ -289,13 +289,9 @@ def randomize(value_index: int, params: ProtocolParams, rng: np.random.Generator
 
 def supports(report: SanitizedReport, candidate_index: int, params: ProtocolParams) -> bool:
     """Whether ``report`` counts toward candidate value ``candidate_index``."""
-    batch = as_batch([report], params)  # rejects a report of another protocol
+    batch = as_batch([report], params)  # rejects a report of another protocol or domain
     if not (0 <= candidate_index < params.k):
         raise DomainError(f"candidate {candidate_index} out of domain [0, {params.k})")
-    if isinstance(report, BitsReport) and len(report.bits) != params.k:
-        raise ParameterError(
-            f"bit vector of length {len(report.bits)} does not match k={params.k}"
-        )
     return bool(support_counts(batch)[candidate_index] > 0)
 
 
@@ -315,23 +311,38 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
 
 
 def as_batch(reports: Sequence[SanitizedReport], params: ProtocolParams) -> ReportBatch:
-    """Pack per-report objects into a column batch."""
-    proto = params.protocol
+    """Pack per-report objects into a column batch.
+
+    A report of another protocol raises ``ParameterError``.  A report outside
+    its domain raises ``DomainError``: a GRR index or SS member outside
+    [0, k), an OLH bucket outside [0, g), or a bit vector whose length is not k.
+    """
+    proto, k = params.protocol, params.k
     expected = _REPORT_TYPES[proto]
     for r in reports:
         if not isinstance(r, expected):
             raise ParameterError(
                 f"report variant {type(r).__name__} does not match protocol {proto}"
             )
-    if proto == "grr":
-        return ReportBatch(params, np.asarray([r.index for r in reports], dtype=np.int64))
+        if isinstance(r, BitsReport) and len(r.bits) != k:
+            raise DomainError(f"bit vector of length {len(r.bits)} does not match k={k}")
     if proto == "olh":
         seeds = np.asarray([r.seed for r in reports], dtype=np.uint64)
         buckets = np.asarray([r.bucket for r in reports], dtype=np.int64)
+        _check_indices(buckets, params.aux, "OLH bucket")
         return ReportBatch(params, (seeds, buckets))
-    if proto == "ss":
-        return ReportBatch(params, np.asarray([r.members for r in reports], dtype=np.int64))
-    return ReportBatch(params, np.asarray([r.bits for r in reports], dtype=np.uint8))
+    if proto in ("sue", "oue"):
+        return ReportBatch(params, np.asarray([r.bits for r in reports], dtype=np.uint8))
+    data = np.asarray([r.index if proto == "grr" else r.members for r in reports],
+                      dtype=np.int64)
+    _check_indices(data, k, f"{proto.upper()} value")
+    return ReportBatch(params, data)
+
+
+def _check_indices(data: np.ndarray, size: int, what: str) -> None:
+    outside = data[(data < 0) | (data >= size)]
+    if outside.size:
+        raise DomainError(f"{what} {outside[0]} outside [0, {size})")
 
 
 def estimate_from_counts(counts: np.ndarray, n: int, params: ProtocolParams) -> np.ndarray:

@@ -1,9 +1,14 @@
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldpsim.cli import main
+from ldpsim.harness import KEYS, ExperimentConfig
+from ldpsim.oracles import PROTOCOLS
 
 
 def run_cli(args):
@@ -152,13 +157,13 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("attack-oracle", _ORACLE + "epsilons = inf\n"),
     ("attack-oracle", _ORACLE + "epsilons = -1\n"),
     ("attack-oracle", _ORACLE + "epsilons = 1, 800\n"),
-    ("attack-oracle", _ORACLE + "epsilons = 45\nprotocols = grr, olh\n"),
+    ("attack-oracle", "n = 50\nks = 4\nepsilons = 45\nprotocols = grr, olh\n"),
     ("attack-oracle", _ORACLE + "epsilons = abc\n"),
-    ("attack-oracle", _ORACLE + "epsilons = 1\nn = 0\n"),
-    ("attack-oracle", _ORACLE + "epsilons = 1\nks = 74, 1\n"),
+    ("attack-oracle", "ks = 4\nprotocols = grr\nepsilons = 1\nn = 0\n"),
+    ("attack-oracle", "n = 50\nprotocols = grr\nepsilons = 1\nks = 74, 1\n"),
     ("attack-oracle", _ORACLE + "epsilons = 1\nruns = abc\n"),
     ("attack-oracle", _ORACLE + "epsilons = 1\nthreads = abc\n"),
-    ("attack-oracle", _ORACLE + "epsilons = 1\nn = 1e5\n"),
+    ("attack-oracle", "ks = 4\nprotocols = grr\nepsilons = 1\nn = 1e5\n"),
     ("analytic", "epsilons = 1\nks = 5, 1\n"),
     ("analytic", "epsilons = 1\nruns = abc\n"),
     ("mse", _FIXTURE + "epsilons = 1\nsolutions = rs_fd\nthreads = abc\n"),
@@ -175,6 +180,19 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("reident", _FIXTURE + "epsilons = 1\nnk_s_mult = abc\n"),
     ("reident", _FIXTURE + "epsilons = 1\nsurvey_all_attributes = 1\n"),
     ("mse", "dataset = synth:zipf\nepsilons = 1\nsynth_zipf_a = abc\n"),
+    ("analytic", "epsilons = 1\nmodes = foo\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nattack_models = xx\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\nattack = xx\n"),
+    ("mse", "dataset = 5\nepsilons = 1\n"),
+    ("mse", "dataset = synth:zipf\nsynth_n = 200\nepsilons = 1\nsynth_ks = 4, 1\n"),
+    ("mse", "dataset = synth:zipf\nepsilons = 1\nsynth_n = 0\n"),
+    ("mse", _FIXTURE + "epsilons = 1\nsubsample = -1\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 0\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\nnk_s_mult = 0\n"),
+    ("reident", _FIXTURE + "epsilons = 1\ns_mult = 2\n"),
+    ("analytic", _FIXTURE + "epsilons = 1\n"),
+    ("analytic", "epsilons = 1\nruns = 1, 2\n"),
 ], ids=["oracle-eps-nan", "oracle-eps-inf", "oracle-eps-negative", "oracle-eps-exp-overflow",
         "oracle-eps-olh-g-overflow", "oracle-eps-text", "oracle-n-zero", "oracle-k-one",
         "oracle-runs-text", "oracle-threads-text", "oracle-n-float", "analytic-k-one",
@@ -182,10 +200,14 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
         "attr-infer-eps-nan", "reident-olh-g-overflow", "reident-min-frac-zero",
         "reident-min-frac-above-one", "reident-min-frac-nan", "reident-min-frac-text",
         "reident-beta-above-one", "reident-beta-nan", "reident-top-k-zero",
-        "reident-nk-s-mult-text", "reident-all-attributes-int", "mse-zipf-a-text"])
+        "reident-nk-s-mult-text", "reident-all-attributes-int", "mse-zipf-a-text",
+        "analytic-mode-unknown", "reident-attack-model-unknown", "attr-infer-attack-unknown",
+        "mse-dataset-int", "mse-synth-k-one", "mse-synth-n-zero", "mse-subsample-negative",
+        "attr-infer-s-mult-zero", "attr-infer-npk-frac-zero", "reident-rs-fd-nk-s-mult-zero",
+        "reident-s-mult-unread", "analytic-dataset-unread", "analytic-runs-list"])
 def test_bad_grid_value_is_config_error(tmp_path, command, body):
-    # each of these exited 3, 1 with a traceback or 0 ignoring the value, most after
-    # the run had started
+    # each of these exited 3, 1 with a traceback or 0 ignoring the value (a key the
+    # kind does not read), most after the run had started
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\n" + body)
     out = tmp_path / "out.csv"
@@ -196,7 +218,67 @@ def test_bad_grid_value_is_config_error(tmp_path, command, body):
 def test_attack_oracle_large_olh_epsilon_still_runs(tmp_path):
     # OLH's g ~ e^43 still fits int64 buckets
     cfg = tmp_path / "ok.cfg"
-    cfg.write_text("seed = 1\n" + _ORACLE + "protocols = olh\nepsilons = 30, 43\n")
+    cfg.write_text("seed = 1\nn = 50\nks = 4\nprotocols = olh\nepsilons = 30, 43\n")
     out = tmp_path / "out.csv"
     assert run_cli(["attack-oracle", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("body", [
+    "dataset = fixture:nope\n",
+    "dataset = {tmp}/missing.csv\n",
+    "dataset = {tmp}/data.csv\ncolumns = a, z\n",
+    "dataset = fixture:adult_style_100\nsubsample = 500\n",
+], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n"])
+def test_bad_dataset_spec_is_config_error(tmp_path, body):
+    # each failed before any task ran but exited 3, as a runtime error
+    (tmp_path / "data.csv").write_text("a,b\nx,y\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nepsilons = 1\nsolutions = rs_fd\n" + body.format(tmp=tmp_path))
+    out = tmp_path / "out.csv"
+    assert run_cli(["mse", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _some(options):
+    return st.lists(st.sampled_from(options), min_size=1, max_size=3)
+
+
+# analytic keys drawn from their domains; epsilons also calibrate every protocol
+_ANALYTIC = st.fixed_dictionaries(
+    {"seed": st.integers(0, 2**70), "epsilons": st.lists(st.floats(0.01, 30), min_size=1,
+                                                        max_size=3)},
+    optional={"runs": st.integers(1, 3), "threads": st.integers(1, 2),
+              "format": st.sampled_from(("csv", "jsonl")), "protocols": _some(PROTOCOLS),
+              "ks": st.lists(st.integers(2, 100), min_size=1, max_size=4),
+              "modes": _some(("uniform", "non_uniform"))},
+)
+
+
+def _render(keys):
+    def text(v):
+        return ", ".join(map(str, v)) if isinstance(v, list) else str(v)
+    return "".join(f"{key} = {text(value)}\n" for key, value in keys.items())
+
+
+def _run_analytic(keys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "a.cfg", Path(tmp) / "out"
+        cfg.write_text(_render(keys))
+        rc = main(["analytic", "--config", str(cfg), "--out", str(out)])
+        return rc, out.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=_ANALYTIC)
+def test_analytic_config_from_valid_domains_runs(keys):
+    assert _run_analytic(keys) == (0, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=_ANALYTIC,
+       unread=st.sampled_from(sorted(k for k, m in KEYS.items() if "analytic" not in m["kinds"])))
+def test_key_the_kind_does_not_read_is_config_error(keys, unread):
+    # the key's default value; the kind check runs before any type or domain check
+    default = getattr(ExperimentConfig(), unread)
+    assert _run_analytic({**keys, unread: default}) == (2, False)

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldpsim import harness as hn
 from ldpsim.errors import ConfigError
+from ldpsim.oracles import PROTOCOLS
 
 
 def test_parse_config_coercion():
@@ -30,6 +33,46 @@ def test_parse_config_coercion():
 def test_parse_config_bad_line():
     with pytest.raises(ConfigError):
         hn.parse_config("just words\n")
+
+
+def test_parse_config_repeated_key():
+    # the last value used to win silently: this ran only epsilon = 2
+    with pytest.raises(ConfigError, match="line 3.*repeats line 1"):
+        hn.parse_config("epsilons = 1\nseed = 1\nepsilons = 2\n")
+
+
+# scalars of every type the parser yields, including names valid for some key
+_NAMES = sorted({v for meta in hn.KEYS.values() if isinstance(meta["domain"], tuple)
+                 for v in meta["domain"]} | set(PROTOCOLS))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2, 12),
+                     st.floats(), st.floats(0, 1), st.text(max_size=6), st.sampled_from(_NAMES))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.one_of(st.sampled_from(hn.KINDS), _SCALARS),
+       keys=st.dictionaries(st.sampled_from(sorted(hn.KEYS)), _VALUES, max_size=6))
+def test_build_config_raises_only_config_error(kind, keys):
+    try:
+        cfg = hn.build_config({"experiment": kind, "seed": 1, **keys})
+    except ConfigError:
+        return
+    assert isinstance(cfg, hn.ExperimentConfig)
+
+
+def test_readme_key_table_matches_config_fields():
+    # README rows: | `key` | type | default | domain | read by |
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells
+    assert set(hn.KEYS) <= set(rows)
+    for key, meta in hn.KEYS.items():
+        typ = meta["type"].__name__ + (" list" if meta["many"] else "")
+        kinds = hn.KINDS if rows[key][4] == "all" else tuple(rows[key][4].split(", "))
+        assert (rows[key][1], set(kinds)) == (typ, set(meta["kinds"])), key
 
 
 def test_build_config_unknown_key():

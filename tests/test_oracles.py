@@ -215,9 +215,28 @@ def test_estimate_clip_flag():
     assert est == pytest.approx([1.0, 0.0])
 
 
+@pytest.mark.parametrize("protocol,report", [
+    ("grr", oc.ValueReport(9)),
+    ("grr", oc.ValueReport(-1)),
+    ("ss", oc.SubsetReport((7,))),
+    ("ss", oc.SubsetReport((-2,))),
+    ("sue", oc.BitsReport((1, 0, 1))),
+    ("oue", oc.BitsReport((1, 0, 1, 0, 0))),
+    ("olh", oc.HashedReport(5, 4)),
+    ("olh", oc.HashedReport(5, -1)),
+], ids=["grr-above-k", "grr-negative", "ss-above-k", "ss-negative", "sue-short-bits",
+        "oue-long-bits", "olh-bucket-g", "olh-bucket-negative"])
+def test_out_of_domain_report_is_domain_error(protocol, report):
+    # k = 4, omega = 1 and g = 4 at eps = 1.  Unchecked, GRR 9 gave 10 estimates, SS 7
+    # gave 8 and SUE (1, 0, 1) gave 3; a negative index raised numpy's untyped ValueError
+    params = oc.protocol_params(protocol, 1.0, 4)
+    with pytest.raises(DomainError):
+        oc.estimate_frequencies([report], params)
+
+
 def test_supports_bits_length_mismatch():
     params = oc.protocol_params("sue", 1.0, 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         oc.supports(oc.BitsReport((1, 0)), 1, params)
 
 
