@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .budget import alpha_from_bayes_error, bayes_alpha_clamped, epsilon_from_alpha
 from .errors import ParameterError
@@ -134,10 +133,9 @@ def analytic_acc(protocol: str, epsilon: float, k: int) -> float:
         return 100.0 * (hit + empty)
     if protocol == "ss":
         return 100.0 * p / params.aux
-    # sue / oue: true-bit branch picks among 1 + Bin(k-1, q) set bits,
-    # all-zero branch guesses uniformly over the domain
-    m = np.arange(k)
-    s = float(np.sum(stats.binom.pmf(m, k - 1, q) / (m + 1)))
+    # sue / oue: true-bit branch picks among 1 + X set bits, X ~ Bin(k-1, q), and
+    # E[1/(1+X)] = (1 - (1-q)^k) / (k q); all-zero branch guesses uniformly
+    s = -math.expm1(k * math.log1p(-q)) / (k * q)
     return 100.0 * (p * s + (1.0 - p) * (1.0 - q) ** (k - 1) / k)
 
 
@@ -418,7 +416,7 @@ def run_reident_experiment(
             else:
                 _rs_survey_step(
                     rows, md, solution, variant, flavor, eps_list, attrs,
-                    rfd_priors, nk_s_mult, profile, rng_rep,
+                    rfd_priors, nk_s_mult, profile, rng_rep, flags,
                 )
             if s_idx == 0:
                 continue
@@ -473,7 +471,7 @@ def variant_label(variant: str, flavor: str | None) -> str:
 
 
 def _rs_survey_step(rows, md, solution, variant, flavor, eps_list, attrs,
-                    rfd_priors, nk_s_mult, profile, rng):
+                    rfd_priors, nk_s_mult, profile, rng, flags):
     attrs = np.asarray(attrs)
     sub_md = MultiDomain(tuple(md.domains[a] for a in attrs))
     sub_rows = rows[:, attrs]
@@ -490,6 +488,8 @@ def _rs_survey_step(rows, md, solution, variant, flavor, eps_list, attrs,
     learn = build_learning_set("nk", estimated_freqs=est, s=int(round(nk_s_mult * n)),
                                cfg=cfg, rng=rng)
     clf = classifier_train(learn, cfg)
+    if clf.single_class_warning and "single_class" not in flags:
+        flags.append("single_class")
     jhat = clf.predict(encode_features(batch))
     for ai, a in enumerate(attrs):
         m = jhat == ai

@@ -194,6 +194,9 @@ class ExperimentConfig:
                     raise ConfigError(f"{f.name} must be of type {typ.__name__}, got {v!r}")
                 if domain is not None and v not in domain:
                     raise ConfigError(f"{f.name} must be in {domain}, got {v!r}")
+            # only the keys that default to empty give an empty list a meaning
+            if meta["many"] and not value and f.default_factory():
+                raise ConfigError(f"{f.name} must not be empty")
         if not (self.epsilons or self.betas):
             raise ConfigError("the grid needs epsilons (or, for reident, betas)")
         for tag, solution in self.collections:
@@ -390,16 +393,27 @@ def _attack_oracle_point(cfg: ExperimentConfig, ds, priors, seed: int, proto: st
     ]
 
 
-def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> list[np.ndarray] | None:
-    """The rs_rfd priors (laplace noise from stream 7003); None when no collection uses them."""
+def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | None, bool]:
+    """The rs_rfd priors (laplace noise from stream 7003) and whether one fell back to
+    uniform; (None, False) when no collection uses them."""
     if not cfg.uses_rfd:
-        return None
+        return None, False
     if cfg.prior_mode == "uniform":
-        return uniform_priors(ds.multidomain)
+        return uniform_priors(ds.multidomain), False
     freqs = true_frequencies(ds)
     if cfg.prior_mode == "exact":
-        return freqs
-    return laplace_prior(freqs, cfg.prior_epsilon, ds.n, stream(cfg.seed, 7003))[0]
+        return freqs, False
+    priors, fallback = laplace_prior(freqs, cfg.prior_epsilon, ds.n, stream(cfg.seed, 7003))
+    return priors, any(fallback)
+
+
+def _check_npk(cfg: ExperimentConfig, n: int) -> None:
+    """pk and hm train on round(npk_frac * n) compromised users and test on the rest."""
+    if cfg.experiment == "attr_infer" and {"pk", "hm"} & set(cfg.attack):
+        n_pk = round(cfg.npk_frac * n)
+        if not 1 <= n_pk <= n - 1:
+            raise ConfigError(f"npk_frac = {cfg.npk_frac!r} makes {n_pk} of {n} users "
+                              "compromised; pk and hm need 1 to n - 1")
 
 
 def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto: str,
@@ -479,11 +493,12 @@ def _grid(cfg: ExperimentConfig) -> list[tuple]:
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Execute every grid point x run of the configured experiment."""
     cfg.validate()
-    ds = priors = None
+    ds, priors, fell_back = None, None, False
     if cfg.experiment in _DATA:
         ds = resolve_dataset(cfg)
         _check_epsilons(cfg, ds.d)
-        priors = _rfd_priors(cfg, ds)
+        _check_npk(cfg, ds.n)
+        priors, fell_back = _rfd_priors(cfg, ds)
     tasks = [partial(fn, cfg, ds, priors, _point_seed(cfg.seed, seed_idx), *axes, run)
              for seed_idx, fn, axes in _grid(cfg) for run in range(cfg.runs)]
     if cfg.threads == 1:
@@ -491,7 +506,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             batches = list(pool.map(lambda task: task(), tasks))
-    return [row for batch in batches for row in batch]
+    rows = [row for batch in batches for row in batch]
+    if fell_back:  # every rs_rfd row draws its fakes from the priors
+        rows = [replace(r, flags=";".join(filter(None, (r.flags, "prior_fallback"))))
+                if r.solution == "rs_rfd" else r for r in rows]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,23 @@ def test_oue_eps1_k4_enumeration():
     )
 
 
+def _binomial_sum_ue_acc(protocol, eps, k):
+    # E[1/(1+X)], X ~ Bin(k-1, q), summed term by term
+    params = oc.protocol_params(protocol, eps, k)
+    p, q = params.p, params.q
+    m = np.arange(k)
+    s = float(np.sum(stats.binom.pmf(m, k - 1, q) / (m + 1)))
+    return 100.0 * (p * s + (1.0 - p) * (1.0 - q) ** (k - 1) / k)
+
+
+@pytest.mark.parametrize("protocol", ["sue", "oue"])
+@pytest.mark.parametrize("eps", [0.01, 1.0, 4.0, 20.0, 43.0])
+def test_ue_closed_form_equals_binomial_sum(protocol, eps):
+    for k in (2, 3, 16, 74, 1000):
+        ref = _binomial_sum_ue_acc(protocol, eps, k)
+        assert abs(atk.analytic_acc(protocol, eps, k) - ref) <= 1e-12 * ref, k
+
+
 @pytest.mark.parametrize("protocol", oc.PROTOCOLS)
 def test_empirical_attack_matches_analytic(protocol):
     for eps, k in [(1.0, 7), (4.0, 74)]:
@@ -294,6 +311,18 @@ def test_reident_rs_fd_solution_runs():
         variant="grr",
     )
     assert [r.value for r in res] == [r.value for r in res2]
+
+
+def test_reident_rs_fd_single_class_flag():
+    # nk_s_mult = 1/300 gives the NK classifier one synthetic row, so one class
+    ds = _unique_dataset(300)
+    for s_mult, expected in ((1 / 300, "single_class"), (1.0, "")):
+        res = atk.run_reident_experiment(
+            ds, "grr", "rs_fd", ("epsilon", 5.0),
+            atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=14,
+            variant="grr", nk_s_mult=s_mult,
+        )
+        assert [r.flags for r in res] == [expected]
 
 
 def test_reident_with_replacement_memoizes():

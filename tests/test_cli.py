@@ -106,6 +106,16 @@ def test_console_entry_point(tmp_path, analytic_cfg):
     assert out.exists()
 
 
+def test_import_does_not_load_scipy():
+    # the runtime needs numpy only; scipy.stats alone takes about a second to import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, ldpsim, ldpsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=src, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command,body", [
     ("mse", "solutions = rs_fdd\n"),
     ("reident", "solution = rs_fd\nprotocols = oue\n"),
@@ -193,6 +203,11 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("reident", _FIXTURE + "epsilons = 1\ns_mult = 2\n"),
     ("analytic", _FIXTURE + "epsilons = 1\n"),
     ("analytic", "epsilons = 1\nruns = 1, 2\n"),
+    ("analytic", "epsilons = 1\nks = ,\n"),
+    ("analytic", "epsilons = 1\nprotocols = ,\n"),
+    ("reident", _FIXTURE + "epsilons = 1\ntop_k = ,\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0.001\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0.999\nattack = hm\n"),
 ], ids=["oracle-eps-nan", "oracle-eps-inf", "oracle-eps-negative", "oracle-eps-exp-overflow",
         "oracle-eps-olh-g-overflow", "oracle-eps-text", "oracle-n-zero", "oracle-k-one",
         "oracle-runs-text", "oracle-threads-text", "oracle-n-float", "analytic-k-one",
@@ -204,7 +219,9 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
         "analytic-mode-unknown", "reident-attack-model-unknown", "attr-infer-attack-unknown",
         "mse-dataset-int", "mse-synth-k-one", "mse-synth-n-zero", "mse-subsample-negative",
         "attr-infer-s-mult-zero", "attr-infer-npk-frac-zero", "reident-rs-fd-nk-s-mult-zero",
-        "reident-s-mult-unread", "analytic-dataset-unread", "analytic-runs-list"])
+        "reident-s-mult-unread", "analytic-dataset-unread", "analytic-runs-list",
+        "analytic-ks-empty", "analytic-protocols-empty", "reident-top-k-empty",
+        "attr-infer-npk-frac-no-compromised-user", "attr-infer-npk-frac-no-test-user"])
 def test_bad_grid_value_is_config_error(tmp_path, command, body):
     # each of these exited 3, 1 with a traceback or 0 ignoring the value (a key the
     # kind does not read), most after the run had started

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldpsim import harness as hn
+from ldpsim.datasets import laplace_prior, true_frequencies
 from ldpsim.errors import ConfigError
 from ldpsim.oracles import PROTOCOLS
+from ldpsim.rng import stream
 
 
 def test_parse_config_coercion():
@@ -246,6 +248,27 @@ def test_beta_grid_reident():
     assert rows and rows[0].beta == 0.5 and rows[0].epsilon is None
 
 
+def test_prior_fallback_flag_follows_laplace_prior():
+    # prior_epsilon = 0.01 on 100 rows makes the Laplace noise dominate, so some
+    # attribute's prior clips to all-zero and falls back to uniform for some seeds
+    seen = set()
+    for seed in range(8):
+        keys = {"seed": seed, "dataset": "fixture:adult_style_100", "epsilons": [1.0],
+                "prior_epsilon": 0.01}
+        cfg = hn.build_config({"experiment": "mse", "solutions": ["rs_fd", "rs_rfd"], **keys})
+        ds = hn.resolve_dataset(cfg)
+        fallback = laplace_prior(true_frequencies(ds), cfg.prior_epsilon, ds.n,
+                                 stream(seed, 7003))[1]
+        fell_back = any(fallback)
+        seen.add(fell_back)
+        rows = hn.run_experiment(cfg) + hn.run_experiment(hn.build_config(
+            {"experiment": "reident", "solution": "rs_rfd", "surveys": 2, "top_k": [1], **keys}))
+        for r in rows:
+            flags = r.flags.split(";")
+            assert ("prior_fallback" in flags) == (fell_back and r.solution == "rs_rfd"), seed
+    assert seen == {False, True}
+
+
 def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.delenv(hn.THREADS_ENV_VAR, raising=False)
     assert hn.resolve_threads(None, None) == 1
@@ -269,3 +292,20 @@ def test_validate_rejects_bad_values():
     with pytest.raises(ConfigError):
         hn.build_config({"experiment": "analytic", "seed": 1, "epsilons": [1],
                          "runs": 0})
+
+
+@pytest.mark.parametrize("key", sorted(k for k, m in hn.KEYS.items() if m["many"]))
+def test_empty_list_only_where_the_default_is_empty(key):
+    kind = next(k for k in ("reident", "attr_infer", "analytic")
+                if k in hn.KEYS[key]["kinds"])
+    raw = {"experiment": kind, "seed": 1, "dataset": "fixture:adult_style_100",
+           "epsilons": [1.0], key: []}
+    if kind == "analytic":
+        del raw["dataset"]
+    if key == "epsilons":
+        raw["betas"] = [0.5]
+    if getattr(hn.ExperimentConfig(), key):
+        with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+            hn.build_config(raw)
+    else:
+        assert getattr(hn.build_config(raw), key) == []
