@@ -59,17 +59,15 @@ def smp_mse(rep):
 rows["spl[grr]"] = averaged(spl_mse)
 rows["smp[grr]"] = averaged(smp_mse)
 
-for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
-    label = variant if variant == "grr" else f"{flavor}_r"
-
+for variant in ("grr", "sue_r", "oue_r"):
     for solution in ("rs_fd", "rs_rfd"):
-        cfg = mdm.CollectionConfig(md, solution, variant, flavor, EPS, priors)
+        cfg = mdm.CollectionConfig(md, solution, variant, EPS, priors)
 
         def fake_data_mse(rep, cfg=cfg):
             b, _ = mdm.rs_sanitize_batch(ds.rows, cfg, stream(2024_03, 3, rep))
             return mse_avg(truth, mdm.rs_estimate(b))
 
-        rows[f"{solution}[{label}]"] = averaged(fake_data_mse)
+        rows[f"{solution}[{variant}]"] = averaged(fake_data_mse)
 
 print(f"{'solution':<16} {'MSE_avg':>12}   (mean over {REPS} paired runs)")
 for name, value in rows.items():

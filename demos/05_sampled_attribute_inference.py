@@ -19,32 +19,31 @@ uniform = uniform_dataset(N, KS, stream(2024_06, 1))
 baseline = 100 / len(KS)
 print(f"d = {len(KS)} attributes, n = {N}, baseline = {baseline:.0f}%")
 
-variants = [("grr", "grr", None), ("sue_z", "ue_z", "sue"), ("oue_r", "ue_r", "oue")]
 
 for name, ds in [("skewed (zipf)", skewed), ("uniform", uniform)]:
     print(f"\n--- rs_fd on {name} data: inference accuracy (%) ---")
     print(f"{'variant':<8} {'eps':>4} {'nk':>7} {'pk':>7} {'hm':>7}")
-    for label, variant, flavor in variants:
+    for variant in ("grr", "sue_z", "oue_r"):
         for eps in (1.0, 10.0):
             res = run_attr_infer_experiment(
-                ds.rows, CollectionConfig(ds.multidomain, "rs_fd", variant, flavor, eps),
+                ds.rows, CollectionConfig(ds.multidomain, "rs_fd", variant, eps),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1,
                 seed=2024_07,
             )
             vals = {r.model: r.value for r in res}
-            print(f"{label:<8} {eps:>4} {vals['nk']:>7.1f} {vals['pk']:>7.1f} "
+            print(f"{variant:<8} {eps:>4} {vals['nk']:>7.1f} {vals['pk']:>7.1f} "
                   f"{vals['hm']:>7.1f}")
 
 print("\n--- countermeasure: rs_rfd with noisy public priors, skewed data ---")
 priors, _ = laplace_prior(true_frequencies(skewed), 0.1, N, stream(2024_06, 2))
 print(f"{'variant':<8} {'eps':>4} {'nk':>7} {'pk':>7} {'hm':>7}")
-for label, variant, flavor in [("grr", "grr", None), ("oue_r", "ue_r", "oue")]:
+for variant in ("grr", "oue_r"):
     for eps in (1.0, 10.0):
         res = run_attr_infer_experiment(
             skewed.rows,
-            CollectionConfig(skewed.multidomain, "rs_rfd", variant, flavor, eps, priors),
+            CollectionConfig(skewed.multidomain, "rs_rfd", variant, eps, priors),
             attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=2024_08,
         )
         vals = {r.model: r.value for r in res}
-        print(f"{label:<8} {eps:>4} {vals['nk']:>7.1f} {vals['pk']:>7.1f} "
+        print(f"{variant:<8} {eps:>4} {vals['nk']:>7.1f} {vals['pk']:>7.1f} "
               f"{vals['hm']:>7.1f}")

@@ -44,6 +44,7 @@ from .attacks import (
     run_reident_experiment,
 )
 from .multidim import (
+    FAKE_DATA_VARIANTS,
     CollectionConfig,
     MultiDomain,
     SmpReport,

@@ -28,15 +28,16 @@ from .errors import ParameterError
 from .classifier import NaiveBayes
 from .datasets import synthesize_profiles
 from .multidim import (
-    FAKE_DATA_VARIANTS,
     CollectionConfig,
     MultiDomain,
     TupleBatch,
+    check_collection,
     rs_estimate,
     rs_sanitize_batch,
     smp_sample,
 )
 from .oracles import (
+    PROTOCOLS,
     ProtocolParams,
     ReportBatch,
     SanitizedReport,
@@ -347,6 +348,14 @@ def _per_attribute_privacy(privacy: tuple, md: MultiDomain, n: int):
     return eps_list, None, beta, flags
 
 
+def check_protocol(solution: str, protocol: str) -> None:
+    """Reject a protocol the solution does not run: an oracle under smp, a tag under rs_*."""
+    if solution != "smp":
+        check_collection(solution, protocol)
+    elif protocol not in PROTOCOLS:
+        raise ParameterError(f"unknown protocol {protocol!r}; use one of {PROTOCOLS}")
+
+
 def run_reident_experiment(
     dataset,
     protocol: str = "grr",
@@ -358,19 +367,19 @@ def run_reident_experiment(
     sampling_mode: str = "without_replacement",
     runs: int = 1,
     seed: int = 0,
-    variant: str = "grr",
-    flavor: str | None = None,
     rfd_priors: Sequence[np.ndarray] | None = None,
     nk_s_mult: float = 1.0,
 ) -> list[AttackResult]:
     """Simulate repeated collections and score top-k re-identification.
 
-    Per survey, each user reports through ``solution``; the attacker turns
-    reports into value predictions (for the fake-data solutions, by first
-    inferring the sampled attribute with a no-knowledge classifier), keeps
-    the most recent prediction per attribute, and after every survey >= 2
-    matches profiles against the background knowledge.  RID-ACC is the
-    percentage of users whose true identity lands in the attacker's top-k.
+    ``protocol`` is the oracle under smp and the variant tag (grr, sue_z,
+    ...) under rs_fd / rs_rfd.  Per survey, each user reports through
+    ``solution``; the attacker turns reports into value predictions (for
+    the fake-data solutions, by first inferring the sampled attribute with a
+    no-knowledge classifier), keeps the most recent prediction per
+    attribute, and after every survey >= 2 matches profiles against the
+    background knowledge.  RID-ACC is the percentage of users whose true
+    identity lands in the attacker's top-k.
     Ties in distance are broken by one uniform draw per user and survey
     (:func:`_rank_of_true`); matching holds O(256 * n) counts at a time.
 
@@ -380,8 +389,7 @@ def run_reident_experiment(
     """
     if attack_mode not in ("fk", "pk", "null"):
         raise ParameterError(f"unknown attack_mode {attack_mode!r}")
-    if solution not in ("smp", *FAKE_DATA_VARIANTS):
-        raise ParameterError(f"unknown solution {solution!r}")
+    check_protocol(solution, protocol)
     md, rows = dataset.multidomain, dataset.rows
     n, d = rows.shape
     results: list[AttackResult] = []
@@ -414,10 +422,8 @@ def run_reident_experiment(
                 _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
                                  profile, rng_rep, flags)
             else:
-                _rs_survey_step(
-                    rows, md, solution, variant, flavor, eps_list, attrs,
-                    rfd_priors, nk_s_mult, profile, rng_rep, flags,
-                )
+                _rs_survey_step(rows, md, solution, protocol, eps_list, attrs,
+                                rfd_priors, nk_s_mult, profile, rng_rep, flags)
             if s_idx == 0:
                 continue
             ranks = _rank_of_true(
@@ -428,8 +434,7 @@ def run_reident_experiment(
                     AttackResult(
                         metric="rid_acc",
                         value=100.0 * float(np.mean(ranks < top_k)),
-                        protocol=protocol if solution == "smp"
-                        else variant_label(variant, flavor),
+                        protocol=protocol,
                         solution=solution,
                         epsilon=eps_out,
                         beta=beta_out,
@@ -463,14 +468,7 @@ def _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
             profile[m, a] = predict_batch(batch, rng)
 
 
-def variant_label(variant: str, flavor: str | None) -> str:
-    """Readable protocol tag for a fake-data variant, e.g. sue_z, oue_r, grr."""
-    if variant == "grr":
-        return "grr"
-    return f"{flavor}_{variant[-1]}"
-
-
-def _rs_survey_step(rows, md, solution, variant, flavor, eps_list, attrs,
+def _rs_survey_step(rows, md, solution, variant, eps_list, attrs,
                     rfd_priors, nk_s_mult, profile, rng, flags):
     attrs = np.asarray(attrs)
     sub_md = MultiDomain(tuple(md.domains[a] for a in attrs))
@@ -482,7 +480,7 @@ def _rs_survey_step(rows, md, solution, variant, flavor, eps_list, attrs,
     # to a near-noiseless budget
     eps = min(finite) if finite else 50.0
     priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
-    cfg = CollectionConfig(sub_md, solution, variant, flavor, eps, priors)
+    cfg = CollectionConfig(sub_md, solution, variant, eps, priors)
     batch, _ = rs_sanitize_batch(sub_rows, cfg, rng)
     est = rs_estimate(batch)
     learn = build_learning_set("nk", estimated_freqs=est, s=int(round(nk_s_mult * n)),
@@ -490,6 +488,8 @@ def _rs_survey_step(rows, md, solution, variant, flavor, eps_list, attrs,
     clf = classifier_train(learn, cfg)
     if clf.single_class_warning and "single_class" not in flags:
         flags.append("single_class")
+    if learn.estimate_fallback and "estimate_fallback" not in flags:
+        flags.append("estimate_fallback")
     jhat = clf.predict(encode_features(batch))
     for ai, a in enumerate(attrs):
         m = jhat == ai
@@ -508,6 +508,7 @@ class LearningSet:
     features: np.ndarray
     labels: np.ndarray
     provenance: str
+    estimate_fallback: bool = False  # some attribute's synthetic values came out uniform
 
 
 def encode_features(batch: TupleBatch) -> np.ndarray:
@@ -530,18 +531,23 @@ def build_learning_set(
 
     nk draws ``s`` synthetic profiles from the clipped-normalized estimated
     frequencies and pushes them through the same collection pipeline,
-    labelling each with the sampled attribute it drew.  pk uses ``n_pk``
-    compromised (features, label) rows.  hm is their union.
+    labelling each with the sampled attribute it drew; an attribute whose
+    estimates are all <= 0 is drawn uniformly instead, with the same draws,
+    and sets ``estimate_fallback``.  pk uses ``n_pk`` compromised (features,
+    label) rows.  hm is their union.
     """
     if model not in ("nk", "pk", "hm"):
         raise ParameterError(f"unknown attack model {model!r}")
-    parts = []
+    parts, fallback = [], False
     if model in ("nk", "hm"):
         if estimated_freqs is None or cfg is None or rng is None:
             raise ParameterError("nk needs estimated frequencies, a config and an rng")
         if s <= 0:
             raise ParameterError("nk needs s > 0 synthetic profiles")
-        clipped = [clip_normalize(f) for f in estimated_freqs]
+        degenerate = [not (np.asarray(f) > 0).any() for f in estimated_freqs]
+        fallback = any(degenerate)
+        clipped = [np.full(len(f), 1.0 / len(f)) if bad else clip_normalize(f)
+                   for f, bad in zip(estimated_freqs, degenerate)]
         synth_rows = synthesize_profiles(clipped, s, rng, cfg.md).rows
         batch, labels = rs_sanitize_batch(synth_rows, cfg, rng)
         parts.append((encode_features(batch), labels))
@@ -555,7 +561,7 @@ def build_learning_set(
     features = np.concatenate([p[0] for p in parts], axis=0)
     labels = np.concatenate([p[1] for p in parts], axis=0)
     provenance = {"nk": "synthetic", "pk": "compromised", "hm": "mixed"}[model]
-    return LearningSet(features, labels, provenance)
+    return LearningSet(features, labels, provenance, fallback)
 
 
 def classifier_train(learning_set: LearningSet, cfg: CollectionConfig) -> NaiveBayes:
@@ -578,6 +584,15 @@ def infer_sampled_attribute(model: NaiveBayes, features: np.ndarray,
     return acc, preds
 
 
+def compromised_count(npk_frac: float, n: int) -> int:
+    """Users pk and hm train on, round(npk_frac * n); 1 to n - 1, so some are left to test."""
+    n_pk = int(round(npk_frac * n))
+    if not 1 <= n_pk <= n - 1:
+        raise ParameterError(f"npk_frac = {npk_frac!r} makes {n_pk} of {n} users "
+                             "compromised; pk and hm need 1 to n - 1")
+    return n_pk
+
+
 def run_attr_infer_experiment(
     rows: np.ndarray,
     cfg: CollectionConfig,
@@ -589,14 +604,13 @@ def run_attr_infer_experiment(
 ) -> list[AttackResult]:
     """One collection under ``cfg`` + the three inference attacks against it."""
     n = len(rows)
+    n_pk = compromised_count(npk_frac, n) if {"pk", "hm"} & set(attack_models) else 0
     rng = stream(seed, 404, run)
     batch, labels = rs_sanitize_batch(rows, cfg, rng)
     features = encode_features(batch)
     est = rs_estimate(batch)
 
     results = []
-    proto_name = variant_label(cfg.variant, cfg.flavor)
-    n_pk = int(round(npk_frac * n))
     s = int(round(s_mult * n))
     for model in attack_models:
         rng_m = stream(seed, 505, run, {"nk": 0, "pk": 1, "hm": 2}[model])
@@ -619,9 +633,11 @@ def run_attr_infer_experiment(
         extra = ["classifier=naive_bayes"]
         if clf.single_class_warning:
             extra.append("single_class")
+        if learn.estimate_fallback:
+            extra.append("estimate_fallback")
         results.append(
             AttackResult(
-                metric="aif_acc", value=acc, protocol=proto_name, solution=cfg.solution,
+                metric="aif_acc", value=acc, protocol=cfg.variant, solution=cfg.solution,
                 epsilon=cfg.epsilon, model=model, run=run, seed=seed,
                 flags=";".join(extra),
             )

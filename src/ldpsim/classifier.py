@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import ParameterError
 
+SMOOTHING = 1.0  # Laplace pseudo-count of every class and likelihood cell
+
 
 @dataclass
 class NaiveBayes:
     mode: str = "categorical"
-    smoothing: float = 1.0
     n_classes: int | None = None
     constant_class: int | None = None
     single_class_warning: bool = False
@@ -33,7 +34,8 @@ class NaiveBayes:
 
         ``categories`` gives each feature's category count in categorical
         mode (defaults to max observed + 1, which is fragile if a category
-        is unseen, so callers normally pass the domain sizes).
+        is unseen, so callers normally pass the domain sizes).  Labels must
+        lie in [0, n_classes) and feature j's values in [0, categories[j]).
         """
         if self.mode not in ("categorical", "bernoulli"):
             raise ParameterError(f"unknown naive Bayes mode {self.mode!r}")
@@ -44,7 +46,9 @@ class NaiveBayes:
         if len(X) != len(y):
             raise ParameterError("feature/label length mismatch")
         classes = np.unique(y)
-        self.n_classes = int(n_classes) if n_classes is not None else int(classes.max()) + 1
+        self.n_classes = C = int(n_classes) if n_classes is not None else int(classes.max()) + 1
+        if classes[0] < 0 or classes[-1] >= C:
+            raise ParameterError(f"labels must lie in [0, {C}), got {classes[0]}..{classes[-1]}")
         if classes.size == 1:
             # degenerate learning set: predict the single observed class
             self.constant_class = int(classes[0])
@@ -53,17 +57,13 @@ class NaiveBayes:
         self.constant_class = None
         self.single_class_warning = False
 
-        a = self.smoothing
-        counts = np.bincount(y, minlength=self.n_classes).astype(np.float64)
-        self._log_prior = np.log((counts + a) / (counts.sum() + a * self.n_classes))
+        a = SMOOTHING
+        counts = np.bincount(y, minlength=C).astype(np.float64)
+        self._log_prior = np.log((counts + a) / (counts.sum() + a * C))
 
         if self.mode == "bernoulli":
             Xb = X.astype(np.float64)
-            ones = np.zeros((self.n_classes, X.shape[1]))
-            for c in range(self.n_classes):
-                sel = y == c
-                if sel.any():
-                    ones[c] = Xb[sel].sum(axis=0)
+            ones = np.stack([Xb[y == c].sum(axis=0) for c in range(C)])
             theta = (ones + a) / (counts[:, None] + 2 * a)
             self._log_like = [np.log(theta), np.log1p(-theta)]
         else:
@@ -71,11 +71,11 @@ class NaiveBayes:
                 categories = [int(X[:, j].max()) + 1 for j in range(X.shape[1])]
             tables = []
             for j, kj in enumerate(categories):
-                tab = np.zeros((self.n_classes, kj))
-                for c in range(self.n_classes):
-                    sel = y == c
-                    if sel.any():
-                        tab[c] = np.bincount(X[sel, j], minlength=kj)
+                xj = X[:, j].astype(np.int64)
+                if xj.min() < 0 or xj.max() >= kj:
+                    raise ParameterError(f"feature {j} must lie in [0, {kj})")
+                # one count per (class, category) cell: class c's counts sit at c * kj + x
+                tab = np.bincount(y * kj + xj, minlength=C * kj).reshape(C, kj).astype(np.float64)
                 tab = (tab + a) / (tab.sum(axis=1, keepdims=True) + a * kj)
                 tables.append(np.log(tab))
             self._log_like = tables

@@ -32,11 +32,12 @@ from .attacks import (
     AttackResult,
     SurveysConfig,
     analytic_acc,
+    check_protocol,
+    compromised_count,
     empirical_attack_acc,
     multi_collection_acc,
     run_attr_infer_experiment,
     run_reident_experiment,
-    variant_label,
 )
 from .datasets import (
     Dataset,
@@ -54,12 +55,12 @@ from .multidim import (
     SAMPLING_MODES,
     CollectionConfig,
     amplified_epsilon,
-    check_collection,
     rs_estimate,
     rs_sanitize_batch,
     uniform_priors,
+    variant_oracle,
 )
-from .oracles import PROTOCOLS, protocol_params
+from .oracles import protocol_params
 from .rng import stream
 
 KINDS = ("analytic", "attack_oracle", "reident", "attr_infer", "mse")
@@ -76,14 +77,6 @@ EXPORT_COLUMNS = (
 # the Python types a value of each key type may have; a float key also takes an int
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
              bool: (bool,), str: (str,)}
-
-_VARIANT_TAGS = {
-    "grr": ("grr", None),
-    "sue_z": ("ue_z", "sue"),
-    "oue_z": ("ue_z", "oue"),
-    "sue_r": ("ue_r", "sue"),
-    "oue_r": ("ue_r", "oue"),
-}
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,7 @@ class ExperimentConfig:
     top_k: list = _key([1, 5, 10], int, ("reident",), Interval(1))
     nk_s_mult: float = _key(1.0, float, ("reident",), _POSITIVE)
     # attr-infer / mse
-    variants: list = _key(["grr"], str, _FAKE, tuple(_VARIANT_TAGS))
+    variants: list = _key(["grr"], str, _FAKE, FAKE_DATA_VARIANTS["rs_fd"])  # every tag
     attack: list = _key(["nk", "pk", "hm"], str, ("attr_infer",), ("nk", "pk", "hm"))
     s_mult: float = _key(1.0, float, ("attr_infer",), _POSITIVE)
     npk_frac: float = _key(0.1, float, ("attr_infer",), Interval(0, 1, lo_open=True))
@@ -199,8 +192,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must not be empty")
         if not (self.epsilons or self.betas):
             raise ConfigError("the grid needs epsilons (or, for reident, betas)")
-        for tag, solution in self.collections:
-            _check_pair(tag, solution)
+        for protocol, solution in self.collections:
+            try:
+                check_protocol(solution, protocol)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from exc
         _check_epsilons(self)
         if self.uses_rfd and self.prior_mode == "laplace" and self.prior_epsilon not in _POSITIVE:
             raise ConfigError(f"prior_epsilon must be in {_POSITIVE}, got {self.prior_epsilon!r}")
@@ -229,7 +225,7 @@ def _check_epsilons(cfg: ExperimentConfig, d: int | None = None) -> None:
     Fake-data collections randomize at the amplified epsilon; pass the
     dataset's attribute count ``d`` to check that too.
     """
-    calibrations = {(tag, False) if solution == "smp" else (_VARIANT_TAGS[tag][1] or "grr", True)
+    calibrations = {(tag, False) if solution == "smp" else (variant_oracle(tag), True)
                     for tag, solution in cfg.collections}
     for eps in cfg.epsilons:
         try:
@@ -237,20 +233,6 @@ def _check_epsilons(cfg: ExperimentConfig, d: int | None = None) -> None:
                 protocol_params(proto, amplified_epsilon(eps, d) if fake and d else eps, 2)
         except (ParameterError, OverflowError) as exc:
             raise ConfigError(f"epsilon {eps!r}: {exc}") from exc
-
-
-def _check_pair(tag: str, solution: str) -> None:
-    """Reject a protocol (smp) or variant tag (fake data) the solution does not run."""
-    if solution == "smp":
-        if tag not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {tag!r}; use one of {PROTOCOLS}")
-        return
-    if tag not in _VARIANT_TAGS:
-        raise ConfigError(f"unknown variant {tag!r}; use one of {sorted(_VARIANT_TAGS)}")
-    try:
-        check_collection(solution, *_VARIANT_TAGS[tag])
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _coerce(text: str):
@@ -408,33 +390,21 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | 
 
 
 def _check_npk(cfg: ExperimentConfig, n: int) -> None:
-    """pk and hm train on round(npk_frac * n) compromised users and test on the rest."""
+    """pk and hm need compromised users to train on and others to test on."""
     if cfg.experiment == "attr_infer" and {"pk", "hm"} & set(cfg.attack):
-        n_pk = round(cfg.npk_frac * n)
-        if not 1 <= n_pk <= n - 1:
-            raise ConfigError(f"npk_frac = {cfg.npk_frac!r} makes {n_pk} of {n} users "
-                              "compromised; pk and hm need 1 to n - 1")
+        try:
+            compromised_count(cfg.npk_frac, n)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto: str,
                    privacy: tuple, model: str, run: int) -> list[ResultRow]:
-    variant, flavor = _VARIANT_TAGS.get(proto, ("grr", None))  # smp: unused
+    surveys = SurveysConfig(cfg.surveys, cfg.survey_min_frac, cfg.survey_all_attributes)
     results = run_reident_experiment(
-        ds,
-        protocol=proto if cfg.solution == "smp" else "grr",
-        solution=cfg.solution,
-        privacy=privacy,
-        surveys=SurveysConfig(cfg.surveys, cfg.survey_min_frac, cfg.survey_all_attributes),
-        attack_mode=model,
-        top_ks=cfg.top_k,
-        sampling_mode=cfg.sampling_mode,
-        runs=1,
-        seed=seed + run,
-        variant=variant,
-        flavor=flavor,
-        rfd_priors=priors,
-        nk_s_mult=cfg.nk_s_mult,
-    )
+        ds, proto, cfg.solution, privacy, surveys, attack_mode=model, top_ks=cfg.top_k,
+        sampling_mode=cfg.sampling_mode, runs=1, seed=seed + run, rfd_priors=priors,
+        nk_s_mult=cfg.nk_s_mult)
     return [_from_attack_result(cfg, replace(r, run=run),
                                 metric=f"rid_acc_top{r.top_k}_sv{r.surveys}")
             for r in results]
@@ -442,7 +412,7 @@ def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto:
 
 def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vtag: str,
                       eps: float, solution: str, run: int) -> list[ResultRow]:
-    collection = CollectionConfig(ds.multidomain, solution, *_VARIANT_TAGS[vtag], eps, priors)
+    collection = CollectionConfig(ds.multidomain, solution, vtag, eps, priors)
     results = run_attr_infer_experiment(
         ds.rows, collection, attack_models=cfg.attack, s_mult=cfg.s_mult,
         npk_frac=cfg.npk_frac, run=run, seed=seed,
@@ -455,12 +425,11 @@ def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vta
 
 def _mse_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, solution: str,
                vtag: str, eps: float, run: int) -> list[ResultRow]:
-    variant, flavor = _VARIANT_TAGS[vtag]
     truth = true_frequencies(ds)
-    collection = CollectionConfig(ds.multidomain, solution, variant, flavor, eps, priors)
+    collection = CollectionConfig(ds.multidomain, solution, vtag, eps, priors)
     batch, _ = rs_sanitize_batch(ds.rows, collection, stream(seed, run))
     value = mse_avg(truth, rs_estimate(batch))
-    return [ResultRow(cfg.experiment, variant_label(variant, flavor), solution,
+    return [ResultRow(cfg.experiment, vtag, solution,
                       eps, None, "mse_avg", value, None, run, cfg.seed,
                       f"prior_mode={cfg.prior_mode}")]
 
@@ -553,7 +522,7 @@ def resolve_threads(cli_threads: int | None, cfg_threads: int | None) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
         try:
-            return max(1, int(env))
+            return int(env)  # checked against the threads key's domain, like the flag
         except ValueError:
             raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
     if cfg_threads is not None:

@@ -17,11 +17,11 @@ rs_fd and rs_rfd differ only in where the fakes come from, so one engine
 runs both.  A :class:`CollectionConfig` describes a collection and resolves
 its fake distribution; ``rs_sanitize_batch`` / ``rs_sanitize``,
 ``rs_estimate`` / ``rs_estimate_from_counts`` and ``rs_variance`` take it
-(or its parts) for every solution and variant.
+for every solution and variant.
 
-The variants are ``grr`` (plain values), ``ue_z`` (unary encoding on
-all-zero fake vectors, rs_fd only) and ``ue_r`` (unary encoding on one-hot
-fakes).  UE variants take a ``flavor`` of ``sue`` or ``oue``.
+A variant is named by one tag, its oracle then its fakes: ``grr`` (plain
+values), ``sue_z`` / ``oue_z`` (unary encoding on all-zero fake vectors,
+rs_fd only) and ``sue_r`` / ``oue_r`` (unary encoding on one-hot fakes).
 
 Estimators are raw and unbiased: they invert the fake mass, and their
 variance has the closed form  d^2 gamma (1-gamma) / (n (p-q)^2)  with gamma
@@ -40,19 +40,17 @@ from .errors import DomainError, ParameterError
 from .oracles import (
     AttributeDomain,
     ProtocolParams,
+    ReportBatch,
     SanitizedReport,
-    ValueReport,
-    BitsReport,
     protocol_params,
     randomize,
     randomize_batch,
+    support_counts,
     unary_bits,
 )
 
-RS_FD_VARIANTS = ("grr", "ue_z", "ue_r")
-RS_RFD_VARIANTS = ("grr", "ue_r")
-FAKE_DATA_VARIANTS = {"rs_fd": RS_FD_VARIANTS, "rs_rfd": RS_RFD_VARIANTS}
-UE_FLAVORS = ("sue", "oue")
+FAKE_DATA_VARIANTS = {"rs_fd": ("grr", "sue_z", "oue_z", "sue_r", "oue_r"),
+                      "rs_rfd": ("grr", "sue_r", "oue_r")}
 SAMPLING_MODES = ("without_replacement", "with_replacement")
 
 
@@ -100,12 +98,14 @@ class SmpReport:
 
 @dataclass(frozen=True)
 class FullVector:
-    """Full d-length output of spl / rs_fd / rs_rfd; never discloses the sampled slot."""
+    """Full d-length output of spl / rs_fd / rs_rfd; never discloses the sampled slot.
+
+    ``protocol`` is the oracle under spl and the variant tag under rs_*.
+    """
 
     solution: str
     reports: tuple
-    variant: str | None = None
-    flavor: str | None = None
+    protocol: str
 
 
 SurveyTuple = SmpReport | FullVector
@@ -129,18 +129,6 @@ def amplified_epsilon(epsilon: float, d: int) -> float:
     if d < 1:
         raise ParameterError("d must be >= 1")
     return math.log(d * (math.exp(epsilon) - 1.0) + 1.0)
-
-
-def rs_params(variant: str, flavor: str | None, epsilon: float, d: int, k: int) -> ProtocolParams:
-    """Randomizer parameters for the sampled slot of rs_fd / rs_rfd."""
-    eps_amp = amplified_epsilon(epsilon, d)
-    if variant == "grr":
-        return protocol_params("grr", eps_amp, k)
-    if variant in ("ue_z", "ue_r"):
-        if flavor not in UE_FLAVORS:
-            raise ParameterError(f"UE variant needs flavor in {UE_FLAVORS}, got {flavor!r}")
-        return protocol_params(flavor, eps_amp, k)
-    raise ParameterError(f"unknown variant {variant!r}")
 
 
 def validate_priors(priors: Sequence[np.ndarray], md: MultiDomain) -> list[np.ndarray]:
@@ -189,7 +177,7 @@ def spl_sanitize(
         randomize(int(values[a]), protocol_params(protocol, eps_split, dom.k), rng)
         for a, dom in enumerate(md.domains)
     )
-    return FullVector(solution="spl", reports=reports, flavor=protocol)
+    return FullVector(solution="spl", reports=reports, protocol=protocol)
 
 
 def smp_sample(reported: np.ndarray, attrs: Sequence[int], sampling_mode: str,
@@ -258,24 +246,23 @@ def smp_sanitize(
 class CollectionConfig:
     """How fake-data tuples are produced; everything the server and attacker know.
 
-    The constructor rejects a (solution, variant, flavor, priors) combination
-    the engine does not run and resolves ``fake``, the per-attribute fake
+    The constructor rejects a (solution, variant, priors) combination the
+    engine does not run and resolves ``fake``, the per-attribute fake
     distribution: uniform for rs_fd, the validated ``priors`` for rs_rfd
-    (required there, ignored by rs_fd) and None for ue_z, whose fakes are
-    randomized all-zero vectors.
+    (required there, ignored by rs_fd) and None for sue_z / oue_z, whose
+    fakes are randomized all-zero vectors.
     """
 
     md: MultiDomain
     solution: str            # 'rs_fd' | 'rs_rfd'
-    variant: str
-    flavor: str | None
+    variant: str             # a tag of FAKE_DATA_VARIANTS[solution]
     epsilon: float
     priors: tuple | None = None
     fake: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_collection(self.solution, self.variant, self.flavor)
-        if self.variant == "ue_z":
+        check_collection(self.solution, self.variant)
+        if self.variant.endswith("_z"):
             fake = None
         elif self.solution == "rs_fd":
             fake = tuple(uniform_priors(self.md))
@@ -286,13 +273,18 @@ class CollectionConfig:
         object.__setattr__(self, "fake", fake)
 
     def params(self, a: int) -> ProtocolParams:
-        """Randomizer parameters for attribute a's sampled slot."""
-        return rs_params(self.variant, self.flavor, self.epsilon, self.md.d,
-                         self.md.domains[a].k)
+        """Randomizer parameters for attribute a's sampled slot, at the amplified budget."""
+        return protocol_params(variant_oracle(self.variant),
+                               amplified_epsilon(self.epsilon, self.md.d), self.md.domains[a].k)
 
 
-def check_collection(solution: str, variant: str, flavor: str | None) -> None:
-    """Reject a (solution, variant, flavor) triple the fake-data engine does not run."""
+def variant_oracle(variant: str) -> str:
+    """The frequency oracle a variant tag randomizes with: grr, sue or oue."""
+    return variant.split("_")[0]
+
+
+def check_collection(solution: str, variant: str) -> None:
+    """Reject a (solution, variant) pair the fake-data engine does not run."""
     variants = FAKE_DATA_VARIANTS.get(solution)
     if variants is None:
         raise ParameterError(
@@ -300,26 +292,28 @@ def check_collection(solution: str, variant: str, flavor: str | None) -> None:
         )
     if variant not in variants:
         raise ParameterError(f"{solution} variant must be one of {variants}, got {variant!r}")
-    if variant != "grr" and flavor not in UE_FLAVORS:
-        raise ParameterError(f"UE variant needs flavor in {UE_FLAVORS}, got {flavor!r}")
 
 
 @dataclass
 class TupleBatch:
     """Column-oriented batch of full-vector survey tuples.
 
-    ``columns[a]`` holds attribute a's reports for all n users: an int
-    vector for the grr variant, a (n, k_a) uint8 matrix for ue variants.
-    The sampled attribute indices are intentionally NOT stored here; the
-    simulator keeps them separately when it needs ground truth.
+    ``columns[a]`` holds attribute a's reports for all n users in the
+    layout of its oracle's ``ReportBatch``: an int vector for grr, a
+    (n, k_a) uint8 matrix for the unary-encoding variants.  The sampled
+    attribute indices are intentionally NOT stored here; the simulator
+    keeps them separately when it needs ground truth.
     """
 
     cfg: CollectionConfig
     columns: list
 
     def __len__(self) -> int:
-        first = self.columns[0]
-        return len(first)
+        return len(self.columns[0])
+
+    def column(self, a: int) -> ReportBatch:
+        """Attribute a's reports as a batch of its sampled-slot oracle."""
+        return ReportBatch(self.cfg.params(a), self.columns[a])
 
 
 def rs_sanitize_batch(
@@ -337,23 +331,18 @@ def rs_sanitize_batch(
         raise DomainError(f"rows have {d} columns, domain has {md.d}")
     sampled = rng.integers(0, d, size=n)
     columns = []
-    for a, dom in enumerate(md.domains):
-        k = dom.k
+    grr = cfg.variant == "grr"
+    for a, k in enumerate(md.ks):
         params = cfg.params(a)
         mask = sampled == a
         m = int(mask.sum())
-        if cfg.variant == "grr":
-            col = np.empty(n, dtype=np.int64)
-            col[mask] = randomize_batch(rows[mask, a], params, rng).data
-            col[~mask] = _categorical(cfg.fake[a], n - m, rng)
-        else:
-            col = np.empty((n, k), dtype=np.uint8)
-            col[mask] = randomize_batch(rows[mask, a], params, rng).data
-            if cfg.variant == "ue_z":
-                col[~mask] = unary_bits(n - m, k, params.q, rng)
-            else:  # ue_r: unary-encode a categorical fake draw
-                fake_vals = _categorical(cfg.fake[a], n - m, rng)
-                col[~mask] = randomize_batch(fake_vals, params, rng).data
+        col = np.empty(n if grr else (n, k), dtype=np.int64 if grr else np.uint8)
+        col[mask] = randomize_batch(rows[mask, a], params, rng).data
+        if cfg.fake is None:  # sue_z / oue_z: all-zero fakes
+            col[~mask] = unary_bits(n - m, k, params.q, rng)
+        else:  # a categorical fake draw, unary-encoded under sue_r / oue_r
+            fakes = _categorical(cfg.fake[a], n - m, rng)
+            col[~mask] = fakes if grr else randomize_batch(fakes, params, rng).data
         columns.append(col)
     return TupleBatch(cfg, columns), sampled
 
@@ -363,26 +352,9 @@ def rs_sanitize(
 ) -> tuple[FullVector, int]:
     """Single-user wrapper; returns the tuple and (simulator-only) sampled index."""
     batch, sampled = rs_sanitize_batch(np.asarray([values], dtype=np.int64), cfg, rng)
-    reports = []
-    for col in batch.columns:
-        if cfg.variant == "grr":
-            reports.append(ValueReport(int(col[0])))
-        else:
-            reports.append(BitsReport(tuple(int(b) for b in col[0])))
-    tup = FullVector(solution=cfg.solution, reports=tuple(reports),
-                     variant=cfg.variant, flavor=cfg.flavor)
+    reports = tuple(batch.column(a).reports()[0] for a in range(cfg.md.d))
+    tup = FullVector(solution=cfg.solution, reports=reports, protocol=cfg.variant)
     return tup, int(sampled[0])
-
-
-def _batch_counts(batch: TupleBatch) -> list[np.ndarray]:
-    counts = []
-    for a, dom in enumerate(batch.cfg.md.domains):
-        col = batch.columns[a]
-        if batch.cfg.variant == "grr":
-            counts.append(np.bincount(col, minlength=dom.k).astype(np.int64))
-        else:
-            counts.append(col.sum(axis=0, dtype=np.int64))
-    return counts
 
 
 def rs_estimate_from_counts(
@@ -391,7 +363,7 @@ def rs_estimate_from_counts(
     """Debias per-attribute support counts by inverting the fake mass t.
 
     t is the fake distribution (1/k for rs_fd, the prior for rs_rfd) and 0
-    for ue_z:
+    for sue_z / oue_z:
 
       grr:  f = (d c - n (q + (d-1) t)) / (n (p-q))
       UE :  f = (d c - n (q + (p-q)(d-1) t + q (d-1))) / (n (p-q))
@@ -413,38 +385,34 @@ def rs_estimate_from_counts(
 
 def rs_estimate(batch: TupleBatch) -> list[np.ndarray]:
     """Raw unbiased per-attribute frequency estimates for a tuple batch."""
-    return rs_estimate_from_counts(_batch_counts(batch), batch.cfg, len(batch))
+    counts = [support_counts(batch.column(a)) for a in range(batch.cfg.md.d)]
+    return rs_estimate_from_counts(counts, batch.cfg, len(batch))
 
 
-def rs_variance(
-    f_v: float,
-    fake_v: float,
-    p: float,
-    q: float,
-    d: int,
-    n: int,
-    variant: str = "grr",
-) -> float:
-    """Closed-form variance of the fake-data estimator for one value.
+def rs_variance(freqs: Sequence[np.ndarray], cfg: CollectionConfig, n: int) -> list[np.ndarray]:
+    """Closed-form per-attribute variance of the fake-data estimator at true ``freqs``.
 
-    ``fake_v`` is the fake distribution's mass on the value (1/k for rs_fd,
-    the prior for rs_rfd; ue_z ignores it).  gamma is the probability that
-    one report supports the value, read off the sampling probability tree:
+    gamma is the probability that one report supports a value, read off the
+    sampling probability tree:
 
       gamma = (q + f (p-q) + (d-1) s) / d
 
-    with s the support probability of a fake slot: f_tilde for grr,
-    f_tilde (p-q) + q for ue_r, and q for ue_z.
+    with s the support probability of a fake slot: the fake mass t for grr,
+    t (p-q) + q for sue_r / oue_r, and q for sue_z / oue_z.
     """
-    if variant == "grr":
-        fake_support = fake_v
-    elif variant == "ue_r":
-        fake_support = fake_v * (p - q) + q
-    elif variant == "ue_z":
-        fake_support = q
-    else:
-        raise ParameterError(f"variance defined for {RS_FD_VARIANTS}, got {variant!r}")
-    gamma = (q + f_v * (p - q) + (d - 1) * fake_support) / d
-    if not (0.0 <= gamma <= 1.0):
-        raise ParameterError(f"inconsistent parameters: gamma={gamma} outside [0, 1]")
-    return d * d * gamma * (1.0 - gamma) / (n * (p - q) ** 2)
+    d = cfg.md.d
+    out = []
+    for a in range(d):
+        params = cfg.params(a)
+        p, q = params.p, params.q
+        if cfg.fake is None:
+            fake_support = q
+        elif cfg.variant == "grr":
+            fake_support = cfg.fake[a]
+        else:
+            fake_support = cfg.fake[a] * (p - q) + q
+        gamma = (q + np.asarray(freqs[a], dtype=np.float64) * (p - q) + (d - 1) * fake_support) / d
+        if not ((0.0 <= gamma) & (gamma <= 1.0)).all():
+            raise ParameterError(f"inconsistent parameters: gamma={gamma} outside [0, 1]")
+        out.append(d * d * gamma * (1.0 - gamma) / (n * (p - q) ** 2))
+    return out

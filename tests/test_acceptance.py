@@ -128,21 +128,20 @@ def test_c03_estimator_unbiasedness():
             assert _bias_ok(ests, freqs[a], runs), (proto, k)
         checked.append(proto)
 
-    variants = [("rs_fd", "grr", None), ("rs_fd", "ue_z", "sue"), ("rs_fd", "ue_z", "oue"),
-                ("rs_fd", "ue_r", "sue"), ("rs_fd", "ue_r", "oue"),
-                ("rs_rfd", "grr", None), ("rs_rfd", "ue_r", "sue"), ("rs_rfd", "ue_r", "oue")]
-    for vi, (solution, variant, flavor) in enumerate(variants):
+    variants = [(solution, variant) for solution, tags in mdm.FAKE_DATA_VARIANTS.items()
+                for variant in tags]
+    for vi, (solution, variant) in enumerate(variants):
         ests = []
         for r in range(runs):
             rng = stream(7401, vi, r)
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
-            cfg = mdm.CollectionConfig(md, solution, variant, flavor, 1.0, priors)
+            cfg = mdm.CollectionConfig(md, solution, variant, 1.0, priors)
             batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batch))
         for a in range(3):
-            assert _bias_ok([e[a] for e in ests], freqs[a], runs), (solution, variant, flavor, a)
-        checked.append(f"{solution}[{atk.variant_label(variant, flavor)}]")
+            assert _bias_ok([e[a] for e in ests], freqs[a], runs), (solution, variant, a)
+        checked.append(f"{solution}[{variant}]")
     report("3 estimator unbiasedness", True, f"{len(checked)} estimators, 4 SE")
 
 
@@ -157,29 +156,24 @@ def test_c04_variance_formulas():
     freqs = [stream(7500, a).dirichlet(np.ones(k)) for a, k in enumerate(ks)]
     priors = [stream(7600, a).dirichlet(np.ones(k)) for a, k in enumerate(ks)]
     details = []
-    for vi, (variant, flavor) in enumerate([("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]):
+    for vi, variant in enumerate(["grr", "sue_r", "oue_r"]):
+        cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
         ests = []
         for r in range(runs):
             rng = stream(7700, vi, r)
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
-            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors)
             batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batch))
-        for a, k in enumerate(ks):
+        for a, theo in enumerate(mdm.rs_variance(freqs, cfg, n)):
             arr = np.array([e[a] for e in ests])
-            params = mdm.rs_params(variant, flavor, 1.0, 3, k)
-            theo = np.array([
-                mdm.rs_variance(freqs[a][v], priors[a][v], params.p, params.q, 3, n, variant)
-                for v in range(k)
-            ])
             emp = arr.var(axis=0, ddof=1)
             ratio = emp.sum() / theo.sum()
-            assert abs(ratio - 1) < 0.15, (variant, flavor, a, ratio)
+            assert abs(ratio - 1) < 0.15, (variant, a, ratio)
             if a == 0:
                 spot = emp[0] / theo[0]
-                assert abs(spot - 1) < 0.15, (variant, flavor, spot)
-                details.append(f"{atk.variant_label(variant, flavor)} ratio {ratio:.3f}")
+                assert abs(spot - 1) < 0.15, (variant, spot)
+                details.append(f"{variant} ratio {ratio:.3f}")
     report("4 variance formulas", True, "; ".join(details))
 
 
@@ -276,31 +270,31 @@ def test_c07_attribute_inference():
     d = len(ks)
 
     res = atk.run_attr_infer_experiment(
-        skewed.rows, mdm.CollectionConfig(skewed.multidomain, "rs_fd", "ue_z", "sue", 10.0),
+        skewed.rows, mdm.CollectionConfig(skewed.multidomain, "rs_fd", "sue_z", 10.0),
         attack_models=("nk",), s_mult=1.0, npk_frac=0.1, seed=8000,
     )
     suez_acc = res[0].value
     assert suez_acc >= 90.0
 
     worst_capped = 0.0
-    for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
+    for variant in ("grr", "sue_r", "oue_r"):
         for eps in (1.0, 4.0, 7.0, 10.0):
             res = atk.run_attr_infer_experiment(
                 skewed.rows,
-                mdm.CollectionConfig(skewed.multidomain, "rs_fd", variant, flavor, eps),
+                mdm.CollectionConfig(skewed.multidomain, "rs_fd", variant, eps),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8001,
             )
             for r in res:
                 worst_capped = max(worst_capped, r.value)
-                assert r.value <= 35.0, (variant, flavor, eps, r.model, r.value)
+                assert r.value <= 35.0, (variant, eps, r.model, r.value)
 
     uniform = uniform_dataset(n, ks, stream(7900, 1))
     base = 100.0 / d
     worst_dev = 0.0
-    for variant, flavor in [("grr", None), ("ue_r", "oue")]:
+    for variant in ("grr", "oue_r"):
         res = atk.run_attr_infer_experiment(
             uniform.rows,
-            mdm.CollectionConfig(uniform.multidomain, "rs_fd", variant, flavor, 10.0),
+            mdm.CollectionConfig(uniform.multidomain, "rs_fd", variant, 10.0),
             attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8002,
         )
         for r in res:
@@ -328,10 +322,10 @@ def mse_paired_runs():
     priors, _ = laplace_prior(truth, 0.1, 45222, stream(2024, 0))
     md = ds.multidomain
     out = {}
-    for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
+    for variant in ("grr", "sue_r", "oue_r"):
         for eps in EPS_GRID_MSE:
-            fd = mdm.CollectionConfig(md, "rs_fd", variant, flavor, eps)
-            rfd = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, eps, priors)
+            fd = mdm.CollectionConfig(md, "rs_fd", variant, eps)
+            rfd = mdm.CollectionConfig(md, "rs_rfd", variant, eps, priors)
             pairs = []
             for run in range(20):
                 b1, _ = mdm.rs_sanitize_batch(ds.rows, fd, stream(808, run))
@@ -339,7 +333,7 @@ def mse_paired_runs():
                 b2, _ = mdm.rs_sanitize_batch(ds.rows, rfd, stream(808, run))
                 m2 = mse_avg(truth, mdm.rs_estimate(b2))
                 pairs.append((m1, m2))
-            out[(atk.variant_label(variant, flavor), eps)] = pairs
+            out[(variant, eps)] = pairs
     return out
 
 
@@ -396,16 +390,16 @@ def test_c08_countermeasure_aif_gain():
     priors, _ = laplace_prior(true_frequencies(ds), 0.1, ds.n, stream(8200, 1))
     base = 100.0 / ds.d
     worst = -math.inf
-    for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
+    for variant in ("grr", "sue_r", "oue_r"):
         for eps in (1.0, 4.0, 10.0):
             res = atk.run_attr_infer_experiment(
                 ds.rows,
-                mdm.CollectionConfig(ds.multidomain, "rs_rfd", variant, flavor, eps, priors),
+                mdm.CollectionConfig(ds.multidomain, "rs_rfd", variant, eps, priors),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8100,
             )
             for r in res:
                 worst = max(worst, r.value - base)
-                assert r.value - base <= 10.0, (variant, flavor, eps, r.model, r.value)
+                assert r.value - base <= 10.0, (variant, eps, r.model, r.value)
     report("8d countermeasure AIF gain", True, f"worst gain {worst:+.1f}pp <= 10pp")
 
 

@@ -301,14 +301,12 @@ def test_reident_rs_fd_solution_runs():
     res = atk.run_reident_experiment(
         ds, "grr", "rs_fd", ("epsilon", 5.0),
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1, 5), runs=1, seed=14,
-        variant="grr",
     )
     assert len(res) == 2
     assert all(r.solution == "rs_fd" for r in res)
     res2 = atk.run_reident_experiment(
         ds, "grr", "rs_fd", ("epsilon", 5.0),
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1, 5), runs=1, seed=14,
-        variant="grr",
     )
     assert [r.value for r in res] == [r.value for r in res2]
 
@@ -320,7 +318,7 @@ def test_reident_rs_fd_single_class_flag():
         res = atk.run_reident_experiment(
             ds, "grr", "rs_fd", ("epsilon", 5.0),
             atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=14,
-            variant="grr", nk_s_mult=s_mult,
+            nk_s_mult=s_mult,
         )
         assert [r.flags for r in res] == [expected]
 
@@ -447,11 +445,11 @@ def test_rank_kernel_more_than_255_columns_exact():
 # Sampled-attribute inference
 # ---------------------------------------------------------------------------
 
-def _collection(ks, n, seed, variant="grr", flavor=None, eps=1.0):
+def _collection(ks, n, seed, variant="grr", eps=1.0):
     md = mdm.MultiDomain.from_ks(ks)
     rng = stream(seed, 0)
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
-    cfg = mdm.CollectionConfig(md, "rs_fd", variant, flavor, eps)
+    cfg = mdm.CollectionConfig(md, "rs_fd", variant, eps)
     batch, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
     return md, rows, cfg, batch, labels
 
@@ -489,12 +487,19 @@ def test_build_learning_set_hm_union_size():
     assert learn.provenance == "mixed"
 
 
-def test_build_learning_set_degenerate_estimates_rejected():
+def test_build_learning_set_degenerate_estimates_fall_back_to_uniform():
+    # an attribute whose estimates all clip to zero is synthesized uniformly,
+    # with the same draws as any other estimate vector
     md = mdm.MultiDomain.from_ks([3, 3])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     bad = [np.array([-0.1, -0.2, -0.3]), np.array([0.5, 0.3, 0.2])]
-    with pytest.raises(ParameterError):
-        atk.build_learning_set("nk", estimated_freqs=bad, s=10, cfg=cfg, rng=stream(19, 0))
+    learn = atk.build_learning_set("nk", estimated_freqs=bad, s=10, cfg=cfg, rng=stream(19, 0))
+    uniform = [np.full(3, 1 / 3), bad[1]]
+    same = atk.build_learning_set("nk", estimated_freqs=uniform, s=10, cfg=cfg,
+                                  rng=stream(19, 0))
+    assert learn.estimate_fallback and not same.estimate_fallback
+    np.testing.assert_array_equal(learn.features, same.features)
+    np.testing.assert_array_equal(learn.labels, same.labels)
 
 
 def test_nk_synthetic_features_match_real_distribution():
@@ -506,7 +511,7 @@ def test_nk_synthetic_features_match_real_distribution():
     n = 60_000
     freqs = [stream(20, 9).dirichlet(np.ones(k)) for k in ks]
     rows = np.column_stack([rng.choice(k, n, p=f) for k, f in zip(ks, freqs)])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     real_batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
     synth_rows = synthesize_profiles(freqs, n, rng).rows
     synth_batch, _ = mdm.rs_sanitize_batch(synth_rows, cfg, rng)
@@ -520,7 +525,7 @@ def test_nk_synthetic_features_match_real_distribution():
 def test_classifier_pipeline_separable():
     # class label equals a deterministic feature -> perfect training accuracy
     md = mdm.MultiDomain.from_ks([3, 3, 3])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     labels = np.arange(300) % 3
     feats = np.column_stack([labels, np.zeros(300, dtype=int), np.zeros(300, dtype=int)])
     learn = atk.LearningSet(feats, labels, "compromised")
@@ -552,7 +557,7 @@ def test_aif_sue_z_high_budget_near_perfect():
     ks = [6, 5, 4]
     rows = np.column_stack([rng.integers(0, k, 5000) for k in ks])
     md = mdm.MultiDomain.from_ks(ks)
-    cfg = mdm.CollectionConfig(md, "rs_fd", "ue_z", "sue", 10.0)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "sue_z", 10.0)
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), seed=23)
     assert res[0].value >= 95.0
 
@@ -568,10 +573,29 @@ def test_aif_near_zero_budget_matches_prior_rule():
 
 def test_attack_result_metadata():
     md, rows, cfg, batch, labels = _collection([4, 4], 2000, 25)
-    cfg = mdm.CollectionConfig(md, "rs_fd", "ue_r", "oue", 2.0)
+    cfg = mdm.CollectionConfig(md, "rs_fd", "oue_r", 2.0)
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), npk_frac=0.2,
                                         seed=25, run=3)
     r = res[0]
     assert r.metric == "aif_acc" and r.model == "pk" and r.run == 3
     assert r.protocol == "oue_r" and r.epsilon == 2.0 and r.seed == 25
     assert "classifier=naive_bayes" in r.flags
+
+
+def test_attr_infer_npk_frac_needs_train_and_test_users():
+    # n_pk = round(npk_frac * n) must leave a compromised user and a test user
+    md, rows, cfg, batch, labels = _collection([4, 4], 100, 26)
+    for frac in (0.001, 0.999):
+        with pytest.raises(ParameterError, match="npk_frac"):
+            atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), npk_frac=frac)
+    # nk alone trains on no compromised user
+    res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), npk_frac=0.999)
+    assert len(res) == 1 and not math.isnan(res[0].value)
+    assert atk.compromised_count(0.1, 100) == 10
+
+
+def test_reident_protocol_checked_against_solution():
+    ds = _unique_dataset(50)
+    for protocol, solution in (("sue_z", "rs_rfd"), ("oue", "rs_fd"), ("oue_r", "smp")):
+        with pytest.raises(ParameterError):
+            atk.run_reident_experiment(ds, protocol, solution, ("epsilon", 1.0))

@@ -67,3 +67,34 @@ def test_validation_errors():
         NaiveBayes(mode="gauss").fit(np.zeros((2, 1), dtype=int), np.array([0, 1]))
     with pytest.raises(ParameterError):
         NaiveBayes(mode="bernoulli").fit(np.zeros((3, 1), dtype=int), np.array([0, 1]))
+
+
+def test_out_of_range_labels_and_features_rejected():
+    # the per-feature flat bincount would fold such values into another class
+    X = np.array([[0, 1], [1, 0], [2, 1]])
+    with pytest.raises(ParameterError, match="labels"):
+        NaiveBayes(mode="categorical").fit(X, np.array([0, 1, 2]), n_classes=2,
+                                           categories=[3, 2])
+    with pytest.raises(ParameterError, match="labels"):
+        NaiveBayes(mode="bernoulli").fit(X, np.array([0, -1, 1]), n_classes=2)
+    with pytest.raises(ParameterError, match="feature 1"):
+        NaiveBayes(mode="categorical").fit(X, np.array([0, 1, 1]), n_classes=2,
+                                           categories=[3, 1])
+    with pytest.raises(ParameterError, match="feature 0"):
+        NaiveBayes(mode="categorical").fit(-X, np.array([0, 1, 1]), n_classes=2,
+                                           categories=[3, 2])
+
+
+def test_categorical_tables_match_per_class_loop():
+    # reference: one bincount per (class, feature), as the fit once counted
+    rng = np.random.default_rng(3)
+    ks, C, n = [5, 2, 9], 4, 3000
+    X = np.column_stack([rng.integers(0, k, n) for k in ks])
+    y = rng.integers(0, C - 1, n)  # the last class has no rows
+    clf = NaiveBayes(mode="categorical").fit(X, y, n_classes=C, categories=ks)
+    for j, k in enumerate(ks):
+        tab = np.zeros((C, k))
+        for c in range(C):
+            tab[c] = np.bincount(X[y == c, j], minlength=k)
+        ref = np.log((tab + 1.0) / (tab.sum(axis=1, keepdims=True) + k))
+        np.testing.assert_array_equal(clf._log_like[j], ref)

@@ -133,6 +133,32 @@ def test_unknown_solution_or_variant_is_config_error(tmp_path, command, body):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,body,seed", [
+    ("reident", "solution = rs_fd\nprotocols = oue_r\nepsilons = 1\nsurveys = 3\n", 4),
+    ("attr-infer", "solutions = rs_fd\nvariants = oue_z, oue_r, sue_z, sue_r\n"
+                   "epsilons = 0.5\nattack = nk\n", 2),
+    ("attr-infer", "solutions = rs_fd\nvariants = oue_z, oue_r, sue_z, sue_r\n"
+                   "epsilons = 0.5\nattack = nk\n", 4),
+], ids=["reident-seed4", "attr-infer-seed2", "attr-infer-seed4"])
+def test_all_nonpositive_estimates_fall_back_to_uniform(tmp_path, command, body, seed):
+    # on 100 users some attribute's estimates all come out <= 0; the nk
+    # learning set draws that attribute uniformly and flags the rows
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("dataset = fixture:adult_style_100\n" + body)
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+    assert "estimate_fallback" in out.read_text()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_env_var_checked_like_the_flag(tmp_path, analytic_cfg, monkeypatch, threads):
+    monkeypatch.setenv("LDPSIM_THREADS", threads)
+    assert run_cli(["analytic", "--config", str(analytic_cfg),
+                    "--out", str(tmp_path / "r.csv")]) == 2
+    assert run_cli(["analytic", "--config", str(analytic_cfg), "--threads", threads,
+                    "--out", str(tmp_path / "r.csv")]) == 2
+
+
 @pytest.mark.parametrize("surveys", [0, 1])
 def test_reident_needs_two_surveys(tmp_path, surveys):
     # RID is scored from the second survey on: fewer surveys would export no rows

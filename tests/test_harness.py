@@ -279,6 +279,9 @@ def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.setenv(hn.THREADS_ENV_VAR, "soup")
     with pytest.raises(ConfigError):
         hn.resolve_threads(None, None)
+    # the environment value is not clamped: the threads key's domain rejects it
+    monkeypatch.setenv(hn.THREADS_ENV_VAR, "0")
+    assert hn.resolve_threads(None, 3) == 0
 
 
 def test_validate_rejects_bad_values():

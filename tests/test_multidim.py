@@ -39,7 +39,7 @@ def test_amplified_epsilon():
 def test_spl_budget_split():
     md = md_of([4, 6])
     tup = mdm.spl_sanitize([1, 3], md, "grr", 2.0, stream(1, 0))
-    assert tup.solution == "spl"
+    assert (tup.solution, tup.protocol) == ("spl", "grr")
     assert len(tup.reports) == 2
     # each slot randomized at eps/d = 1: check via distribution over many draws
     n = 60_000
@@ -177,7 +177,7 @@ def test_rsfd_single_attribute_degenerate():
     md = md_of([7])
     assert mdm.amplified_epsilon(1.0, 1) == 1.0
     batch, sampled = mdm.rs_sanitize_batch(
-        np.arange(7).reshape(-1, 1), mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0),
+        np.arange(7).reshape(-1, 1), mdm.CollectionConfig(md, "rs_fd", "grr", 1.0),
         stream(9, 0),
     )
     assert (sampled == 0).all()  # no fake slots exist
@@ -189,8 +189,8 @@ def test_rsfd_uez_fake_bit_count():
     rng = stream(10, 0)
     rows = np.zeros((n, 2), dtype=int)
     batch, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_fd", "ue_z", "oue", 1.0), rng)
-    params = mdm.rs_params("ue_z", "oue", 1.0, 2, 9)
+        rows, mdm.CollectionConfig(md, "rs_fd", "oue_z", 1.0), rng)
+    params = oc.protocol_params("oue", mdm.amplified_epsilon(1.0, 2), 9)
     fakes = batch.columns[1][sampled != 1]
     m = len(fakes)
     mean_ones = fakes.sum(axis=1).mean()
@@ -204,7 +204,7 @@ def test_rsfd_grr_fake_slot_uniform():
     rng = stream(11, 0)
     rows = np.zeros((n, 2), dtype=int)
     batch, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), rng)
+        rows, mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), rng)
     fakes = batch.columns[1][sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts)
@@ -213,9 +213,10 @@ def test_rsfd_grr_fake_slot_uniform():
 
 def test_rsfd_tuple_object_hides_sampled_index():
     md = md_of([3, 4])
-    tup, sampled = mdm.rs_sanitize([1, 2], mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0),
+    tup, sampled = mdm.rs_sanitize([1, 2], mdm.CollectionConfig(md, "rs_fd", "grr", 1.0),
                                    stream(12, 0))
     assert isinstance(tup, mdm.FullVector)
+    assert (tup.solution, tup.protocol) == ("rs_fd", "grr")
     assert not hasattr(tup, "sampled_index")
     assert 0 <= sampled < 2
     smp = mdm.smp_sanitize([1, 2], md, "grr", 1.0, stream(12, 1), "with_replacement",
@@ -227,31 +228,31 @@ def test_rsfd_variant_validation():
     md = md_of([3, 4])
     rows = np.zeros((5, 2), dtype=int)
     with pytest.raises(ParameterError):
-        mdm.rs_sanitize_batch(rows, mdm.CollectionConfig(md, "rs_fd", "ue_q", "oue", 1.0),
+        mdm.rs_sanitize_batch(rows, mdm.CollectionConfig(md, "rs_fd", "ue_q", 1.0),
                               stream(13, 0))
     with pytest.raises(ParameterError):
         mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_rfd", "ue_z", "oue", 1.0, mdm.uniform_priors(md)),
+            rows, mdm.CollectionConfig(md, "rs_rfd", "oue_z", 1.0, mdm.uniform_priors(md)),
             stream(13, 1))
     with pytest.raises(DomainError):
         mdm.rs_sanitize_batch(np.zeros((5, 3), dtype=int),
-                              mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), stream(13, 2))
+                              mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), stream(13, 2))
 
 
 # ---------------------------------------------------------------------------
 # Estimators: exact expectation identities, MC bias, degeneracies
 # ---------------------------------------------------------------------------
 
-def _tree_expected_counts(md, freqs, priors, variant, flavor, epsilon, n):
+def _tree_expected_counts(cfg, freqs, priors, n):
     """Literal path enumeration of the per-value report probability.
 
     Walks sampled-vs-fake branches and every (true value, outcome) pair,
     independently of the estimator algebra under test.
     """
-    d = md.d
+    d, variant = cfg.md.d, cfg.variant
     out = []
-    for a, k in enumerate(md.ks):
-        params = mdm.rs_params(variant, flavor, epsilon, d, k)
+    for a, k in enumerate(cfg.md.ks):
+        params = cfg.params(a)
         p, q = params.p, params.q
         prob = np.zeros(k)
         for v in range(k):  # value whose support we count
@@ -261,9 +262,9 @@ def _tree_expected_counts(md, freqs, priors, variant, flavor, epsilon, n):
                 acc += (1.0 / d) * w * (p if t == v else q)
             if variant == "grr":
                 acc += (1.0 - 1.0 / d) * priors[a][v]
-            elif variant == "ue_z":
+            elif variant in ("sue_z", "oue_z"):
                 acc += (1.0 - 1.0 / d) * q
-            else:  # ue_r: fake one-hot then UE-randomized
+            else:  # sue_r / oue_r: fake one-hot then UE-randomized
                 hot = priors[a][v]
                 acc += (1.0 - 1.0 / d) * (hot * p + (1.0 - hot) * q)
             prob[v] = acc
@@ -271,26 +272,28 @@ def _tree_expected_counts(md, freqs, priors, variant, flavor, epsilon, n):
     return out
 
 
-@pytest.mark.parametrize("variant,flavor", [("grr", None), ("ue_z", "sue"),
-                                            ("ue_z", "oue"), ("ue_r", "sue"), ("ue_r", "oue")])
-def test_rsfd_estimator_exact_on_expected_counts(variant, flavor):
+# the ids name each tag by its older (variant, flavor) pair, so the ids stay stable
+@pytest.mark.parametrize("variant", ["grr", "sue_z", "oue_z", "sue_r", "oue_r"],
+                         ids=["grr-None", "ue_z-sue", "ue_z-oue", "ue_r-sue", "ue_r-oue"])
+def test_rsfd_estimator_exact_on_expected_counts(variant):
     md = md_of([4, 3, 5])
     freqs = dirichlet_freqs(md, 14)
-    counts = _tree_expected_counts(md, freqs, mdm.uniform_priors(md), variant, flavor, 1.0, 1000)
-    est = mdm.rs_estimate_from_counts(
-        counts, mdm.CollectionConfig(md, "rs_fd", variant, flavor, 1.0), 1000)
+    cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
+    counts = _tree_expected_counts(cfg, freqs, mdm.uniform_priors(md), 1000)
+    est = mdm.rs_estimate_from_counts(counts, cfg, 1000)
     for a in range(3):
         assert est[a] == pytest.approx(freqs[a], abs=1e-12)
 
 
-@pytest.mark.parametrize("variant,flavor", [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")])
-def test_rsrfd_estimator_exact_on_expected_counts(variant, flavor):
+@pytest.mark.parametrize("variant", ["grr", "sue_r", "oue_r"],
+                         ids=["grr-None", "ue_r-sue", "ue_r-oue"])
+def test_rsrfd_estimator_exact_on_expected_counts(variant):
     md = md_of([4, 3, 5])
     freqs = dirichlet_freqs(md, 15)
     priors = dirichlet_freqs(md, 16)
-    counts = _tree_expected_counts(md, freqs, priors, variant, flavor, 1.0, 1000)
-    est = mdm.rs_estimate_from_counts(
-        counts, mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors), 1000)
+    cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
+    counts = _tree_expected_counts(cfg, freqs, priors, 1000)
+    est = mdm.rs_estimate_from_counts(counts, cfg, 1000)
     for a in range(3):
         assert est[a] == pytest.approx(freqs[a], abs=1e-12)
 
@@ -299,12 +302,12 @@ def test_rsfd_estimate_monte_carlo_bias():
     md = md_of([4, 3, 5])
     freqs = dirichlet_freqs(md, 17)
     n, runs = 50_000, 20
-    for variant, flavor in [("grr", None), ("ue_z", "oue"), ("ue_r", "sue")]:
+    for variant in ("grr", "oue_z", "sue_r"):
         ests = []
         for r in range(runs):
             rng = stream(18, r)
             rows = draw_rows(md, freqs, n, rng)
-            cfg = mdm.CollectionConfig(md, "rs_fd", variant, flavor, 1.0)
+            cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
             batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batch))
         for a in range(3):
@@ -321,7 +324,7 @@ def test_rsfd_uniform_data_estimates_uniform():
         rng = stream(19, r)
         rows = np.column_stack([rng.integers(0, k, n) for k in md.ks])
         batch, _ = mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), rng)
+            rows, mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), rng)
         ests.append(mdm.rs_estimate(batch))
     for a, k in enumerate(md.ks):
         arr = np.array([e[a] for e in ests])
@@ -333,11 +336,11 @@ def test_rsrfd_uniform_prior_degenerates_to_rsfd():
     md = md_of([4, 3, 5])
     freqs = dirichlet_freqs(md, 20)
     rows = draw_rows(md, freqs, 20_000, stream(21, 0))
-    for variant, flavor in [("grr", None), ("ue_r", "sue"), ("ue_r", "oue")]:
+    for variant in ("grr", "sue_r", "oue_r"):
         b1, s1 = mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_fd", variant, flavor, 0.9), stream(22, 5))
+            rows, mdm.CollectionConfig(md, "rs_fd", variant, 0.9), stream(22, 5))
         b2, s2 = mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 0.9, mdm.uniform_priors(md)),
+            rows, mdm.CollectionConfig(md, "rs_rfd", variant, 0.9, mdm.uniform_priors(md)),
             stream(22, 5))
         assert np.array_equal(s1, s2)
         for c1, c2 in zip(b1.columns, b2.columns):
@@ -353,7 +356,7 @@ def test_rsrfd_point_mass_prior_fake_slots_constant():
     priors = [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0, 0])]
     rows = np.column_stack([np.full(5000, 3), np.full(5000, 4)])
     batch, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", None, 1.0, priors), stream(23, 0))
+        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", 1.0, priors), stream(23, 0))
     assert (batch.columns[0][sampled != 0] == 0).all()
     assert (batch.columns[1][sampled != 1] == 2).all()
 
@@ -363,7 +366,7 @@ def test_rsrfd_fake_slots_follow_prior():
     priors = dirichlet_freqs(md, 24)
     rows = np.zeros((100_000, 2), dtype=int)
     batch, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", None, 1.0, priors), stream(25, 0))
+        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", 1.0, priors), stream(25, 0))
     fakes = batch.columns[1][sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts, f_exp=len(fakes) * priors[1])
@@ -375,12 +378,12 @@ def test_rsrfd_monte_carlo_bias():
     freqs = dirichlet_freqs(md, 26)
     priors = dirichlet_freqs(md, 27)
     n, runs = 50_000, 20
-    for variant, flavor in [("grr", None), ("ue_r", "oue")]:
+    for variant in ("grr", "oue_r"):
         ests = []
         for r in range(runs):
             rng = stream(28, r)
             rows = draw_rows(md, freqs, n, rng)
-            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors)
+            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
             batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batch))
         for a in range(3):
@@ -404,24 +407,32 @@ def test_invalid_priors_rejected():
 # ---------------------------------------------------------------------------
 
 def test_variance_scales_inversely_with_n():
-    v1 = mdm.rs_variance(0.3, 0.2, 0.8, 0.1, 4, 1000, "grr")
-    v2 = mdm.rs_variance(0.3, 0.2, 0.8, 0.1, 4, 2000, "grr")
-    assert v1 == pytest.approx(2 * v2)
+    md = md_of([4, 3])
+    freqs = dirichlet_freqs(md, 36)
+    for variant in mdm.FAKE_DATA_VARIANTS["rs_fd"]:
+        cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
+        for v1, v2 in zip(mdm.rs_variance(freqs, cfg, 1000), mdm.rs_variance(freqs, cfg, 2000)):
+            np.testing.assert_allclose(v1, 2 * v2, rtol=1e-12)
 
 
 def test_variance_d1_reduces_to_pure_binomial():
     params = oc.protocol_params("grr", 1.0, 6)
-    f = 0.37
-    expected = oc.pure_estimator_variance(f, params, 5000)
-    got = mdm.rs_variance(f, 1.0 / 6, params.p, params.q, 1, 5000, "grr")
-    assert got == pytest.approx(expected, rel=1e-12)
+    f = np.array([0.37, 0.13, 0.1, 0.2, 0.1, 0.1])
+    expected = [oc.pure_estimator_variance(fv, params, 5000) for fv in f]
+    cfg = mdm.CollectionConfig(md_of([6]), "rs_fd", "grr", 1.0)
+    got = mdm.rs_variance([f], cfg, 5000)[0]
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_variance_gamma_out_of_range():
+    md = md_of([3, 3, 3])
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     with pytest.raises(ParameterError):
-        mdm.rs_variance(5.0, 5.0, 0.9, 0.1, 3, 100, "grr")
+        mdm.rs_variance([np.full(3, 5.0)] * 3, cfg, 100)
     with pytest.raises(ParameterError):
-        mdm.rs_variance(0.3, 0.2, 0.8, 0.1, 3, 100, "ue_q")
+        mdm.rs_variance([np.full(3, np.nan)] * 3, cfg, 100)
+    with pytest.raises(ParameterError):
+        mdm.CollectionConfig(md, "rs_fd", "ue_q", 1.0)
 
 
 def test_variance_matches_monte_carlo():
@@ -429,45 +440,36 @@ def test_variance_matches_monte_carlo():
     freqs = dirichlet_freqs(md, 29)
     priors = dirichlet_freqs(md, 30)
     n, runs = 50_000, 200
-    for variant, flavor in [("grr", None), ("ue_r", "oue")]:
+    for variant in ("grr", "oue_r"):
+        cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
         ests = []
         for r in range(runs):
             rng = stream(31, r)
             rows = draw_rows(md, freqs, n, rng)
-            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, flavor, 1.0, priors)
             batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batch)[0])
         arr = np.array(ests)
-        params = mdm.rs_params(variant, flavor, 1.0, 3, 4)
-        theo = np.array([
-            mdm.rs_variance(freqs[0][v], priors[0][v], params.p, params.q, 3, n, variant)
-            for v in range(4)
-        ])
+        theo = mdm.rs_variance(freqs, cfg, n)[0]
         emp = arr.var(axis=0, ddof=1)
         assert emp.sum() == pytest.approx(theo.sum(), rel=0.15)
 
 
 def test_rsfd_variance_matches_monte_carlo():
-    # rs_fd fakes are uniform (mass 1/k per value); ue_z fakes carry no mass
+    # rs_fd fakes are uniform (mass 1/k per value); sue_z fakes carry no mass
     md = md_of([4, 3, 5])
     freqs = dirichlet_freqs(md, 34)
     n, runs = 10_000, 400
-    for variant, flavor in [("grr", None), ("ue_z", "sue"), ("ue_r", "oue")]:
-        cfg = mdm.CollectionConfig(md, "rs_fd", variant, flavor, 1.0)
+    for variant in ("grr", "sue_z", "oue_r"):
+        cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
         ests = []
         for r in range(runs):
             rng = stream(35, r)
             rows = draw_rows(md, freqs, n, rng)
             batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batch))
-        for a, k in enumerate(md.ks):
-            params = cfg.params(a)
-            theo = np.array([
-                mdm.rs_variance(freqs[a][v], 1.0 / k, params.p, params.q, 3, n, variant)
-                for v in range(k)
-            ])
+        for a, theo in enumerate(mdm.rs_variance(freqs, cfg, n)):
             emp = np.array([e[a] for e in ests]).var(axis=0, ddof=1)
-            assert emp.sum() == pytest.approx(theo.sum(), rel=0.15), (variant, flavor, a)
+            assert emp.sum() == pytest.approx(theo.sum(), rel=0.15), (variant, a)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +480,7 @@ def test_sampled_slot_satisfies_amplified_ratio():
     for d in (2, 3, 5):
         for eps in (0.5, 1.0, 2.0):
             eps_amp = mdm.amplified_epsilon(eps, d)
-            params = mdm.rs_params("grr", None, eps, d, 4)
+            params = mdm.CollectionConfig(md_of([4] * d), "rs_fd", "grr", eps).params(0)
             mat = np.full((4, 4), params.q)
             np.fill_diagonal(mat, params.p)
             worst = (mat.max(axis=0) / mat.min(axis=0)).max()
@@ -497,9 +499,23 @@ def test_estimation_error_shrinks_as_sqrt_n():
             rng = stream(33, n, r)
             rows = draw_rows(md, freqs, n, rng)
             batch, _ = mdm.rs_sanitize_batch(
-                rows, mdm.CollectionConfig(md, "rs_fd", "grr", None, 1.0), rng)
+                rows, mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), rng)
             est = mdm.rs_estimate(batch)
             errs.append(max(np.abs(est[a] - freqs[a]).max() for a in range(3)))
         mean_err.append(np.mean(errs))
     slope = np.polyfit(np.log(ns), np.log(mean_err), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.15)
+
+
+def test_rs_sanitize_matches_batch_for_every_tag():
+    # the single-user wrapper returns the batch core's reports, tagged with the variant
+    md = md_of([3, 4])
+    for solution, tags in mdm.FAKE_DATA_VARIANTS.items():
+        for variant in tags:
+            cfg = mdm.CollectionConfig(md, solution, variant, 1.0, mdm.uniform_priors(md))
+            tup, sampled = mdm.rs_sanitize([1, 2], cfg, stream(37, 0))
+            batch, sampled_b = mdm.rs_sanitize_batch(np.array([[1, 2]]), cfg, stream(37, 0))
+            assert tup.protocol == variant and sampled == sampled_b[0]
+            for report, col in zip(tup.reports, batch.columns):
+                assert report == (oc.ValueReport(int(col[0])) if variant == "grr"
+                                  else oc.BitsReport(tuple(int(b) for b in col[0])))
