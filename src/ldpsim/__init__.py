@@ -1,16 +1,17 @@
 """ldpsim: LDP frequency oracles, multidimensional collection, and attack simulation."""
 
 from .budget import (
-    PieBudget,
     EpsilonDecision,
     alpha_from_bayes_error,
     alpha_from_epsilon,
     bayes_alpha_clamped,
+    beta_epsilons,
     epsilon_from_alpha,
 )
 from .classifier import NaiveBayes
 from .datasets import (
     Dataset,
+    clip_or_uniform,
     laplace_prior,
     load_dataset,
     load_fixture,

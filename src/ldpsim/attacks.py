@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import alpha_from_bayes_error, bayes_alpha_clamped, epsilon_from_alpha
+from .budget import beta_epsilons
 from .errors import ParameterError
 from .classifier import NaiveBayes
-from .datasets import synthesize_profiles
+from .datasets import clip_or_uniform, synthesize_profiles
 from .multidim import (
     CollectionConfig,
     MultiDomain,
@@ -41,15 +41,13 @@ from .oracles import (
     ProtocolParams,
     ReportBatch,
     SanitizedReport,
-    clip_normalize,
     protocol_params,
     randomize_batch,
 )
 from .rng import chunk_rows, hash_matches, stream
 
-# epsilon assigned when an alpha budget of 0 admits no randomizer; at this
-# scale every protocol is indistinguishable from its epsilon -> 0 limit
-EPSILON_FLOOR = 1e-6
+# sampled-attribute inference models, in the order of their random streams
+ATTACK_MODELS = ("nk", "pk", "hm")
 
 
 # ---------------------------------------------------------------------------
@@ -322,32 +320,6 @@ class AttackResult:
     flags: str = ""
 
 
-def _per_attribute_privacy(privacy: tuple, md: MultiDomain, n: int):
-    """Resolve the privacy spec into per-attribute epsilons (inf: pass-through)."""
-    kind, value = privacy
-    flags = []
-    if kind == "epsilon":
-        return [float(value)] * md.d, float(value), None, flags
-    if kind != "beta":
-        raise ParameterError(f"privacy spec kind must be epsilon or beta, got {kind!r}")
-    beta = float(value)
-    alpha = alpha_from_bayes_error(beta, n)
-    if bayes_alpha_clamped(beta, n):
-        flags.append("alpha_clamped")
-    eps_list = []
-    for k in md.ks:
-        dec = epsilon_from_alpha(alpha, n, k)
-        if dec.pass_through:
-            eps_list.append(math.inf)
-        elif dec.epsilon <= 0.0:
-            eps_list.append(EPSILON_FLOOR)
-            if "epsilon_floor" not in flags:
-                flags.append("epsilon_floor")
-        else:
-            eps_list.append(dec.epsilon)
-    return eps_list, None, beta, flags
-
-
 def check_protocol(solution: str, protocol: str) -> None:
     """Reject a protocol the solution does not run: an oracle under smp, a tag under rs_*."""
     if solution != "smp":
@@ -392,6 +364,14 @@ def run_reident_experiment(
     check_protocol(solution, protocol)
     md, rows = dataset.multidomain, dataset.rows
     n, d = rows.shape
+    # per-attribute epsilons (inf: pass-through) and the budget's flags
+    kind, value = privacy[0], float(privacy[1])
+    if kind == "epsilon":
+        eps_list, budget_flags = [value] * d, []
+    elif kind == "beta":
+        eps_list, budget_flags = beta_epsilons(value, n, md.ks)
+    else:
+        raise ParameterError(f"privacy spec kind must be epsilon or beta, got {kind!r}")
     results: list[AttackResult] = []
 
     for run in range(runs):
@@ -411,7 +391,7 @@ def run_reident_experiment(
         else:
             bk_cols = np.arange(d)
 
-        eps_list, eps_out, beta_out, flags = _per_attribute_privacy(privacy, md, n)
+        flags = list(budget_flags)
         rng_rep = stream(seed, 202, run)
         rng_match = stream(seed, 303, run)
 
@@ -436,8 +416,8 @@ def run_reident_experiment(
                         value=100.0 * float(np.mean(ranks < top_k)),
                         protocol=protocol,
                         solution=solution,
-                        epsilon=eps_out,
-                        beta=beta_out,
+                        epsilon=value if kind == "epsilon" else None,
+                        beta=value if kind == "beta" else None,
                         model=attack_mode,
                         top_k=int(top_k),
                         surveys=s_idx + 1,
@@ -486,10 +466,7 @@ def _rs_survey_step(rows, md, solution, variant, eps_list, attrs,
     learn = build_learning_set("nk", estimated_freqs=est, s=int(round(nk_s_mult * n)),
                                cfg=cfg, rng=rng)
     clf = classifier_train(learn, cfg)
-    if clf.single_class_warning and "single_class" not in flags:
-        flags.append("single_class")
-    if learn.estimate_fallback and "estimate_fallback" not in flags:
-        flags.append("estimate_fallback")
+    flags.extend(f for f in attacker_flags(clf, learn) if f not in flags)
     jhat = clf.predict(encode_features(batch))
     for ai, a in enumerate(attrs):
         m = jhat == ai
@@ -509,6 +486,19 @@ class LearningSet:
     labels: np.ndarray
     provenance: str
     estimate_fallback: bool = False  # some attribute's synthetic values came out uniform
+
+
+def attacker_flags(clf: NaiveBayes, learning_set: LearningSet) -> list[str]:
+    """The attacker's degenerate-case flags: ``single_class``, then ``estimate_fallback``."""
+    return [flag for flag, hit in (("single_class", clf.single_class_warning),
+                                   ("estimate_fallback", learning_set.estimate_fallback))
+            if hit]
+
+
+def check_attack_model(model: str) -> None:
+    """Reject a sampled-attribute inference model other than nk, pk or hm."""
+    if model not in ATTACK_MODELS:
+        raise ParameterError(f"unknown attack model {model!r}; use one of {ATTACK_MODELS}")
 
 
 def encode_features(batch: TupleBatch) -> np.ndarray:
@@ -536,19 +526,16 @@ def build_learning_set(
     and sets ``estimate_fallback``.  pk uses ``n_pk`` compromised (features,
     label) rows.  hm is their union.
     """
-    if model not in ("nk", "pk", "hm"):
-        raise ParameterError(f"unknown attack model {model!r}")
+    check_attack_model(model)
     parts, fallback = [], False
     if model in ("nk", "hm"):
         if estimated_freqs is None or cfg is None or rng is None:
             raise ParameterError("nk needs estimated frequencies, a config and an rng")
         if s <= 0:
             raise ParameterError("nk needs s > 0 synthetic profiles")
-        degenerate = [not (np.asarray(f) > 0).any() for f in estimated_freqs]
-        fallback = any(degenerate)
-        clipped = [np.full(len(f), 1.0 / len(f)) if bad else clip_normalize(f)
-                   for f, bad in zip(estimated_freqs, degenerate)]
-        synth_rows = synthesize_profiles(clipped, s, rng, cfg.md).rows
+        dists, fell_back = clip_or_uniform(estimated_freqs)
+        fallback = any(fell_back)
+        synth_rows = synthesize_profiles(dists, s, rng, cfg.md).rows
         batch, labels = rs_sanitize_batch(synth_rows, cfg, rng)
         parts.append((encode_features(batch), labels))
     if model in ("pk", "hm"):
@@ -565,15 +552,10 @@ def build_learning_set(
 
 
 def classifier_train(learning_set: LearningSet, cfg: CollectionConfig) -> NaiveBayes:
-    """Fit the built-in naive Bayes to a learning set."""
-    if cfg.variant == "grr":
-        clf = NaiveBayes(mode="categorical")
-        clf.fit(learning_set.features, learning_set.labels,
-                n_classes=cfg.md.d, categories=list(cfg.md.ks))
-    else:
-        clf = NaiveBayes(mode="bernoulli")
-        clf.fit(learning_set.features, learning_set.labels, n_classes=cfg.md.d)
-    return clf
+    """Fit the built-in naive Bayes to a learning set: categorical on grr values, else bits."""
+    clf = NaiveBayes(mode="categorical" if cfg.variant == "grr" else "bernoulli")
+    return clf.fit(learning_set.features, learning_set.labels,
+                   n_classes=cfg.md.d, categories=list(cfg.md.ks))
 
 
 def infer_sampled_attribute(model: NaiveBayes, features: np.ndarray,
@@ -603,6 +585,8 @@ def run_attr_infer_experiment(
     seed: int = 0,
 ) -> list[AttackResult]:
     """One collection under ``cfg`` + the three inference attacks against it."""
+    for model in attack_models:
+        check_attack_model(model)
     n = len(rows)
     n_pk = compromised_count(npk_frac, n) if {"pk", "hm"} & set(attack_models) else 0
     rng = stream(seed, 404, run)
@@ -613,28 +597,17 @@ def run_attr_infer_experiment(
     results = []
     s = int(round(s_mult * n))
     for model in attack_models:
-        rng_m = stream(seed, 505, run, {"nk": 0, "pk": 1, "hm": 2}[model])
-        if model == "nk":
-            learn = build_learning_set("nk", estimated_freqs=est, s=s, cfg=cfg, rng=rng_m)
-            test_feats, test_labels = features, labels
-        else:
+        rng_m = stream(seed, 505, run, ATTACK_MODELS.index(model))
+        comp, rest = slice(0), slice(None)  # nk compromises no user and tests on all
+        if model != "nk":
             perm = rng_m.permutation(n)
             comp, rest = perm[:n_pk], perm[n_pk:]
-            learn = build_learning_set(
-                model,
-                estimated_freqs=est if model == "hm" else None,
-                compromised=(features[comp], labels[comp]),
-                s=s if model == "hm" else 0,
-                n_pk=n_pk, cfg=cfg, rng=rng_m,
-            )
-            test_feats, test_labels = features[rest], labels[rest]
+        # each model reads only its own inputs: nk the estimates, pk the compromised rows
+        learn = build_learning_set(model, estimated_freqs=est, s=s, n_pk=n_pk, cfg=cfg,
+                                   rng=rng_m, compromised=(features[comp], labels[comp]))
         clf = classifier_train(learn, cfg)
-        acc, _ = infer_sampled_attribute(clf, test_feats, test_labels)
-        extra = ["classifier=naive_bayes"]
-        if clf.single_class_warning:
-            extra.append("single_class")
-        if learn.estimate_fallback:
-            extra.append("estimate_fallback")
+        acc, _ = infer_sampled_attribute(clf, features[rest], labels[rest])
+        extra = ["classifier=naive_bayes", *attacker_flags(clf, learn)]
         results.append(
             AttackResult(
                 metric="aif_acc", value=acc, protocol=cfg.variant, solution=cfg.solution,

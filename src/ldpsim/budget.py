@@ -16,10 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ParameterError
 
 LOG2_E = math.log2(math.e)
+
+# epsilon assigned when an alpha budget of 0 admits no randomizer; at this
+# scale every protocol is indistinguishable from its epsilon -> 0 limit
+EPSILON_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -36,33 +41,6 @@ class EpsilonDecision:
     pass_through: bool
 
 
-@dataclass(frozen=True)
-class PieBudget:
-    """An alpha-bits budget for one attribute of a surveyed population.
-
-    Bundles the target Bayes error it was derived from (if any) with the
-    population size and domain size the caps depend on.
-    """
-
-    alpha: float
-    n: int
-    k: int
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ParameterError("alpha must be >= 0")
-        if self.n < 2 or self.k < 2:
-            raise ParameterError("n and k must be >= 2")
-
-    @classmethod
-    def from_bayes_error(cls, beta: float, n: int, k: int) -> "PieBudget":
-        return cls(alpha=alpha_from_bayes_error(beta, n), n=n, k=k, beta=beta)
-
-    def decision(self) -> EpsilonDecision:
-        return epsilon_from_alpha(self.alpha, self.n, self.k)
-
-
 def alpha_from_epsilon(epsilon: float, n: int, k: int) -> float:
     """Alpha bits guaranteed by an epsilon-LDP randomizer over (n, k)."""
     if epsilon <= 0:
@@ -76,8 +54,8 @@ def alpha_from_bayes_error(beta: float, n: int) -> float:
     """Alpha at the equality point of the Bayes-error bound, clamped at 0.
 
     Some (beta, n) pairs put the bound below zero (e.g. beta = 0.95 with
-    n = 45,222); the clamp keeps those grid points runnable and callers tag
-    the run via :func:`bayes_alpha_clamped`.
+    n = 45,222); the clamp keeps those grid points runnable, and
+    :func:`beta_epsilons` tags the run ``alpha_clamped``.
     """
     if not (0.0 < beta < 1.0):
         raise ParameterError("beta must lie in (0, 1)")
@@ -108,3 +86,21 @@ def epsilon_from_alpha(alpha: float, n: int, k: int) -> EpsilonDecision:
     linear = alpha / LOG2_E
     eps = linear if linear >= 1.0 else math.sqrt(linear)
     return EpsilonDecision(epsilon=eps, pass_through=False)
+
+
+def beta_epsilons(beta: float, n: int, ks: Sequence[int]) -> tuple[list[float], list[str]]:
+    """Per-attribute epsilons for a target Bayes error beta over n users.
+
+    An attribute whose raw value may pass through gets inf; one whose alpha
+    admits no randomizer gets ``EPSILON_FLOOR``.  The flags are
+    ``alpha_clamped`` (alpha hit its clamp at 0), then ``epsilon_floor``
+    (some attribute got the floor).
+    """
+    alpha = alpha_from_bayes_error(beta, n)
+    decisions = [epsilon_from_alpha(alpha, n, k) for k in ks]
+    floored = [not dec.pass_through and dec.epsilon <= 0.0 for dec in decisions]
+    epsilons = [math.inf if dec.pass_through else EPSILON_FLOOR if low else dec.epsilon
+                for dec, low in zip(decisions, floored)]
+    flags = [flag for flag, hit in (("alpha_clamped", bayes_alpha_clamped(beta, n)),
+                                    ("epsilon_floor", any(floored))) if hit]
+    return epsilons, flags

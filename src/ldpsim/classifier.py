@@ -27,15 +27,15 @@ class NaiveBayes:
     single_class_warning: bool = False
     _log_prior: np.ndarray = field(default=None, repr=False)
     _log_like: list = field(default=None, repr=False)
+    _ks: np.ndarray = field(default=None, repr=False)  # feature j lies in [0, _ks[j])
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int | None = None,
+    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int,
             categories: list[int] | None = None) -> "NaiveBayes":
         """Fit class priors and per-feature likelihood tables.
 
-        ``categories`` gives each feature's category count in categorical
-        mode (defaults to max observed + 1, which is fragile if a category
-        is unseen, so callers normally pass the domain sizes).  Labels must
-        lie in [0, n_classes) and feature j's values in [0, categories[j]).
+        Labels must lie in [0, n_classes) and feature j's values in
+        [0, categories[j]); categorical mode needs ``categories``, bernoulli
+        mode ignores it (its features are bits).
         """
         if self.mode not in ("categorical", "bernoulli"):
             raise ParameterError(f"unknown naive Bayes mode {self.mode!r}")
@@ -46,9 +46,13 @@ class NaiveBayes:
         if len(X) != len(y):
             raise ParameterError("feature/label length mismatch")
         classes = np.unique(y)
-        self.n_classes = C = int(n_classes) if n_classes is not None else int(classes.max()) + 1
+        self.n_classes = C = int(n_classes)
         if classes[0] < 0 or classes[-1] >= C:
             raise ParameterError(f"labels must lie in [0, {C}), got {classes[0]}..{classes[-1]}")
+        if self.mode == "categorical" and categories is None:
+            raise ParameterError("categorical naive Bayes needs each feature's category count")
+        self._ks = np.asarray(categories if self.mode == "categorical" else [2] * X.shape[1])
+        self._check_features(X)
         if classes.size == 1:
             # degenerate learning set: predict the single observed class
             self.constant_class = int(classes[0])
@@ -67,13 +71,9 @@ class NaiveBayes:
             theta = (ones + a) / (counts[:, None] + 2 * a)
             self._log_like = [np.log(theta), np.log1p(-theta)]
         else:
-            if categories is None:
-                categories = [int(X[:, j].max()) + 1 for j in range(X.shape[1])]
             tables = []
-            for j, kj in enumerate(categories):
+            for j, kj in enumerate(self._ks):
                 xj = X[:, j].astype(np.int64)
-                if xj.min() < 0 or xj.max() >= kj:
-                    raise ParameterError(f"feature {j} must lie in [0, {kj})")
                 # one count per (class, category) cell: class c's counts sit at c * kj + x
                 tab = np.bincount(y * kj + xj, minlength=C * kj).reshape(C, kj).astype(np.float64)
                 tab = (tab + a) / (tab.sum(axis=1, keepdims=True) + a * kj)
@@ -81,8 +81,20 @@ class NaiveBayes:
             self._log_like = tables
         return self
 
+    def _check_features(self, X: np.ndarray) -> None:
+        """Feature j must lie in [0, _ks[j]); min and max, no (n, m) temporary.  Whole-array
+        bounds settle bits at once: an axis-0 reduction of them is ~15x slower."""
+        if X.ndim != 2 or X.shape[1] != len(self._ks):
+            raise ParameterError(f"features must be an (n, {len(self._ks)}) matrix, got {X.shape}")
+        if X.min(initial=0) >= 0 and X.max(initial=0) < self._ks.min():
+            return
+        for j, (col, k) in enumerate(zip(X.T, self._ks)):
+            if col.min(initial=0) < 0 or col.max(initial=0) >= k:
+                raise ParameterError(f"feature {j} must lie in [0, {k})")
+
     def log_scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
+        self._check_features(X)
         if self.constant_class is not None:
             scores = np.full((len(X), self.n_classes), -np.inf)
             scores[:, self.constant_class] = 0.0

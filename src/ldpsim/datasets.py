@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .multidim import MultiDomain, _categorical
-from .oracles import AttributeDomain
+from .multidim import MultiDomain, _categorical, validate_priors
+from .oracles import AttributeDomain, clip_normalize
 
 FIXTURES = {
     "adult_style_5000": "adult_style_5000.csv",
@@ -151,27 +151,24 @@ def laplace_prior(
 
     The budget splits evenly over the d attributes and a normalized
     histogram has sensitivity 2/n, so each frequency takes Laplace noise of
-    scale 2 / (n * (total_epsilon / d)); clipped at 0 and renormalized.
-    Returns (priors, fallback flags); a prior that clips to all-zero falls
-    back to uniform and its flag is set.
+    scale 2 / (n * (total_epsilon / d)).  Returns :func:`clip_or_uniform`
+    of the noisy vectors: (priors, fallback flags).
     """
     if total_epsilon <= 0:
         raise ParameterError("total_epsilon must be > 0")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    d = len(true_freqs)
-    scale = 2.0 / (n * (total_epsilon / d))
-    priors, fallback = [], []
-    for f in true_freqs:
-        noisy = np.clip(perturb_frequencies(f, scale, rng), 0.0, None)
-        total = noisy.sum()
-        if total <= 0:
-            priors.append(np.full(len(f), 1.0 / len(f)))
-            fallback.append(True)
-        else:
-            priors.append(noisy / total)
-            fallback.append(False)
-    return priors, fallback
+    scale = 2.0 / (n * (total_epsilon / len(true_freqs)))
+    return clip_or_uniform([perturb_frequencies(f, scale, rng) for f in true_freqs])
+
+
+def clip_or_uniform(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[bool]]:
+    """:func:`clip_normalize` each vector; one with no positive entry has no mass
+    left, so it becomes uniform and its flag is set.  Returns (distributions, flags).
+    """
+    fell_back = [not (np.asarray(vec) > 0).any() for vec in vectors]
+    return [np.full(len(vec), 1.0 / len(vec)) if empty else clip_normalize(vec)
+            for vec, empty in zip(vectors, fell_back)], fell_back
 
 
 def synthesize_profiles(
@@ -179,14 +176,11 @@ def synthesize_profiles(
     md: MultiDomain | None = None,
 ) -> Dataset:
     """Draw independent categorical rows from per-attribute distributions."""
-    freqs = [np.asarray(f, dtype=np.float64) for f in freqs]
-    for f in freqs:
-        if (f < 0).any() or abs(f.sum() - 1.0) > 1e-9:
-            raise ParameterError("synthesize_profiles needs valid distributions")
     if count < 0:
         raise ParameterError("count must be >= 0")
     if md is None:
         md = MultiDomain.from_ks([len(f) for f in freqs])
+    freqs = validate_priors(freqs, md)
     if count == 0:
         rows = np.empty((0, len(freqs)), dtype=np.int64)
     else:

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .attacks import (
+    ATTACK_MODELS,
     AttackResult,
     SurveysConfig,
     analytic_acc,
@@ -165,7 +166,7 @@ class ExperimentConfig:
     nk_s_mult: float = _key(1.0, float, ("reident",), _POSITIVE)
     # attr-infer / mse
     variants: list = _key(["grr"], str, _FAKE, FAKE_DATA_VARIANTS["rs_fd"])  # every tag
-    attack: list = _key(["nk", "pk", "hm"], str, ("attr_infer",), ("nk", "pk", "hm"))
+    attack: list = _key(list(ATTACK_MODELS), str, ("attr_infer",), ATTACK_MODELS)
     s_mult: float = _key(1.0, float, ("attr_infer",), _POSITIVE)
     npk_frac: float = _key(0.1, float, ("attr_infer",), Interval(0, 1, lo_open=True))
     solutions: list = _key(["rs_fd", "rs_rfd"], str, _FAKE, tuple(FAKE_DATA_VARIANTS))

@@ -42,6 +42,7 @@ from .oracles import (
     ProtocolParams,
     ReportBatch,
     SanitizedReport,
+    estimate_from_counts,
     protocol_params,
     randomize,
     randomize_batch,
@@ -357,29 +358,30 @@ def rs_sanitize(
     return tup, int(sampled[0])
 
 
+def _fake_support(cfg: CollectionConfig, a: int, params: ProtocolParams):
+    """Probability s that a fake slot of attribute a supports each value: with t the fake
+    distribution, t for grr, t (p-q) + q for sue_r / oue_r and q for sue_z / oue_z."""
+    if cfg.fake is None:
+        return params.q
+    if cfg.variant == "grr":
+        return cfg.fake[a]
+    return cfg.fake[a] * (params.p - params.q) + params.q
+
+
 def rs_estimate_from_counts(
     counts: Sequence[np.ndarray], cfg: CollectionConfig, n: int
 ) -> list[np.ndarray]:
-    """Debias per-attribute support counts by inverting the fake mass t.
+    """Debias per-attribute support counts by removing the fake slots' support.
 
-    t is the fake distribution (1/k for rs_fd, the prior for rs_rfd) and 0
-    for sue_z / oue_z:
-
-      grr:  f = (d c - n (q + (d-1) t)) / (n (p-q))
-      UE :  f = (d c - n (q + (p-q)(d-1) t + q (d-1))) / (n (p-q))
+    d-1 of a user's d slots are fakes supporting a value with probability s
+    (:func:`_fake_support`), so the oracle's own estimator inverts d c - n (d-1) s.
     """
     d = cfg.md.d
     out = []
-    for a in range(d):
+    for a, c in enumerate(counts):
         params = cfg.params(a)
-        p, q = params.p, params.q
-        c = np.asarray(counts[a], dtype=np.float64)
-        t = 0.0 if cfg.fake is None else cfg.fake[a]
-        if cfg.variant == "grr":
-            est = (d * c - n * (q + (d - 1) * t)) / (n * (p - q))
-        else:
-            est = (d * c - n * (q + (p - q) * (d - 1) * t + q * (d - 1))) / (n * (p - q))
-        out.append(est)
+        fakes = n * (d - 1) * _fake_support(cfg, a, params)
+        out.append(estimate_from_counts(d * np.asarray(c, dtype=np.float64) - fakes, n, params))
     return out
 
 
@@ -397,21 +399,15 @@ def rs_variance(freqs: Sequence[np.ndarray], cfg: CollectionConfig, n: int) -> l
 
       gamma = (q + f (p-q) + (d-1) s) / d
 
-    with s the support probability of a fake slot: the fake mass t for grr,
-    t (p-q) + q for sue_r / oue_r, and q for sue_z / oue_z.
+    with s the support probability of a fake slot (:func:`_fake_support`).
     """
     d = cfg.md.d
     out = []
     for a in range(d):
         params = cfg.params(a)
         p, q = params.p, params.q
-        if cfg.fake is None:
-            fake_support = q
-        elif cfg.variant == "grr":
-            fake_support = cfg.fake[a]
-        else:
-            fake_support = cfg.fake[a] * (p - q) + q
-        gamma = (q + np.asarray(freqs[a], dtype=np.float64) * (p - q) + (d - 1) * fake_support) / d
+        s = _fake_support(cfg, a, params)
+        gamma = (q + np.asarray(freqs[a], dtype=np.float64) * (p - q) + (d - 1) * s) / d
         if not ((0.0 <= gamma) & (gamma <= 1.0)).all():
             raise ParameterError(f"inconsistent parameters: gamma={gamma} outside [0, 1]")
         out.append(d * d * gamma * (1.0 - gamma) / (n * (p - q) ** 2))

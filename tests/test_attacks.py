@@ -594,6 +594,13 @@ def test_attr_infer_npk_frac_needs_train_and_test_users():
     assert atk.compromised_count(0.1, 100) == 10
 
 
+def test_attr_infer_unknown_model_rejected_before_any_draw():
+    md, rows, cfg, batch, labels = _collection([4, 4], 100, 27)
+    for models in (("xx",), ("nk", "xx")):
+        with pytest.raises(ParameterError, match="nk"):
+            atk.run_attr_infer_experiment(rows, cfg, attack_models=models)
+
+
 def test_reident_protocol_checked_against_solution():
     ds = _unique_dataset(50)
     for protocol, solution in (("sue_z", "rs_rfd"), ("oue", "rs_fd"), ("oue_r", "smp")):

@@ -47,18 +47,18 @@ def test_epsilon_from_alpha_zero_sentinel():
     assert dec.epsilon == 0.0
 
 
-def test_pie_budget_bundle():
-    b = budget.PieBudget.from_bayes_error(0.5, 45222, 74)
-    assert b.beta == 0.5
-    assert b.alpha == pytest.approx(budget.alpha_from_bayes_error(0.5, 45222))
+def test_beta_epsilons():
     # alpha ~ 6.73 already covers log2(74) ~ 6.21, so k = 74 passes through
-    assert b.decision().pass_through
-    tight = budget.PieBudget.from_bayes_error(0.5, 45222, 1024)
-    dec = tight.decision()
-    assert not dec.pass_through and dec.epsilon > 0
-    assert budget.PieBudget(2.0, 45222, 4).decision().pass_through
+    eps, flags = budget.beta_epsilons(0.5, 45222, [74, 1024])
+    assert eps[0] == math.inf
+    assert 0 < eps[1] < math.inf
+    assert flags == []
+    # beta = 0.95 clamps alpha at 0, which admits no randomizer for any k
+    eps, flags = budget.beta_epsilons(0.95, 45222, [74, 1024, 2])
+    assert flags == ["alpha_clamped", "epsilon_floor"]
+    assert eps == [budget.EPSILON_FLOOR] * 3
     with pytest.raises(ParameterError):
-        budget.PieBudget(-0.5, 100, 4)
+        budget.beta_epsilons(1.0, 45222, [74])
 
 
 def test_parameter_validation():

@@ -62,11 +62,13 @@ def test_deterministic_and_tie_break():
 
 def test_validation_errors():
     with pytest.raises(ParameterError):
-        NaiveBayes(mode="categorical").fit(np.empty((0, 2)), np.empty(0, dtype=int))
+        NaiveBayes(mode="categorical").fit(np.empty((0, 2)), np.empty(0, dtype=int), 2)
     with pytest.raises(ParameterError):
-        NaiveBayes(mode="gauss").fit(np.zeros((2, 1), dtype=int), np.array([0, 1]))
+        NaiveBayes(mode="gauss").fit(np.zeros((2, 1), dtype=int), np.array([0, 1]), 2)
     with pytest.raises(ParameterError):
-        NaiveBayes(mode="bernoulli").fit(np.zeros((3, 1), dtype=int), np.array([0, 1]))
+        NaiveBayes(mode="bernoulli").fit(np.zeros((3, 1), dtype=int), np.array([0, 1]), 2)
+    with pytest.raises(ParameterError, match="category count"):
+        NaiveBayes(mode="categorical").fit(np.zeros((2, 1), dtype=int), np.array([0, 1]), 2)
 
 
 def test_out_of_range_labels_and_features_rejected():
@@ -98,3 +100,29 @@ def test_categorical_tables_match_per_class_loop():
             tab[c] = np.bincount(X[y == c, j], minlength=k)
         ref = np.log((tab + 1.0) / (tab.sum(axis=1, keepdims=True) + k))
         np.testing.assert_array_equal(clf._log_like[j], ref)
+
+
+def test_predict_checks_categorical_features():
+    # a -1 would index the last category's column and score silently
+    X = np.array([[0, 1], [1, 0], [2, 1]])
+    clf = NaiveBayes(mode="categorical").fit(X, np.array([0, 1, 1]), n_classes=2,
+                                             categories=[3, 2])
+    for bad in ([[-1, 0]], [[0, 2]], [[0, 1, 0]]):
+        with pytest.raises(ParameterError):
+            clf.predict(np.array(bad))
+    with pytest.raises(ParameterError, match="feature 0"):
+        clf.predict(np.array([[1, 0], [-1, 1]]))
+    assert clf.predict(np.empty((0, 2), dtype=int)).shape == (0,)
+
+
+def test_predict_checks_bernoulli_bits():
+    X = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1]])
+    clf = NaiveBayes(mode="bernoulli").fit(X, np.array([0, 0, 1, 1]), n_classes=2)
+    with pytest.raises(ParameterError, match="feature 0"):
+        clf.predict(np.array([[5, -3, 1]]))
+    with pytest.raises(ParameterError, match="feature 1"):
+        clf.predict(np.array([[1, -3, 1]]))
+    # the single-class predictor checks too
+    single = NaiveBayes(mode="bernoulli").fit(X, np.zeros(4, dtype=int), n_classes=2)
+    with pytest.raises(ParameterError):
+        single.predict(np.array([[2, 0, 0]]))

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from ldpsim import datasets as dst
+from ldpsim import oracles as oc
 from ldpsim.errors import DomainError, ParameterError
 from ldpsim.rng import stream
 
@@ -128,6 +129,14 @@ def test_laplace_prior_uniform_fallback():
             hit = True
             assert priors[0] == pytest.approx(np.full(4, 0.25))
     assert hit
+
+
+def test_clip_or_uniform():
+    mixed = np.array([-0.2, 0.4, 0.8])
+    dists, fell_back = dst.clip_or_uniform([mixed, np.array([-0.5, -0.1, 0.0, -2.0])])
+    np.testing.assert_array_equal(dists[0], oc.clip_normalize(mixed))
+    np.testing.assert_array_equal(dists[1], np.full(4, 0.25))
+    assert fell_back == [False, True]
 
 
 def test_laplace_noise_distribution_ks():

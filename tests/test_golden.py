@@ -33,6 +33,19 @@ surveys = 4
 top_k = 1, 10
 """
 
+# beta budgets under the fake-data solutions: pass-through attributes,
+# alpha_clamped with epsilon_floor at beta = 0.95, and the attacker's
+# estimate_fallback (plus prior_fallback on the acs table)
+_REIDENT_BETA = """
+experiment = reident
+subsample = 600
+protocols = grr, oue_r
+epsilons = 1
+betas = 0.3, 0.95
+surveys = 3
+top_k = 1, 10
+"""
+
 GOLDEN = {
     "reident_smp.csv": """
         experiment = reident
@@ -56,6 +69,14 @@ GOLDEN = {
         protocols = grr, sue_r, oue_r
         epsilons = 2
         betas = 0.5
+    """,
+    "reident_beta_rs_fd.csv": _REIDENT_BETA + """
+        dataset = fixture:adult_style_5000
+        solution = rs_fd
+    """,
+    "reident_rs_rfd_acs.csv": _REIDENT_BETA + """
+        dataset = fixture:acs_style_1000
+        solution = rs_rfd
     """,
     "attr_infer_rs_fd.csv": """
         experiment = attr_infer

@@ -285,6 +285,27 @@ def test_rsfd_estimator_exact_on_expected_counts(variant):
         assert est[a] == pytest.approx(freqs[a], abs=1e-12)
 
 
+@pytest.mark.parametrize("solution,variant", [(s, v) for s, vs in mdm.FAKE_DATA_VARIANTS.items()
+                                              for v in vs])
+def test_rs_estimator_matches_two_branch_reference(solution, variant):
+    # the per-oracle closed forms the fake-support estimator replaced; the
+    # terms now add in another order, so equal to a few ulps
+    md = md_of([4, 3, 5])
+    cfg = mdm.CollectionConfig(md, solution, variant, 1.0, dirichlet_freqs(md, 17))
+    n, d = 1000, md.d
+    counts = [stream(17, a).integers(0, n, k) for a, k in enumerate(md.ks)]
+    est = mdm.rs_estimate_from_counts(counts, cfg, n)
+    for a in range(d):
+        p, q = cfg.params(a).p, cfg.params(a).q
+        t = 0.0 if cfg.fake is None else cfg.fake[a]
+        c = counts[a].astype(float)
+        if variant == "grr":
+            ref = (d * c - n * (q + (d - 1) * t)) / (n * (p - q))
+        else:
+            ref = (d * c - n * (q + (p - q) * (d - 1) * t + q * (d - 1))) / (n * (p - q))
+        np.testing.assert_allclose(est[a], ref, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("variant", ["grr", "sue_r", "oue_r"],
                          ids=["grr-None", "ue_r-sue", "ue_r-oue"])
 def test_rsrfd_estimator_exact_on_expected_counts(variant):
