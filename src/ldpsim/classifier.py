@@ -45,29 +45,30 @@ class NaiveBayes:
             raise ParameterError("empty learning set")
         if len(X) != len(y):
             raise ParameterError("feature/label length mismatch")
-        classes = np.unique(y)
         self.n_classes = C = int(n_classes)
-        if classes[0] < 0 or classes[-1] >= C:
-            raise ParameterError(f"labels must lie in [0, {C}), got {classes[0]}..{classes[-1]}")
+        lo, hi = int(y.min()), int(y.max())
+        if lo < 0 or hi >= C:
+            raise ParameterError(f"labels must lie in [0, {C}), got {lo}..{hi}")
         if self.mode == "categorical" and categories is None:
             raise ParameterError("categorical naive Bayes needs each feature's category count")
         self._ks = np.asarray(categories if self.mode == "categorical" else [2] * X.shape[1])
         self._check_features(X)
-        if classes.size == 1:
+        if lo == hi:
             # degenerate learning set: predict the single observed class
-            self.constant_class = int(classes[0])
+            self.constant_class = lo
             self.single_class_warning = True
             return self
         self.constant_class = None
         self.single_class_warning = False
 
         a = SMOOTHING
-        counts = np.bincount(y, minlength=C).astype(np.float64)
+        counts = np.bincount(y, minlength=C)
         self._log_prior = np.log((counts + a) / (counts.sum() + a * C))
 
         if self.mode == "bernoulli":
-            Xb = X.astype(np.float64)
-            ones = np.stack([Xb[y == c].sum(axis=0) for c in range(C)])
+            # uint8 bits sum in numpy's 64-bit integer accumulator: exact, so theta
+            # equals that of a float64 copy's sums, without the copy
+            ones = np.stack([X[y == c].sum(axis=0) for c in range(C)])
             theta = (ones + a) / (counts[:, None] + 2 * a)
             self._log_like = [np.log(theta), np.log1p(-theta)]
         else:

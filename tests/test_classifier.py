@@ -102,6 +102,25 @@ def test_categorical_tables_match_per_class_loop():
         np.testing.assert_array_equal(clf._log_like[j], ref)
 
 
+def test_bernoulli_tables_match_float_per_class_masks():
+    # reference: per-class sums of a float64 copy of the bits, as the fit once summed
+    rng = np.random.default_rng(4)
+    C, n, m = 4, 3000, 23
+    X = (rng.random((n, m)) < 0.3).astype(np.uint8)
+    y = rng.integers(0, C - 1, n)  # the last class has no rows
+    clf = NaiveBayes(mode="bernoulli").fit(X, y, n_classes=C)
+    Xb = X.astype(np.float64)
+    counts = np.bincount(y, minlength=C).astype(np.float64)
+    ones = np.stack([Xb[y == c].sum(axis=0) for c in range(C)])
+    theta = (ones + 1.0) / (counts[:, None] + 2.0)
+    np.testing.assert_array_equal(clf._log_prior, np.log((counts + 1.0) / (n + C)))
+    np.testing.assert_array_equal(clf._log_like[0], np.log(theta))
+    np.testing.assert_array_equal(clf._log_like[1], np.log1p(-theta))
+    for bad in (-1, C):
+        with pytest.raises(ParameterError, match=r"labels must lie in \[0, 4\)"):
+            NaiveBayes(mode="bernoulli").fit(X[:3], np.array([0, bad, 1]), n_classes=C)
+
+
 def test_predict_checks_categorical_features():
     # a -1 would index the last category's column and score silently
     X = np.array([[0, 1], [1, 0], [2, 1]])

@@ -95,6 +95,18 @@ GOLDEN = {
         variants = grr, sue_r, oue_r
         epsilons = 1, 2, 4
     """,
+    # a 300-value domain: the fake slots and the nk/hm profile draws take the
+    # categorical kernel's searchsorted branch (above 256 values)
+    "attr_infer_k300.csv": """
+        experiment = attr_infer
+        dataset = synth:zipf
+        synth_n = 3000
+        synth_ks = 300, 7, 2
+        synth_zipf_a = 1.1
+        solutions = rs_fd, rs_rfd
+        variants = grr, oue_r
+        epsilons = 1, 4
+    """,
     "mse_rs_fd.csv": """
         experiment = mse
         dataset = fixture:adult_style_5000

@@ -15,6 +15,7 @@ import pytest
 
 from ldpsim import attacks as atk
 from ldpsim import oracles as oc
+from ldpsim.multidim import _categorical
 from ldpsim.rng import chunk_rows, hash_matches, stream
 
 KS = (2, 74, 300)
@@ -83,6 +84,13 @@ def _ref_ue(values, p, q, k, rng):
     thresh = np.full((n, k), q)
     thresh[np.arange(n), values] = p
     return (u < thresh).astype(np.uint8)
+
+
+def _ref_categorical(pvec, size, rng):
+    cum = np.cumsum(pvec)
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, rng.random(size), side="right")
+    return np.minimum(idx, len(pvec) - 1).astype(np.int64)
 
 
 def _values(k, n, seed):
@@ -170,6 +178,67 @@ def test_pick_from_rows_matches_reference(k, n, density):
     ref = _ref_pick_from_rows(matrix, matrix.sum(axis=1), k, ref_rng)
     np.testing.assert_array_equal(pred, ref)
     assert rng.random() == ref_rng.random()
+
+
+def _categorical_cases():
+    """Probability vectors by name."""
+    cases = {}
+    for k in (1, 2, 16, 255, 256, 257, 300):
+        p = stream(37, k).random(k) + 0.05
+        cases[f"k{k}"] = p / p.sum()
+        if k < 3:
+            continue
+        for where, at in (("first", 0), ("middle", k // 2), ("last", k - 1)):
+            z = p.copy()
+            z[at] = 0.0
+            cases[f"k{k}-zero-{where}"] = z / z.sum()
+        cases[f"k{k}-point"] = np.eye(k)[k // 3]
+    # the cumulative sum reaches 1.0 exactly before its last entry ...
+    cases["early-one"] = np.array([0.5, 0.25, 0.25, 0.0, 0.0])
+    # ... or rounds above 1.0 there (cumsum[-2] == 1.0000000000000002)
+    cases["early-over"] = np.array([
+        0.10263397919429064, 0.1499824281457144, 0.10381675370987502, 0.05342415508841949,
+        0.0764806371484379, 0.15154024547200093, 0.11604756078091066, 0.17764959774664688,
+        0.06842464271370415, 0.0])
+    return cases
+
+
+CATEGORICAL_CASES = _categorical_cases()
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose random(size) returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("name", list(CATEGORICAL_CASES))
+def test_categorical_matches_searchsorted_reference(name):
+    pvec = CATEGORICAL_CASES[name]
+    n = 20_000
+    rng, ref_rng = stream(37, len(pvec), 1), stream(37, len(pvec), 1)
+    got = _categorical(pvec, n, rng)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _ref_categorical(pvec, n, ref_rng))
+    assert rng.random() == ref_rng.random()
+    # uniforms on every threshold, just below each, and 0: zero-mass ties and the edges
+    cum = np.cumsum(pvec)[:-1]
+    u = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0)])
+    u = u[u < 1.0]
+    np.testing.assert_array_equal(_categorical(pvec, len(u), _FixedUniforms(u)),
+                                  _ref_categorical(pvec, len(u), _FixedUniforms(u)))
+
+
+def test_categorical_cases_hit_every_branch():
+    sizes = {len(p) for p in CATEGORICAL_CASES.values()}
+    assert {1, 256, 257} <= sizes  # the counting branch's limit on both sides
+    assert np.cumsum(CATEGORICAL_CASES["early-one"])[2] == 1.0
+    assert np.cumsum(CATEGORICAL_CASES["early-over"])[-2] > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,26 @@ def test_rsfd_variant_validation():
                               mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), stream(13, 2))
 
 
+def test_sanitizers_check_every_value_before_any_draw():
+    # each value is checked, not only the sampled attribute's, so no seed lets bad
+    # input through and the generator is untouched when it is refused
+    md = md_of([4, 4, 4])
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    calls = {
+        "rs_sanitize 99": lambda rng: mdm.rs_sanitize([0, 99, 0], cfg, rng),
+        "batch row -1": lambda rng: mdm.rs_sanitize_batch(np.array([[0, -1, 0]]), cfg, rng),
+        "smp_sanitize 99": lambda rng: mdm.smp_sanitize(
+            [0, 99, 0], md, "grr", 1.0, rng, "with_replacement", mdm.SmpUserState()),
+        "1-D rows": lambda rng: mdm.rs_sanitize_batch(np.array([0, 1, 2]), cfg, rng),
+    }
+    for name, call in calls.items():
+        for seed in range(30):
+            rng = stream(38, seed)
+            with pytest.raises(DomainError):
+                call(rng)
+            assert rng.random() == stream(38, seed).random(), name
+
+
 # ---------------------------------------------------------------------------
 # Estimators: exact expectation identities, MC bias, degeneracies
 # ---------------------------------------------------------------------------
