@@ -6,6 +6,10 @@ which attribute each user really reported; drawing the fakes from public
 priors (rs_rfd) instead of uniformly (rs_fd) recovers part of the accuracy.
 Both run through one engine: a CollectionConfig names the solution and
 resolves its fake distribution, and rs_sanitize_batch / rs_estimate take it.
+SPL runs through spl_sanitize_batch and SMP draws its attribute through
+smp_sample, the law the reident surveys use.  The SMP numbers printed here
+moved when that draw replaced a plain rng.integers one: the same law on
+another random stream.
 """
 
 import math
@@ -35,19 +39,15 @@ def averaged(fn):
 
 
 def spl_mse(rep):
-    rng = stream(2024_03, 1, rep)
-    est = []
-    for a, dom in enumerate(md.domains):
-        params = oc.protocol_params("grr", EPS / md.d, dom.k)
-        est.append(oc.estimate_frequencies(oc.randomize_batch(ds.rows[:, a], params, rng),
-                                           params))
-    return mse_avg(truth, est)
+    batches = mdm.spl_sanitize_batch(ds.rows, md, "grr", EPS, stream(2024_03, 1, rep))
+    return mse_avg(truth, [oc.estimate_frequencies(b, b.params) for b in batches])
 
 
 def smp_mse(rep):
     # one attribute per user at full eps (d-fold fewer reports per attribute)
     rng = stream(2024_03, 2, rep)
-    sampled = rng.integers(0, md.d, ds.n)
+    sampled, _ = mdm.smp_sample(np.zeros((ds.n, md.d), dtype=bool), np.arange(md.d),
+                                "without_replacement", rng)
     est = []
     for a, dom in enumerate(md.domains):
         params = oc.protocol_params("grr", EPS, dom.k)

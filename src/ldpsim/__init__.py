@@ -30,8 +30,6 @@ from .errors import (
 )
 from .attacks import (
     AttackResult,
-    AttackerProfile,
-    BackgroundKnowledge,
     SurveysConfig,
     analytic_acc,
     build_learning_set,
@@ -40,7 +38,6 @@ from .attacks import (
     infer_sampled_attribute,
     multi_collection_acc,
     predict_value,
-    reident_match,
     run_attr_infer_experiment,
     run_reident_experiment,
 )
@@ -48,17 +45,12 @@ from .multidim import (
     FAKE_DATA_VARIANTS,
     CollectionConfig,
     MultiDomain,
-    SmpReport,
-    SmpUserState,
-    FullVector,
     amplified_epsilon,
     rs_estimate,
-    rs_sanitize,
     rs_sanitize_batch,
     rs_variance,
     smp_sample,
-    smp_sanitize,
-    spl_sanitize,
+    spl_sanitize_batch,
     uniform_priors,
 )
 from .oracles import (

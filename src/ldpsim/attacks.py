@@ -198,39 +198,6 @@ def smp_attack_acc_mc(protocol: str, epsilon: float, ks: Sequence[int],
 # Re-identification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttackerProfile:
-    """Predicted attribute values accumulated for one user across surveys."""
-
-    user_id: int
-    predictions: dict  # attribute index -> predicted value index
-
-
-@dataclass
-class BackgroundKnowledge:
-    """Identified records the attacker can match profiles against."""
-
-    ids: np.ndarray
-    rows: np.ndarray
-    mode: str = "fk"
-    columns: np.ndarray | None = None  # attribute subset visible under pk
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids)
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        d = self.rows.shape[1]
-        if self.mode == "fk":
-            self.columns = np.arange(d)
-        elif self.mode == "pk":
-            if self.columns is None:
-                raise ParameterError("pk background needs a column subset")
-            self.columns = np.asarray(sorted(int(c) for c in self.columns))
-            if len(self.columns) < math.ceil(d / 2):
-                raise ParameterError("pk column subset must cover at least d/2 attributes")
-        else:
-            raise ParameterError(f"unknown background mode {self.mode!r}")
-
-
 def _match_counts(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(m, n_bk) counts of equal entries of profiles P (m, c) and records B (n_bk, c).
 
@@ -244,22 +211,6 @@ def _match_counts(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     for j, col in enumerate(Bt):
         M += P[:, j, None] == col
     return M
-
-
-def reident_match(profile: AttackerProfile, background: BackgroundKnowledge,
-                  top_k: int, rng: np.random.Generator) -> np.ndarray:
-    """Top-k identities by Hamming distance over the predicted attributes.
-
-    Unknown attributes are skipped; ties are broken by a seeded uniform
-    shuffle so top-k membership is well defined and reproducible.
-    """
-    cols = [a for a in background.columns if a in profile.predictions]
-    if not cols:
-        raise ParameterError("profile has no predictions over the background columns")
-    preds = np.asarray([profile.predictions[a] for a in cols])
-    matches = _match_counts(preds[None, :], background.rows[:, cols])[0]
-    order = np.lexsort((rng.random(len(matches)), -matches.astype(np.int64)))
-    return background.ids[order[:top_k]]
 
 
 def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray,

@@ -2,7 +2,8 @@
 
 Four families of solutions for collecting d categorical attributes per user:
 
-* ``spl``    -- split the budget: every attribute randomized at epsilon/d.
+* ``spl``    -- split the budget: every attribute randomized at epsilon/d
+                (``spl_sanitize_batch``).
 * ``smp``    -- sample one attribute (``smp_sample``), spend the whole budget
                 on it, and tell the server which one; a repeated attribute
                 re-sends the user's memoized report.
@@ -15,9 +16,12 @@ Four families of solutions for collecting d categorical attributes per user:
 
 rs_fd and rs_rfd differ only in where the fakes come from, so one engine
 runs both.  A :class:`CollectionConfig` describes a collection and resolves
-its fake distribution; ``rs_sanitize_batch`` / ``rs_sanitize``,
-``rs_estimate`` / ``rs_estimate_from_counts`` and ``rs_variance`` take it
-for every solution and variant.
+its fake distribution; ``rs_sanitize_batch``, ``rs_estimate`` /
+``rs_estimate_from_counts`` and ``rs_variance`` take it for every solution
+and variant.
+
+Every collection is a batch over n users: the sanitizers take an (n, d)
+matrix of value indices and check all of it before any draw.
 
 A variant is named by one tag, its oracle then its fakes: ``grr`` (plain
 values), ``sue_z`` / ``oue_z`` (unary encoding on all-zero fake vectors,
@@ -41,10 +45,9 @@ from .oracles import (
     AttributeDomain,
     ProtocolParams,
     ReportBatch,
-    SanitizedReport,
+    as_indices,
     estimate_from_counts,
     protocol_params,
-    randomize,
     randomize_batch,
     support_counts,
     unary_bits,
@@ -89,40 +92,6 @@ class MultiDomain:
         )
 
 
-@dataclass(frozen=True)
-class SmpReport:
-    """Sampling-solution output: the sampled attribute index is disclosed."""
-
-    sampled_index: int
-    report: SanitizedReport
-
-
-@dataclass(frozen=True)
-class FullVector:
-    """Full d-length output of spl / rs_fd / rs_rfd; never discloses the sampled slot.
-
-    ``protocol`` is the oracle under spl and the variant tag under rs_*.
-    """
-
-    solution: str
-    reports: tuple
-    protocol: str
-
-
-SurveyTuple = SmpReport | FullVector
-
-
-@dataclass
-class SmpUserState:
-    """Per-user sampling state carried across surveys.
-
-    ``memo`` maps each attribute the user has reported to the report sent;
-    a repeat of that attribute re-sends it unchanged.
-    """
-
-    memo: dict = field(default_factory=dict)
-
-
 def amplified_epsilon(epsilon: float, d: int) -> float:
     """Budget amplification from sampling 1 of d attributes: ln(d(e^eps - 1) + 1)."""
     if epsilon <= 0:
@@ -154,17 +123,14 @@ def uniform_priors(md: MultiDomain) -> list[np.ndarray]:
 def _check_rows(rows, md: MultiDomain) -> np.ndarray:
     """``rows`` as an (n, d) int64 matrix with column a in [0, k_a), else DomainError.
 
-    The sampling sanitizers check their whole input here before any draw, so
-    bad input fails whichever attribute a user would sample (one (n, d)
-    compare); ``spl_sanitize`` randomizes, and so checks, every value anyway.
+    The sanitizers check their whole input here before any draw, so bad input
+    fails whichever attribute a user would sample; :func:`oracles.as_indices`
+    refuses a fractional, non-finite or out-of-range value.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != md.d:
         raise DomainError(f"rows must be an (n, {md.d}) matrix, got shape {rows.shape}")
-    if rows.size and (rows.min() < 0 or (rows >= md.ks).any()):
-        a = int(np.flatnonzero(((rows < 0) | (rows >= md.ks)).any(axis=0))[0])
-        raise DomainError(f"attribute {md.names[a]!r} values must lie in [0, {md.ks[a]})")
-    return rows
+    return as_indices(rows, md.ks, "attribute value")
 
 
 # Largest domain _categorical draws by counting: uint8 holds its 255 thresholds.
@@ -199,22 +165,12 @@ def _categorical(pvec: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
 # SPL and SMP
 # ---------------------------------------------------------------------------
 
-def spl_sanitize(
-    values: Sequence[int],
-    md: MultiDomain,
-    protocol: str,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> FullVector:
-    """Randomize every attribute at epsilon / d."""
-    if len(values) != md.d:
-        raise DomainError(f"expected {md.d} values, got {len(values)}")
-    eps_split = epsilon / md.d
-    reports = tuple(
-        randomize(int(values[a]), protocol_params(protocol, eps_split, dom.k), rng)
-        for a, dom in enumerate(md.domains)
-    )
-    return FullVector(solution="spl", reports=reports, protocol=protocol)
+def spl_sanitize_batch(rows: np.ndarray, md: MultiDomain, protocol: str, epsilon: float,
+                       rng: np.random.Generator) -> list[ReportBatch]:
+    """SPL for n users: attribute a's column randomized at epsilon / d, one batch each."""
+    rows = _check_rows(rows, md)
+    params = [protocol_params(protocol, epsilon / md.d, k) for k in md.ks]
+    return [randomize_batch(rows[:, a], p, rng) for a, p in enumerate(params)]
 
 
 def smp_sample(reported: np.ndarray, attrs: Sequence[int], sampling_mode: str,
@@ -243,35 +199,6 @@ def smp_sample(reported: np.ndarray, attrs: Sequence[int], sampling_mode: str,
     fresh = ~reported[np.arange(n), js]
     reported[np.arange(n), js] = True
     return js, fresh
-
-
-def smp_sanitize(
-    values: Sequence[int],
-    md: MultiDomain,
-    protocol: str,
-    epsilon: float,
-    rng: np.random.Generator,
-    sampling_mode: str,
-    state: SmpUserState,
-    attrs: Sequence[int] | None = None,
-) -> SmpReport:
-    """Sample one attribute and spend the full budget on it.
-
-    One user's draw through :func:`smp_sample`; ``state.memo`` holds the
-    reports sent so far, so a repeated attribute (with replacement, or once
-    the pool is exhausted without) re-sends its report unchanged.  ``attrs``
-    restricts the draw to a survey's attribute subset (default: all
-    attributes).
-    """
-    values = _check_rows([values], md)[0]
-    pool = np.arange(md.d) if attrs is None else np.sort(np.asarray(attrs, dtype=np.int64))
-    reported = np.isin(np.arange(md.d), list(state.memo))[None]
-    js, fresh = smp_sample(reported, pool, sampling_mode, rng)
-    j = int(js[0])
-    if fresh[0]:
-        params = protocol_params(protocol, epsilon, md.domains[j].k)
-        state.memo[j] = randomize(int(values[j]), params, rng)
-    return SmpReport(j, state.memo[j])
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +306,6 @@ def rs_sanitize_batch(
             col[fake] = fakes if grr else randomize_batch(fakes, params, rng).data
         columns.append(col)
     return TupleBatch(cfg, columns), sampled
-
-
-def rs_sanitize(
-    values: Sequence[int], cfg: CollectionConfig, rng: np.random.Generator
-) -> tuple[FullVector, int]:
-    """Single-user wrapper; returns the tuple and (simulator-only) sampled index."""
-    batch, sampled = rs_sanitize_batch(np.asarray([values], dtype=np.int64), cfg, rng)
-    reports = tuple(batch.column(a).reports()[0] for a in range(cfg.md.d))
-    tup = FullVector(solution=cfg.solution, reports=reports, protocol=cfg.variant)
-    return tup, int(sampled[0])
 
 
 def _fake_support(cfg: CollectionConfig, a: int, params: ProtocolParams):

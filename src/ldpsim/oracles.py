@@ -213,10 +213,8 @@ def randomize_batch(
     values: Sequence[int] | np.ndarray, params: ProtocolParams, rng: np.random.Generator
 ) -> ReportBatch:
     """Sanitize a vector of value indices under ``params``."""
-    values = np.asarray(values, dtype=np.int64)
     k = params.k
-    if values.size and (values.min() < 0 or values.max() >= k):
-        raise DomainError(f"value index out of domain [0, {k})")
+    values = as_indices(values, k)
     n = len(values)
     proto = params.protocol
 
@@ -328,21 +326,34 @@ def as_batch(reports: Sequence[SanitizedReport], params: ProtocolParams) -> Repo
             raise DomainError(f"bit vector of length {len(r.bits)} does not match k={k}")
     if proto == "olh":
         seeds = np.asarray([r.seed for r in reports], dtype=np.uint64)
-        buckets = np.asarray([r.bucket for r in reports], dtype=np.int64)
-        _check_indices(buckets, params.aux, "OLH bucket")
+        buckets = as_indices([r.bucket for r in reports], params.aux, "OLH bucket")
         return ReportBatch(params, (seeds, buckets))
     if proto in ("sue", "oue"):
         return ReportBatch(params, np.asarray([r.bits for r in reports], dtype=np.uint8))
-    data = np.asarray([r.index if proto == "grr" else r.members for r in reports],
-                      dtype=np.int64)
-    _check_indices(data, k, f"{proto.upper()} value")
+    data = as_indices([r.index if proto == "grr" else r.members for r in reports], k,
+                      f"{proto.upper()} value")
     return ReportBatch(params, data)
 
 
-def _check_indices(data: np.ndarray, size: int, what: str) -> None:
-    outside = data[(data < 0) | (data >= size)]
-    if outside.size:
-        raise DomainError(f"{what} {outside[0]} outside [0, {size})")
+def as_indices(values, size, what: str = "value index") -> np.ndarray:
+    """``values`` as an int64 array of indices in [0, size), else DomainError.
+
+    ``size`` is one bound, or one per column of a 2-D ``values``.  Input that
+    is not of an integer dtype must hold finite whole numbers.  A fractional,
+    non-finite or out-of-range value is refused before the int64 cast, so
+    none is truncated or wrapped, and before the caller's first draw.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.float64)
+        odd = arr[~np.isfinite(arr) | (arr != np.floor(arr))]
+        if odd.size:
+            raise DomainError(f"{what} {odd[0]} is not a whole number")
+    if arr.size and (arr.min() < 0 or (arr >= size).any()):
+        at = tuple(int(i) for i in np.argwhere((arr < 0) | (arr >= size))[0])
+        bound = np.broadcast_to(size, arr.shape)[at]
+        raise DomainError(f"{what} {arr[at]} at {at} outside [0, {bound})")
+    return arr.astype(np.int64, copy=False)
 
 
 def estimate_from_counts(counts: np.ndarray, n: int, params: ProtocolParams) -> np.ndarray:

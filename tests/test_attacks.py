@@ -172,49 +172,54 @@ def test_smp_attack_mc_matches_eq_products():
 # Re-identification
 # ---------------------------------------------------------------------------
 
-def _bk(rows, mode="fk", columns=None):
-    return atk.BackgroundKnowledge(ids=np.arange(len(rows)), rows=np.asarray(rows),
-                                   mode=mode, columns=columns)
-
-
 def test_reident_unique_zero_distance():
-    bk = _bk([[0, 1, 2], [1, 1, 2], [0, 2, 2], [2, 0, 0]])
-    prof = atk.AttackerProfile(0, {0: 2, 1: 0, 2: 0})
-    assert atk.reident_match(prof, bk, 1, stream(7, 0)).tolist() == [3]
+    rows = np.array([[0, 1, 2], [1, 1, 2], [0, 2, 2], [2, 0, 0]])
+    profiles = np.full_like(rows, -1)
+    profiles[3] = [2, 0, 0]
+    assert atk._rank_of_true(profiles, rows, np.arange(3), stream(7, 0))[3] == 0
 
 
 def test_reident_skips_unknown_attributes():
-    bk = _bk([[0, 9, 2], [1, 9, 9], [0, 9, 9]])
-    prof = atk.AttackerProfile(0, {0: 0, 2: 2})
-    assert atk.reident_match(prof, bk, 1, stream(7, 1)).tolist() == [0]
+    rows = np.array([[0, 9, 2], [1, 9, 9], [0, 9, 9]])
+    profiles = np.full_like(rows, -1)
+    profiles[0] = [0, -1, 2]
+    assert atk._rank_of_true(profiles, rows, np.arange(3), stream(7, 1))[0] == 0
 
 
 def test_reident_tie_probability():
     # profile matches m = 4 records at distance zero; each lands in top-2 w.p. 1/2
-    rows = [[5, 5]] * 4 + [[1, 2], [3, 4]]
-    bk = _bk(rows)
-    prof = atk.AttackerProfile(0, {0: 5, 1: 5})
-    hits = 0
+    rows = np.array([[5, 5]] * 4 + [[1, 2], [3, 4]])
+    profiles = np.full_like(rows, -1)
+    profiles[0] = [5, 5]
+    rng = stream(8, 0)
     trials = 4000
-    for s in range(trials):
-        top = atk.reident_match(prof, bk, 2, stream(8, s))
-        hits += 0 in top
+    hits = sum(atk._rank_of_true(profiles, rows, np.arange(2), rng)[0] < 2
+               for _ in range(trials))
     target, sig = 0.5, 3 * math.sqrt(0.25 / trials)
     assert abs(hits / trials - target) < sig
 
 
-def test_reident_empty_profile_rejected():
-    bk = _bk([[0, 1], [1, 0]])
-    with pytest.raises(ParameterError):
-        atk.reident_match(atk.AttackerProfile(0, {}), bk, 1, stream(9, 0))
+def test_pk_background_needs_half_columns(monkeypatch):
+    # pk matches over a sorted draw of at least ceil(d/2) of the d columns
+    seen = []
+    rank_of_true = atk._rank_of_true
 
+    def spy(profiles, bk_rows, bk_cols, *args, **kwargs):
+        seen.append(bk_cols)
+        return rank_of_true(profiles, bk_rows, bk_cols, *args, **kwargs)
 
-def test_pk_background_needs_half_columns():
-    rows = np.zeros((4, 6), dtype=int)
-    with pytest.raises(ParameterError):
-        atk.BackgroundKnowledge(np.arange(4), rows, mode="pk", columns=[0, 1])
-    bk = atk.BackgroundKnowledge(np.arange(4), rows, mode="pk", columns=[0, 1, 2])
-    assert bk.columns.tolist() == [0, 1, 2]
+    monkeypatch.setattr(atk, "_rank_of_true", spy)
+    d = 5
+    ds = Dataset(mdm.MultiDomain.from_ks([3] * d), stream(17, 0).integers(0, 3, size=(60, d)))
+    for seed in range(8):
+        atk.run_reident_experiment(ds, "grr", "smp", ("epsilon", 2.0),
+                                   atk.SurveysConfig(count=2, all_attributes=True), "pk", (1,),
+                                   runs=2, seed=seed)
+    assert len(seen) == 16
+    for cols in seen:
+        assert math.ceil(d / 2) <= len(cols) <= d
+        assert (np.diff(cols) > 0).all() and 0 <= cols[0] and cols[-1] < d
+    assert len({len(cols) for cols in seen}) > 1
 
 
 def _unique_dataset(n=400):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,25 +40,22 @@ def test_amplified_epsilon():
 
 def test_spl_budget_split():
     md = md_of([4, 6])
-    tup = mdm.spl_sanitize([1, 3], md, "grr", 2.0, stream(1, 0))
-    assert (tup.solution, tup.protocol) == ("spl", "grr")
-    assert len(tup.reports) == 2
     # each slot randomized at eps/d = 1: check via distribution over many draws
     n = 60_000
     params = oc.protocol_params("grr", 1.0, 4)
-    hits = sum(
-        mdm.spl_sanitize([1, 3], md, "grr", 2.0, stream(1, i)).reports[0].index == 1
-        for i in range(n)
-    )
+    cols = mdm.spl_sanitize_batch(np.tile([1, 3], (n, 1)), md, "grr", 2.0, stream(1, 0))
+    assert [c.params for c in cols] == [params, oc.protocol_params("grr", 1.0, 6)]
+    hits = np.count_nonzero(cols[0].data == 1)
     sig = 3 * math.sqrt(params.p * (1 - params.p) / n)
     assert abs(hits / n - params.p) < sig
 
 
 def test_spl_single_attribute_matches_plain_randomize():
     md = md_of([5])
-    r1 = mdm.spl_sanitize([2], md, "grr", 1.3, stream(2, 7)).reports[0]
-    r2 = oc.randomize(2, oc.protocol_params("grr", 1.3, 5), stream(2, 7))
-    assert r1 == r2
+    (b1,) = mdm.spl_sanitize_batch([[2], [4], [0]], md, "grr", 1.3, stream(2, 7))
+    b2 = oc.randomize_batch([2, 4, 0], oc.protocol_params("grr", 1.3, 5), stream(2, 7))
+    assert b1.params == b2.params
+    np.testing.assert_array_equal(b1.data, b2.data)
 
 
 def test_spl_estimates_unbiased_at_split_budget():
@@ -79,60 +78,52 @@ def test_spl_estimates_unbiased_at_split_budget():
 
 
 def test_smp_without_replacement_is_permutation():
-    md = md_of([3, 4, 5])
-    state = mdm.SmpUserState()
+    reported = np.zeros((500, 3), dtype=bool)
     rng = stream(5, 0)
-    reps = [
-        mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, rng, "without_replacement", state)
-        for _ in range(3)
-    ]
-    sampled = [rep.sampled_index for rep in reps]
-    assert sorted(sampled) == [0, 1, 2]
-    # the exhausted pool re-sends the earlier report of the drawn attribute
-    fourth = mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, rng, "without_replacement", state)
-    assert fourth.report == reps[sampled.index(fourth.sampled_index)].report
+    draws = [mdm.smp_sample(reported, np.arange(3), "without_replacement", rng)
+             for _ in range(3)]
+    assert all(fresh.all() for _, fresh in draws)
+    js = np.column_stack([j for j, _ in draws])
+    assert (np.sort(js, axis=1) == np.arange(3)).all()
+    # the exhausted pool draws a reported attribute: every user re-sends a memo
+    _, fourth_fresh = mdm.smp_sample(reported, np.arange(3), "without_replacement", rng)
+    assert not fourth_fresh.any()
 
 
 def test_smp_memoization_byte_identical():
-    md = md_of([6, 6])
-    state = mdm.SmpUserState()
+    # with replacement a user is fresh on an attribute exactly once, at its first draw;
+    # every later draw of it re-sends the memoized report
+    n = 200
+    reported = np.zeros((n, 2), dtype=bool)
     rng = stream(6, 0)
-    seen = {}
+    seen = np.zeros_like(reported)
     for _ in range(40):
-        rep = mdm.smp_sanitize([2, 5], md, "sue", 1.0, rng, "with_replacement", state)
-        if rep.sampled_index in seen:
-            assert rep.report == seen[rep.sampled_index]
-        else:
-            seen[rep.sampled_index] = rep.report
-    assert set(seen) == {0, 1}
+        js, fresh = mdm.smp_sample(reported, np.arange(2), "with_replacement", rng)
+        np.testing.assert_array_equal(fresh, ~seen[np.arange(n), js])
+        seen[np.arange(n), js] = True
+    assert seen.all()
 
 
 def test_smp_all_distinct_fraction_with_replacement():
     # chance of covering all d attributes in d draws is d!/d^d = 6/27 at d=3
-    md = md_of([2, 2, 2])
     n = 20_000
     rng = stream(7, 0)
-    distinct = 0
-    for _ in range(n):
-        state = mdm.SmpUserState()
-        js = {
-            mdm.smp_sanitize([0, 0, 0], md, "grr", 1.0, rng, "with_replacement", state).sampled_index
-            for _ in range(3)
-        }
-        distinct += len(js) == 3
+    reported = np.zeros((n, 3), dtype=bool)
+    for _ in range(3):
+        mdm.smp_sample(reported, np.arange(3), "with_replacement", rng)
+    distinct = np.count_nonzero(reported.all(axis=1))
     target = math.factorial(3) / 3**3
     sig = 3 * math.sqrt(target * (1 - target) / n)
     assert abs(distinct / n - target) < sig
 
 
 def test_smp_attrs_subset_and_mode_validation():
-    md = md_of([3, 3, 3])
-    state = mdm.SmpUserState()
-    rep = mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, stream(8, 0), "without_replacement",
-                           state, attrs=[2])
-    assert rep.sampled_index == 2
+    reported = np.zeros((50, 3), dtype=bool)
+    js, fresh = mdm.smp_sample(reported, [2], "without_replacement", stream(8, 0))
+    assert (js == 2).all() and fresh.all()
+    assert (reported == [False, False, True]).all()
     with pytest.raises(ParameterError):
-        mdm.smp_sanitize([0, 1, 2], md, "grr", 1.0, stream(8, 1), "sideways", state)
+        mdm.smp_sample(reported, np.arange(3), "sideways", stream(8, 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,16 +203,12 @@ def test_rsfd_grr_fake_slot_uniform():
 
 
 def test_rsfd_tuple_object_hides_sampled_index():
+    # the sampled indices go back to the simulator only; the tuples hold none
     md = md_of([3, 4])
-    tup, sampled = mdm.rs_sanitize([1, 2], mdm.CollectionConfig(md, "rs_fd", "grr", 1.0),
-                                   stream(12, 0))
-    assert isinstance(tup, mdm.FullVector)
-    assert (tup.solution, tup.protocol) == ("rs_fd", "grr")
-    assert not hasattr(tup, "sampled_index")
-    assert 0 <= sampled < 2
-    smp = mdm.smp_sanitize([1, 2], md, "grr", 1.0, stream(12, 1), "with_replacement",
-                           mdm.SmpUserState())
-    assert hasattr(smp, "sampled_index")
+    batch, sampled = mdm.rs_sanitize_batch(
+        np.array([[1, 2]] * 5), mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), stream(12, 0))
+    assert [f.name for f in dataclasses.fields(batch)] == ["cfg", "columns"]
+    assert ((0 <= sampled) & (sampled < 2)).all()
 
 
 def test_rsfd_variant_validation():
@@ -245,10 +232,11 @@ def test_sanitizers_check_every_value_before_any_draw():
     md = md_of([4, 4, 4])
     cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     calls = {
-        "rs_sanitize 99": lambda rng: mdm.rs_sanitize([0, 99, 0], cfg, rng),
         "batch row -1": lambda rng: mdm.rs_sanitize_batch(np.array([[0, -1, 0]]), cfg, rng),
-        "smp_sanitize 99": lambda rng: mdm.smp_sanitize(
-            [0, 99, 0], md, "grr", 1.0, rng, "with_replacement", mdm.SmpUserState()),
+        "spl row 99": lambda rng: mdm.spl_sanitize_batch([[0, 0, 0], [0, 99, 0]], md, "grr",
+                                                         1.0, rng),
+        "fractional row": lambda rng: mdm.rs_sanitize_batch(np.array([[0.5, 3.9, 0]]), cfg,
+                                                            rng),
         "1-D rows": lambda rng: mdm.rs_sanitize_batch(np.array([0, 1, 2]), cfg, rng),
     }
     for name, call in calls.items():
@@ -257,6 +245,31 @@ def test_sanitizers_check_every_value_before_any_draw():
             with pytest.raises(DomainError):
                 call(rng)
             assert rng.random() == stream(38, seed).random(), name
+
+
+@pytest.mark.parametrize("bad", [0.5, 3.9, np.inf, -np.inf, np.nan, 1e300, -1e300])
+def test_fractional_and_non_finite_indices_refused(bad):
+    # refused before the int64 cast, so no value is truncated and no RuntimeWarning
+    # is raised, and before any draw; whole-number floats pass as their integers
+    md = md_of([4, 4])
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    params = oc.protocol_params("grr", 1.0, 4)
+    calls = {
+        "rs": lambda rows, rng: mdm.rs_sanitize_batch(rows, cfg, rng)[0].columns,
+        "spl": lambda rows, rng: [b.data for b in mdm.spl_sanitize_batch(rows, md, "grr",
+                                                                         1.0, rng)],
+        "oracle": lambda rows, rng: [oc.randomize_batch(rows.ravel(), params, rng).data],
+    }
+    for name, call in calls.items():
+        rng = stream(39, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call(np.array([[bad, 2.0]]), rng)
+        assert rng.random() == stream(39, 0).random(), name
+        whole = call(np.array([[1.0, 3.0]]), stream(39, 1))
+        for got, want in zip(whole, call(np.array([[1, 3]]), stream(39, 1))):
+            np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +559,3 @@ def test_estimation_error_shrinks_as_sqrt_n():
         mean_err.append(np.mean(errs))
     slope = np.polyfit(np.log(ns), np.log(mean_err), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.15)
-
-
-def test_rs_sanitize_matches_batch_for_every_tag():
-    # the single-user wrapper returns the batch core's reports, tagged with the variant
-    md = md_of([3, 4])
-    for solution, tags in mdm.FAKE_DATA_VARIANTS.items():
-        for variant in tags:
-            cfg = mdm.CollectionConfig(md, solution, variant, 1.0, mdm.uniform_priors(md))
-            tup, sampled = mdm.rs_sanitize([1, 2], cfg, stream(37, 0))
-            batch, sampled_b = mdm.rs_sanitize_batch(np.array([[1, 2]]), cfg, stream(37, 0))
-            assert tup.protocol == variant and sampled == sampled_b[0]
-            for report, col in zip(tup.reports, batch.columns):
-                assert report == (oc.ValueReport(int(col[0])) if variant == "grr"
-                                  else oc.BitsReport(tuple(int(b) for b in col[0])))
