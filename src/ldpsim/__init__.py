@@ -33,13 +33,12 @@ from .attacks import (
     SurveysConfig,
     analytic_acc,
     build_learning_set,
-    classifier_train,
     empirical_attack_acc,
-    infer_sampled_attribute,
     multi_collection_acc,
     predict_value,
     run_attr_infer_experiment,
     run_reident_experiment,
+    train_attacker,
 )
 from .multidim import (
     FAKE_DATA_VARIANTS,

@@ -416,8 +416,8 @@ def _rs_survey_step(rows, md, solution, variant, eps_list, attrs,
     est = rs_estimate(batch)
     learn = build_learning_set("nk", estimated_freqs=est, s=int(round(nk_s_mult * n)),
                                cfg=cfg, rng=rng)
-    clf = classifier_train(learn, cfg)
-    flags.extend(f for f in attacker_flags(clf, learn) if f not in flags)
+    clf, attack_flags = train_attacker(learn, cfg)
+    flags.extend(f for f in attack_flags if f not in flags)
     jhat = clf.predict(encode_features(batch))
     for ai, a in enumerate(attrs):
         m = jhat == ai
@@ -435,15 +435,7 @@ def _rs_survey_step(rows, md, solution, variant, eps_list, attrs,
 class LearningSet:
     features: np.ndarray
     labels: np.ndarray
-    provenance: str
     estimate_fallback: bool = False  # some attribute's synthetic values came out uniform
-
-
-def attacker_flags(clf: NaiveBayes, learning_set: LearningSet) -> list[str]:
-    """The attacker's degenerate-case flags: ``single_class``, then ``estimate_fallback``."""
-    return [flag for flag, hit in (("single_class", clf.single_class_warning),
-                                   ("estimate_fallback", learning_set.estimate_fallback))
-            if hit]
 
 
 def check_attack_model(model: str) -> None:
@@ -498,23 +490,19 @@ def build_learning_set(
         parts.append((np.asarray(feats)[:n_pk], np.asarray(labels)[:n_pk]))
     features = np.concatenate([p[0] for p in parts], axis=0)
     labels = np.concatenate([p[1] for p in parts], axis=0)
-    provenance = {"nk": "synthetic", "pk": "compromised", "hm": "mixed"}[model]
-    return LearningSet(features, labels, provenance, fallback)
+    return LearningSet(features, labels, fallback)
 
 
-def classifier_train(learning_set: LearningSet, cfg: CollectionConfig) -> NaiveBayes:
-    """Fit the built-in naive Bayes to a learning set: categorical on grr values, else bits."""
+def train_attacker(learning_set: LearningSet, cfg: CollectionConfig) -> tuple[NaiveBayes, list]:
+    """Naive Bayes fitted to the learning set (categorical on grr values, else bernoulli on
+    bits) and the attacker's flags: ``single_class``, then ``estimate_fallback``."""
     clf = NaiveBayes(mode="categorical" if cfg.variant == "grr" else "bernoulli")
-    return clf.fit(learning_set.features, learning_set.labels,
-                   n_classes=cfg.md.d, categories=list(cfg.md.ks))
-
-
-def infer_sampled_attribute(model: NaiveBayes, features: np.ndarray,
-                            true_labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """AIF-ACC (percent) plus the per-user predicted sampled attribute."""
-    preds = model.predict(np.asarray(features))
-    acc = 100.0 * float(np.mean(preds == np.asarray(true_labels)))
-    return acc, preds
+    clf.fit(learning_set.features, learning_set.labels,
+            n_classes=cfg.md.d, categories=list(cfg.md.ks))
+    flags = [flag for flag, hit in (("single_class", clf.constant_class is not None),
+                                    ("estimate_fallback", learning_set.estimate_fallback))
+             if hit]
+    return clf, flags
 
 
 def compromised_count(npk_frac: float, n: int) -> int:
@@ -556,9 +544,9 @@ def run_attr_infer_experiment(
         # each model reads only its own inputs: nk the estimates, pk the compromised rows
         learn = build_learning_set(model, estimated_freqs=est, s=s, n_pk=n_pk, cfg=cfg,
                                    rng=rng_m, compromised=(features[comp], labels[comp]))
-        clf = classifier_train(learn, cfg)
-        acc, _ = infer_sampled_attribute(clf, features[rest], labels[rest])
-        extra = ["classifier=naive_bayes", *attacker_flags(clf, learn)]
+        clf, flags = train_attacker(learn, cfg)
+        acc = 100.0 * float(np.mean(clf.predict(features[rest]) == labels[rest]))
+        extra = ["classifier=naive_bayes", *flags]
         results.append(
             AttackResult(
                 metric="aif_acc", value=acc, protocol=cfg.variant, solution=cfg.solution,

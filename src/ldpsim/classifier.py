@@ -23,8 +23,7 @@ SMOOTHING = 1.0  # Laplace pseudo-count of every class and likelihood cell
 class NaiveBayes:
     mode: str = "categorical"
     n_classes: int | None = None
-    constant_class: int | None = None
-    single_class_warning: bool = False
+    constant_class: int | None = None  # set when the learning set holds a single class
     _log_prior: np.ndarray = field(default=None, repr=False)
     _log_like: list = field(default=None, repr=False)
     _ks: np.ndarray = field(default=None, repr=False)  # feature j lies in [0, _ks[j])
@@ -56,10 +55,8 @@ class NaiveBayes:
         if lo == hi:
             # degenerate learning set: predict the single observed class
             self.constant_class = lo
-            self.single_class_warning = True
             return self
         self.constant_class = None
-        self.single_class_warning = False
 
         a = SMOOTHING
         counts = np.bincount(y, minlength=C)

@@ -22,9 +22,9 @@ from .errors import ConfigError
 from .harness import (
     KINDS,
     build_config,
+    env_threads,
     export_results,
     parse_config,
-    resolve_threads,
     run_experiment,
 )
 
@@ -77,10 +77,9 @@ def main(argv: list[str] | None = None) -> int:
             "out": args.out,
             "format": args.format,
             "runs": args.runs,
+            "threads": env_threads() if args.threads is None else args.threads,
         }
         cfg = build_config(raw, overrides)
-        cfg.threads = resolve_threads(args.threads, raw.get("threads"))
-        cfg.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

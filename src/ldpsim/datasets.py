@@ -68,7 +68,8 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
 
     ``columns`` selects and orders the categorical attributes (default: all
     non-id columns in header order).  Value dictionaries are built in
-    first-appearance order, so ingestion is deterministic.
+    first-appearance order, so ingestion is deterministic.  A header that
+    repeats a name, or lacks a selected column or ``id_column``, raises DomainError.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -77,9 +78,13 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
             header = next(reader)
         except StopIteration:
             raise DomainError(f"{path} is empty") from None
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise DomainError(f"header of {path} repeats the columns {repeated}")
         if columns is None:
             columns = [c for c in header if c != id_column]
-        missing = [c for c in columns if c not in header]
+        wanted = list(columns) if id_column is None else [*columns, id_column]
+        missing = [c for c in wanted if c not in header]
         if missing:
             raise DomainError(f"columns {missing} not in header of {path}")
         col_idx = [header.index(c) for c in columns]
@@ -171,21 +176,13 @@ def clip_or_uniform(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], li
             for vec, empty in zip(vectors, fell_back)], fell_back
 
 
-def synthesize_profiles(
-    freqs: Sequence[np.ndarray], count: int, rng: np.random.Generator,
-    md: MultiDomain | None = None,
-) -> Dataset:
-    """Draw independent categorical rows from per-attribute distributions."""
+def synthesize_profiles(freqs: Sequence[np.ndarray], count: int, rng: np.random.Generator,
+                        md: MultiDomain) -> Dataset:
+    """Draw independent categorical rows over ``md`` from per-attribute distributions."""
     if count < 0:
         raise ParameterError("count must be >= 0")
-    if md is None:
-        md = MultiDomain.from_ks([len(f) for f in freqs])
     freqs = validate_priors(freqs, md)
-    if count == 0:
-        rows = np.empty((0, len(freqs)), dtype=np.int64)
-    else:
-        rows = np.column_stack([_categorical(f, count, rng) for f in freqs])
-    return Dataset(md, rows)
+    return Dataset(md, np.column_stack([_categorical(f, count, rng) for f in freqs]))
 
 
 def mse_avg(true_tables: Sequence[np.ndarray], est_tables: Sequence[np.ndarray]) -> float:
@@ -213,20 +210,14 @@ def zipf_marginal(k: int, exponent: float) -> np.ndarray:
 
 
 def zipf_dataset(n: int, ks: Sequence[int], exponent: float,
-                 rng: np.random.Generator, shuffle_values: bool = True) -> Dataset:
+                 rng: np.random.Generator) -> Dataset:
     """Synthetic dataset with independent Zipf-like marginals per attribute.
 
-    ``shuffle_values`` permutes which value index gets which mass so the
-    heavy value is not always index 0.
+    Each attribute's masses are permuted over its values, so the heavy value
+    is not always index 0.
     """
-    md = MultiDomain.from_ks(ks)
-    cols = []
-    for k in ks:
-        pv = zipf_marginal(k, exponent)
-        if shuffle_values:
-            pv = pv[rng.permutation(k)]
-        cols.append(_categorical(pv, n, rng))
-    return Dataset(md, np.column_stack(cols))
+    cols = [_categorical(zipf_marginal(k, exponent)[rng.permutation(k)], n, rng) for k in ks]
+    return Dataset(MultiDomain.from_ks(ks), np.column_stack(cols))
 
 
 def uniform_dataset(n: int, ks: Sequence[int], rng: np.random.Generator) -> Dataset:

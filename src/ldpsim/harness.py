@@ -50,7 +50,7 @@ from .datasets import (
     uniform_dataset,
     zipf_dataset,
 )
-from .errors import ConfigError, LdpSimError, ParameterError
+from .errors import ConfigError, DomainError, LdpSimError, ParameterError
 from .multidim import (
     FAKE_DATA_VARIANTS,
     SAMPLING_MODES,
@@ -300,7 +300,7 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Materialize the dataset named by the config; a spec that fails is a config error."""
+    """Materialize the config's dataset; a failing spec or a one-value column is a config error."""
     spec = cfg.dataset
     if not spec:
         raise ConfigError("this experiment needs a dataset")
@@ -321,6 +321,9 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
                               cfg.id_column if cfg.id_column else None)
         if cfg.subsample:
             ds = ds.subsample(cfg.subsample, stream(cfg.seed, 7002))
+        constant = [name for name, k in zip(ds.multidomain.names, ds.ks) if k < 2]
+        if constant:
+            raise DomainError(f"columns {constant} hold one value; every attribute needs k >= 2")
     except (OSError, UnicodeDecodeError, LdpSimError) as exc:
         raise ConfigError(f"dataset {spec!r}: {exc}") from exc
     return ds
@@ -335,8 +338,6 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
         return f"{x:.10g}"
     return str(x)
 
@@ -498,17 +499,10 @@ def export_results(rows: Sequence[ResultRow], path: str | Path, format: str = "c
     elif format == "jsonl":
         lines = []
         for r in rows:
-            parts = []
-            for c in EXPORT_COLUMNS:
-                v = getattr(r, c)
-                if v is None:
-                    parts.append(f'"{c}": null')
-                elif isinstance(v, float):
-                    parts.append(f'"{c}": {_fmt(v)}')
-                elif isinstance(v, int):
-                    parts.append(f'"{c}": {v}')
-                else:
-                    parts.append(f'"{c}": {json.dumps(v)}')
+            # strings JSON-quoted, None as null, numbers as in the CSV
+            values = [getattr(r, c) for c in EXPORT_COLUMNS]
+            parts = [f'"{c}": ' + (json.dumps(v) if isinstance(v, str) else _fmt(v) or "null")
+                     for c, v in zip(EXPORT_COLUMNS, values)]
             lines.append("{" + ", ".join(parts) + "}")
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     else:
@@ -516,16 +510,11 @@ def export_results(rows: Sequence[ResultRow], path: str | Path, format: str = "c
     return path
 
 
-def resolve_threads(cli_threads: int | None, cfg_threads: int | None) -> int:
-    """Thread-count precedence: CLI flag > environment > config > 1."""
-    if cli_threads is not None:
-        return cli_threads
+def env_threads() -> int | None:
+    """``LDPSIM_THREADS`` as an int (None when unset), for the CLI to rank between
+    the ``--threads`` flag and the config; the threads key's domain checks it."""
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)  # checked against the threads key's domain, like the flag
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-    if cfg_threads is not None:
-        return cfg_threads
-    return 1
+    try:
+        return None if env is None else int(env)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")

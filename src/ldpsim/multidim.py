@@ -81,15 +81,9 @@ class MultiDomain:
         return tuple(dom.name for dom in self.domains)
 
     @classmethod
-    def from_ks(cls, ks: Sequence[int], names: Sequence[str] | None = None) -> "MultiDomain":
-        if names is None:
-            names = [f"a{i}" for i in range(len(ks))]
-        return cls(
-            tuple(
-                AttributeDomain(name, tuple(f"{name}_v{v}" for v in range(k)))
-                for name, k in zip(names, ks)
-            )
-        )
+    def from_ks(cls, ks: Sequence[int]) -> "MultiDomain":
+        return cls(tuple(AttributeDomain(f"a{i}", tuple(f"a{i}_v{v}" for v in range(k)))
+                         for i, k in enumerate(ks)))
 
 
 def amplified_epsilon(epsilon: float, d: int) -> float:

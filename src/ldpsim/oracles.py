@@ -366,33 +366,22 @@ def estimate_from_counts(counts: np.ndarray, n: int, params: ProtocolParams) -> 
     return (np.asarray(counts, dtype=np.float64) - n * params.q) / (n * denom)
 
 
-def estimate_frequencies(
-    reports: ReportBatch | Sequence[SanitizedReport],
-    params: ProtocolParams,
-    clip: bool = False,
-) -> np.ndarray:
+def estimate_frequencies(reports: ReportBatch | Sequence[SanitizedReport],
+                         params: ProtocolParams) -> np.ndarray:
     """Unbiased frequency estimates from sanitized reports.
 
-    Raw estimates can be negative or exceed 1; set ``clip`` to project onto
-    the probability simplex (clip into [0, 1], renormalize).  Attack code
-    consumes the raw estimates, so clipping is off by default.
+    The raw estimates can be negative or exceed 1, and attack code consumes
+    them as they are; :func:`clip_normalize` projects a vector onto the
+    probability simplex.
     """
     if not isinstance(reports, ReportBatch):
         reports = as_batch(reports, params)
-    n = len(reports)
-    est = estimate_from_counts(support_counts(reports), n, params)
-    if clip:
-        return clip_normalize(est, upper=1.0)
-    return est
+    return estimate_from_counts(support_counts(reports), len(reports), params)
 
 
-def clip_normalize(est: np.ndarray, upper: float | None = None) -> np.ndarray:
-    """Clip into [0, upper] and renormalize to sum 1.
-
-    The synthetic-profile pipeline clips negatives only (``upper=None``);
-    the estimate post-processing flag also caps at 1.
-    """
-    out = np.clip(np.asarray(est, dtype=np.float64), 0.0, upper)
+def clip_normalize(est: np.ndarray) -> np.ndarray:
+    """Clip negatives to 0 and renormalize to sum 1."""
+    out = np.clip(np.asarray(est, dtype=np.float64), 0.0, None)
     total = out.sum()
     if total <= 0:
         raise ParameterError("all estimates clipped to zero; cannot normalize")

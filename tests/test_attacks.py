@@ -467,7 +467,6 @@ def test_build_learning_set_nk_uniform_labels():
     counts = np.bincount(learn.labels, minlength=3)
     sig = 3 * math.sqrt((1 / 3) * (2 / 3) / 30_000)
     assert (np.abs(counts / 30_000 - 1 / 3) < sig).all()
-    assert learn.provenance == "synthetic"
     assert learn.features.shape == (30_000, 3)
 
 
@@ -477,8 +476,9 @@ def test_build_learning_set_pk_boundaries():
     with pytest.raises(ParameterError):
         atk.build_learning_set("pk", compromised=(feats, labels), n_pk=0)
     learn = atk.build_learning_set("pk", compromised=(feats, labels), n_pk=100)
-    assert len(learn.features) == 100
-    assert learn.provenance == "compromised"
+    # pk trains on the first n_pk compromised rows as they are
+    np.testing.assert_array_equal(learn.features, feats[:100])
+    np.testing.assert_array_equal(learn.labels, labels[:100])
 
 
 def test_build_learning_set_hm_union_size():
@@ -489,7 +489,9 @@ def test_build_learning_set_hm_union_size():
                                    compromised=(feats, labels), s=250, n_pk=100,
                                    cfg=cfg, rng=stream(18, 1))
     assert len(learn.features) == 350
-    assert learn.provenance == "mixed"
+    # hm is the 250 synthetic rows followed by the 100 compromised ones
+    np.testing.assert_array_equal(learn.features[250:], feats[:100])
+    np.testing.assert_array_equal(learn.labels[250:], labels[:100])
 
 
 def test_build_learning_set_degenerate_estimates_fall_back_to_uniform():
@@ -518,7 +520,7 @@ def test_nk_synthetic_features_match_real_distribution():
     rows = np.column_stack([rng.choice(k, n, p=f) for k, f in zip(ks, freqs)])
     cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     real_batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-    synth_rows = synthesize_profiles(freqs, n, rng).rows
+    synth_rows = synthesize_profiles(freqs, n, rng, md).rows
     synth_batch, _ = mdm.rs_sanitize_batch(synth_rows, cfg, rng)
     for a, k in enumerate(ks):
         c_real = np.bincount(real_batch.columns[a], minlength=k)
@@ -533,11 +535,12 @@ def test_classifier_pipeline_separable():
     cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     labels = np.arange(300) % 3
     feats = np.column_stack([labels, np.zeros(300, dtype=int), np.zeros(300, dtype=int)])
-    learn = atk.LearningSet(feats, labels, "compromised")
-    clf = atk.classifier_train(learn, cfg)
-    acc, preds = atk.infer_sampled_attribute(clf, feats, labels)
-    assert acc == 100.0
-    assert np.array_equal(preds, labels)
+    clf, flags = atk.train_attacker(atk.LearningSet(feats, labels), cfg)
+    assert flags == []
+    assert np.array_equal(clf.predict(feats), labels)
+    # one learning row is one class; the flags keep their order
+    _, flags = atk.train_attacker(atk.LearningSet(feats[:1], labels[:1], True), cfg)
+    assert flags == ["single_class", "estimate_fallback"]
 
 
 def test_random_baseline_accuracy():

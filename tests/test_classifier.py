@@ -46,7 +46,7 @@ def test_single_class_constant_predictor():
     X = np.array([[0, 1], [1, 1], [2, 0]])
     y = np.array([1, 1, 1])
     clf = NaiveBayes(mode="categorical").fit(X, y, n_classes=4, categories=[3, 2])
-    assert clf.single_class_warning
+    assert clf.constant_class == 1
     assert (clf.predict(np.array([[0, 0], [2, 1]])) == 1).all()
 
 

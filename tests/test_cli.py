@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ldpsim import cli
 from ldpsim.cli import main
 from ldpsim.harness import KEYS, ExperimentConfig
 from ldpsim.oracles import PROTOCOLS
@@ -159,6 +160,31 @@ def test_threads_env_var_checked_like_the_flag(tmp_path, analytic_cfg, monkeypat
                     "--out", str(tmp_path / "r.csv")]) == 2
 
 
+def test_threads_precedence(tmp_path, monkeypatch):
+    # flag > LDPSIM_THREADS > config > 1, all checked by the one config validation
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg.threads) or [])
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("epsilons = 1\nseed = 1\n")
+    cfg3 = tmp_path / "a3.cfg"
+    cfg3.write_text("epsilons = 1\nseed = 1\nthreads = 3\n")
+
+    def threads(config, *flag):
+        seen.clear()
+        rc = run_cli(["analytic", "--config", str(config), *flag,
+                      "--out", str(tmp_path / "r.csv")])
+        return rc, seen[:]
+
+    monkeypatch.delenv("LDPSIM_THREADS", raising=False)
+    assert threads(cfg) == (0, [1])
+    assert threads(cfg3) == (0, [3])
+    monkeypatch.setenv("LDPSIM_THREADS", "5")
+    assert threads(cfg3) == (0, [5])
+    assert threads(cfg3, "--threads", "2") == (0, [2])
+    monkeypatch.setenv("LDPSIM_THREADS", "soup")
+    assert threads(cfg3) == (2, [])
+
+
 @pytest.mark.parametrize("surveys", [0, 1])
 def test_reident_needs_two_surveys(tmp_path, surveys):
     # RID is scored from the second survey on: fewer surveys would export no rows
@@ -272,10 +298,18 @@ def test_attack_oracle_large_olh_epsilon_still_runs(tmp_path):
     "dataset = {tmp}/missing.csv\n",
     "dataset = {tmp}/data.csv\ncolumns = a, z\n",
     "dataset = fixture:adult_style_100\nsubsample = 500\n",
-], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n"])
+    "dataset = {tmp}/no_id.csv\n",
+    "dataset = {tmp}/repeated.csv\n",
+    "dataset = {tmp}/constant.csv\n",
+], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n",
+        "missing-id-column", "repeated-column", "constant-column"])
 def test_bad_dataset_spec_is_config_error(tmp_path, body):
-    # each failed before any task ran but exited 3, as a runtime error
+    # each exited 3, as a runtime error, or (the repeated column) read its first
+    # occurrence twice; each is now refused before any task runs
     (tmp_path / "data.csv").write_text("a,b\nx,y\n")
+    (tmp_path / "no_id.csv").write_text("color,size\nred,S\nblue,M\n")
+    (tmp_path / "repeated.csv").write_text("id,a,a\n1,x,p\n2,y,q\n")
+    (tmp_path / "constant.csv").write_text("id,a,b\n1,x,p\n2,x,q\n")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nepsilons = 1\nsolutions = rs_fd\n" + body.format(tmp=tmp_path))
     out = tmp_path / "out.csv"

@@ -152,17 +152,20 @@ def test_laplace_noise_distribution_ks():
 
 def test_synthesize_profiles():
     freqs = [np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
-    ds = dst.synthesize_profiles(freqs, 50, stream(44, 0))
+    md = dst.MultiDomain.from_ks([2, 3])
+    ds = dst.synthesize_profiles(freqs, 50, stream(44, 0), md)
+    assert ds.multidomain is md
     assert (ds.rows[:, 0] == 1).all() and (ds.rows[:, 1] == 0).all()
-    empty = dst.synthesize_profiles(freqs, 0, stream(44, 1))
-    assert empty.n == 0
+    empty = dst.synthesize_profiles(freqs, 0, stream(44, 1), md)
+    assert empty.rows.shape == (0, 2) and empty.rows.dtype == np.int64
     with pytest.raises(ParameterError):
-        dst.synthesize_profiles([np.array([0.5, 0.6])], 5, stream(44, 2))
+        dst.synthesize_profiles([np.array([0.5, 0.6])], 5, stream(44, 2),
+                                dst.MultiDomain.from_ks([2]))
 
 
 def test_synthesize_profiles_marginals_chi_square():
     freqs = [stream(45, 0).dirichlet(np.ones(6))]
-    ds = dst.synthesize_profiles(freqs, 100_000, stream(45, 1))
+    ds = dst.synthesize_profiles(freqs, 100_000, stream(45, 1), dst.MultiDomain.from_ks([6]))
     counts = np.bincount(ds.rows[:, 0], minlength=6)
     assert stats.chisquare(counts, f_exp=100_000 * freqs[0]).pvalue > 0.01
 

@@ -269,21 +269,6 @@ def test_prior_fallback_flag_follows_laplace_prior():
     assert seen == {False, True}
 
 
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv(hn.THREADS_ENV_VAR, raising=False)
-    assert hn.resolve_threads(None, None) == 1
-    assert hn.resolve_threads(None, 3) == 3
-    monkeypatch.setenv(hn.THREADS_ENV_VAR, "5")
-    assert hn.resolve_threads(None, 3) == 5
-    assert hn.resolve_threads(2, 3) == 2
-    monkeypatch.setenv(hn.THREADS_ENV_VAR, "soup")
-    with pytest.raises(ConfigError):
-        hn.resolve_threads(None, None)
-    # the environment value is not clamped: the threads key's domain rejects it
-    monkeypatch.setenv(hn.THREADS_ENV_VAR, "0")
-    assert hn.resolve_threads(None, 3) == 0
-
-
 def test_validate_rejects_bad_values():
     with pytest.raises(ConfigError):
         hn.build_config({"experiment": "waffles", "seed": 1})

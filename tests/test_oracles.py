@@ -204,15 +204,6 @@ def test_clip_normalize():
     assert out.sum() == pytest.approx(1.0)
     with pytest.raises(ParameterError):
         oc.clip_normalize(np.array([-0.5, -0.1]))
-    # the estimate post-processing flag also caps above at 1
-    capped = oc.clip_normalize(np.array([1.4, 1.2, -0.5]), upper=1.0)
-    assert capped == pytest.approx([0.5, 0.5, 0.0])
-
-
-def test_estimate_clip_flag():
-    params = oc.protocol_params("grr", math.log(2), 2)
-    est = oc.estimate_frequencies([oc.ValueReport(0)] * 50, params, clip=True)
-    assert est == pytest.approx([1.0, 0.0])
 
 
 @pytest.mark.parametrize("protocol,report", [
