@@ -26,7 +26,7 @@ print(f"{'oracle':<6} {'aux':>5} {'p':>8} {'q':>8}   estimate")
 for proto in oc.PROTOCOLS:
     params = oc.protocol_params(proto, EPS, K)
     batch = oc.randomize_batch(values, params, rng)
-    est = oc.estimate_frequencies(batch, params)
+    est = oc.estimate_frequencies(batch)
     aux = "-" if params.aux is None else str(params.aux)
     print(f"{proto:<6} {aux:>5} {params.p:>8.4f} {params.q:>8.4f}   "
           + np.array2string(est, precision=4))
@@ -34,6 +34,6 @@ for proto in oc.PROTOCOLS:
 print()
 print("raw estimates are unbiased but unconstrained; clip_normalize projects")
 params = oc.protocol_params("oue", EPS, K)
-est = oc.estimate_frequencies(oc.randomize_batch(values, params, rng), params)
+est = oc.estimate_frequencies(oc.randomize_batch(values, params, rng))
 print("raw :", np.array2string(est, precision=4))
 print("clip:", np.array2string(oc.clip_normalize(est), precision=4))

@@ -40,7 +40,7 @@ def averaged(fn):
 
 def spl_mse(rep):
     batches = mdm.spl_sanitize_batch(ds.rows, md, "grr", EPS, stream(2024_03, 1, rep))
-    return mse_avg(truth, [oc.estimate_frequencies(b, b.params) for b in batches])
+    return mse_avg(truth, [oc.estimate_frequencies(b) for b in batches])
 
 
 def smp_mse(rep):
@@ -52,7 +52,7 @@ def smp_mse(rep):
     for a, dom in enumerate(md.domains):
         params = oc.protocol_params("grr", EPS, dom.k)
         batch = oc.randomize_batch(ds.rows[sampled == a, a], params, rng)
-        est.append(oc.estimate_frequencies(batch, params))
+        est.append(oc.estimate_frequencies(batch))
     return mse_avg(truth, est)
 
 

@@ -35,7 +35,7 @@ from .attacks import (
     build_learning_set,
     empirical_attack_acc,
     multi_collection_acc,
-    predict_value,
+    predict_batch,
     run_attr_infer_experiment,
     run_reident_experiment,
     train_attacker,
@@ -54,17 +54,13 @@ from .multidim import (
 )
 from .oracles import (
     AttributeDomain,
-    BitsReport,
-    HashedReport,
     ProtocolParams,
-    SubsetReport,
-    ValueReport,
+    ReportBatch,
     clip_normalize,
     estimate_frequencies,
     protocol_params,
-    randomize,
     randomize_batch,
-    supports,
+    support_counts,
 )
 from .rng import splitmix64, stream
 

@@ -38,9 +38,7 @@ from .multidim import (
 )
 from .oracles import (
     PROTOCOLS,
-    ProtocolParams,
     ReportBatch,
-    SanitizedReport,
     protocol_params,
     randomize_batch,
 )
@@ -82,7 +80,13 @@ def _pick_from_rows(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
-    """Attacker's most-likely-value guess for every report in the batch."""
+    """Attacker's most-likely-value guess for every report in the batch.
+
+    GRR reports are taken at face value; OLH picks uniformly among the
+    candidates hashing to the reported bucket; SS picks uniformly inside
+    the subset; UE picks a uniform set bit, or a uniform domain value when
+    no bit is set.
+    """
     params = batch.params
     k = params.k
     proto = params.protocol
@@ -96,20 +100,6 @@ def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
         pick = rng.integers(0, omega, n)
         return batch.data[np.arange(n), pick]
     return _pick_from_rows(batch.data, k, rng)
-
-
-def predict_value(report: SanitizedReport, params: ProtocolParams,
-                  rng: np.random.Generator) -> int:
-    """Single-report prediction; see :func:`predict_batch` for the rules.
-
-    GRR reports are taken at face value; OLH picks uniformly among the
-    candidates hashing to the reported bucket; SS picks uniformly inside
-    the subset; UE picks the single set bit, a uniform set bit, or a
-    uniform domain value when no bit is set.
-    """
-    from .oracles import as_batch
-
-    return int(predict_batch(as_batch([report], params), rng)[0])
 
 
 def analytic_acc(protocol: str, epsilon: float, k: int) -> float:

@@ -68,8 +68,9 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
 
     ``columns`` selects and orders the categorical attributes (default: all
     non-id columns in header order).  Value dictionaries are built in
-    first-appearance order, so ingestion is deterministic.  A header that
-    repeats a name, or lacks a selected column or ``id_column``, raises DomainError.
+    first-appearance order, so ingestion is deterministic.  A header or
+    ``columns`` that repeats a name, or a header that lacks a selected column
+    or ``id_column``, raises DomainError.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -78,11 +79,12 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
             header = next(reader)
         except StopIteration:
             raise DomainError(f"{path} is empty") from None
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise DomainError(f"header of {path} repeats the columns {repeated}")
         if columns is None:
             columns = [c for c in header if c != id_column]
+        for what, names in ((f"header of {path}", header), ("columns", list(columns))):
+            repeated = sorted({c for c in names if names.count(c) > 1})
+            if repeated:
+                raise DomainError(f"{what} repeats {repeated}")
         wanted = list(columns) if id_column is None else [*columns, id_column]
         missing = [c for c in wanted if c not in header]
         if missing:

@@ -10,11 +10,6 @@ together with the shared unbiased frequency estimator
 
 where ``C(v)`` counts the sanitized reports that support value ``v``.
 
-Every randomizer has two surfaces: a per-report API returning typed report
-objects, and a vectorized batch API used by the Monte-Carlo harness.  The
-scalar API is a thin wrapper over the batch one, so both follow the same law
-by construction.
-
 The batch kernels whose work is (n, k) -- SS keys, UE bits, OLH support
 hashing -- run over row chunks of ``rng.chunk_rows(k)`` rows, so their
 temporaries stay O(rows * k) and cache-sized.  A chunked
@@ -26,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -78,46 +73,6 @@ class ProtocolParams:
             )
 
 
-@dataclass(frozen=True)
-class ValueReport:
-    """GRR output: a single (possibly flipped) value index."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class HashedReport:
-    """OLH output: the per-report hash seed and the perturbed bucket."""
-
-    seed: int
-    bucket: int
-
-
-@dataclass(frozen=True)
-class SubsetReport:
-    """SS output: a sorted tuple of distinct value indices."""
-
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BitsReport:
-    """SUE/OUE output: a length-k bit vector."""
-
-    bits: tuple[int, ...]
-
-
-SanitizedReport = Union[ValueReport, HashedReport, SubsetReport, BitsReport]
-
-_REPORT_TYPES = {
-    "grr": ValueReport,
-    "olh": HashedReport,
-    "ss": SubsetReport,
-    "sue": BitsReport,
-    "oue": BitsReport,
-}
-
-
 def protocol_params(protocol: str, epsilon: float, k: int) -> ProtocolParams:
     """Calibrate (p, q, aux) for one protocol at privacy budget epsilon.
 
@@ -164,7 +119,7 @@ def protocol_params(protocol: str, epsilon: float, k: int) -> ProtocolParams:
 
 
 # ---------------------------------------------------------------------------
-# Batch randomization (the workhorse; the scalar API wraps this)
+# Batch randomization
 # ---------------------------------------------------------------------------
 
 class ReportBatch:
@@ -185,18 +140,6 @@ class ReportBatch:
         if self.params.protocol == "olh":
             return len(self.data[0])
         return len(self.data)
-
-    def reports(self) -> list[SanitizedReport]:
-        """Materialize per-report objects (slow path, for the scalar API)."""
-        proto = self.params.protocol
-        if proto == "grr":
-            return [ValueReport(int(v)) for v in self.data]
-        if proto == "olh":
-            seeds, buckets = self.data
-            return [HashedReport(int(s), int(b)) for s, b in zip(seeds, buckets)]
-        if proto == "ss":
-            return [SubsetReport(tuple(int(v) for v in row)) for row in self.data]
-        return [BitsReport(tuple(int(b) for b in row)) for row in self.data]
 
 
 def _grr_perturb(values: np.ndarray, p: float, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -224,8 +167,7 @@ def randomize_batch(
     if proto == "olh":
         g = params.aux
         seeds = draw_hash_seeds(rng, n)
-        true_buckets = hash_bucket(seeds, values, g)
-        buckets = _grr_perturb(np.asarray(true_buckets, dtype=np.int64), params.p, g, rng)
+        buckets = _grr_perturb(hash_bucket(seeds, values, g), params.p, g, rng)
         return ReportBatch(params, (seeds, buckets))
 
     if proto == "ss":
@@ -275,23 +217,9 @@ def unary_bits(n: int, k: int, q: float, rng: np.random.Generator,
     return out
 
 
-def randomize(value_index: int, params: ProtocolParams, rng: np.random.Generator) -> SanitizedReport:
-    """Sanitize a single value index; see :func:`randomize_batch`."""
-    batch = randomize_batch(np.asarray([value_index]), params, rng)
-    return batch.reports()[0]
-
-
 # ---------------------------------------------------------------------------
 # Support semantics and the shared estimator
 # ---------------------------------------------------------------------------
-
-def supports(report: SanitizedReport, candidate_index: int, params: ProtocolParams) -> bool:
-    """Whether ``report`` counts toward candidate value ``candidate_index``."""
-    batch = as_batch([report], params)  # rejects a report of another protocol or domain
-    if not (0 <= candidate_index < params.k):
-        raise DomainError(f"candidate {candidate_index} out of domain [0, {params.k})")
-    return bool(support_counts(batch)[candidate_index] > 0)
-
 
 def support_counts(batch: ReportBatch) -> np.ndarray:
     """C(v) for every domain value: how many reports support each value."""
@@ -306,33 +234,6 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
     if proto == "ss":
         return np.bincount(batch.data.ravel(), minlength=k).astype(np.int64)
     return batch.data.sum(axis=0, dtype=np.int64)
-
-
-def as_batch(reports: Sequence[SanitizedReport], params: ProtocolParams) -> ReportBatch:
-    """Pack per-report objects into a column batch.
-
-    A report of another protocol raises ``ParameterError``.  A report outside
-    its domain raises ``DomainError``: a GRR index or SS member outside
-    [0, k), an OLH bucket outside [0, g), or a bit vector whose length is not k.
-    """
-    proto, k = params.protocol, params.k
-    expected = _REPORT_TYPES[proto]
-    for r in reports:
-        if not isinstance(r, expected):
-            raise ParameterError(
-                f"report variant {type(r).__name__} does not match protocol {proto}"
-            )
-        if isinstance(r, BitsReport) and len(r.bits) != k:
-            raise DomainError(f"bit vector of length {len(r.bits)} does not match k={k}")
-    if proto == "olh":
-        seeds = np.asarray([r.seed for r in reports], dtype=np.uint64)
-        buckets = as_indices([r.bucket for r in reports], params.aux, "OLH bucket")
-        return ReportBatch(params, (seeds, buckets))
-    if proto in ("sue", "oue"):
-        return ReportBatch(params, np.asarray([r.bits for r in reports], dtype=np.uint8))
-    data = as_indices([r.index if proto == "grr" else r.members for r in reports], k,
-                      f"{proto.upper()} value")
-    return ReportBatch(params, data)
 
 
 def as_indices(values, size, what: str = "value index") -> np.ndarray:
@@ -366,17 +267,14 @@ def estimate_from_counts(counts: np.ndarray, n: int, params: ProtocolParams) -> 
     return (np.asarray(counts, dtype=np.float64) - n * params.q) / (n * denom)
 
 
-def estimate_frequencies(reports: ReportBatch | Sequence[SanitizedReport],
-                         params: ProtocolParams) -> np.ndarray:
-    """Unbiased frequency estimates from sanitized reports.
+def estimate_frequencies(batch: ReportBatch) -> np.ndarray:
+    """Unbiased frequency estimates from a batch, debiased under ``batch.params``.
 
     The raw estimates can be negative or exceed 1, and attack code consumes
     them as they are; :func:`clip_normalize` projects a vector onto the
     probability simplex.
     """
-    if not isinstance(reports, ReportBatch):
-        reports = as_batch(reports, params)
-    return estimate_from_counts(support_counts(reports), len(reports), params)
+    return estimate_from_counts(support_counts(batch), len(batch), batch.params)
 
 
 def clip_normalize(est: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
     return int(z[0]) if scalar else z.reshape(np.shape(x))
 
 
-def hash_bucket(seed: np.ndarray | int, value: np.ndarray | int, g: int) -> np.ndarray | int:
+def hash_bucket(seed: np.ndarray, value: np.ndarray, g: int) -> np.ndarray:
     """Map (seed, value) into a bucket in [0, g) via SplitMix64 mixing.
 
     ``g`` must be at most 2^63 so that buckets fit int64 (OLH's
@@ -60,8 +60,6 @@ def hash_bucket(seed: np.ndarray | int, value: np.ndarray | int, g: int) -> np.n
     ``protocol_params`` rejects).  The modulo bias, at most g / 2^64 in
     relative terms, is accepted: about 5e-7 at eps = 30 (g ~ 1e13).
     """
-    if np.ndim(seed) == 0 and np.ndim(value) == 0:
-        return splitmix64(int(seed) ^ splitmix64(int(value))) % g
     seed = np.asarray(seed, dtype=np.uint64)
     value = np.asarray(value, dtype=np.uint64)
     mixed = splitmix64(seed ^ splitmix64(value))

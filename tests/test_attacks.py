@@ -17,14 +17,18 @@ from ldpsim.rng import stream
 # Per-report prediction and analytic accuracies
 # ---------------------------------------------------------------------------
 
+def _predict(params, data, rng):
+    return atk.predict_batch(oc.ReportBatch(params, data), rng).tolist()
+
+
 def test_predict_grr_identity():
     params = oc.protocol_params("grr", 1.0, 9)
-    assert atk.predict_value(oc.ValueReport(5), params, stream(0, 0)) == 5
+    assert _predict(params, np.array([5]), stream(0, 0)) == [5]
 
 
 def test_predict_ue_all_zero_uniform():
     params = oc.protocol_params("oue", 1.0, 4)
-    assert atk.predict_value(oc.BitsReport((0, 0, 0, 0)), params, stream(1, 9)) in range(4)
+    assert _predict(params, np.zeros((1, 4), np.uint8), stream(1, 9))[0] in range(4)
     n = 40_000
     batch = oc.ReportBatch(params, np.zeros((n, 4), dtype=np.uint8))
     preds = atk.predict_batch(batch, stream(1, 0))
@@ -36,15 +40,15 @@ def test_predict_ue_all_zero_uniform():
 def test_predict_ue_single_and_multi_bit():
     params = oc.protocol_params("sue", 1.0, 4)
     rng = stream(2, 0)
-    assert atk.predict_value(oc.BitsReport((0, 0, 1, 0)), params, rng) == 2
-    picks = {atk.predict_value(oc.BitsReport((1, 0, 1, 0)), params, rng) for _ in range(200)}
+    assert _predict(params, np.array([[0, 0, 1, 0]], np.uint8), rng) == [2]
+    picks = set(_predict(params, np.tile(np.array([1, 0, 1, 0], np.uint8), (200, 1)), rng))
     assert picks == {0, 2}
 
 
 def test_predict_ss_uniform_in_subset():
     params = oc.protocol_params("ss", 1e-3, 6)
     rng = stream(3, 0)
-    picks = [atk.predict_value(oc.SubsetReport((1, 3, 4)), params, rng) for _ in range(600)]
+    picks = _predict(params, np.tile([1, 3, 4], (600, 1)), rng)
     assert set(picks) == {1, 3, 4}
 
 
@@ -57,9 +61,8 @@ def test_predict_olh_uniform_over_matching_candidates():
     target = int(buckets[0])
     matching = set(np.flatnonzero(buckets == target).tolist())
     rng = stream(4, 0)
-    picks = {
-        atk.predict_value(oc.HashedReport(seed, target), params, rng) for _ in range(400)
-    }
+    data = (np.full(400, seed, dtype=np.uint64), np.full(400, target))
+    picks = set(_predict(params, data, rng))
     assert picks == matching
 
 

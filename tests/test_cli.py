@@ -301,15 +301,18 @@ def test_attack_oracle_large_olh_epsilon_still_runs(tmp_path):
     "dataset = {tmp}/no_id.csv\n",
     "dataset = {tmp}/repeated.csv\n",
     "dataset = {tmp}/constant.csv\n",
+    "dataset = {tmp}/ok.csv\ncolumns = a, a\n",
 ], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n",
-        "missing-id-column", "repeated-column", "constant-column"])
+        "missing-id-column", "repeated-column", "constant-column", "repeated-selection"])
 def test_bad_dataset_spec_is_config_error(tmp_path, body):
     # each exited 3, as a runtime error, or (the repeated column) read its first
-    # occurrence twice; each is now refused before any task runs
+    # occurrence twice, or (the repeated selection) loaded one column twice; each
+    # is now refused before any task runs
     (tmp_path / "data.csv").write_text("a,b\nx,y\n")
     (tmp_path / "no_id.csv").write_text("color,size\nred,S\nblue,M\n")
     (tmp_path / "repeated.csv").write_text("id,a,a\n1,x,p\n2,y,q\n")
     (tmp_path / "constant.csv").write_text("id,a,b\n1,x,p\n2,x,q\n")
+    (tmp_path / "ok.csv").write_text("id,a,b\n1,x,p\n2,y,q\n")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nepsilons = 1\nsolutions = rs_fd\n" + body.format(tmp=tmp_path))
     out = tmp_path / "out.csv"

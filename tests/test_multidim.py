@@ -70,7 +70,7 @@ def test_spl_estimates_unbiased_at_split_budget():
             oc.randomize_batch(rows[:, a], oc.protocol_params("grr", 1.0, md.ks[a]), rng)
             for a in range(2)
         ]
-        ests.append([oc.estimate_frequencies(c, c.params) for c in cols])
+        ests.append([oc.estimate_frequencies(c) for c in cols])
     for a in range(2):
         arr = np.array([e[a] for e in ests])
         se = arr.std(axis=0, ddof=1) / math.sqrt(runs)

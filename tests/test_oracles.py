@@ -134,31 +134,34 @@ def test_ss_subset_size_at_tiny_epsilon():
 def test_randomize_value_out_of_domain():
     params = oc.protocol_params("grr", 1.0, 4)
     with pytest.raises(DomainError):
-        oc.randomize(4, params, stream(0, 0))
+        oc.randomize_batch([4], params, stream(0, 0))
+
+
+def _supported(params, data):
+    """Values a one-report batch supports, as a bool vector over the domain."""
+    return oc.support_counts(oc.ReportBatch(params, data)) > 0
 
 
 def test_supports_rules():
     grr = oc.protocol_params("grr", 1.0, 6)
-    assert oc.supports(oc.ValueReport(3), 3, grr)
-    assert not oc.supports(oc.ValueReport(3), 2, grr)
+    assert _supported(grr, np.array([3]))[3]
+    assert not _supported(grr, np.array([3]))[2]
     ss = oc.protocol_params("ss", 1e-3, 6)
-    assert not oc.supports(oc.SubsetReport((1, 4, 5)), 2, ss)
-    assert oc.supports(oc.SubsetReport((1, 4, 5)), 4, ss)
+    assert not _supported(ss, np.array([[1, 4, 5]]))[2]
+    assert _supported(ss, np.array([[1, 4, 5]]))[4]
     olh = oc.protocol_params("olh", 1.0, 6)
     from ldpsim.rng import hash_bucket
 
-    rep = oc.HashedReport(seed=987654321, bucket=hash_bucket(987654321, 5, olh.aux))
+    bucket = hash_bucket(987654321, 5, olh.aux)
+    supported = _supported(olh, (np.array([987654321], dtype=np.uint64), np.array([bucket])))
     for cand in range(6):
-        expect = hash_bucket(987654321, cand, olh.aux) == rep.bucket
-        assert oc.supports(rep, cand, olh) == expect
-    with pytest.raises(ParameterError):
-        oc.supports(oc.ValueReport(0), 0, ss)
+        expect = hash_bucket(987654321, cand, olh.aux) == bucket
+        assert supported[cand] == expect
 
 
 def test_estimate_all_same_value():
     params = oc.protocol_params("grr", math.log(2), 2)
-    reports = [oc.ValueReport(0)] * 300
-    est = oc.estimate_frequencies(reports, params)
+    est = oc.estimate_frequencies(oc.ReportBatch(params, np.zeros(300, np.int64)))
     assert est[0] == pytest.approx(2.0, abs=1e-9)
     assert est[1] == pytest.approx(-1.0, abs=1e-9)
 
@@ -178,7 +181,7 @@ def test_estimate_monte_carlo_within_formula_variance():
     rng = stream(4, 0)
     values = (rng.random(n) >= f[0]).astype(int)
     emp_f = np.bincount(values, minlength=2) / n
-    est = oc.estimate_frequencies(oc.randomize_batch(values, params, rng), params)
+    est = oc.estimate_frequencies(oc.randomize_batch(values, params, rng))
     for v in range(2):
         sd = math.sqrt(oc.pure_estimator_variance(emp_f[v], params, n))
         assert abs(est[v] - emp_f[v]) < 3 * sd
@@ -204,31 +207,6 @@ def test_clip_normalize():
     assert out.sum() == pytest.approx(1.0)
     with pytest.raises(ParameterError):
         oc.clip_normalize(np.array([-0.5, -0.1]))
-
-
-@pytest.mark.parametrize("protocol,report", [
-    ("grr", oc.ValueReport(9)),
-    ("grr", oc.ValueReport(-1)),
-    ("ss", oc.SubsetReport((7,))),
-    ("ss", oc.SubsetReport((-2,))),
-    ("sue", oc.BitsReport((1, 0, 1))),
-    ("oue", oc.BitsReport((1, 0, 1, 0, 0))),
-    ("olh", oc.HashedReport(5, 4)),
-    ("olh", oc.HashedReport(5, -1)),
-], ids=["grr-above-k", "grr-negative", "ss-above-k", "ss-negative", "sue-short-bits",
-        "oue-long-bits", "olh-bucket-g", "olh-bucket-negative"])
-def test_out_of_domain_report_is_domain_error(protocol, report):
-    # k = 4, omega = 1 and g = 4 at eps = 1.  Unchecked, GRR 9 gave 10 estimates, SS 7
-    # gave 8 and SUE (1, 0, 1) gave 3; a negative index raised numpy's untyped ValueError
-    params = oc.protocol_params(protocol, 1.0, 4)
-    with pytest.raises(DomainError):
-        oc.estimate_frequencies([report], params)
-
-
-def test_supports_bits_length_mismatch():
-    params = oc.protocol_params("sue", 1.0, 4)
-    with pytest.raises(DomainError):
-        oc.supports(oc.BitsReport((1, 0)), 1, params)
 
 
 def _enumerate_report_law(params):
@@ -317,7 +295,7 @@ def test_unbiasedness_grid(protocol):
             for r in range(runs):
                 rng = stream(7, k, int(eps * 10), r)
                 values = rng.choice(k, size=n, p=f)
-                ests.append(oc.estimate_frequencies(oc.randomize_batch(values, params, rng), params))
+                ests.append(oc.estimate_frequencies(oc.randomize_batch(values, params, rng)))
             ests = np.array(ests)
             se = ests.std(axis=0, ddof=1) / math.sqrt(runs)
             assert (np.abs(ests.mean(axis=0) - f) < 4 * se).all(), (protocol, k, eps)
@@ -334,15 +312,6 @@ def test_report_stream_determinism():
             assert np.array_equal(b1.data[1], b2.data[1])
         else:
             assert np.array_equal(b1.data, b2.data)
-
-
-def test_object_batch_round_trip():
-    for protocol in oc.PROTOCOLS:
-        params = oc.protocol_params(protocol, 1.2, 7)
-        rng = stream(9, 0)
-        batch = oc.randomize_batch(rng.integers(0, 7, 64), params, rng)
-        rebuilt = oc.as_batch(batch.reports(), params)
-        assert np.array_equal(oc.support_counts(batch), oc.support_counts(rebuilt))
 
 
 def test_attribute_domain_validation():
