@@ -64,8 +64,8 @@ for variant in ("grr", "sue_r", "oue_r"):
         cfg = mdm.CollectionConfig(md, solution, variant, EPS, priors)
 
         def fake_data_mse(rep, cfg=cfg):
-            b, _ = mdm.rs_sanitize_batch(ds.rows, cfg, stream(2024_03, 3, rep))
-            return mse_avg(truth, mdm.rs_estimate(b))
+            batches, _ = mdm.rs_sanitize_batch(ds.rows, cfg, stream(2024_03, 3, rep))
+            return mse_avg(truth, mdm.rs_estimate(batches, cfg))
 
         rows[f"{solution}[{variant}]"] = averaged(fake_data_mse)
 

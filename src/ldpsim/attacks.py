@@ -30,7 +30,6 @@ from .datasets import clip_or_uniform, synthesize_profiles
 from .multidim import (
     CollectionConfig,
     MultiDomain,
-    TupleBatch,
     check_collection,
     rs_estimate,
     rs_sanitize_batch,
@@ -343,7 +342,7 @@ def run_reident_experiment(
                 _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
                                  profile, rng_rep, flags)
             else:
-                _rs_survey_step(rows, md, solution, protocol, eps_list, attrs,
+                _rs_survey_step(dataset, solution, protocol, eps_list, attrs,
                                 rfd_priors, nk_s_mult, profile, rng_rep, flags)
             if s_idx == 0:
                 continue
@@ -389,32 +388,26 @@ def _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
             profile[m, a] = predict_batch(batch, rng)
 
 
-def _rs_survey_step(rows, md, solution, variant, eps_list, attrs,
+def _rs_survey_step(dataset, solution, variant, eps_list, attrs,
                     rfd_priors, nk_s_mult, profile, rng, flags):
-    attrs = np.asarray(attrs)
-    sub_md = MultiDomain(tuple(md.domains[a] for a in attrs))
-    sub_rows = rows[:, attrs]
-    n = len(rows)
+    sub = dataset.select(attrs)
     finite = [eps_list[a] for a in attrs if not math.isinf(eps_list[a])]
     # under a beta budget the whole tuple shares one epsilon: the tightest
     # non-pass-through attribute's; an all-pass-through subset degenerates
     # to a near-noiseless budget
     eps = min(finite) if finite else 50.0
     priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
-    cfg = CollectionConfig(sub_md, solution, variant, eps, priors)
-    batch, _ = rs_sanitize_batch(sub_rows, cfg, rng)
-    est = rs_estimate(batch)
-    learn = build_learning_set("nk", estimated_freqs=est, s=int(round(nk_s_mult * n)),
-                               cfg=cfg, rng=rng)
+    cfg = CollectionConfig(sub.multidomain, solution, variant, eps, priors)
+    batches, _ = rs_sanitize_batch(sub.rows, cfg, rng)
+    learn = build_learning_set("nk", estimated_freqs=rs_estimate(batches, cfg),
+                               s=synthetic_count(nk_s_mult, sub.n), cfg=cfg, rng=rng)
     clf, attack_flags = train_attacker(learn, cfg)
     flags.extend(f for f in attack_flags if f not in flags)
-    jhat = clf.predict(encode_features(batch))
-    for ai, a in enumerate(attrs):
+    jhat = clf.predict(encode_features(batches))
+    for ai, (a, b) in enumerate(zip(attrs, batches)):
         m = jhat == ai
-        if not m.any():
-            continue
-        rb = ReportBatch(cfg.params(ai), batch.columns[ai][m])
-        profile[m, a] = predict_batch(rb, rng)
+        if m.any():
+            profile[m, a] = predict_batch(ReportBatch(b.params, b.data[m]), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +427,9 @@ def check_attack_model(model: str) -> None:
         raise ParameterError(f"unknown attack model {model!r}; use one of {ATTACK_MODELS}")
 
 
-def encode_features(batch: TupleBatch) -> np.ndarray:
-    """Tuple batch -> classifier features: value indices or concatenated bits."""
-    if batch.cfg.variant == "grr":
-        return np.column_stack(batch.columns)
-    return np.hstack(batch.columns)
+def encode_features(batches: Sequence[ReportBatch]) -> np.ndarray:
+    """Fake-data batches, one per attribute -> classifier features: values or bit rows."""
+    return np.column_stack([b.data for b in batches])
 
 
 def build_learning_set(
@@ -469,8 +460,8 @@ def build_learning_set(
         dists, fell_back = clip_or_uniform(estimated_freqs)
         fallback = any(fell_back)
         synth_rows = synthesize_profiles(dists, s, rng, cfg.md).rows
-        batch, labels = rs_sanitize_batch(synth_rows, cfg, rng)
-        parts.append((encode_features(batch), labels))
+        batches, labels = rs_sanitize_batch(synth_rows, cfg, rng)
+        parts.append((encode_features(batches), labels))
     if model in ("pk", "hm"):
         if compromised is None or n_pk <= 0:
             raise ParameterError("pk needs n_pk > 0 compromised rows")
@@ -504,6 +495,15 @@ def compromised_count(npk_frac: float, n: int) -> int:
     return n_pk
 
 
+def synthetic_count(mult: float, n: int) -> int:
+    """Synthetic profiles nk and hm train on, round(mult * n); at least 1."""
+    s = int(round(mult * n))
+    if s < 1:
+        raise ParameterError(f"s_mult or nk_s_mult = {mult!r} makes {s} synthetic profiles "
+                             f"for {n} users; nk and hm need at least 1")
+    return s
+
+
 def run_attr_infer_experiment(
     rows: np.ndarray,
     cfg: CollectionConfig,
@@ -518,13 +518,13 @@ def run_attr_infer_experiment(
         check_attack_model(model)
     n = len(rows)
     n_pk = compromised_count(npk_frac, n) if {"pk", "hm"} & set(attack_models) else 0
+    s = synthetic_count(s_mult, n) if {"nk", "hm"} & set(attack_models) else 0
     rng = stream(seed, 404, run)
-    batch, labels = rs_sanitize_batch(rows, cfg, rng)
-    features = encode_features(batch)
-    est = rs_estimate(batch)
+    batches, labels = rs_sanitize_batch(rows, cfg, rng)
+    features = encode_features(batches)
+    est = rs_estimate(batches, cfg)
 
     results = []
-    s = int(round(s_mult * n))
     for model in attack_models:
         rng_m = stream(seed, 505, run, ATTACK_MODELS.index(model))
         comp, rest = slice(0), slice(None)  # nk compromises no user and tests on all

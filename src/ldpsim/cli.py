@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 from .errors import ConfigError
@@ -42,6 +43,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "jsonl"), default=None)
     sub.add_argument("--runs", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None)
+
+
+def _check_out(out: str) -> None:
+    """Refuse an ``out`` that is a directory, or whose directory takes no temporary file."""
+    if Path(out).is_dir():
+        raise ConfigError(f"out {out!r} is a directory")
+    try:
+        tempfile.TemporaryFile(dir=Path(out).parent).close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write out {out!r}: {exc.strerror}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,11 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             "threads": env_threads() if args.threads is None else args.threads,
         }
         cfg = build_config(raw, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        _check_out(cfg.out)
         rows = run_experiment(cfg)
         out = export_results(rows, cfg.out, cfg.format)
     except ConfigError as exc:

@@ -9,6 +9,7 @@ layouts at desk scale); real datasets load from user-supplied CSVs.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -123,12 +124,19 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
     )
 
 
-def load_fixture(name: str) -> Dataset:
-    """Load one of the bundled deterministic fixtures by short name."""
+def dataset_file(spec: str):
+    """Context manager giving the CSV path of a CSV path or ``fixture:<name>`` spec."""
+    if not spec.startswith("fixture:"):
+        return nullcontext(spec)
+    name = spec.split(":", 1)[1]
     if name not in FIXTURES:
         raise ParameterError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}")
-    ref = resources.files("ldpsim.data").joinpath(FIXTURES[name])
-    with resources.as_file(ref) as path:
+    return resources.as_file(resources.files("ldpsim.data").joinpath(FIXTURES[name]))
+
+
+def load_fixture(name: str) -> Dataset:
+    """Load one of the bundled deterministic fixtures by short name."""
+    with dataset_file(f"fixture:{name}") as path:
         return load_dataset(path, id_column="id")
 
 

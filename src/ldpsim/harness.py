@@ -39,12 +39,13 @@ from .attacks import (
     multi_collection_acc,
     run_attr_infer_experiment,
     run_reident_experiment,
+    synthetic_count,
 )
 from .datasets import (
     Dataset,
+    dataset_file,
     laplace_prior,
     load_dataset,
-    load_fixture,
     mse_avg,
     true_frequencies,
     uniform_dataset,
@@ -305,10 +306,10 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     if not spec:
         raise ConfigError("this experiment needs a dataset")
     try:
-        if spec.startswith("fixture:"):
-            ds = load_fixture(spec.split(":", 1)[1])
-        elif spec.startswith("synth:"):
+        if spec.startswith("synth:"):
             kind = spec.split(":", 1)[1]
+            if cfg.columns or cfg.id_column != ExperimentConfig.id_column:
+                raise ConfigError("a synthetic dataset takes no columns or id_column")
             rng = stream(cfg.seed, 7001)
             if kind == "zipf":
                 ds = zipf_dataset(cfg.synth_n, cfg.synth_ks, cfg.synth_zipf_a, rng)
@@ -317,8 +318,8 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
             else:
                 raise ConfigError(f"unknown synthetic dataset {kind!r}")
         else:
-            ds = load_dataset(spec, cfg.columns or None,
-                              cfg.id_column if cfg.id_column else None)
+            with dataset_file(spec) as path:
+                ds = load_dataset(path, cfg.columns or None, cfg.id_column or None)
         if cfg.subsample:
             ds = ds.subsample(cfg.subsample, stream(cfg.seed, 7002))
         constant = [name for name, k in zip(ds.multidomain.names, ds.ks) if k < 2]
@@ -391,13 +392,18 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | 
     return priors, any(fallback)
 
 
-def _check_npk(cfg: ExperimentConfig, n: int) -> None:
-    """pk and hm need compromised users to train on and others to test on."""
-    if cfg.experiment == "attr_infer" and {"pk", "hm"} & set(cfg.attack):
-        try:
+def _check_counts(cfg: ExperimentConfig, n: int) -> None:
+    """Refuse an npk_frac, s_mult or nk_s_mult that leaves an attack no user it needs."""
+    models = set(cfg.attack) if cfg.experiment == "attr_infer" else set()
+    try:
+        if models & {"pk", "hm"}:
             compromised_count(cfg.npk_frac, n)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        if models & {"nk", "hm"}:
+            synthetic_count(cfg.s_mult, n)
+        if cfg.experiment == "reident" and cfg.solution != "smp":
+            synthetic_count(cfg.nk_s_mult, n)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto: str,
@@ -429,8 +435,8 @@ def _mse_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, solution: 
                vtag: str, eps: float, run: int) -> list[ResultRow]:
     truth = true_frequencies(ds)
     collection = CollectionConfig(ds.multidomain, solution, vtag, eps, priors)
-    batch, _ = rs_sanitize_batch(ds.rows, collection, stream(seed, run))
-    value = mse_avg(truth, rs_estimate(batch))
+    batches, _ = rs_sanitize_batch(ds.rows, collection, stream(seed, run))
+    value = mse_avg(truth, rs_estimate(batches, collection))
     return [ResultRow(cfg.experiment, vtag, solution,
                       eps, None, "mse_avg", value, None, run, cfg.seed,
                       f"prior_mode={cfg.prior_mode}")]
@@ -468,7 +474,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if cfg.experiment in _DATA:
         ds = resolve_dataset(cfg)
         _check_epsilons(cfg, ds.d)
-        _check_npk(cfg, ds.n)
+        _check_counts(cfg, ds.n)
         priors, fell_back = _rfd_priors(cfg, ds)
     tasks = [partial(fn, cfg, ds, priors, _point_seed(cfg.seed, seed_idx), *axes, run)
              for seed_idx, fn, axes in _grid(cfg) for run in range(cfg.runs)]

@@ -21,7 +21,8 @@ its fake distribution; ``rs_sanitize_batch``, ``rs_estimate`` /
 and variant.
 
 Every collection is a batch over n users: the sanitizers take an (n, d)
-matrix of value indices and check all of it before any draw.
+matrix of value indices, check all of it before any draw, and return one
+``ReportBatch`` per attribute: at epsilon/d under spl, else under ``cfg.params(a)``.
 
 A variant is named by one tag, its oracle then its fakes: ``grr`` (plain
 values), ``sue_z`` / ``oue_z`` (unary encoding on all-zero fake vectors,
@@ -251,32 +252,10 @@ def check_collection(solution: str, variant: str) -> None:
         raise ParameterError(f"{solution} variant must be one of {variants}, got {variant!r}")
 
 
-@dataclass
-class TupleBatch:
-    """Column-oriented batch of full-vector survey tuples.
-
-    ``columns[a]`` holds attribute a's reports for all n users in the
-    layout of its oracle's ``ReportBatch``: an int vector for grr, a
-    (n, k_a) uint8 matrix for the unary-encoding variants.  The sampled
-    attribute indices are intentionally NOT stored here; the simulator
-    keeps them separately when it needs ground truth.
-    """
-
-    cfg: CollectionConfig
-    columns: list
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def column(self, a: int) -> ReportBatch:
-        """Attribute a's reports as a batch of its sampled-slot oracle."""
-        return ReportBatch(self.cfg.params(a), self.columns[a])
-
-
 def rs_sanitize_batch(
     rows: np.ndarray, cfg: CollectionConfig, rng: np.random.Generator
-) -> tuple[TupleBatch, np.ndarray]:
-    """Client side for n users; returns (batch, simulator-only sampled indices).
+) -> tuple[list[ReportBatch], np.ndarray]:
+    """Client side for n users: (batches under ``cfg.params(a)``, simulator-only sampled indices).
 
     Every fake draw goes through ``cfg.fake``, so rs_fd (uniform) and rs_rfd
     (priors) consume the random stream identically at equal seeds.
@@ -285,7 +264,7 @@ def rs_sanitize_batch(
     rows = _check_rows(rows, md)
     n, d = rows.shape
     sampled = rng.integers(0, d, size=n)
-    columns = []
+    batches = []
     grr = cfg.variant == "grr"
     for a, k in enumerate(md.ks):
         params = cfg.params(a)
@@ -298,8 +277,8 @@ def rs_sanitize_batch(
         else:  # a categorical fake draw, unary-encoded under sue_r / oue_r
             fakes = _categorical(cfg.fake[a], len(fake), rng)
             col[fake] = fakes if grr else randomize_batch(fakes, params, rng).data
-        columns.append(col)
-    return TupleBatch(cfg, columns), sampled
+        batches.append(ReportBatch(params, col))
+    return batches, sampled
 
 
 def _fake_support(cfg: CollectionConfig, a: int, params: ProtocolParams):
@@ -329,10 +308,9 @@ def rs_estimate_from_counts(
     return out
 
 
-def rs_estimate(batch: TupleBatch) -> list[np.ndarray]:
-    """Raw unbiased per-attribute frequency estimates for a tuple batch."""
-    counts = [support_counts(batch.column(a)) for a in range(batch.cfg.md.d)]
-    return rs_estimate_from_counts(counts, batch.cfg, len(batch))
+def rs_estimate(batches: Sequence[ReportBatch], cfg: CollectionConfig) -> list[np.ndarray]:
+    """Raw unbiased per-attribute frequency estimates from one batch per attribute."""
+    return rs_estimate_from_counts([support_counts(b) for b in batches], cfg, len(batches[0]))
 
 
 def rs_variance(freqs: Sequence[np.ndarray], cfg: CollectionConfig, n: int) -> list[np.ndarray]:

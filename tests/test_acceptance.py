@@ -136,8 +136,8 @@ def test_c03_estimator_unbiasedness():
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
             cfg = mdm.CollectionConfig(md, solution, variant, 1.0, priors)
-            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batch))
+            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batches, cfg))
         for a in range(3):
             assert _bias_ok([e[a] for e in ests], freqs[a], runs), (solution, variant, a)
         checked.append(f"{solution}[{variant}]")
@@ -162,8 +162,8 @@ def test_c04_variance_formulas():
             rng = stream(7700, vi, r)
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
-            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batch))
+            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batches, cfg))
         for a, theo in enumerate(mdm.rs_variance(freqs, cfg, n)):
             arr = np.array([e[a] for e in ests])
             emp = arr.var(axis=0, ddof=1)
@@ -328,9 +328,9 @@ def mse_paired_runs():
             pairs = []
             for run in range(20):
                 b1, _ = mdm.rs_sanitize_batch(ds.rows, fd, stream(808, run))
-                m1 = mse_avg(truth, mdm.rs_estimate(b1))
+                m1 = mse_avg(truth, mdm.rs_estimate(b1, fd))
                 b2, _ = mdm.rs_sanitize_batch(ds.rows, rfd, stream(808, run))
-                m2 = mse_avg(truth, mdm.rs_estimate(b2))
+                m2 = mse_avg(truth, mdm.rs_estimate(b2, rfd))
                 pairs.append((m1, m2))
             out[(variant, eps)] = pairs
     return out

@@ -458,13 +458,13 @@ def _collection(ks, n, seed, variant="grr", eps=1.0):
     rng = stream(seed, 0)
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
     cfg = mdm.CollectionConfig(md, "rs_fd", variant, eps)
-    batch, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
-    return md, rows, cfg, batch, labels
+    batches, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
+    return md, rows, cfg, batches, labels
 
 
 def test_build_learning_set_nk_uniform_labels():
-    md, rows, cfg, batch, labels = _collection([4, 5, 3], 30_000, 16)
-    est = mdm.rs_estimate(batch)
+    md, rows, cfg, batches, labels = _collection([4, 5, 3], 30_000, 16)
+    est = mdm.rs_estimate(batches, cfg)
     learn = atk.build_learning_set("nk", estimated_freqs=est, s=30_000, cfg=cfg,
                                    rng=stream(16, 1))
     counts = np.bincount(learn.labels, minlength=3)
@@ -474,8 +474,8 @@ def test_build_learning_set_nk_uniform_labels():
 
 
 def test_build_learning_set_pk_boundaries():
-    md, rows, cfg, batch, labels = _collection([4, 5, 3], 500, 17)
-    feats = atk.encode_features(batch)
+    md, rows, cfg, batches, labels = _collection([4, 5, 3], 500, 17)
+    feats = atk.encode_features(batches)
     with pytest.raises(ParameterError):
         atk.build_learning_set("pk", compromised=(feats, labels), n_pk=0)
     learn = atk.build_learning_set("pk", compromised=(feats, labels), n_pk=100)
@@ -485,9 +485,9 @@ def test_build_learning_set_pk_boundaries():
 
 
 def test_build_learning_set_hm_union_size():
-    md, rows, cfg, batch, labels = _collection([4, 5, 3], 500, 18)
-    feats = atk.encode_features(batch)
-    est = mdm.rs_estimate(batch)
+    md, rows, cfg, batches, labels = _collection([4, 5, 3], 500, 18)
+    feats = atk.encode_features(batches)
+    est = mdm.rs_estimate(batches, cfg)
     learn = atk.build_learning_set("hm", estimated_freqs=est,
                                    compromised=(feats, labels), s=250, n_pk=100,
                                    cfg=cfg, rng=stream(18, 1))
@@ -526,8 +526,8 @@ def test_nk_synthetic_features_match_real_distribution():
     synth_rows = synthesize_profiles(freqs, n, rng, md).rows
     synth_batch, _ = mdm.rs_sanitize_batch(synth_rows, cfg, rng)
     for a, k in enumerate(ks):
-        c_real = np.bincount(real_batch.columns[a], minlength=k)
-        c_synth = np.bincount(synth_batch.columns[a], minlength=k)
+        c_real = np.bincount(real_batch[a].data, minlength=k)
+        c_synth = np.bincount(synth_batch[a].data, minlength=k)
         table = np.vstack([c_real, c_synth])
         assert stats.chi2_contingency(table).pvalue > 0.01
 
@@ -603,6 +603,17 @@ def test_attr_infer_npk_frac_needs_train_and_test_users():
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), npk_frac=0.999)
     assert len(res) == 1 and not math.isnan(res[0].value)
     assert atk.compromised_count(0.1, 100) == 10
+
+
+def test_attr_infer_s_mult_needs_a_synthetic_profile():
+    # s = round(s_mult * n) = 0 failed at the first nk learning set; now before any draw
+    md, rows, cfg, batch, labels = _collection([4, 4], 100, 28)
+    for models in (("nk",), ("hm",)):
+        with pytest.raises(ParameterError, match="s_mult"):
+            atk.run_attr_infer_experiment(rows, cfg, attack_models=models, s_mult=0.001)
+    # pk alone trains on no synthetic profile
+    assert len(atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), s_mult=0.001)) == 1
+    assert atk.synthetic_count(0.5, 100) == 50
 
 
 def test_attr_infer_unknown_model_rejected_before_any_draw():

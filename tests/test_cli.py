@@ -55,12 +55,25 @@ def test_conflicting_experiment_kind(tmp_path, analytic_cfg):
     assert rc == 2
 
 
-def test_runtime_error_exit_code(tmp_path, analytic_cfg):
-    rc = run_cli([
-        "analytic", "--config", str(analytic_cfg),
-        "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"),
-    ])
+def test_runtime_error_exit_code(tmp_path, analytic_cfg, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "export_results", fail)
+    rc = run_cli(["analytic", "--config", str(analytic_cfg), "--out", str(tmp_path / "x.csv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("out", ["no/such/dir/x.csv", "file.txt/x.csv", ".", "/proc/x.csv"],
+                         ids=["missing-dir", "file-as-dir", "directory", "proc"])
+def test_unwritable_out_is_config_error(tmp_path, monkeypatch, out):
+    # each exited 3, after the whole grid had run; now refused before any grid point
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("")
+    (tmp_path / "a.cfg").write_text("seed = 1\nepsilons = 1\n")
+    monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+    assert run_cli(["analytic", "--config", "a.cfg", "--out", out]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "file.txt"]
 
 
 def test_dataset_needed_is_config_error(tmp_path):
@@ -251,7 +264,9 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("mse", _FIXTURE + "epsilons = 1\nsubsample = -1\n"),
     ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 0\n"),
     ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 0.001\nattack = hm\n"),
     ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\nnk_s_mult = 0\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\nnk_s_mult = 0.001\n"),
     ("reident", _FIXTURE + "epsilons = 1\ns_mult = 2\n"),
     ("analytic", _FIXTURE + "epsilons = 1\n"),
     ("analytic", "epsilons = 1\nruns = 1, 2\n"),
@@ -270,7 +285,8 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
         "reident-nk-s-mult-text", "reident-all-attributes-int", "mse-zipf-a-text",
         "analytic-mode-unknown", "reident-attack-model-unknown", "attr-infer-attack-unknown",
         "mse-dataset-int", "mse-synth-k-one", "mse-synth-n-zero", "mse-subsample-negative",
-        "attr-infer-s-mult-zero", "attr-infer-npk-frac-zero", "reident-rs-fd-nk-s-mult-zero",
+        "attr-infer-s-mult-zero", "attr-infer-npk-frac-zero", "attr-infer-s-mult-no-profile",
+        "reident-rs-fd-nk-s-mult-zero", "reident-rs-fd-nk-s-mult-no-profile",
         "reident-s-mult-unread", "analytic-dataset-unread", "analytic-runs-list",
         "analytic-ks-empty", "analytic-protocols-empty", "reident-top-k-empty",
         "attr-infer-npk-frac-no-compromised-user", "attr-infer-npk-frac-no-test-user"])
@@ -302,8 +318,12 @@ def test_attack_oracle_large_olh_epsilon_still_runs(tmp_path):
     "dataset = {tmp}/repeated.csv\n",
     "dataset = {tmp}/constant.csv\n",
     "dataset = {tmp}/ok.csv\ncolumns = a, a\n",
+    "dataset = synth:zipf\ncolumns = a0\n",
+    "dataset = synth:zipf\nid_column = key\n",
+    "dataset = fixture:adult_style_100\ncolumns = age, nope\n",
 ], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n",
-        "missing-id-column", "repeated-column", "constant-column", "repeated-selection"])
+        "missing-id-column", "repeated-column", "constant-column", "repeated-selection",
+        "synth-columns", "synth-id-column", "fixture-missing-column"])
 def test_bad_dataset_spec_is_config_error(tmp_path, body):
     # each exited 3, as a runtime error, or (the repeated column) read its first
     # occurrence twice, or (the repeated selection) loaded one column twice; each

@@ -1,11 +1,15 @@
-"""Smoke test: every demo script runs to completion against the current API."""
+"""Smoke test: every demo script, and the README's quick start, runs to completion
+against the current API."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_found():
@@ -16,3 +20,11 @@ def test_demos_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_python_blocks_run():
+    # the fenced python blocks build on each other, so they run in order as one script
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    exec(compile("".join(blocks), str(README), "exec"), {"__name__": "__main__"})

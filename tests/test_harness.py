@@ -269,6 +269,15 @@ def test_prior_fallback_flag_follows_laplace_prior():
     assert seen == {False, True}
 
 
+def test_fixture_dataset_reads_columns_and_id_column():
+    # a fixture spec ignored both keys and loaded every attribute
+    keys = {"experiment": "mse", "seed": 1, "dataset": "fixture:adult_style_100",
+            "epsilons": [1.0]}
+    ds = hn.resolve_dataset(hn.build_config({**keys, "columns": ["age", "sex"]}))
+    assert ds.d == 2 and ds.multidomain.names == ("age", "sex")
+    assert hn.resolve_dataset(hn.build_config({**keys, "id_column": ""})).d == 11
+
+
 def test_validate_rejects_bad_values():
     with pytest.raises(ConfigError):
         hn.build_config({"experiment": "waffles", "seed": 1})

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -167,7 +166,7 @@ def test_smp_sample_exhausted_rows_uniform_over_pool():
 def test_rsfd_single_attribute_degenerate():
     md = md_of([7])
     assert mdm.amplified_epsilon(1.0, 1) == 1.0
-    batch, sampled = mdm.rs_sanitize_batch(
+    _, sampled = mdm.rs_sanitize_batch(
         np.arange(7).reshape(-1, 1), mdm.CollectionConfig(md, "rs_fd", "grr", 1.0),
         stream(9, 0),
     )
@@ -179,10 +178,10 @@ def test_rsfd_uez_fake_bit_count():
     n = 100_000
     rng = stream(10, 0)
     rows = np.zeros((n, 2), dtype=int)
-    batch, sampled = mdm.rs_sanitize_batch(
+    batches, sampled = mdm.rs_sanitize_batch(
         rows, mdm.CollectionConfig(md, "rs_fd", "oue_z", 1.0), rng)
     params = oc.protocol_params("oue", mdm.amplified_epsilon(1.0, 2), 9)
-    fakes = batch.columns[1][sampled != 1]
+    fakes = batches[1].data[sampled != 1]
     m = len(fakes)
     mean_ones = fakes.sum(axis=1).mean()
     sig = 3 * math.sqrt(9 * params.q * (1 - params.q) / m)
@@ -194,20 +193,24 @@ def test_rsfd_grr_fake_slot_uniform():
     n = 100_000
     rng = stream(11, 0)
     rows = np.zeros((n, 2), dtype=int)
-    batch, sampled = mdm.rs_sanitize_batch(
+    batches, sampled = mdm.rs_sanitize_batch(
         rows, mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), rng)
-    fakes = batch.columns[1][sampled != 1]
+    fakes = batches[1].data[sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts)
     assert chi.pvalue > 0.01
 
 
 def test_rsfd_tuple_object_hides_sampled_index():
-    # the sampled indices go back to the simulator only; the tuples hold none
+    # one report batch per attribute under cfg.params(a), the shape spl returns; the
+    # sampled indices go back to the simulator only, and no batch holds them
     md = md_of([3, 4])
-    batch, sampled = mdm.rs_sanitize_batch(
-        np.array([[1, 2]] * 5), mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), stream(12, 0))
-    assert [f.name for f in dataclasses.fields(batch)] == ["cfg", "columns"]
+    cfg = mdm.CollectionConfig(md, "rs_fd", "oue_r", 1.0)
+    batches, sampled = mdm.rs_sanitize_batch(np.array([[1, 2]] * 5), cfg, stream(12, 0))
+    assert [type(b) for b in batches] == [oc.ReportBatch] * 2
+    for a, b in enumerate(batches):
+        assert vars(b).keys() == {"params", "data"}
+        assert b.params == cfg.params(a) and b.data.shape == (5, md.ks[a])
     assert ((0 <= sampled) & (sampled < 2)).all()
 
 
@@ -255,7 +258,7 @@ def test_fractional_and_non_finite_indices_refused(bad):
     cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     params = oc.protocol_params("grr", 1.0, 4)
     calls = {
-        "rs": lambda rows, rng: mdm.rs_sanitize_batch(rows, cfg, rng)[0].columns,
+        "rs": lambda rows, rng: [b.data for b in mdm.rs_sanitize_batch(rows, cfg, rng)[0]],
         "spl": lambda rows, rng: [b.data for b in mdm.spl_sanitize_batch(rows, md, "grr",
                                                                          1.0, rng)],
         "oracle": lambda rows, rng: [oc.randomize_batch(rows.ravel(), params, rng).data],
@@ -362,8 +365,8 @@ def test_rsfd_estimate_monte_carlo_bias():
             rng = stream(18, r)
             rows = draw_rows(md, freqs, n, rng)
             cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
-            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batch))
+            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batches, cfg))
         for a in range(3):
             arr = np.array([e[a] for e in ests])
             se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -372,14 +375,14 @@ def test_rsfd_estimate_monte_carlo_bias():
 
 def test_rsfd_uniform_data_estimates_uniform():
     md = md_of([4, 6])
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     n, runs = 50_000, 20
     ests = []
     for r in range(runs):
         rng = stream(19, r)
         rows = np.column_stack([rng.integers(0, k, n) for k in md.ks])
-        batch, _ = mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), rng)
-        ests.append(mdm.rs_estimate(batch))
+        batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+        ests.append(mdm.rs_estimate(batches, cfg))
     for a, k in enumerate(md.ks):
         arr = np.array([e[a] for e in ests])
         se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -391,16 +394,15 @@ def test_rsrfd_uniform_prior_degenerates_to_rsfd():
     freqs = dirichlet_freqs(md, 20)
     rows = draw_rows(md, freqs, 20_000, stream(21, 0))
     for variant in ("grr", "sue_r", "oue_r"):
-        b1, s1 = mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_fd", variant, 0.9), stream(22, 5))
-        b2, s2 = mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_rfd", variant, 0.9, mdm.uniform_priors(md)),
-            stream(22, 5))
+        fd = mdm.CollectionConfig(md, "rs_fd", variant, 0.9)
+        rfd = mdm.CollectionConfig(md, "rs_rfd", variant, 0.9, mdm.uniform_priors(md))
+        b1, s1 = mdm.rs_sanitize_batch(rows, fd, stream(22, 5))
+        b2, s2 = mdm.rs_sanitize_batch(rows, rfd, stream(22, 5))
         assert np.array_equal(s1, s2)
-        for c1, c2 in zip(b1.columns, b2.columns):
-            assert np.array_equal(c1, c2)
-        e1 = mdm.rs_estimate(b1)
-        e2 = mdm.rs_estimate(b2)
+        for c1, c2 in zip(b1, b2):
+            assert np.array_equal(c1.data, c2.data)
+        e1 = mdm.rs_estimate(b1, fd)
+        e2 = mdm.rs_estimate(b2, rfd)
         for a in range(3):
             assert np.abs(e1[a] - e2[a]).max() < 1e-9
 
@@ -409,19 +411,19 @@ def test_rsrfd_point_mass_prior_fake_slots_constant():
     md = md_of([4, 5])
     priors = [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0, 0])]
     rows = np.column_stack([np.full(5000, 3), np.full(5000, 4)])
-    batch, sampled = mdm.rs_sanitize_batch(
+    batches, sampled = mdm.rs_sanitize_batch(
         rows, mdm.CollectionConfig(md, "rs_rfd", "grr", 1.0, priors), stream(23, 0))
-    assert (batch.columns[0][sampled != 0] == 0).all()
-    assert (batch.columns[1][sampled != 1] == 2).all()
+    assert (batches[0].data[sampled != 0] == 0).all()
+    assert (batches[1].data[sampled != 1] == 2).all()
 
 
 def test_rsrfd_fake_slots_follow_prior():
     md = md_of([3, 6])
     priors = dirichlet_freqs(md, 24)
     rows = np.zeros((100_000, 2), dtype=int)
-    batch, sampled = mdm.rs_sanitize_batch(
+    batches, sampled = mdm.rs_sanitize_batch(
         rows, mdm.CollectionConfig(md, "rs_rfd", "grr", 1.0, priors), stream(25, 0))
-    fakes = batch.columns[1][sampled != 1]
+    fakes = batches[1].data[sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts, f_exp=len(fakes) * priors[1])
     assert chi.pvalue > 0.01
@@ -438,8 +440,8 @@ def test_rsrfd_monte_carlo_bias():
             rng = stream(28, r)
             rows = draw_rows(md, freqs, n, rng)
             cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
-            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batch))
+            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batches, cfg))
         for a in range(3):
             arr = np.array([e[a] for e in ests])
             se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -500,8 +502,8 @@ def test_variance_matches_monte_carlo():
         for r in range(runs):
             rng = stream(31, r)
             rows = draw_rows(md, freqs, n, rng)
-            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batch)[0])
+            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batches, cfg)[0])
         arr = np.array(ests)
         theo = mdm.rs_variance(freqs, cfg, n)[0]
         emp = arr.var(axis=0, ddof=1)
@@ -519,8 +521,8 @@ def test_rsfd_variance_matches_monte_carlo():
         for r in range(runs):
             rng = stream(35, r)
             rows = draw_rows(md, freqs, n, rng)
-            batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batch))
+            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(batches, cfg))
         for a, theo in enumerate(mdm.rs_variance(freqs, cfg, n)):
             emp = np.array([e[a] for e in ests]).var(axis=0, ddof=1)
             assert emp.sum() == pytest.approx(theo.sum(), rel=0.15), (variant, a)
@@ -544,6 +546,7 @@ def test_sampled_slot_satisfies_amplified_ratio():
 
 def test_estimation_error_shrinks_as_sqrt_n():
     md = md_of([4, 3, 5])
+    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     freqs = dirichlet_freqs(md, 32)
     ns = [10_000, 40_000, 160_000]
     mean_err = []
@@ -552,9 +555,8 @@ def test_estimation_error_shrinks_as_sqrt_n():
         for r in range(16):
             rng = stream(33, n, r)
             rows = draw_rows(md, freqs, n, rng)
-            batch, _ = mdm.rs_sanitize_batch(
-                rows, mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), rng)
-            est = mdm.rs_estimate(batch)
+            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            est = mdm.rs_estimate(batches, cfg)
             errs.append(max(np.abs(est[a] - freqs[a]).max() for a in range(3)))
         mean_err.append(np.mean(errs))
     slope = np.polyfit(np.log(ns), np.log(mean_err), 1)[0]
