@@ -55,23 +55,31 @@ def _pick_from_rows(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
     """Uniform pick of a set column per row of an (n, k) 0/1 matrix.
 
     Rows with no set column fall back to a uniform draw over [0, k).  The
-    row cumsum is taken once in ``np.min_scalar_type(k)`` (uint8 up to
-    k = 255, uint16 beyond), its last column gives the counts, and the
-    ``cs > r`` compare runs in row chunks in that dtype.  ``r`` for all
-    rows, then the empty-row values, are each one ``rng.integers`` call:
-    drawing both per chunk would interleave them and change the stream.
+    running counts are kept column-major in one (k, n) array of
+    ``np.min_scalar_type(k)`` (uint8 up to k = 255, uint16 beyond), filled
+    per row chunk by a cumsum down axis 0, so every step is a contiguous
+    vector add; its last row gives the counts.  The pick is the first j
+    with ``cs[j] > r``, which, as ``cs`` never decreases, is the number of
+    j with ``cs[j] <= r``, counted over the k rows of ``cs``.  ``r`` for
+    all rows, then the empty-row values, are each one ``rng.integers``
+    call: drawing both per chunk would interleave them and change the
+    stream.
     """
     n = len(matrix)
-    cs = np.cumsum(matrix, axis=1, dtype=np.min_scalar_type(k))
-    counts = cs[:, -1]
-    r = rng.integers(0, np.maximum(counts, 1)).astype(cs.dtype)
-    pred = np.empty(n, dtype=np.int64)
+    dt = np.min_scalar_type(k)
+    cs = np.empty((k, n), dtype=dt)
     rows = chunk_rows(k)
-    above = np.empty((min(rows, n), k), dtype=bool)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        np.greater(cs[lo:hi], r[lo:hi, None], out=above[: hi - lo])
-        pred[lo:hi] = above[: hi - lo].argmax(axis=1)
+        np.cumsum(matrix[lo:hi].T, axis=0, dtype=dt, out=cs[:, lo:hi])
+    counts = cs[-1]
+    r = rng.integers(0, np.maximum(counts, 1)).astype(dt)
+    pred = np.zeros(n, dtype=np.min_scalar_type(k + 1))
+    at_most = np.empty(n, dtype=bool)
+    for row in cs:
+        np.less_equal(row, r, out=at_most)
+        pred += at_most
+    pred = pred.astype(np.int64)
     empty = counts == 0
     if empty.any():
         pred[empty] = rng.integers(0, k, int(empty.sum()))
@@ -154,6 +162,8 @@ def empirical_attack_acc(protocol: str, epsilon: float, k: int, n: int,
     The prediction rules are value-symmetric, so the accuracy does not
     depend on the underlying distribution; values are drawn uniformly.
     """
+    if n < 1:
+        raise ParameterError(f"sample size n must be >= 1, got {n!r}")
     params = protocol_params(protocol, epsilon, k)
     values = rng.integers(0, k, size=n)
     preds = predict_batch(randomize_batch(values, params, rng), rng)
@@ -174,6 +184,8 @@ def smp_attack_acc_mc(protocol: str, epsilon: float, ks: Sequence[int],
                      "non_uniform": "with_replacement"}.get(mode)
     if sampling_mode is None:
         raise ParameterError(f"unknown mode {mode!r}")
+    if n < 1:
+        raise ParameterError(f"sample size n must be >= 1, got {n!r}")
     md = MultiDomain.from_ks(ks)
     values = np.column_stack([rng.integers(0, k, size=n) for k in ks])
     profile = np.full((n, md.d), -1, dtype=np.int64)

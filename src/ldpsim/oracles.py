@@ -20,6 +20,7 @@ chunking changes no random stream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,6 +91,10 @@ def protocol_params(protocol: str, epsilon: float, k: int) -> ProtocolParams:
         raise ParameterError(f"unknown protocol {protocol!r}")
     if not 0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    try:
+        operator.index(k)
+    except TypeError:
+        raise DomainError(f"domain size k={k!r} is not an integer") from None
     if k < 2:
         raise DomainError(f"domain size k={k} is degenerate; randomization needs k >= 2")
 
@@ -158,6 +163,8 @@ def randomize_batch(
     """Sanitize a vector of value indices under ``params``."""
     k = params.k
     values = as_indices(values, k)
+    if values.ndim != 1:
+        raise DomainError(f"values must be a 1-D vector of indices, got shape {values.shape}")
     n = len(values)
     proto = params.protocol
 
@@ -288,5 +295,7 @@ def clip_normalize(est: np.ndarray) -> np.ndarray:
 
 def pure_estimator_variance(f: float, params: ProtocolParams, n: int) -> float:
     """Sampling variance of the shared estimator for a value of frequency f."""
+    if n < 1:
+        raise ParameterError(f"sample size n must be >= 1, got {n!r}")
     gamma = params.q + f * (params.p - params.q)
     return gamma * (1.0 - gamma) / (n * (params.p - params.q) ** 2)

@@ -8,7 +8,7 @@ The 64-bit mixing function used by the hashing oracle is SplitMix64, chosen
 because it is bit-exact reproducible from its published constants in any
 language.  ``hash_matches`` evaluates it for every (report, candidate) pair
 in cache-sized row chunks (``CHUNK_ELEMENTS``, the row budget every (n, k)
-kernel shares).
+kernel shares), reducing modulo g with a floor-divide remainder.
 """
 
 from __future__ import annotations
@@ -72,7 +72,10 @@ def hash_matches(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int) -> np.n
     The candidate hashes ``splitmix64(v)`` are computed once; the outer
     SplitMix64, the ``% g`` and the compare run in place on two reused
     uint64 buffers of ``chunk_rows(k)`` rows, so the only (n, k) array is
-    the bool result.
+    the bool result.  The ``% g`` is taken as ``z - (z // g) * g``: numpy's
+    uint64 floor-divide by a scalar is several times faster than its
+    remainder, and the result is exact with no overflow, as
+    ``(z // g) * g <= z``.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     buckets = np.asarray(buckets).astype(np.uint64)
@@ -88,7 +91,9 @@ def hash_matches(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int) -> np.n
         zc, tc = z[: hi - lo], tmp[: hi - lo]
         np.bitwise_xor(seeds[lo:hi, None], cand, out=zc)
         _splitmix64_inplace(zc, tc)
-        np.remainder(zc, g, out=zc)
+        np.floor_divide(zc, g, out=tc)
+        tc *= g
+        zc -= tc
         np.equal(zc, buckets[lo:hi, None], out=out[lo:hi])
     return out
 

@@ -144,6 +144,17 @@ def test_empirical_attack_matches_analytic(protocol):
         assert abs(emp - ana) < 3 * sig, (protocol, eps, k)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_monte_carlo_accuracy_needs_a_sample(n):
+    rng = stream(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="sample size"):
+        atk.empirical_attack_acc("grr", 1.0, 4, n, rng)
+    with pytest.raises(ParameterError, match="sample size"):
+        atk.smp_attack_acc_mc("grr", 1.0, [4, 4], "uniform", n, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_multi_collection_identities():
     assert atk.multi_collection_acc("grr", 2.0, [9]) == pytest.approx(
         atk.analytic_acc("grr", 2.0, 9)

@@ -5,7 +5,10 @@ spirit: one ``rng.random((n, k))`` draw, an int64 cumsum, a broadcast hash.
 The kernels must return the same arrays and leave the generator in the same
 state (the next ``rng.random()`` agrees), at row counts around the chunk
 boundaries, at k = 300 (uint16 cumsum), for SS subset sizes 1 and > 1 and
-for OLH bucket counts that are and are not powers of two.
+for OLH bucket counts that are and are not powers of two.  The uniform pick
+is also checked at k = 255 / 256, where its count dtype widens, on all-0 and
+all-1 rows and on inputs that are not C-contiguous; the OLH match kernel at
+bucket counts near 2^63.
 """
 
 import tracemalloc
@@ -178,6 +181,56 @@ def test_pick_from_rows_matches_reference(k, n, density):
     ref = _ref_pick_from_rows(matrix, matrix.sum(axis=1), k, ref_rng)
     np.testing.assert_array_equal(pred, ref)
     assert rng.random() == ref_rng.random()
+
+
+def _edge_rows(k, n):
+    """Dense rows, with every third row all 0 and every third all 1."""
+    matrix = (stream(38, k, n).random((n, k)) < 0.97).astype(np.uint8)
+    matrix[::3] = 0
+    matrix[1::3] = 1
+    return matrix
+
+
+LAYOUTS = {
+    "c": lambda m: m,
+    "f": np.asfortranarray,
+    # a column slice of a wider array: rows are strided
+    "slice": lambda m: np.pad(m, ((0, 0), (2, 3)), constant_values=1)[:, 2:-3],
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("k", [255, 256])
+def test_pick_from_rows_edges_match_reference(k, layout):
+    # all-1 rows count k: the top of uint8 at k = 255, a uint16 count at k = 256
+    n = 2 * chunk_rows(k) + 3
+    matrix = LAYOUTS[layout](_edge_rows(k, n))
+    np.testing.assert_array_equal(matrix, _edge_rows(k, n))
+    assert matrix.flags.c_contiguous == (layout == "c")
+    rng, ref_rng = _pair(38, k, n)
+    pred = atk._pick_from_rows(matrix, k, rng)
+    ref = _ref_pick_from_rows(matrix, matrix.sum(axis=1), k, ref_rng)
+    np.testing.assert_array_equal(pred, ref)
+    assert pred.dtype == np.int64
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("g", [oc.protocol_params("olh", 43.0, 74).aux, 1 << 63],
+                         ids=["eps43", "2^63"])
+def test_hash_matches_near_the_bucket_limit(g):
+    assert g > 1 << 62  # z // g takes only the values 0 to 3
+    k = 74
+    n = 2 * chunk_rows(k) + 3
+    rng = stream(39, 0)
+    seeds = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    values = _values(k, n, 39)
+    rows = np.arange(n)
+    true = _ref_hash(seeds, values, g)
+    neighbour = np.where(true > 0, true - 1, true + 1)
+    for buckets in (true, neighbour):
+        got = hash_matches(seeds, buckets, k, g)
+        np.testing.assert_array_equal(got, _ref_olh_matches(seeds, buckets, k, g))
+        np.testing.assert_array_equal(got[rows, values], buckets is true)
 
 
 def _categorical_cases():

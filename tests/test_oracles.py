@@ -74,6 +74,17 @@ def test_param_errors():
         oc.protocol_params("nope", 1.0, 4)
 
 
+@pytest.mark.parametrize("k", [4.5, 4.0, "4", None])
+def test_non_integer_domain_size_is_domain_error(k):
+    with pytest.raises(DomainError, match="not an integer"):
+        oc.protocol_params("sue", 1.0, k)
+
+
+@pytest.mark.parametrize("k", [np.int64(4), np.int32(4), np.uint8(4)])
+def test_numpy_integer_domain_size_is_accepted(k):
+    assert oc.protocol_params("sue", 1.0, k).k == 4
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     protocol=st.sampled_from(oc.PROTOCOLS),
@@ -135,6 +146,18 @@ def test_randomize_value_out_of_domain():
     params = oc.protocol_params("grr", 1.0, 4)
     with pytest.raises(DomainError):
         oc.randomize_batch([4], params, stream(0, 0))
+
+
+@pytest.mark.parametrize("values", [[[1, 2], [0, 3]], 2, np.zeros((3, 1), np.int64)],
+                         ids=["2d", "scalar", "column"])
+@pytest.mark.parametrize("protocol", oc.PROTOCOLS)
+def test_randomize_refuses_values_that_are_not_1d(protocol, values):
+    # a 2-D input would give sue/oue rows several true bits
+    rng = stream(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="1-D"):
+        oc.randomize_batch(values, oc.protocol_params(protocol, 1.0, 4), rng)
+    assert rng.bit_generator.state == state
 
 
 def _supported(params, data):
@@ -199,6 +222,12 @@ def test_estimate_epsilon_zero_path():
     with pytest.raises(NonIdentifiableError):
         oc.estimate_from_counts(np.array([1, 1, 1]), 3, bad)
     del params
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_estimator_variance_needs_a_sample(n):
+    with pytest.raises(ParameterError, match="sample size"):
+        oc.pure_estimator_variance(0.3, oc.protocol_params("grr", 1.0, 4), n)
 
 
 def test_clip_normalize():
