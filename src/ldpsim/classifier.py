@@ -6,6 +6,13 @@ Two likelihood models cover the two feature encodings the attack produces:
 everywhere, log-space scoring, ties broken toward the lowest class index, so
 training and prediction are fully deterministic.  The interface is small on
 purpose (fit / predict) so an alternative model can be swapped in.
+
+``predict`` scores fixed blocks of ``PREDICT_ROWS`` rows and keeps only each
+block's argmax, so neither a float64 copy of the (n, m) features nor the
+(n, C) score matrix is ever held.  The block is a constant, not a function of
+m: the Bernoulli score is a GEMM, and OpenBLAS takes another kernel path for
+small blocks, which changes the scores' last bits.  Categorical scoring
+gathers contiguous rows of (k, C) log tables.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import numpy as np
 from .errors import ParameterError
 
 SMOOTHING = 1.0  # Laplace pseudo-count of every class and likelihood cell
+PREDICT_ROWS = 4096  # rows scored per block by predict
 
 
 @dataclass
@@ -75,7 +83,8 @@ class NaiveBayes:
                 # one count per (class, category) cell: class c's counts sit at c * kj + x
                 tab = np.bincount(y * kj + xj, minlength=C * kj).reshape(C, kj).astype(np.float64)
                 tab = (tab + a) / (tab.sum(axis=1, keepdims=True) + a * kj)
-                tables.append(np.log(tab))
+                # a (C, kj) view of a C-contiguous (kj, C) array: scoring gathers its rows
+                tables.append(np.ascontiguousarray(np.log(tab).T).T)
             self._log_like = tables
         return self
 
@@ -91,21 +100,35 @@ class NaiveBayes:
                 raise ParameterError(f"feature {j} must lie in [0, {k})")
 
     def log_scores(self, X: np.ndarray) -> np.ndarray:
+        """(n, C) log posterior scores, up to a per-row constant."""
         X = np.asarray(X)
         self._check_features(X)
         if self.constant_class is not None:
             scores = np.full((len(X), self.n_classes), -np.inf)
             scores[:, self.constant_class] = 0.0
             return scores
+        return self._scores(X)
+
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        """Scores of checked rows under a model fitted on two or more classes."""
         if self.mode == "bernoulli":
             log_t, log_1mt = self._log_like
             Xb = X.astype(np.float64)
             return self._log_prior[None, :] + Xb @ log_t.T + (1.0 - Xb) @ log_1mt.T
         scores = np.tile(self._log_prior, (len(X), 1))
         for j, tab in enumerate(self._log_like):
-            scores += tab[:, X[:, j]].T
+            scores += np.take(tab.T, X[:, j], axis=0)
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most likely class per row; argmax ties go to the lowest index."""
-        return np.argmax(self.log_scores(X), axis=1)
+        X = np.asarray(X)
+        self._check_features(X)
+        n = len(X)
+        if self.constant_class is not None:
+            return np.full(n, self.constant_class, dtype=np.int64)
+        out = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, PREDICT_ROWS):
+            hi = min(lo + PREDICT_ROWS, n)
+            np.argmax(self._scores(X[lo:hi]), axis=1, out=out[lo:hi])
+        return out

@@ -179,7 +179,10 @@ def randomize_batch(
 
     if proto == "ss":
         # row chunks of iid uniform keys; the true value's key is +inf, so it
-        # is never drawn as an "other"; omega = 1 needs only the argmin
+        # is never drawn as an "other"; omega = 1 needs only the argmin.  Rows
+        # are sorted, so only the set of the omega smallest keys matters: an
+        # argpartition gives it, with the omega-th smallest at slot omega - 1,
+        # which included rows replace by their true value
         omega = params.aux
         include = rng.random(n) < params.p
         out = np.empty((n, omega), dtype=np.int64)
@@ -192,10 +195,8 @@ def randomize_batch(
             if omega == 1:
                 o[:, 0] = np.where(inc, values[lo:hi], keys.argmin(axis=1))
             else:
-                order = np.argsort(keys, axis=1)
-                o[inc, 0] = values[lo:hi][inc]
-                o[inc, 1:] = order[inc, : omega - 1]
-                o[~inc] = order[~inc, :omega]
+                o[:] = np.argpartition(keys, omega - 1, axis=1)[:, :omega]
+                o[inc, omega - 1] = values[lo:hi][inc]
                 o.sort(axis=1)
         return ReportBatch(params, out)
 

@@ -8,7 +8,9 @@ boundaries, at k = 300 (uint16 cumsum), for SS subset sizes 1 and > 1 and
 for OLH bucket counts that are and are not powers of two.  The uniform pick
 is also checked at k = 255 / 256, where its count dtype widens, on all-0 and
 all-1 rows and on inputs that are not C-contiguous; the OLH match kernel at
-bucket counts near 2^63.
+bucket counts near 2^63.  The naive-Bayes predict, which scores fixed row
+blocks, is checked against the whole-matrix scorer at row counts around its
+block size.
 """
 
 import tracemalloc
@@ -18,6 +20,8 @@ import pytest
 
 from ldpsim import attacks as atk
 from ldpsim import oracles as oc
+from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
+from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
 from ldpsim.rng import chunk_rows, hash_matches, stream
 
@@ -94,6 +98,21 @@ def _ref_categorical(pvec, size, rng):
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(size), side="right")
     return np.minimum(idx, len(pvec) - 1).astype(np.int64)
+
+
+def _ref_nb_scores(clf, X):
+    if clf.constant_class is not None:
+        scores = np.full((len(X), clf.n_classes), -np.inf)
+        scores[:, clf.constant_class] = 0.0
+        return scores
+    if clf.mode == "bernoulli":
+        log_t, log_1mt = clf._log_like
+        Xb = X.astype(np.float64)
+        return clf._log_prior[None, :] + Xb @ log_t.T + (1.0 - Xb) @ log_1mt.T
+    scores = np.tile(clf._log_prior, (len(X), 1))
+    for j, tab in enumerate(clf._log_like):
+        scores += tab[:, X[:, j]].T
+    return scores
 
 
 def _values(k, n, seed):
@@ -294,6 +313,58 @@ def test_categorical_cases_hit_every_branch():
     assert np.cumsum(CATEGORICAL_CASES["early-over"])[-2] > 1.0
 
 
+NB_KS = [5, 2, 74, 9]  # categorical features; bernoulli mode takes sum(NB_KS) bits
+NB_CLASSES = 5
+
+
+def _nb_rows(mode, n, seed):
+    """(n, m) features: category indices, or unary-style bits as uint8."""
+    rng = stream(seed, n)
+    if mode == "bernoulli":
+        return (rng.random((n, sum(NB_KS))) < 0.3).astype(np.uint8)
+    return np.column_stack([rng.integers(0, k, n) for k in NB_KS])
+
+
+def _nb_fit(mode, single):
+    X = _nb_rows(mode, 3000, 40)
+    y = stream(41, 0).integers(0, NB_CLASSES, len(X))
+    if single:
+        y[:] = 2
+    return NaiveBayes(mode=mode).fit(X, y, n_classes=NB_CLASSES, categories=NB_KS)
+
+
+@pytest.mark.parametrize("n", [0, 1, PREDICT_ROWS - 1, PREDICT_ROWS, PREDICT_ROWS + 1,
+                               2 * PREDICT_ROWS + 3])
+@pytest.mark.parametrize("single", [False, True], ids=["fit", "single"])
+@pytest.mark.parametrize("mode", ["categorical", "bernoulli"])
+def test_nb_predict_matches_whole_matrix_scorer(mode, single, n):
+    clf = _nb_fit(mode, single)
+    assert (clf.constant_class is not None) == single
+    X = _nb_rows(mode, n, 42)
+    ref = _ref_nb_scores(clf, X)
+    pred = clf.predict(X)
+    assert pred.dtype == np.int64
+    np.testing.assert_array_equal(pred, np.argmax(ref, axis=1))
+    for lo in range(0, n, PREDICT_ROWS):
+        hi = min(lo + PREDICT_ROWS, n)
+        np.testing.assert_allclose(clf.log_scores(X[lo:hi]), ref[lo:hi], rtol=1e-12, atol=0)
+    if not single:
+        assert n < 2 or len(np.unique(pred)) > 1
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["fit", "single"])
+@pytest.mark.parametrize("mode", ["categorical", "bernoulli"])
+def test_nb_predict_checks_the_last_block_before_scoring(mode, single, monkeypatch):
+    clf = _nb_fit(mode, single)
+    X = _nb_rows(mode, 2 * PREDICT_ROWS + 3, 43)
+    X[-1, 1] = 2  # out of range for feature 1 in both modes (k = 2, or a bit)
+    scored = []
+    monkeypatch.setattr(clf, "_scores", lambda block: scored.append(len(block)))
+    with pytest.raises(ParameterError, match=r"feature 1 must lie in \[0, 2\)"):
+        clf.predict(X)
+    assert scored == []
+
+
 # ---------------------------------------------------------------------------
 # Memory bound
 # ---------------------------------------------------------------------------
@@ -319,3 +390,17 @@ def test_randomize_and_predict_peak_memory_bounded(proto):
         assert peak < 1.5 * n * k
     _, peak = _traced_peak(lambda: atk.predict_batch(batch, rng))
     assert peak < 3 * n * k
+
+
+def test_nb_predict_peak_memory_bounded():
+    # the whole-matrix scorer peaked near 16 bytes per bit (a float64 copy and 1 - copy)
+    n_small, n, m = 50_000, 200_000, 46
+    bits = (stream(44, n).random((n, m)) < 0.3).astype(np.uint8)
+    y = stream(45, 0).integers(0, 5, n)
+    clf = NaiveBayes(mode="bernoulli").fit(bits[:3000], y[:3000], n_classes=5)
+    _, small = _traced_peak(lambda: clf.predict(bits[:n_small]))
+    pred, peak = _traced_peak(lambda: clf.predict(bits))
+    assert len(pred) == n
+    assert peak < 16 * 2**20
+    # only the int64 output grows with n; 64 KiB covers the interpreter's own small objects
+    assert peak - small <= 8 * (n - n_small) + 64 * 1024
