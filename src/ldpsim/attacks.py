@@ -199,21 +199,6 @@ def smp_attack_acc_mc(protocol: str, epsilon: float, ks: Sequence[int],
 # Re-identification
 # ---------------------------------------------------------------------------
 
-def _match_counts(P: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(m, n_bk) counts of equal entries of profiles P (m, c) and records B (n_bk, c).
-
-    One contiguous pass per column, compared in the narrowest signed dtype
-    holding -1 and every value, counted in the smallest unsigned dtype
-    holding c.  Unknown (-1) entries match nothing: distance = known - count.
-    """
-    dt = np.min_scalar_type(-max(P.max(), B.max()) - 1)
-    P, Bt = P.astype(dt), np.ascontiguousarray(B.T, dtype=dt)
-    M = np.zeros((len(P), len(B)), dtype=np.min_scalar_type(B.shape[1]))
-    for j, col in enumerate(Bt):
-        M += P[:, j, None] == col
-    return M
-
-
 def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray,
                   rng: np.random.Generator, null_attack: bool = False,
                   chunk: int = 256) -> np.ndarray:
@@ -223,20 +208,53 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     (-1 in ``profiles`` is unknown), ties uniformly at random.  With
     ``closer`` records strictly nearer and ``tied`` at the true record's
     distance (itself included), its rank is closer + Uniform{0..tied-1}:
-    one draw per user, the law of sorting by (distance, iid uniform key).
-    Users go in chunks, so memory is O(chunk * n_bk).  ``null_attack``
-    ranks uniformly on {0..n_bk-1}, the random-guess baseline.
+    one draw per user, in user order, the law of sorting by (distance, iid
+    uniform key).  ``null_attack`` ranks uniformly on {0..n_bk-1}, the
+    random-guess baseline.
+
+    Users are grouped by their set of known columns (a sort of the packed
+    bitmask) and each group is compared on those columns only, in blocks of
+    at most ``chunk`` users; an unknown entry matches no record value, so
+    the counts are those over all c columns.  One contiguous pass per known
+    column in the narrowest signed dtype holding -1 and every value, match
+    counts in the smallest unsigned dtype holding c, and closer / tied
+    summed in the smallest unsigned dtype holding n_bk.  A user with no
+    known column ties with every record.  Memory is O(chunk * n_bk + n * c).
     """
     n = len(profiles)
     if null_attack:
         return rng.integers(0, len(bk_rows), size=n)
-    B = bk_rows[:, bk_cols]
-    closer, tied = np.empty((2, n), dtype=np.int64)
-    for lo in range(0, n, chunk):
-        M = _match_counts(profiles[lo:lo + chunk, bk_cols], B)
-        own = M[np.arange(len(M)), np.arange(lo, lo + len(M)), None]
-        closer[lo:lo + chunk] = np.count_nonzero(M > own, axis=1)
-        tied[lo:lo + chunk] = np.count_nonzero(M == own, axis=1)
+    n_bk, c = len(bk_rows), len(bk_cols)
+    dt = np.min_scalar_type(-max(profiles.max(initial=0), bk_rows.max(initial=0)) - 1)
+    P = profiles[:, bk_cols].astype(dt)
+    Bt = np.ascontiguousarray(bk_rows[:, bk_cols].T, dtype=dt)
+    keys = np.packbits(P >= 0, axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys, P = keys[order], P[order]
+    first = np.ones(n + 1, dtype=bool)
+    first[1:n] = (keys[1:] != keys[:-1]).any(axis=1)
+    bounds = np.flatnonzero(first)
+
+    rows = min(chunk, int(np.diff(bounds).max(initial=0)))
+    M = np.empty((rows, n_bk), dtype=np.min_scalar_type(c))
+    hit = np.empty((rows, n_bk), dtype=np.uint8)
+    eq, diag = hit.view(bool), np.arange(rows)
+    count = np.min_scalar_type(n_bk)
+    closer, tied = np.zeros((2, n), dtype=np.int64)
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        cols = np.flatnonzero(P[s] >= 0)
+        for lo in range(s, e, chunk):
+            b = min(chunk, e - lo)
+            m, users = M[:b], order[lo:lo + b]
+            m[...] = 0
+            for j in cols:
+                np.equal(P[lo:lo + b, j, None], Bt[j], out=eq[:b])
+                m += hit[:b]
+            own = m[diag[:b], users, None]
+            np.greater(m, own, out=eq[:b])
+            closer[users] = hit[:b].sum(axis=1, dtype=count)
+            np.equal(m, own, out=eq[:b])
+            tied[users] = hit[:b].sum(axis=1, dtype=count)
     return closer + rng.integers(0, tied)
 
 
@@ -305,7 +323,9 @@ def run_reident_experiment(
     background knowledge.  RID-ACC is the percentage of users whose true
     identity lands in the attacker's top-k.
     Ties in distance are broken by one uniform draw per user and survey
-    (:func:`_rank_of_true`); matching holds O(256 * n) counts at a time.
+    (:func:`_rank_of_true`).  Matching compares each user on the columns it
+    has reported only, grouped by that column set, and holds at most
+    256 * n match counts at a time.
 
     ``attack_mode``: 'fk' matches over all columns, 'pk' over a random
     subset of >= d/2 columns, 'null' ranks records uniformly at random (the

@@ -60,7 +60,7 @@ def alpha_from_bayes_error(beta: float, n: int) -> float:
     if not (0.0 < beta < 1.0):
         raise ParameterError("beta must lie in (0, 1)")
     if n < 2:
-        raise ParameterError("n must be >= 2")
+        raise ParameterError(f"a beta budget needs n >= 2 users, got n = {n}")
     return max(0.0, (1.0 - beta) * math.log2(n) - 1.0)
 
 

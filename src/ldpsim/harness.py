@@ -41,6 +41,7 @@ from .attacks import (
     run_reident_experiment,
     synthetic_count,
 )
+from .budget import alpha_from_bayes_error
 from .datasets import (
     Dataset,
     dataset_file,
@@ -393,9 +394,12 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | 
 
 
 def _check_counts(cfg: ExperimentConfig, n: int) -> None:
-    """Refuse an npk_frac, s_mult or nk_s_mult that leaves an attack no user it needs."""
+    """Refuse an npk_frac, s_mult or nk_s_mult that leaves an attack no user it
+    needs, and betas on a dataset too small for the Bayes-error bound."""
     models = set(cfg.attack) if cfg.experiment == "attr_infer" else set()
     try:
+        for beta in cfg.betas:
+            alpha_from_bayes_error(beta, n)
         if models & {"pk", "hm"}:
             compromised_count(cfg.npk_frac, n)
         if models & {"nk", "hm"}:

@@ -275,6 +275,8 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("reident", _FIXTURE + "epsilons = 1\ntop_k = ,\n"),
     ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0.001\n"),
     ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0.999\nattack = hm\n"),
+    ("reident", _FIXTURE + "subsample = 1\nbetas = 0.5\nsurveys = 2\n"),
+    ("reident", "dataset = synth:zipf\nsynth_n = 1\nbetas = 0.5\nsurveys = 2\n"),
 ], ids=["oracle-eps-nan", "oracle-eps-inf", "oracle-eps-negative", "oracle-eps-exp-overflow",
         "oracle-eps-olh-g-overflow", "oracle-eps-text", "oracle-n-zero", "oracle-k-one",
         "oracle-runs-text", "oracle-threads-text", "oracle-n-float", "analytic-k-one",
@@ -289,7 +291,8 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
         "reident-rs-fd-nk-s-mult-zero", "reident-rs-fd-nk-s-mult-no-profile",
         "reident-s-mult-unread", "analytic-dataset-unread", "analytic-runs-list",
         "analytic-ks-empty", "analytic-protocols-empty", "reident-top-k-empty",
-        "attr-infer-npk-frac-no-compromised-user", "attr-infer-npk-frac-no-test-user"])
+        "attr-infer-npk-frac-no-compromised-user", "attr-infer-npk-frac-no-test-user",
+        "reident-beta-one-user", "reident-beta-synth-one-user"])
 def test_bad_grid_value_is_config_error(tmp_path, command, body):
     # each of these exited 3, 1 with a traceback or 0 ignoring the value (a key the
     # kind does not read), most after the run had started
@@ -306,6 +309,15 @@ def test_attack_oracle_large_olh_epsilon_still_runs(tmp_path):
     cfg.write_text("seed = 1\nn = 50\nks = 4\nprotocols = olh\nepsilons = 30, 43\n")
     out = tmp_path / "out.csv"
     assert run_cli(["attack-oracle", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_reident_one_user_epsilon_still_runs(tmp_path):
+    # only a beta budget needs n >= 2; an epsilon grid ranks the one user's own record
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("seed = 1\n" + _FIXTURE + "subsample = 1\nepsilons = 1\nsurveys = 2\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["reident", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.exists()
 
 

@@ -10,7 +10,10 @@ is also checked at k = 255 / 256, where its count dtype widens, on all-0 and
 all-1 rows and on inputs that are not C-contiguous; the OLH match kernel at
 bucket counts near 2^63.  The naive-Bayes predict, which scores fixed row
 blocks, is checked against the whole-matrix scorer at row counts around its
-block size.
+block size.  The re-identification rank kernel, which compares each user on
+its known columns only, is checked against the single-pass kernel for fk and
+pk columns, users with no known column, a group larger than a block, tie
+counts past 255 and values compared in int16.
 """
 
 import tracemalloc
@@ -113,6 +116,29 @@ def _ref_nb_scores(clf, X):
     for j, tab in enumerate(clf._log_like):
         scores += tab[:, X[:, j]].T
     return scores
+
+
+def _ref_match_counts(P, B):
+    dt = np.min_scalar_type(-max(P.max(), B.max()) - 1)
+    P, Bt = P.astype(dt), np.ascontiguousarray(B.T, dtype=dt)
+    M = np.zeros((len(P), len(B)), dtype=np.min_scalar_type(B.shape[1]))
+    for j, col in enumerate(Bt):
+        M += P[:, j, None] == col
+    return M
+
+
+def _ref_rank_of_true(profiles, bk_rows, bk_cols, rng, null_attack=False, chunk=256):
+    n = len(profiles)
+    if null_attack:
+        return rng.integers(0, len(bk_rows), size=n)
+    B = bk_rows[:, bk_cols]
+    closer, tied = np.empty((2, n), dtype=np.int64)
+    for lo in range(0, n, chunk):
+        M = _ref_match_counts(profiles[lo:lo + chunk, bk_cols], B)
+        own = M[np.arange(len(M)), np.arange(lo, lo + len(M)), None]
+        closer[lo:lo + chunk] = np.count_nonzero(M > own, axis=1)
+        tied[lo:lo + chunk] = np.count_nonzero(M == own, axis=1)
+    return closer + rng.integers(0, tied)
 
 
 def _values(k, n, seed):
@@ -365,6 +391,57 @@ def test_nb_predict_checks_the_last_block_before_scoring(mode, single, monkeypat
     assert scored == []
 
 
+class _TieRecorder:
+    """rng stand-in: the bounded draw returns 0 and keeps its upper bounds."""
+
+    def integers(self, low, high, size=None):
+        self.high = np.asarray(high)
+        return np.zeros(np.shape(high), dtype=np.int64)
+
+
+def _closer_tied(kernel, profiles, rows, bk_cols, chunk):
+    draw = _TieRecorder()
+    closer = kernel(profiles, rows, bk_cols, draw, chunk=chunk)
+    return closer, draw.high
+
+
+def _rank_profiles(case):
+    """300 users ranked against their own 300 records over 8 columns."""
+    rng = stream(48, 0)
+    n, c = 300, 8
+    scale = 128 if case == "wide" else 1
+    rows = rng.integers(0, 4, size=(n, c)) * scale
+    noisy = np.where(rng.random((n, c)) < 0.3, rng.integers(0, 4, size=(n, c)) * scale, rows)
+    if case == "all":
+        return rows, noisy
+    known = rng.random((n, c)) < rng.random((n, 1))
+    known[:20] = False
+    return rows, np.where(known, noisy, -1)
+
+
+@pytest.mark.parametrize("chunk", [7, 256])
+@pytest.mark.parametrize("bk", ["fk", "pk"])
+@pytest.mark.parametrize("case", ["mixed", "all", "wide"])
+def test_rank_of_true_matches_reference(case, bk, chunk):
+    # mixed: -1 entries, users with no known column (tied = 300, past uint8);
+    # all: one known-column group of 300 users, more than a block;
+    # wide: values 0..384, compared in int16 (int8 would equate 0 and 256)
+    rows, profiles = _rank_profiles(case)
+    bk_cols = np.arange(8) if bk == "fk" else np.array([0, 2, 3, 5, 6])
+    closer, tied = _closer_tied(atk._rank_of_true, profiles, rows, bk_cols, chunk)
+    ref_closer, ref_tied = _closer_tied(_ref_rank_of_true, profiles, rows, bk_cols, chunk)
+    np.testing.assert_array_equal(closer, ref_closer)
+    np.testing.assert_array_equal(tied, ref_tied)
+    assert (tied > 1).any() and (closer > 0).any()
+    if case == "mixed":
+        assert tied.max() == len(rows) > 255
+    got_rng, ref_rng = stream(49, 0), stream(49, 0)
+    ranks = atk._rank_of_true(profiles, rows, bk_cols, got_rng, chunk=chunk)
+    np.testing.assert_array_equal(
+        ranks, _ref_rank_of_true(profiles, rows, bk_cols, ref_rng, chunk=chunk))
+    assert got_rng.random() == ref_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # Memory bound
 # ---------------------------------------------------------------------------
@@ -404,3 +481,18 @@ def test_nb_predict_peak_memory_bounded():
     assert peak < 16 * 2**20
     # only the int64 output grows with n; 64 KiB covers the interpreter's own small objects
     assert peak - small <= 8 * (n - n_small) + 64 * 1024
+
+
+def test_rank_of_true_peak_memory_bounded():
+    # every user knows all 10 columns: one group in full blocks, the largest scratch;
+    # the single-pass kernel peaked at 4.2 MiB at n = 5,000 (an int64 copy of the
+    # table, (256, n) counts and two bool copies of them)
+    def peak(n):
+        rows = stream(50, n).integers(0, 5, size=(n, 10))
+        profiles = np.where(stream(51, n).random((n, 10)) < 0.3, (rows + 1) % 5, rows)
+        return _traced_peak(lambda: atk._rank_of_true(profiles, rows, np.arange(10),
+                                                      stream(52, 0)))[1]
+
+    small, large = peak(1250), peak(5000)
+    assert large < 3 * 2**20
+    assert large <= 4 * small
