@@ -212,49 +212,103 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     uniform key).  ``null_attack`` ranks uniformly on {0..n_bk-1}, the
     random-guess baseline.
 
-    Users are grouped by their set of known columns (a sort of the packed
-    bitmask) and each group is compared on those columns only, in blocks of
-    at most ``chunk`` users; an unknown entry matches no record value, so
-    the counts are those over all c columns.  One contiguous pass per known
-    column in the narrowest signed dtype holding -1 and every value, match
-    counts in the smallest unsigned dtype holding c, and closer / tied
-    summed in the smallest unsigned dtype holding n_bk.  A user with no
-    known column ties with every record.  Memory is O(chunk * n_bk + n * c).
+    The records are bit-sliced once per call: for each column j and value v,
+    one row of ceil(n_bk / 64) uint64 words has bit r set when record r holds
+    v in column j (a value no record holds gets an all-zero row).  A user
+    with m known columns and ``own`` of them matching its own record takes
+    its m rows; a record's match count is the number of those rows with its
+    bit set.  Users are grouped by m and by whether own = m, and ranked in
+    blocks of at most ``chunk`` users:
+
+    * m = 0: every record ties;
+    * own = m: no record is nearer, and the tied records are the AND of the
+      m rows;
+    * otherwise the m rows are ripple-added into ceil(log2(m + 1)) bit planes
+      of the match count, which are compared with own from the top bit down
+      into a "greater" and an "equal" mask.  The padding bits past n_bk count
+      0 matches, so they are taken off ``tied`` when own = 0.
+
+    closer / tied are popcounts of those masks.  Memory is
+    O(sum(k) * n_bk / 8 + chunk * n_bk / 8 * planes) bytes beyond the
+    (n, c) narrow copies of the table.
     """
     n = len(profiles)
     if null_attack:
         return rng.integers(0, len(bk_rows), size=n)
-    n_bk, c = len(bk_rows), len(bk_cols)
+    n_bk, c, W = len(bk_rows), len(bk_cols), -(-len(bk_rows) // 64)
     dt = np.min_scalar_type(-max(profiles.max(initial=0), bk_rows.max(initial=0)) - 1)
     P = profiles[:, bk_cols].astype(dt)
-    Bt = np.ascontiguousarray(bk_rows[:, bk_cols].T, dtype=dt)
-    keys = np.packbits(P >= 0, axis=1)
-    order = np.lexsort(keys.T[::-1])
-    keys, P = keys[order], P[order]
-    first = np.ones(n + 1, dtype=bool)
-    first[1:n] = (keys[1:] != keys[:-1]).any(axis=1)
-    bounds = np.flatnonzero(first)
+    B = bk_rows[:, bk_cols].astype(dt)
+    ks = np.maximum(P.max(axis=0, initial=-1), B.max(axis=0, initial=-1)).astype(np.int64) + 1
+    base = (np.cumsum(ks) - ks).astype(np.min_scalar_type(-ks.sum()))
+    # bit r of row base[j] + v is bit r % 8 of byte r // 8: bit r of the little-endian words
+    rec = np.arange(n_bk)
+    bits = np.zeros((ks.sum(), 8 * W), dtype=np.uint8)
+    np.bitwise_or.at(bits, (base + B, rec[:, None] // 8), (1 << rec % 8).astype(np.uint8)[:, None])
+    bits = bits.view(np.uint64)
 
-    rows = min(chunk, int(np.diff(bounds).max(initial=0)))
-    M = np.empty((rows, n_bk), dtype=np.min_scalar_type(c))
-    hit = np.empty((rows, n_bk), dtype=np.uint8)
-    eq, diag = hit.view(bool), np.arange(rows)
-    count = np.min_scalar_type(n_bk)
-    closer, tied = np.zeros((2, n), dtype=np.int64)
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        cols = np.flatnonzero(P[s] >= 0)
-        for lo in range(s, e, chunk):
-            b = min(chunk, e - lo)
-            m, users = M[:b], order[lo:lo + b]
-            m[...] = 0
-            for j in cols:
-                np.equal(P[lo:lo + b, j, None], Bt[j], out=eq[:b])
-                m += hit[:b]
-            own = m[diag[:b], users, None]
-            np.greater(m, own, out=eq[:b])
-            closer[users] = hit[:b].sum(axis=1, dtype=count)
-            np.equal(m, own, out=eq[:b])
-            tied[users] = hit[:b].sum(axis=1, dtype=count)
+    m = np.count_nonzero(P >= 0, axis=1)
+    own = np.count_nonzero(P == B[:n], axis=1)
+    rid = np.where(P >= 0, P + base, -1)  # row of each known entry in bits, -1 if unknown
+    key = 2 * m + (own < m)  # 2m: own = m, 2m + 1: a record can be nearer
+    order = np.argsort(key, kind="stable")
+    sizes = np.bincount(key, minlength=2 * c + 2)
+    ends = np.cumsum(sizes)
+    planes = int(m.max(initial=0)).bit_length()
+    del P, B, rec, m, key  # free before the block buffers
+    rows = min(chunk, int(sizes[2:].max(initial=0)))
+    buf = np.empty((planes + 2, rows, W), dtype=np.uint64)
+    counts = np.empty((rows, W), dtype=np.uint8)
+    closer = np.zeros(n, dtype=np.int64)
+    tied = np.full(n, n_bk, dtype=np.int64)
+
+    def popcount(mask):
+        return np.bitwise_count(mask, out=counts[:len(mask)]).sum(axis=1, dtype=np.int64)
+
+    for g in range(2, 2 * c + 2):
+        mg, slow = divmod(g, 2)
+        for lo in range(ends[g - 1], ends[g], chunk):
+            users = order[lo:min(lo + chunk, ends[g])]
+            b = len(users)
+            block = rid[users]
+            idx = block[block >= 0].reshape(b, mg).T.copy()  # one row of bits per known column
+            lv = mg.bit_length() if slow else 1
+            plane = [buf[i, :b] for i in range(lv)]
+            x, t = buf[lv, :b], buf[lv + 1, :b]
+            # mode="clip" (the rows are in range) lets take write straight into out
+            np.take(bits, idx[0], axis=0, out=plane[0], mode="clip")
+            buf[1:lv, :b] = 0
+            for j in range(1, mg):
+                np.take(bits, idx[j], axis=0, out=x, mode="clip")
+                if not slow:
+                    plane[0] &= x
+                    continue
+                # ripple-add row j; the count j + 1 fits in planes 0..top
+                top = (j + 1).bit_length() - 1
+                for i in range(top):
+                    np.bitwise_and(plane[i], x, out=t)
+                    plane[i] ^= x
+                    x, t = t, x
+                plane[top] |= x
+            if not slow:
+                tied[users] = popcount(plane[0])
+                continue
+            o = own[users]
+            gt, eq = t, x
+            gt[...] = 0
+            eq[...] = ~np.uint64(0)
+            for i in reversed(range(lv)):
+                # all ones where own's bit i is clear: a set count bit there is nearer
+                clear = np.where((o >> i) & 1, 0, ~np.uint64(0))[:, None]
+                p = plane[i]
+                p ^= clear  # count bit i equals own's
+                p &= eq     # equal on bits i and up
+                eq ^= p     # equal above i, different at i
+                eq &= clear
+                gt |= eq
+                eq = p
+            closer[users] = popcount(gt)
+            tied[users] = popcount(eq) - (64 * W - n_bk) * (o == 0)
     return closer + rng.integers(0, tied)
 
 
@@ -324,8 +378,9 @@ def run_reident_experiment(
     identity lands in the attacker's top-k.
     Ties in distance are broken by one uniform draw per user and survey
     (:func:`_rank_of_true`).  Matching compares each user on the columns it
-    has reported only, grouped by that column set, and holds at most
-    256 * n match counts at a time.
+    has reported only, against per-(column, value) record bitsets, and holds
+    those bitsets (sum(k) * n / 8 bytes) plus 256 * n / 8 bytes for each bit
+    plane of the match counts and two scratch rows.
 
     ``attack_mode``: 'fk' matches over all columns, 'pk' over a random
     subset of >= d/2 columns, 'null' ranks records uniformly at random (the

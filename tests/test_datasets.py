@@ -1,6 +1,8 @@
 import csv
 import math
+import runpy
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,19 @@ def test_fixture_sex_column_hand_count():
         labels = [row["sex"] for row in csv.DictReader(fh)]
     for idx, value in enumerate(ds.multidomain.domains[j].values):
         assert freq[idx] == pytest.approx(labels.count(value) / len(labels))
+
+
+def test_gen_fixtures_regenerates_bundled_bytes(tmp_path, capsys):
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "gen_fixtures.py"))
+    data = resources.files("ldpsim.data")
+    out = tmp_path / "adult_style_100.csv"
+    tool["make_adult_style"](100, seed=20240502, path=str(out), cover=False)  # a str path
+    assert out.read_bytes() == data.joinpath("adult_style_100.csv").read_bytes()
+    # "adult N OUT" writes adult_style_5000's generator at any n
+    assert tool["main"](["adult", "5000", str(tmp_path / "a5000.csv")]) == 0
+    assert (tmp_path / "a5000.csv").read_bytes() == data.joinpath("adult_style_5000.csv").read_bytes()
+    assert tool["main"](["adult", "n", "x.csv"]) == 2
+    assert "usage" in capsys.readouterr().err
 
 
 def test_true_frequencies_trivial():

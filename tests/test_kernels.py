@@ -10,10 +10,12 @@ is also checked at k = 255 / 256, where its count dtype widens, on all-0 and
 all-1 rows and on inputs that are not C-contiguous; the OLH match kernel at
 bucket counts near 2^63.  The naive-Bayes predict, which scores fixed row
 blocks, is checked against the whole-matrix scorer at row counts around its
-block size.  The re-identification rank kernel, which compares each user on
-its known columns only, is checked against the single-pass kernel for fk and
-pk columns, users with no known column, a group larger than a block, tie
-counts past 255 and values compared in int16.
+block size.  The re-identification rank kernel, which counts matches on
+per-(column, value) record bitsets, is checked against the single-pass kernel
+for fk and pk columns, users with no known column, a group larger than a
+block, tie counts past 255, values compared in int16, record counts with and
+without padding bits, users whose every known entry is wrong, a profile value
+no record holds, and every known-column count from 1 to 8 across block edges.
 """
 
 import tracemalloc
@@ -436,6 +438,49 @@ def test_rank_of_true_matches_reference(case, bk, chunk):
     if case == "mixed":
         assert tied.max() == len(rows) > 255
     got_rng, ref_rng = stream(49, 0), stream(49, 0)
+    ranks = atk._rank_of_true(profiles, rows, bk_cols, got_rng, chunk=chunk)
+    np.testing.assert_array_equal(
+        ranks, _ref_rank_of_true(profiles, rows, bk_cols, ref_rng, chunk=chunk))
+    assert got_rng.random() == ref_rng.random()
+
+
+def _bitset_profiles(n):
+    """n users over 8 columns of values 0..2: user i knows i % 8 + 1 columns and is,
+    by (i // 8) % 4, all right, wrong once with the value 3 no record holds, all
+    wrong, or 30 % noisy."""
+    rng = stream(53, n)
+    c = 8
+    rows = rng.integers(0, 3, size=(n, c))
+    m = np.arange(n) % c + 1
+    kind = np.arange(n) // c % 4
+    known = np.argsort(rng.random((n, c)), axis=1) < m[:, None]
+    profiles = rows.copy()
+    first = known.argmax(axis=1)
+    profiles[kind == 1, first[kind == 1]] = 3
+    wrong = (rows + rng.integers(1, 3, size=(n, c))) % 3
+    profiles[kind == 2] = wrong[kind == 2]
+    noisy = (kind == 3)[:, None] & (rng.random((n, c)) < 0.3)
+    profiles[noisy] = wrong[noisy]
+    return rows, np.where(known, profiles, -1)
+
+
+@pytest.mark.parametrize("n_bk", [256, 300])
+def test_rank_of_true_bitset_edges(n_bk):
+    # 256 records fill their 4 words; 300 leave 20 padding bits, which an
+    # all-wrong user (own = 0) must not count as tied
+    rows, profiles = _bitset_profiles(n_bk)
+    m = np.count_nonzero(profiles >= 0, axis=1)
+    own = np.count_nonzero(profiles == rows, axis=1)
+    for k in range(1, 9):  # both paths, each over more users than a block of 7
+        assert np.count_nonzero((m == k) & (own == k)) > 7
+        assert np.count_nonzero((m == k) & (own < k)) > 7
+    assert (own == 0).sum() >= n_bk // 4 and (profiles == 3).any()
+    bk_cols, chunk = np.arange(8), 7
+    closer, tied = _closer_tied(atk._rank_of_true, profiles, rows, bk_cols, chunk)
+    ref_closer, ref_tied = _closer_tied(_ref_rank_of_true, profiles, rows, bk_cols, chunk)
+    np.testing.assert_array_equal(closer, ref_closer)
+    np.testing.assert_array_equal(tied, ref_tied)
+    got_rng, ref_rng = stream(54, n_bk), stream(54, n_bk)
     ranks = atk._rank_of_true(profiles, rows, bk_cols, got_rng, chunk=chunk)
     np.testing.assert_array_equal(
         ranks, _ref_rank_of_true(profiles, rows, bk_cols, ref_rng, chunk=chunk))

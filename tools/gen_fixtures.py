@@ -1,5 +1,12 @@
 """Regenerate the bundled synthetic census-style fixtures.
 
+    python tools/gen_fixtures.py              # the three bundled fixtures
+    python tools/gen_fixtures.py adult N OUT  # an n = N adult-style table at OUT
+
+The second form writes ``make_adult_style(N, seed=20240501, cover=True)``,
+the seed of ``adult_style_5000``; ``adult 45222 OUT`` is the paper-size
+table, which is not bundled.
+
 Deterministic: every run writes byte-identical files.  The first k_j rows
 of each column cycle through the whole value list so the encoded domain
 sizes are exactly the intended k vector; remaining rows follow skewed
@@ -10,6 +17,7 @@ is not a visible prefix.
 from __future__ import annotations
 
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +76,9 @@ def skewed_column(values: list[str], n: int, exponent: float,
     return [values[i] for i in draws]
 
 
-def write_table(path: Path, names: list[str], columns: list[list[str]],
+def write_table(path: str | Path, names: list[str], columns: list[list[str]],
                 shuffle_seed: int) -> None:
+    path = Path(path)
     n = len(columns[0])
     order = stream(shuffle_seed, 0).permutation(n)
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -80,7 +89,7 @@ def write_table(path: Path, names: list[str], columns: list[list[str]],
     print(f"wrote {path} ({n} rows x {len(names)} cols)")
 
 
-def make_adult_style(n: int, seed: int, path: Path, cover: bool) -> None:
+def make_adult_style(n: int, seed: int, path: str | Path, cover: bool) -> None:
     names = [name for name, _, _ in ADULT_COLUMNS]
     columns = []
     for j, (name, values, expo) in enumerate(ADULT_COLUMNS):
@@ -88,7 +97,7 @@ def make_adult_style(n: int, seed: int, path: Path, cover: bool) -> None:
     write_table(path, names, columns, shuffle_seed=seed + 999)
 
 
-def make_acs_style(n: int, seed: int, path: Path) -> None:
+def make_acs_style(n: int, seed: int, path: str | Path) -> None:
     columns = []
     for j, (name, k) in enumerate(zip(ACS_NAMES, ACS_KS)):
         values = [f"{name}_{i:02d}" for i in range(k)]
@@ -97,12 +106,20 @@ def make_acs_style(n: int, seed: int, path: Path) -> None:
     write_table(path, ACS_NAMES, columns, shuffle_seed=seed + 999)
 
 
-def main() -> None:
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
-    make_adult_style(5000, seed=20240501, path=DATA_DIR / "adult_style_5000.csv", cover=True)
-    make_adult_style(100, seed=20240502, path=DATA_DIR / "adult_style_100.csv", cover=False)
-    make_acs_style(1000, seed=20240503, path=DATA_DIR / "acs_style_1000.csv")
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if not args:
+        DATA_DIR.mkdir(parents=True, exist_ok=True)
+        make_adult_style(5000, seed=20240501, path=DATA_DIR / "adult_style_5000.csv", cover=True)
+        make_adult_style(100, seed=20240502, path=DATA_DIR / "adult_style_100.csv", cover=False)
+        make_acs_style(1000, seed=20240503, path=DATA_DIR / "acs_style_1000.csv")
+        return 0
+    if len(args) == 3 and args[0] == "adult" and args[1].isdigit() and int(args[1]) > 0:
+        make_adult_style(int(args[1]), seed=20240501, path=args[2], cover=True)
+        return 0
+    print("usage: gen_fixtures.py [adult N OUT]", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
