@@ -16,24 +16,20 @@ print(f"random-guess baseline: top-1 {100 * 1 / ds.n:.3f}%, top-10 {100 * 10 / d
 print()
 print(f"{'eps':>4} {'surveys':>8} {'top-1 %':>9} {'top-5 %':>9} {'top-10 %':>10}")
 for eps in (1.0, 4.0, 10.0):
-    res = run_reident_experiment(
+    acc, _ = run_reident_experiment(
         ds, "grr", "smp", ("epsilon", eps), SurveysConfig(count=5),
         "fk", (1, 5, 10), runs=2, seed=2024_04,
     )
-    by_sv = {}
-    for r in res:
-        by_sv.setdefault(r.surveys, {}).setdefault(r.top_k, []).append(r.value)
-    for sv in sorted(by_sv):
-        cells = [sum(by_sv[sv][k]) / len(by_sv[sv][k]) for k in (1, 5, 10)]
+    # acc[run, survey - 2, top-k]: average over the runs
+    for sv, cells in enumerate(acc.mean(axis=0), start=2):
         print(f"{eps:>4} {sv:>8} {cells[0]:>9.2f} {cells[1]:>9.2f} {cells[2]:>10.2f}")
     print()
 
 print("a null attacker (random ranking) stays at the baseline:")
-res = run_reident_experiment(
+acc, _ = run_reident_experiment(
     ds, "grr", "smp", ("epsilon", 10.0), SurveysConfig(count=3),
     "null", (1, 10), runs=4, seed=2024_05,
 )
-for top_k in (1, 10):
-    vals = [r.value for r in res if r.top_k == top_k]
-    print(f"  top-{top_k}: {sum(vals) / len(vals):.3f}% "
+for t, top_k in enumerate((1, 10)):
+    print(f"  top-{top_k}: {acc[..., t].mean():.3f}% "
           f"(baseline {100 * top_k / ds.n:.3f}%)")

@@ -30,7 +30,7 @@ for name, ds in [("skewed (zipf)", skewed), ("uniform", uniform)]:
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1,
                 seed=2024_07,
             )
-            vals = {r.model: r.value for r in res}
+            vals = {model: acc for model, (acc, _) in res.items()}
             print(f"{variant:<8} {eps:>4} {vals['nk']:>7.1f} {vals['pk']:>7.1f} "
                   f"{vals['hm']:>7.1f}")
 
@@ -44,6 +44,6 @@ for variant in ("grr", "oue_r"):
             CollectionConfig(skewed.multidomain, "rs_rfd", variant, eps, priors),
             attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=2024_08,
         )
-        vals = {r.model: r.value for r in res}
+        vals = {model: acc for model, (acc, _) in res.items()}
         print(f"{variant:<8} {eps:>4} {vals['nk']:>7.1f} {vals['pk']:>7.1f} "
               f"{vals['hm']:>7.1f}")

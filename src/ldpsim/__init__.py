@@ -29,7 +29,6 @@ from .errors import (
     ParameterError,
 )
 from .attacks import (
-    AttackResult,
     SurveysConfig,
     analytic_acc,
     build_learning_set,

@@ -321,27 +321,11 @@ class SurveysConfig:
     all_attributes: bool = False
 
     def __post_init__(self):
-        # min_frac > 0 keeps every survey's pool non-empty
+        # RID is scored from survey 2 on; min_frac > 0 keeps every survey's pool non-empty
+        if self.count < 2:
+            raise ParameterError(f"survey count must be >= 2, got {self.count!r}")
         if not 0 < self.min_frac <= 1:
             raise ParameterError(f"survey min_frac must lie in (0, 1], got {self.min_frac!r}")
-
-
-@dataclass(frozen=True)
-class AttackResult:
-    """One metric value with its run metadata."""
-
-    metric: str
-    value: float
-    protocol: str | None = None
-    solution: str | None = None
-    epsilon: float | None = None
-    beta: float | None = None
-    model: str | None = None
-    top_k: int | None = None
-    surveys: int | None = None
-    run: int = 0
-    seed: int = 0
-    flags: str = ""
 
 
 def check_protocol(solution: str, protocol: str) -> None:
@@ -365,7 +349,7 @@ def run_reident_experiment(
     seed: int = 0,
     rfd_priors: Sequence[np.ndarray] | None = None,
     nk_s_mult: float = 1.0,
-) -> list[AttackResult]:
+) -> tuple[np.ndarray, list[list[str]]]:
     """Simulate repeated collections and score top-k re-identification.
 
     ``protocol`` is the oracle under smp and the variant tag (grr, sue_z,
@@ -385,9 +369,15 @@ def run_reident_experiment(
     ``attack_mode``: 'fk' matches over all columns, 'pk' over a random
     subset of >= d/2 columns, 'null' ranks records uniformly at random (the
     baseline with expected RID-ACC = 100 * top_k / n).
+
+    Returns ``(acc, flags)``: ``acc[run, s, t]`` is RID-ACC after survey
+    s + 2 at ``top_ks[t]``, and ``flags[run][s]`` the ``;``-joined flags
+    raised up to that survey.
     """
     if attack_mode not in ("fk", "pk", "null"):
         raise ParameterError(f"unknown attack_mode {attack_mode!r}")
+    if runs < 1:
+        raise ParameterError(f"runs must be >= 1, got {runs!r}")
     check_protocol(solution, protocol)
     md, rows = dataset.multidomain, dataset.rows
     n, d = rows.shape
@@ -399,7 +389,8 @@ def run_reident_experiment(
         eps_list, budget_flags = beta_epsilons(value, n, md.ks)
     else:
         raise ParameterError(f"privacy spec kind must be epsilon or beta, got {kind!r}")
-    results: list[AttackResult] = []
+    acc = np.empty((runs, surveys.count - 1, len(top_ks)))
+    snapshots: list[list[str]] = []
 
     for run in range(runs):
         struct = stream(seed, 101, run)
@@ -423,6 +414,7 @@ def run_reident_experiment(
         rng_match = stream(seed, 303, run)
 
         profile = np.full((n, d), -1, dtype=np.int64)
+        snapshots.append([])
 
         for s_idx, attrs in enumerate(subsets):
             if solution == "smp":
@@ -436,24 +428,9 @@ def run_reident_experiment(
             ranks = _rank_of_true(
                 profile, rows, bk_cols, rng_match, null_attack=(attack_mode == "null")
             )
-            for top_k in top_ks:
-                results.append(
-                    AttackResult(
-                        metric="rid_acc",
-                        value=100.0 * float(np.mean(ranks < top_k)),
-                        protocol=protocol,
-                        solution=solution,
-                        epsilon=value if kind == "epsilon" else None,
-                        beta=value if kind == "beta" else None,
-                        model=attack_mode,
-                        top_k=int(top_k),
-                        surveys=s_idx + 1,
-                        run=run,
-                        seed=seed,
-                        flags=";".join(flags),
-                    )
-                )
-    return results
+            acc[run, s_idx - 1] = [100.0 * float(np.mean(ranks < k)) for k in top_ks]
+            snapshots[run].append(";".join(flags))
+    return acc, snapshots
 
 
 def _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
@@ -599,8 +576,12 @@ def run_attr_infer_experiment(
     npk_frac: float = 0.1,
     run: int = 0,
     seed: int = 0,
-) -> list[AttackResult]:
-    """One collection under ``cfg`` + the three inference attacks against it."""
+) -> dict[str, tuple[float, str]]:
+    """One collection under ``cfg`` + the inference attacks against it.
+
+    Returns ``{model: (AIF-ACC, flags)}`` in ``attack_models`` order, the
+    flags being :func:`train_attacker`'s, ``;``-joined.
+    """
     for model in attack_models:
         check_attack_model(model)
     n = len(rows)
@@ -611,7 +592,7 @@ def run_attr_infer_experiment(
     features = encode_features(batches)
     est = rs_estimate(batches, cfg)
 
-    results = []
+    results = {}
     for model in attack_models:
         rng_m = stream(seed, 505, run, ATTACK_MODELS.index(model))
         comp, rest = slice(0), slice(None)  # nk compromises no user and tests on all
@@ -623,12 +604,5 @@ def run_attr_infer_experiment(
                                    rng=rng_m, compromised=(features[comp], labels[comp]))
         clf, flags = train_attacker(learn, cfg)
         acc = 100.0 * float(np.mean(clf.predict(features[rest]) == labels[rest]))
-        extra = ["classifier=naive_bayes", *flags]
-        results.append(
-            AttackResult(
-                metric="aif_acc", value=acc, protocol=cfg.variant, solution=cfg.solution,
-                epsilon=cfg.epsilon, model=model, run=run, seed=seed,
-                flags=";".join(extra),
-            )
-        )
+        results[model] = (acc, ";".join(flags))
     return results

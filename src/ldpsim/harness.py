@@ -10,9 +10,11 @@ Each grid point runs in a worker with rng streams derived from (master
 seed, grid index, run index), so the thread count can never change a
 result; results are collected in grid order before writing.
 
-Output rows share one schema: experiment, protocol, solution, epsilon,
-beta, metric, value, stderr, run, seed, flags.  Floats are printed with 10
-significant digits; CSV and JSONL carry identical values.
+The attacks return plain accuracies and flags; each kind's point function
+alone turns them into ``ResultRow``s, whose fields are the one output
+schema: experiment, protocol, solution, epsilon, beta, metric, value,
+stderr, run, seed, flags.  Floats are printed with 10 significant digits;
+CSV and JSONL carry identical values.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .attacks import (
     ATTACK_MODELS,
-    AttackResult,
     SurveysConfig,
     analytic_acc,
     check_protocol,
@@ -71,11 +72,6 @@ _DATA = ("reident", "attr_infer", "mse")  # the kinds that load a dataset
 _FAKE = ("attr_infer", "mse")             # the kinds whose grid runs fake-data variants
 
 THREADS_ENV_VAR = "LDPSIM_THREADS"
-
-EXPORT_COLUMNS = (
-    "experiment", "protocol", "solution", "epsilon", "beta",
-    "metric", "value", "stderr", "run", "seed", "flags",
-)
 
 # the Python types a value of each key type may have; a float key also takes an int
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
@@ -130,6 +126,9 @@ class ResultRow:
     run: int
     seed: int
     flags: str = ""
+
+
+EXPORT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -344,15 +343,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _from_attack_result(cfg: ExperimentConfig, r: AttackResult, metric: str,
-                        stderr: float | None = None) -> ResultRow:
-    return ResultRow(
-        experiment=cfg.experiment, protocol=r.protocol, solution=r.solution,
-        epsilon=r.epsilon, beta=r.beta, metric=metric, value=r.value,
-        stderr=stderr, run=r.run, seed=cfg.seed, flags=r.flags,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Experiment kinds: one point function each, called as
 # fn(cfg, dataset, rs_rfd priors, point seed, *grid axes, run)
@@ -413,13 +403,14 @@ def _check_counts(cfg: ExperimentConfig, n: int) -> None:
 def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto: str,
                    privacy: tuple, model: str, run: int) -> list[ResultRow]:
     surveys = SurveysConfig(cfg.surveys, cfg.survey_min_frac, cfg.survey_all_attributes)
-    results = run_reident_experiment(
+    acc, flags = run_reident_experiment(
         ds, proto, cfg.solution, privacy, surveys, attack_mode=model, top_ks=cfg.top_k,
         sampling_mode=cfg.sampling_mode, runs=1, seed=seed + run, rfd_priors=priors,
         nk_s_mult=cfg.nk_s_mult)
-    return [_from_attack_result(cfg, replace(r, run=run),
-                                metric=f"rid_acc_top{r.top_k}_sv{r.surveys}")
-            for r in results]
+    eps, beta = (privacy[1], None) if privacy[0] == "epsilon" else (None, privacy[1])
+    return [ResultRow(cfg.experiment, proto, cfg.solution, eps, beta,
+                      f"rid_acc_top{k}_sv{s + 2}", value, None, run, cfg.seed, flags[0][s])
+            for s, values in enumerate(acc[0].tolist()) for k, value in zip(cfg.top_k, values)]
 
 
 def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vtag: str,
@@ -429,10 +420,13 @@ def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vta
         ds.rows, collection, attack_models=cfg.attack, s_mult=cfg.s_mult,
         npk_frac=cfg.npk_frac, run=run, seed=seed,
     )
-    return [
-        _from_attack_result(cfg, r, metric=f"aif_acc_{r.model}")
-        for r in results
-    ]
+    rows = []
+    for model in cfg.attack:  # a model listed twice keeps its two rows
+        acc, flags = results[model]
+        flags = "classifier=naive_bayes" + (flags and f";{flags}")
+        rows.append(ResultRow(cfg.experiment, vtag, solution, eps, None, f"aif_acc_{model}",
+                              acc, None, run, cfg.seed, flags))
+    return rows
 
 
 def _mse_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, solution: str,

@@ -213,12 +213,13 @@ def test_c06_reident_trends():
     svs = [2, 3, 4, 5]
     cells: dict = {}
     for eps in eps_grid:
-        res = atk.run_reident_experiment(
+        acc, _ = atk.run_reident_experiment(
             ds, "grr", "smp", ("epsilon", eps), atk.SurveysConfig(count=5),
             "fk", top_ks, runs=runs, seed=606,
         )
-        for r in res:
-            cells.setdefault((eps, r.top_k, r.surveys), []).append(r.value)
+        for si, s in enumerate(svs):
+            for t, top_k in enumerate(top_ks):
+                cells[(eps, top_k, s)] = list(acc[:, si, t])
     mean = {key: float(np.mean(v)) for key, v in cells.items()}
 
     worst_rho = 1.0
@@ -240,12 +241,12 @@ def test_c06_reident_trends():
     assert min_fold >= 10.0
 
     # null attacker sits on the baseline (3 sigma, hits pooled over matchings)
-    null_res = atk.run_reident_experiment(
+    null_acc, _ = atk.run_reident_experiment(
         ds, "grr", "smp", ("epsilon", 10.0), atk.SurveysConfig(count=5),
         "null", top_ks, runs=runs, seed=607,
     )
-    for top_k in top_ks:
-        vals = [r.value for r in null_res if r.top_k == top_k]
+    for t, top_k in enumerate(top_ks):
+        vals = null_acc[..., t].ravel().tolist()
         trials = len(vals) * n
         hits = sum(v / 100 * n for v in vals)
         target = top_k / n
@@ -272,7 +273,7 @@ def test_c07_attribute_inference():
         skewed.rows, mdm.CollectionConfig(skewed.multidomain, "rs_fd", "sue_z", 10.0),
         attack_models=("nk",), s_mult=1.0, npk_frac=0.1, seed=8000,
     )
-    suez_acc = res[0].value
+    suez_acc = res["nk"][0]
     assert suez_acc >= 90.0
 
     worst_capped = 0.0
@@ -283,9 +284,9 @@ def test_c07_attribute_inference():
                 mdm.CollectionConfig(skewed.multidomain, "rs_fd", variant, eps),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8001,
             )
-            for r in res:
-                worst_capped = max(worst_capped, r.value)
-                assert r.value <= 35.0, (variant, eps, r.model, r.value)
+            for model, (acc, _) in res.items():
+                worst_capped = max(worst_capped, acc)
+                assert acc <= 35.0, (variant, eps, model, acc)
 
     uniform = uniform_dataset(n, ks, stream(7900, 1))
     base = 100.0 / d
@@ -296,11 +297,11 @@ def test_c07_attribute_inference():
             mdm.CollectionConfig(uniform.multidomain, "rs_fd", variant, 10.0),
             attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8002,
         )
-        for r in res:
-            n_test = n if r.model == "nk" else n - round(0.1 * n)
+        for model, (acc, _) in res.items():
+            n_test = n if model == "nk" else n - round(0.1 * n)
             sig = 100 * math.sqrt((base / 100) * (1 - base / 100) / n_test)
-            worst_dev = max(worst_dev, abs(r.value - base) / sig)
-            assert abs(r.value - base) < 3 * sig, (variant, r.model, r.value)
+            worst_dev = max(worst_dev, abs(acc - base) / sig)
+            assert abs(acc - base) < 3 * sig, (variant, model, acc)
     report("7 attribute inference", True,
            f"sue_z {suez_acc:.1f}%, skewed cap {worst_capped:.1f}%<=35, "
            f"uniform within {worst_dev:.2f} sigma of {base:.0f}%")
@@ -396,9 +397,9 @@ def test_c08_countermeasure_aif_gain():
                 mdm.CollectionConfig(ds.multidomain, "rs_rfd", variant, eps, priors),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8100,
             )
-            for r in res:
-                worst = max(worst, r.value - base)
-                assert r.value - base <= 10.0, (variant, eps, r.model, r.value)
+            for model, (acc, _) in res.items():
+                worst = max(worst, acc - base)
+                assert acc - base <= 10.0, (variant, eps, model, acc)
     report("8d countermeasure AIF gain", True, f"worst gain {worst:+.1f}pp <= 10pp")
 
 

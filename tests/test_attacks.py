@@ -260,26 +260,24 @@ def test_smp_survey_step_exhausted_pool_resends_memo(mode):
 
 def test_reident_noiseless_unique_records():
     ds = _unique_dataset()
-    res = atk.run_reident_experiment(
+    acc, _ = atk.run_reident_experiment(
         ds, "grr", "smp", ("epsilon", 50.0),
         atk.SurveysConfig(count=3, all_attributes=True), "fk", (1,), runs=1, seed=10,
     )
-    final = [r for r in res if r.surveys == 3][0]
-    assert final.value >= 99.0
+    assert acc[0, -1, 0] >= 99.0  # after survey 3
 
 
 def test_reident_null_attacker_baseline():
     ds = _unique_dataset()
     n = ds.n
     runs = 6
-    res = atk.run_reident_experiment(
+    acc, _ = atk.run_reident_experiment(
         ds, "grr", "smp", ("epsilon", 10.0),
         atk.SurveysConfig(count=2, all_attributes=True), "null", (1, 5, 10),
         runs=runs, seed=11,
     )
-    for top_k in (1, 5, 10):
-        vals = [r.value for r in res if r.top_k == top_k]
-        mean = float(np.mean(vals)) / 100
+    for t, top_k in enumerate((1, 5, 10)):
+        mean = float(np.mean(acc[..., t])) / 100
         target = top_k / n
         sig = 3 * math.sqrt(target * (1 - target) / (n * runs))
         assert abs(mean - target) < sig, top_k
@@ -287,86 +285,113 @@ def test_reident_null_attacker_baseline():
 
 def test_reident_trend_in_surveys():
     ds = _unique_dataset(300)
-    res = atk.run_reident_experiment(
+    acc, _ = atk.run_reident_experiment(
         ds, "grr", "smp", ("epsilon", 10.0),
         atk.SurveysConfig(count=3, all_attributes=True), "fk", (1,), runs=2, seed=12,
     )
-    by_sv = {}
-    for r in res:
-        by_sv.setdefault(r.surveys, []).append(r.value)
-    means = [np.mean(by_sv[s]) for s in sorted(by_sv)]
+    means = list(acc[..., 0].mean(axis=0))  # per survey, over runs
     assert means == sorted(means)
 
 
 def test_reident_beta_privacy_and_flags():
     ds = _unique_dataset(300)
-    res = atk.run_reident_experiment(
+    # the beta column of the exported row is checked in test_harness
+    _, flags = atk.run_reident_experiment(
         ds, "grr", "smp", ("beta", 0.95),
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=13,
     )
-    assert res[0].beta == 0.95
-    assert "alpha_clamped" in res[0].flags
-    res = atk.run_reident_experiment(
+    assert "alpha_clamped" in flags[0][0]
+    acc, flags = atk.run_reident_experiment(
         ds, "grr", "smp", ("beta", 0.5),
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=13,
     )
     # beta=0.5 at n=300: alpha = 0.5 log2(300) - 1 ~ 3.1 -> k=8 passes through (log2 8 <= alpha)
-    assert res[0].flags == ""
-    assert res[0].value > 0
+    assert flags[0][0] == ""
+    assert acc[0, 0, 0] > 0
 
 
 def test_reident_rs_fd_solution_runs():
     ds = _unique_dataset(300)
-    res = atk.run_reident_experiment(
+    # the solution column of the exported row is checked in test_harness
+    acc, _ = atk.run_reident_experiment(
         ds, "grr", "rs_fd", ("epsilon", 5.0),
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1, 5), runs=1, seed=14,
     )
-    assert len(res) == 2
-    assert all(r.solution == "rs_fd" for r in res)
-    res2 = atk.run_reident_experiment(
+    assert acc.shape == (1, 1, 2)
+    acc2, _ = atk.run_reident_experiment(
         ds, "grr", "rs_fd", ("epsilon", 5.0),
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1, 5), runs=1, seed=14,
     )
-    assert [r.value for r in res] == [r.value for r in res2]
+    assert acc.tolist() == acc2.tolist()
 
 
 def test_reident_rs_fd_single_class_flag():
     # nk_s_mult = 1/300 gives the NK classifier one synthetic row, so one class
     ds = _unique_dataset(300)
     for s_mult, expected in ((1 / 300, "single_class"), (1.0, "")):
-        res = atk.run_reident_experiment(
+        _, flags = atk.run_reident_experiment(
             ds, "grr", "rs_fd", ("epsilon", 5.0),
             atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=14,
             nk_s_mult=s_mult,
         )
-        assert [r.flags for r in res] == [expected]
+        assert flags == [[expected]]
 
 
 def test_reident_with_replacement_memoizes():
     ds = _unique_dataset(300)
-    res = atk.run_reident_experiment(
+    acc, _ = atk.run_reident_experiment(
         ds, "grr", "smp", ("epsilon", 10.0),
         atk.SurveysConfig(count=4, all_attributes=True), "fk", (1,), runs=1, seed=16,
         sampling_mode="with_replacement",
     )
-    assert len(res) == 3  # surveys 2..4
-    assert all(0.0 <= r.value <= 100.0 for r in res)
-    res2 = atk.run_reident_experiment(
+    assert acc.shape == (1, 3, 1)  # surveys 2..4
+    assert ((0.0 <= acc) & (acc <= 100.0)).all()
+    acc2, _ = atk.run_reident_experiment(
         ds, "grr", "smp", ("epsilon", 10.0),
         atk.SurveysConfig(count=4, all_attributes=True), "fk", (1,), runs=1, seed=16,
         sampling_mode="with_replacement",
     )
-    assert [r.value for r in res] == [r.value for r in res2]
+    assert acc.tolist() == acc2.tolist()
+
+
+def test_reident_flags_snapshot_per_survey():
+    # without replacement over 3 attributes the pool runs dry at survey 4, so
+    # the flag string of surveys 2 and 3 stays empty
+    ds = _unique_dataset(300)
+    acc, flags = atk.run_reident_experiment(
+        ds, "grr", "smp", ("epsilon", 2.0),
+        atk.SurveysConfig(count=5, all_attributes=True), "fk", (1, 5), runs=2, seed=1,
+    )
+    assert acc.shape == (2, 4, 2)
+    assert flags == [["", "", "smp_pool_reused", "smp_pool_reused"]] * 2
+
+
+def test_surveys_config_needs_two_surveys():
+    # RID is scored from survey 2 on: fewer surveys returned no result at all
+    for count in (1, 0, -3):
+        with pytest.raises(ParameterError, match="survey count"):
+            atk.SurveysConfig(count=count)
+    assert atk.SurveysConfig(count=2).count == 2
+
+
+def test_reident_needs_a_run_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking runs")
+
+    monkeypatch.setattr(atk, "stream", no_draw)
+    ds = _unique_dataset(50)
+    for runs in (0, -1):
+        with pytest.raises(ParameterError, match="runs"):
+            atk.run_reident_experiment(ds, "grr", "smp", ("epsilon", 1.0), runs=runs)
 
 
 def test_reident_pk_uses_column_subset():
     ds = _unique_dataset(300)
-    res = atk.run_reident_experiment(
+    acc, _ = atk.run_reident_experiment(
         ds, "grr", "smp", ("epsilon", 50.0),
         atk.SurveysConfig(count=3, all_attributes=True), "pk", (1,), runs=1, seed=15,
     )
-    assert res[-1].model == "pk"
-    assert 0.0 <= res[-1].value <= 100.0
+    assert 0.0 <= acc[0, -1, 0] <= 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +594,10 @@ def test_random_baseline_accuracy():
 def test_aif_uniform_data_at_baseline():
     md, rows, cfg, batch, labels = _collection([6, 5, 4, 3], 30_000, 22)
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk", "pk", "hm"), seed=22)
+    assert list(res) == ["nk", "pk", "hm"]
     sig = 300 * math.sqrt(0.25 * 0.75 / 27_000)
-    for r in res:
-        assert abs(r.value - 25.0) < sig, (r.model, r.value)
+    for model, (acc, _) in res.items():
+        assert abs(acc - 25.0) < sig, (model, acc)
 
 
 def test_aif_sue_z_high_budget_near_perfect():
@@ -581,7 +607,7 @@ def test_aif_sue_z_high_budget_near_perfect():
     md = mdm.MultiDomain.from_ks(ks)
     cfg = mdm.CollectionConfig(md, "rs_fd", "sue_z", 10.0)
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), seed=23)
-    assert res[0].value >= 95.0
+    assert res["nk"][0] >= 95.0
 
 
 def test_aif_near_zero_budget_matches_prior_rule():
@@ -590,18 +616,7 @@ def test_aif_near_zero_budget_matches_prior_rule():
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), seed=24)
     baseline = 100 / 3
     sig = 300 * math.sqrt((1 / 3) * (2 / 3) / 20_000)
-    assert abs(res[0].value - baseline) < 3 + sig
-
-
-def test_attack_result_metadata():
-    md, rows, cfg, batch, labels = _collection([4, 4], 2000, 25)
-    cfg = mdm.CollectionConfig(md, "rs_fd", "oue_r", 2.0)
-    res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), npk_frac=0.2,
-                                        seed=25, run=3)
-    r = res[0]
-    assert r.metric == "aif_acc" and r.model == "pk" and r.run == 3
-    assert r.protocol == "oue_r" and r.epsilon == 2.0 and r.seed == 25
-    assert "classifier=naive_bayes" in r.flags
+    assert abs(res["nk"][0] - baseline) < 3 + sig
 
 
 def test_attr_infer_npk_frac_needs_train_and_test_users():
@@ -612,7 +627,7 @@ def test_attr_infer_npk_frac_needs_train_and_test_users():
             atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), npk_frac=frac)
     # nk alone trains on no compromised user
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), npk_frac=0.999)
-    assert len(res) == 1 and not math.isnan(res[0].value)
+    assert list(res) == ["nk"] and not math.isnan(res["nk"][0])
     assert atk.compromised_count(0.1, 100) == 10
 
 
@@ -623,7 +638,8 @@ def test_attr_infer_s_mult_needs_a_synthetic_profile():
         with pytest.raises(ParameterError, match="s_mult"):
             atk.run_attr_infer_experiment(rows, cfg, attack_models=models, s_mult=0.001)
     # pk alone trains on no synthetic profile
-    assert len(atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), s_mult=0.001)) == 1
+    assert list(atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",),
+                                              s_mult=0.001)) == ["pk"]
     assert atk.synthetic_count(0.5, 100) == 50
 
 

@@ -238,6 +238,43 @@ def test_attr_infer_rs_rfd_solution():
     assert 0 <= rows[0].value <= 100
 
 
+def test_attack_rows_carry_metadata():
+    # runs = 2 per point: the attacks return plain accuracies, and the harness
+    # writes the run index, the grid axes and the master seed into each row
+    keys = {"seed": 25, "dataset": "synth:uniform", "synth_n": 300,
+            "synth_ks": [8, 9, 10], "epsilons": [2.0], "runs": 2}
+    rows = hn.run_experiment(hn.build_config({
+        "experiment": "attr_infer", "variants": ["oue_r"], "solutions": ["rs_fd"],
+        "attack": ["pk"], "npk_frac": 0.2, **keys}))
+    assert [r.run for r in rows] == [0, 1]
+    for r in rows:
+        assert (r.experiment, r.protocol, r.solution) == ("attr_infer", "oue_r", "rs_fd")
+        assert (r.epsilon, r.beta, r.metric, r.seed) == (2.0, None, "aif_acc_pk", 25)
+        assert r.flags.split(";")[0] == "classifier=naive_bayes"
+    rows = hn.run_experiment(hn.build_config({
+        "experiment": "reident", "solution": "rs_fd", "protocols": ["grr"], "betas": [0.95],
+        "attack_models": ["fk"], "top_k": [1, 5], "surveys": 3, **keys}))
+    metrics = [f"rid_acc_top{k}_sv{s}" for s in (2, 3) for k in (1, 5)]
+    assert [(r.epsilon, r.beta, r.run, r.metric) for r in rows] == (
+        [(2.0, None, run, m) for run in (0, 1) for m in metrics]
+        + [(None, 0.95, run, m) for run in (0, 1) for m in metrics])
+    for r in rows:
+        assert (r.experiment, r.protocol, r.solution, r.seed) == ("reident", "grr", "rs_fd", 25)
+        assert ("alpha_clamped" in r.flags) == (r.beta == 0.95)
+
+
+def test_reident_rows_carry_the_flags_raised_up_to_their_survey():
+    # without replacement over 3 attributes the pool runs dry at survey 4
+    rows = hn.run_experiment(hn.build_config({
+        "experiment": "reident", "seed": 1, "dataset": "synth:uniform", "synth_n": 300,
+        "synth_ks": [8, 9, 10], "protocols": ["grr"], "epsilons": [2.0],
+        "attack_models": ["fk"], "top_k": [1], "surveys": 5,
+        "survey_all_attributes": True, "runs": 2}))
+    assert [(r.run, r.metric, r.flags) for r in rows] == [
+        (run, f"rid_acc_top1_sv{s}", "smp_pool_reused" if s >= 4 else "")
+        for run in (0, 1) for s in (2, 3, 4, 5)]
+
+
 def test_beta_grid_reident():
     cfg = hn.build_config({
         "experiment": "reident", "seed": 19, "dataset": "fixture:adult_style_5000",
