@@ -27,14 +27,14 @@ alpha = budget.alpha_from_bayes_error(0.5, N)
 print(f"\nper-attribute decisions at alpha = {alpha:.3f} bits:")
 print(f"{'k':>4} {'decision':<14} {'epsilon':>8}")
 for k in D_K:
-    dec = budget.epsilon_from_alpha(alpha, N, k)
-    if dec.pass_through:
+    eps = budget.epsilon_from_alpha(alpha, N, k)
+    if eps == math.inf:
         print(f"{k:>4} {'pass-through':<14} {'-':>8}   (log2 k = {math.log2(k):.2f} <= alpha)")
     else:
-        print(f"{k:>4} {'randomize':<14} {dec.epsilon:>8.4f}")
+        print(f"{k:>4} {'randomize':<14} {eps:>8.4f}")
 
 print("\nround trip sanity: eps -> alpha -> eps")
 for eps in (0.3, 1.0, 3.0):
     a = budget.alpha_from_epsilon(eps, 2**40, 2**40)
-    back = budget.epsilon_from_alpha(a, 2**40, 2**40).epsilon
+    back = budget.epsilon_from_alpha(a, 2**40, 2**40)
     print(f"  {eps} -> {a:.4f} -> {back:.6f}")

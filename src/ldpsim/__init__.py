@@ -1,7 +1,6 @@
 """ldpsim: LDP frequency oracles, multidimensional collection, and attack simulation."""
 
 from .budget import (
-    EpsilonDecision,
     alpha_from_bayes_error,
     alpha_from_epsilon,
     bayes_alpha_clamped,

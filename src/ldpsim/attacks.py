@@ -463,9 +463,9 @@ def _rs_survey_step(dataset, solution, variant, eps_list, attrs,
     priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
     cfg = CollectionConfig(sub.multidomain, solution, variant, eps, priors)
     batches, _ = rs_sanitize_batch(sub.rows, cfg, rng)
-    learn = build_learning_set("nk", estimated_freqs=rs_estimate(batches, cfg),
-                               s=synthetic_count(nk_s_mult, sub.n), cfg=cfg, rng=rng)
-    clf, attack_flags = train_attacker(learn, cfg)
+    learn = build_learning_set(rs_estimate(batches, cfg), synthetic_count(nk_s_mult, sub.n),
+                               cfg, rng)
+    clf, attack_flags = train_attacker([learn], cfg)
     flags.extend(f for f in attack_flags if f not in flags)
     jhat = clf.predict(encode_features(batches))
     for ai, (a, b) in enumerate(zip(attrs, batches)):
@@ -480,6 +480,8 @@ def _rs_survey_step(dataset, solution, variant, eps_list, attrs,
 
 @dataclass
 class LearningSet:
+    """One part of the attacker's training data: features and sampled-attribute labels."""
+
     features: np.ndarray
     labels: np.ndarray
     estimate_fallback: bool = False  # some attribute's synthetic values came out uniform
@@ -496,56 +498,33 @@ def encode_features(batches: Sequence[ReportBatch]) -> np.ndarray:
     return np.column_stack([b.data for b in batches])
 
 
-def build_learning_set(
-    model: str,
-    estimated_freqs: Sequence[np.ndarray] | None = None,
-    compromised: tuple[np.ndarray, np.ndarray] | None = None,
-    s: int = 0,
-    n_pk: int = 0,
-    cfg: CollectionConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> LearningSet:
-    """Assemble the attacker's training set for one of the nk / pk / hm models.
+def build_learning_set(estimated_freqs: Sequence[np.ndarray], s: int,
+                       cfg: CollectionConfig, rng: np.random.Generator) -> LearningSet:
+    """``s`` synthetic profiles pushed through the collection pipeline, each labelled
+    with the sampled attribute it drew.
 
-    nk draws ``s`` synthetic profiles from the clipped-normalized estimated
-    frequencies and pushes them through the same collection pipeline,
-    labelling each with the sampled attribute it drew; an attribute whose
-    estimates are all <= 0 is drawn uniformly instead, with the same draws,
-    and sets ``estimate_fallback``.  pk uses ``n_pk`` compromised (features,
-    label) rows.  hm is their union.
+    The profiles are drawn from the clipped-normalized estimated frequencies; an
+    attribute whose estimates are all <= 0 is drawn uniformly instead, with the
+    same draws, and sets ``estimate_fallback``.
     """
-    check_attack_model(model)
-    parts, fallback = [], False
-    if model in ("nk", "hm"):
-        if estimated_freqs is None or cfg is None or rng is None:
-            raise ParameterError("nk needs estimated frequencies, a config and an rng")
-        if s <= 0:
-            raise ParameterError("nk needs s > 0 synthetic profiles")
-        dists, fell_back = clip_or_uniform(estimated_freqs)
-        fallback = any(fell_back)
-        synth_rows = synthesize_profiles(dists, s, rng, cfg.md).rows
-        batches, labels = rs_sanitize_batch(synth_rows, cfg, rng)
-        parts.append((encode_features(batches), labels))
-    if model in ("pk", "hm"):
-        if compromised is None or n_pk <= 0:
-            raise ParameterError("pk needs n_pk > 0 compromised rows")
-        feats, labels = compromised
-        if len(feats) < n_pk:
-            raise ParameterError(f"only {len(feats)} compromised rows, need {n_pk}")
-        parts.append((np.asarray(feats)[:n_pk], np.asarray(labels)[:n_pk]))
-    features = np.concatenate([p[0] for p in parts], axis=0)
-    labels = np.concatenate([p[1] for p in parts], axis=0)
-    return LearningSet(features, labels, fallback)
+    dists, fell_back = clip_or_uniform(estimated_freqs)
+    synth_rows = synthesize_profiles(dists, s, rng, cfg.md).rows
+    batches, labels = rs_sanitize_batch(synth_rows, cfg, rng)
+    return LearningSet(encode_features(batches), labels, any(fell_back))
 
 
-def train_attacker(learning_set: LearningSet, cfg: CollectionConfig) -> tuple[NaiveBayes, list]:
-    """Naive Bayes fitted to the learning set (categorical on grr values, else bernoulli on
-    bits) and the attacker's flags: ``single_class``, then ``estimate_fallback``."""
+def train_attacker(parts: Sequence[LearningSet],
+                   cfg: CollectionConfig) -> tuple[NaiveBayes, list]:
+    """Naive Bayes fitted to the concatenated learning sets (categorical on grr values,
+    else bernoulli on bits) and the attacker's flags: ``single_class``, then
+    ``estimate_fallback`` if any part carries it."""
     clf = NaiveBayes(mode="categorical" if cfg.variant == "grr" else "bernoulli")
-    clf.fit(learning_set.features, learning_set.labels,
+    clf.fit(np.concatenate([p.features for p in parts]),
+            np.concatenate([p.labels for p in parts]),
             n_classes=cfg.md.d, categories=list(cfg.md.ks))
     flags = [flag for flag, hit in (("single_class", clf.constant_class is not None),
-                                    ("estimate_fallback", learning_set.estimate_fallback))
+                                    ("estimate_fallback",
+                                     any(p.estimate_fallback for p in parts)))
              if hit]
     return clf, flags
 
@@ -595,14 +574,16 @@ def run_attr_infer_experiment(
     results = {}
     for model in attack_models:
         rng_m = stream(seed, 505, run, ATTACK_MODELS.index(model))
-        comp, rest = slice(0), slice(None)  # nk compromises no user and tests on all
+        # pk trains on n_pk compromised users and tests on the rest; nk trains on s
+        # synthetic profiles and tests on all; hm trains on both, synthetic first
+        parts, rest = [], slice(None)
         if model != "nk":
             perm = rng_m.permutation(n)
             comp, rest = perm[:n_pk], perm[n_pk:]
-        # each model reads only its own inputs: nk the estimates, pk the compromised rows
-        learn = build_learning_set(model, estimated_freqs=est, s=s, n_pk=n_pk, cfg=cfg,
-                                   rng=rng_m, compromised=(features[comp], labels[comp]))
-        clf, flags = train_attacker(learn, cfg)
+            parts.append(LearningSet(features[comp], labels[comp]))
+        if model != "pk":
+            parts.insert(0, build_learning_set(est, s, cfg, rng_m))
+        clf, flags = train_attacker(parts, cfg)
         acc = 100.0 * float(np.mean(clf.predict(features[rest]) == labels[rest]))
         results[model] = (acc, ";".join(flags))
     return results

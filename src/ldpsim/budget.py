@@ -8,14 +8,13 @@ observed by a population of n users guarantees
 
 Going the other way, a target Bayes error beta for the re-identification
 adversary fixes alpha through  beta >= 1 - (alpha + 1) / log2(n), and alpha
-maps back to an epsilon -- or to a pass-through decision when the domain is
-so small that even the raw value leaks at most alpha bits.
+maps back to an epsilon -- or to inf, pass-through, when the domain is so
+small that even the raw value leaks at most alpha bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
@@ -25,20 +24,6 @@ LOG2_E = math.log2(math.e)
 # epsilon assigned when an alpha budget of 0 admits no randomizer; at this
 # scale every protocol is indistinguishable from its epsilon -> 0 limit
 EPSILON_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class EpsilonDecision:
-    """Outcome of inverting an alpha budget for one attribute.
-
-    ``pass_through`` means the raw value may be reported unrandomized
-    (log2(k) <= alpha or log2(n) <= alpha already caps the leakage).
-    ``epsilon`` is 0.0 exactly when alpha = 0 with no pass-through; callers
-    must treat that sentinel as non-identifiable.
-    """
-
-    epsilon: float
-    pass_through: bool
 
 
 def alpha_from_epsilon(epsilon: float, n: int, k: int) -> float:
@@ -69,23 +54,24 @@ def bayes_alpha_clamped(beta: float, n: int) -> bool:
     return (1.0 - beta) * math.log2(n) - 1.0 < 0.0
 
 
-def epsilon_from_alpha(alpha: float, n: int, k: int) -> EpsilonDecision:
-    """Invert the alpha budget into an epsilon, or decide to pass through.
+def epsilon_from_alpha(alpha: float, n: int, k: int) -> float:
+    """Invert the alpha budget into an epsilon; ``inf`` means pass through.
 
-    The epsilon branch inverts the two epsilon terms of the alpha formula:
-    the linear term binds for eps >= 1 and the quadratic one below it, so
-    the inverse is alpha/log2(e) when that is >= 1 and sqrt(alpha/log2(e))
-    otherwise (continuous at eps = 1, where the terms cross).
+    The raw value may pass through unrandomized when log2(k) <= alpha or
+    log2(n) <= alpha already caps the leakage.  Otherwise the linear epsilon
+    term of the alpha formula binds for eps >= 1 and the quadratic one below
+    it, so the inverse is alpha/log2(e) when that is >= 1 and
+    sqrt(alpha/log2(e)) otherwise (continuous at eps = 1, where the terms
+    cross).  The result is 0.0 exactly when alpha = 0 admits no randomizer.
     """
     if alpha < 0:
         raise ParameterError("alpha must be >= 0")
     if n < 2 or k < 2:
         raise ParameterError("n and k must be >= 2")
     if math.log2(k) <= alpha or math.log2(n) <= alpha:
-        return EpsilonDecision(epsilon=math.inf, pass_through=True)
+        return math.inf
     linear = alpha / LOG2_E
-    eps = linear if linear >= 1.0 else math.sqrt(linear)
-    return EpsilonDecision(epsilon=eps, pass_through=False)
+    return linear if linear >= 1.0 else math.sqrt(linear)
 
 
 def beta_epsilons(beta: float, n: int, ks: Sequence[int]) -> tuple[list[float], list[str]]:
@@ -97,10 +83,7 @@ def beta_epsilons(beta: float, n: int, ks: Sequence[int]) -> tuple[list[float], 
     (some attribute got the floor).
     """
     alpha = alpha_from_bayes_error(beta, n)
-    decisions = [epsilon_from_alpha(alpha, n, k) for k in ks]
-    floored = [not dec.pass_through and dec.epsilon <= 0.0 for dec in decisions]
-    epsilons = [math.inf if dec.pass_through else EPSILON_FLOOR if low else dec.epsilon
-                for dec, low in zip(decisions, floored)]
+    epsilons = [epsilon_from_alpha(alpha, n, k) for k in ks]
     flags = [flag for flag, hit in (("alpha_clamped", bayes_alpha_clamped(beta, n)),
-                                    ("epsilon_floor", any(floored))) if hit]
-    return epsilons, flags
+                                    ("epsilon_floor", 0.0 in epsilons)) if hit]
+    return [EPSILON_FLOOR if eps == 0.0 else eps for eps in epsilons], flags

@@ -70,8 +70,8 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
     ``columns`` selects and orders the categorical attributes (default: all
     non-id columns in header order).  Value dictionaries are built in
     first-appearance order, so ingestion is deterministic.  A header or
-    ``columns`` that repeats a name, or a header that lacks a selected column
-    or ``id_column``, raises DomainError.
+    ``columns`` that repeats a name or names ``id_column``, or a header that
+    lacks a selected column or ``id_column``, raises DomainError.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -86,6 +86,8 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
             repeated = sorted({c for c in names if names.count(c) > 1})
             if repeated:
                 raise DomainError(f"{what} repeats {repeated}")
+        if id_column is not None and id_column in columns:
+            raise DomainError(f"columns name the id column {id_column!r}")
         wanted = list(columns) if id_column is None else [*columns, id_column]
         missing = [c for c in wanted if c not in header]
         if missing:

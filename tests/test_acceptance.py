@@ -412,13 +412,13 @@ def test_c09_pie_mapping():
     for i in range(1, 101):
         eps = 10.0 * i / 100
         alpha = budget.alpha_from_epsilon(eps, n, k)
-        dec = budget.epsilon_from_alpha(alpha, n, k)
-        assert not dec.pass_through
-        assert abs(dec.epsilon - eps) < 1e-9
+        back = budget.epsilon_from_alpha(alpha, n, k)
+        assert back < math.inf
+        assert abs(back - eps) < 1e-9
     for k in (2, 4, 16, 74, 1024):
         for alpha in (0.5, 1.0, 2.0, math.log2(k), math.log2(k) + 1e-9, 12.0):
-            dec = budget.epsilon_from_alpha(alpha, 2**40, k)
-            assert dec.pass_through == (math.log2(k) <= alpha), (k, alpha)
+            passes = budget.epsilon_from_alpha(alpha, 2**40, k) == math.inf
+            assert passes == (math.log2(k) <= alpha), (k, alpha)
     assert budget.alpha_from_epsilon(1.0, 45222, 74) == pytest.approx(math.log2(math.e))
     report("9 budget mapping", True, "100-point round trip, exact pass-through")
 

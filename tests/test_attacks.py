@@ -8,6 +8,7 @@ from scipy import stats
 from ldpsim import attacks as atk
 from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
+from ldpsim.classifier import NaiveBayes
 from ldpsim.datasets import Dataset, synthesize_profiles
 from ldpsim.errors import ParameterError
 from ldpsim.rng import stream
@@ -501,36 +502,36 @@ def _collection(ks, n, seed, variant="grr", eps=1.0):
 def test_build_learning_set_nk_uniform_labels():
     md, rows, cfg, batches, labels = _collection([4, 5, 3], 30_000, 16)
     est = mdm.rs_estimate(batches, cfg)
-    learn = atk.build_learning_set("nk", estimated_freqs=est, s=30_000, cfg=cfg,
-                                   rng=stream(16, 1))
+    learn = atk.build_learning_set(est, 30_000, cfg, stream(16, 1))
     counts = np.bincount(learn.labels, minlength=3)
     sig = 3 * math.sqrt((1 / 3) * (2 / 3) / 30_000)
     assert (np.abs(counts / 30_000 - 1 / 3) < sig).all()
     assert learn.features.shape == (30_000, 3)
 
 
-def test_build_learning_set_pk_boundaries():
-    md, rows, cfg, batches, labels = _collection([4, 5, 3], 500, 17)
-    feats = atk.encode_features(batches)
-    with pytest.raises(ParameterError):
-        atk.build_learning_set("pk", compromised=(feats, labels), n_pk=0)
-    learn = atk.build_learning_set("pk", compromised=(feats, labels), n_pk=100)
-    # pk trains on the first n_pk compromised rows as they are
-    np.testing.assert_array_equal(learn.features, feats[:100])
-    np.testing.assert_array_equal(learn.labels, labels[:100])
-
-
-def test_build_learning_set_hm_union_size():
+def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
+    # a list of learning sets is one fit on their concatenation (s + n_pk rows,
+    # synthetic first); estimate_fallback comes from any part
     md, rows, cfg, batches, labels = _collection([4, 5, 3], 500, 18)
     feats = atk.encode_features(batches)
     est = mdm.rs_estimate(batches, cfg)
-    learn = atk.build_learning_set("hm", estimated_freqs=est,
-                                   compromised=(feats, labels), s=250, n_pk=100,
-                                   cfg=cfg, rng=stream(18, 1))
-    assert len(learn.features) == 350
-    # hm is the 250 synthetic rows followed by the 100 compromised ones
-    np.testing.assert_array_equal(learn.features[250:], feats[:100])
-    np.testing.assert_array_equal(learn.labels[250:], labels[:100])
+    synthetic = atk.build_learning_set(est, 250, cfg, stream(18, 1))
+    compromised = atk.LearningSet(feats[:100], labels[:100])
+    X = np.concatenate([synthetic.features, feats[:100]])
+    y = np.concatenate([synthetic.labels, labels[:100]])
+    one = NaiveBayes(mode="categorical").fit(X, y, n_classes=3, categories=[4, 5, 3])
+    fitted, fit = [], NaiveBayes.fit
+    monkeypatch.setattr(NaiveBayes, "fit",
+                        lambda self, X, y, **kw: fitted.append((X, y)) or fit(self, X, y, **kw))
+    clf, flags = atk.train_attacker([synthetic, compromised], cfg)
+    assert len(fitted) == 1 and len(fitted[0][0]) == 350
+    np.testing.assert_array_equal(fitted[0][0], X)
+    np.testing.assert_array_equal(fitted[0][1], y)
+    np.testing.assert_array_equal(clf.predict(feats), one.predict(feats))
+    assert flags == []
+    fell_back = atk.LearningSet(feats[:100], labels[:100], True)
+    for parts in ([synthetic, fell_back], [fell_back, compromised]):
+        assert atk.train_attacker(parts, cfg)[1] == ["estimate_fallback"]
 
 
 def test_build_learning_set_degenerate_estimates_fall_back_to_uniform():
@@ -539,10 +540,9 @@ def test_build_learning_set_degenerate_estimates_fall_back_to_uniform():
     md = mdm.MultiDomain.from_ks([3, 3])
     cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     bad = [np.array([-0.1, -0.2, -0.3]), np.array([0.5, 0.3, 0.2])]
-    learn = atk.build_learning_set("nk", estimated_freqs=bad, s=10, cfg=cfg, rng=stream(19, 0))
+    learn = atk.build_learning_set(bad, 10, cfg, stream(19, 0))
     uniform = [np.full(3, 1 / 3), bad[1]]
-    same = atk.build_learning_set("nk", estimated_freqs=uniform, s=10, cfg=cfg,
-                                  rng=stream(19, 0))
+    same = atk.build_learning_set(uniform, 10, cfg, stream(19, 0))
     assert learn.estimate_fallback and not same.estimate_fallback
     np.testing.assert_array_equal(learn.features, same.features)
     np.testing.assert_array_equal(learn.labels, same.labels)
@@ -574,11 +574,11 @@ def test_classifier_pipeline_separable():
     cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
     labels = np.arange(300) % 3
     feats = np.column_stack([labels, np.zeros(300, dtype=int), np.zeros(300, dtype=int)])
-    clf, flags = atk.train_attacker(atk.LearningSet(feats, labels), cfg)
+    clf, flags = atk.train_attacker([atk.LearningSet(feats, labels)], cfg)
     assert flags == []
     assert np.array_equal(clf.predict(feats), labels)
     # one learning row is one class; the flags keep their order
-    _, flags = atk.train_attacker(atk.LearningSet(feats[:1], labels[:1], True), cfg)
+    _, flags = atk.train_attacker([atk.LearningSet(feats[:1], labels[:1], True)], cfg)
     assert flags == ["single_class", "estimate_fallback"]
 
 

@@ -30,21 +30,20 @@ def test_bayes_clamp_flag():
 
 
 def test_epsilon_from_alpha_examples():
-    dec = budget.epsilon_from_alpha(2.0, 10**9, 4)
-    assert dec.pass_through
-    dec = budget.epsilon_from_alpha(LOG2E, 45222, 74)
-    assert not dec.pass_through
-    assert dec.epsilon == pytest.approx(1.0)
-    dec = budget.epsilon_from_alpha(0.25 * LOG2E, 10**9, 74)
-    assert dec.epsilon == pytest.approx(0.5)
-    dec = budget.epsilon_from_alpha(0.3607, 10**9, 74)
-    assert dec.epsilon == pytest.approx(0.5, abs=1e-4)
+    eps = budget.epsilon_from_alpha(2.0, 10**9, 4)
+    assert eps == math.inf
+    eps = budget.epsilon_from_alpha(LOG2E, 45222, 74)
+    assert eps < math.inf
+    assert eps == pytest.approx(1.0)
+    eps = budget.epsilon_from_alpha(0.25 * LOG2E, 10**9, 74)
+    assert eps == pytest.approx(0.5)
+    eps = budget.epsilon_from_alpha(0.3607, 10**9, 74)
+    assert eps == pytest.approx(0.5, abs=1e-4)
 
 
 def test_epsilon_from_alpha_zero_sentinel():
-    dec = budget.epsilon_from_alpha(0.0, 10**6, 64)
-    assert not dec.pass_through
-    assert dec.epsilon == 0.0
+    eps = budget.epsilon_from_alpha(0.0, 10**6, 64)
+    assert eps == 0.0
 
 
 def test_beta_epsilons():
@@ -77,9 +76,9 @@ def test_parameter_validation():
 def test_round_trip_when_caps_do_not_bind(eps):
     n = k = 2**40  # caps sit far above every epsilon term on (0, 10]
     alpha = budget.alpha_from_epsilon(eps, n, k)
-    dec = budget.epsilon_from_alpha(alpha, n, k)
-    assert not dec.pass_through
-    assert dec.epsilon == pytest.approx(eps, abs=1e-9, rel=1e-9)
+    back = budget.epsilon_from_alpha(alpha, n, k)
+    assert back < math.inf
+    assert back == pytest.approx(eps, abs=1e-9, rel=1e-9)
 
 
 def test_round_trip_dense_grid():
@@ -87,8 +86,8 @@ def test_round_trip_dense_grid():
     for i in range(1, 101):
         eps = 10.0 * i / 100
         alpha = budget.alpha_from_epsilon(eps, n, k)
-        dec = budget.epsilon_from_alpha(alpha, n, k)
-        assert abs(dec.epsilon - eps) < 1e-9
+        back = budget.epsilon_from_alpha(alpha, n, k)
+        assert abs(back - eps) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +121,6 @@ def test_alpha_nonincreasing_in_beta(b1, b2):
     k=st.integers(min_value=2, max_value=2**20),
 )
 def test_pass_through_soundness(alpha, n, k):
-    dec = budget.epsilon_from_alpha(alpha, n, k)
-    if dec.pass_through:
+    if budget.epsilon_from_alpha(alpha, n, k) == math.inf:
         # even the raw value stays within the budget's own cap
         assert min(math.log2(k), math.log2(n)) <= alpha

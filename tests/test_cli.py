@@ -333,13 +333,16 @@ def test_reident_one_user_epsilon_still_runs(tmp_path):
     "dataset = synth:zipf\ncolumns = a0\n",
     "dataset = synth:zipf\nid_column = key\n",
     "dataset = fixture:adult_style_100\ncolumns = age, nope\n",
+    "dataset = fixture:adult_style_100\ncolumns = id, age\n",
 ], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n",
         "missing-id-column", "repeated-column", "constant-column", "repeated-selection",
-        "synth-columns", "synth-id-column", "fixture-missing-column"])
+        "synth-columns", "synth-id-column", "fixture-missing-column",
+        "id-as-attribute"])
 def test_bad_dataset_spec_is_config_error(tmp_path, body):
     # each exited 3, as a runtime error, or (the repeated column) read its first
-    # occurrence twice, or (the repeated selection) loaded one column twice; each
-    # is now refused before any task runs
+    # occurrence twice, or (the repeated selection) loaded one column twice, or
+    # (the id as an attribute) made every record unique; each is now refused
+    # before any task runs
     (tmp_path / "data.csv").write_text("a,b\nx,y\n")
     (tmp_path / "no_id.csv").write_text("color,size\nred,S\nblue,M\n")
     (tmp_path / "repeated.csv").write_text("id,a,a\n1,x,p\n2,y,q\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ldpsim import oracles as oc
 from ldpsim.errors import DomainError, NonIdentifiableError, ParameterError
-from ldpsim.rng import stream
+from ldpsim.rng import splitmix64, stream
 
 
 def test_grr_params_ln2_k2():
@@ -180,6 +180,22 @@ def test_supports_rules():
     for cand in range(6):
         expect = hash_bucket(987654321, cand, olh.aux) == bucket
         assert supported[cand] == expect
+
+
+# the first three outputs of the published SplitMix64 generator seeded with 0:
+# it adds gamma = 0x9E3779B97F4A7C15 to its state and then mixes, as
+# splitmix64 does to its input, so input i * gamma gives output i + 1
+SPLITMIX64_FROM_0 = ((0, 0xE220_A839_7B1D_CDAF),
+                     (0x9E37_79B9_7F4A_7C15, 0x6E78_9E6A_A1B9_65F4),
+                     (0x3C6E_F372_FE94_F82A, 0x06C4_5D18_8009_454F))
+
+
+def test_splitmix64_matches_published_sequence():
+    inputs, outputs = zip(*SPLITMIX64_FROM_0)
+    assert [splitmix64(x) for x in inputs] == list(outputs)
+    mixed = splitmix64(np.array(inputs, dtype=np.uint64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == list(outputs)
 
 
 def test_estimate_all_same_value():
