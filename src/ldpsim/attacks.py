@@ -29,14 +29,12 @@ from .classifier import NaiveBayes
 from .datasets import clip_or_uniform, synthesize_profiles
 from .multidim import (
     CollectionConfig,
-    MultiDomain,
     check_collection,
     rs_estimate,
     rs_sanitize_batch,
     smp_sample,
 )
 from .oracles import (
-    PROTOCOLS,
     ReportBatch,
     protocol_params,
     randomize_batch,
@@ -170,38 +168,12 @@ def empirical_attack_acc(protocol: str, epsilon: float, k: int, n: int,
     return 100.0 * float(np.mean(preds == values))
 
 
-def smp_attack_acc_mc(protocol: str, epsilon: float, ks: Sequence[int],
-                      mode: str, n: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo full-profile attack accuracy for the sampling solution.
-
-    Runs d surveys over all d attributes through the reident survey step
-    (:func:`_smp_survey_step`).  ``uniform`` samples without replacement, so
-    every user reports each attribute once; ``non_uniform`` samples with
-    replacement, a repeat re-sends the memoized report, and a profile scores
-    only when it is complete and every prediction is right.
-    """
-    sampling_mode = {"uniform": "without_replacement",
-                     "non_uniform": "with_replacement"}.get(mode)
-    if sampling_mode is None:
-        raise ParameterError(f"unknown mode {mode!r}")
-    if n < 1:
-        raise ParameterError(f"sample size n must be >= 1, got {n!r}")
-    md = MultiDomain.from_ks(ks)
-    values = np.column_stack([rng.integers(0, k, size=n) for k in ks])
-    profile = np.full((n, md.d), -1, dtype=np.int64)
-    for _ in range(md.d):
-        _smp_survey_step(values, md, protocol, [epsilon] * md.d, np.arange(md.d),
-                         sampling_mode, profile, rng, [])
-    return 100.0 * float(np.mean((profile == values).all(axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # Re-identification
 # ---------------------------------------------------------------------------
 
 def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray,
-                  rng: np.random.Generator, null_attack: bool = False,
-                  chunk: int = 256) -> np.ndarray:
+                  rng: np.random.Generator, chunk: int = 256) -> np.ndarray:
     """Rank (0-based) of each user's own record (background row i for user i).
 
     Records are ordered by Hamming distance over the user's known entries
@@ -209,8 +181,7 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     ``closer`` records strictly nearer and ``tied`` at the true record's
     distance (itself included), its rank is closer + Uniform{0..tied-1}:
     one draw per user, in user order, the law of sorting by (distance, iid
-    uniform key).  ``null_attack`` ranks uniformly on {0..n_bk-1}, the
-    random-guess baseline.
+    uniform key).
 
     The records are bit-sliced once per call: for each column j and value v,
     one row of ceil(n_bk / 64) uint64 words has bit r set when record r holds
@@ -233,8 +204,6 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     (n, c) narrow copies of the table.
     """
     n = len(profiles)
-    if null_attack:
-        return rng.integers(0, len(bk_rows), size=n)
     n_bk, c, W = len(bk_rows), len(bk_cols), -(-len(bk_rows) // 64)
     dt = np.min_scalar_type(-max(profiles.max(initial=0), bk_rows.max(initial=0)) - 1)
     P = profiles[:, bk_cols].astype(dt)
@@ -328,14 +297,6 @@ class SurveysConfig:
             raise ParameterError(f"survey min_frac must lie in (0, 1], got {self.min_frac!r}")
 
 
-def check_protocol(solution: str, protocol: str) -> None:
-    """Reject a protocol the solution does not run: an oracle under smp, a tag under rs_*."""
-    if solution != "smp":
-        check_collection(solution, protocol)
-    elif protocol not in PROTOCOLS:
-        raise ParameterError(f"unknown protocol {protocol!r}; use one of {PROTOCOLS}")
-
-
 def run_reident_experiment(
     dataset,
     protocol: str = "grr",
@@ -378,7 +339,7 @@ def run_reident_experiment(
         raise ParameterError(f"unknown attack_mode {attack_mode!r}")
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs!r}")
-    check_protocol(solution, protocol)
+    check_collection(solution, protocol)
     md, rows = dataset.multidomain, dataset.rows
     n, d = rows.shape
     # per-attribute epsilons (inf: pass-through) and the budget's flags
@@ -425,9 +386,8 @@ def run_reident_experiment(
                                 rfd_priors, nk_s_mult, profile, rng_rep, flags)
             if s_idx == 0:
                 continue
-            ranks = _rank_of_true(
-                profile, rows, bk_cols, rng_match, null_attack=(attack_mode == "null")
-            )
+            ranks = (rng_match.integers(0, n, size=n) if attack_mode == "null"
+                     else _rank_of_true(profile, rows, bk_cols, rng_match))
             acc[run, s_idx - 1] = [100.0 * float(np.mean(ranks < k)) for k in top_ks]
             snapshots[run].append(";".join(flags))
     return acc, snapshots
@@ -485,12 +445,6 @@ class LearningSet:
     features: np.ndarray
     labels: np.ndarray
     estimate_fallback: bool = False  # some attribute's synthetic values came out uniform
-
-
-def check_attack_model(model: str) -> None:
-    """Reject a sampled-attribute inference model other than nk, pk or hm."""
-    if model not in ATTACK_MODELS:
-        raise ParameterError(f"unknown attack model {model!r}; use one of {ATTACK_MODELS}")
 
 
 def encode_features(batches: Sequence[ReportBatch]) -> np.ndarray:
@@ -562,7 +516,8 @@ def run_attr_infer_experiment(
     flags being :func:`train_attacker`'s, ``;``-joined.
     """
     for model in attack_models:
-        check_attack_model(model)
+        if model not in ATTACK_MODELS:
+            raise ParameterError(f"unknown attack model {model!r}; use one of {ATTACK_MODELS}")
     n = len(rows)
     n_pk = compromised_count(npk_frac, n) if {"pk", "hm"} & set(attack_models) else 0
     s = synthetic_count(s_mult, n) if {"nk", "hm"} & set(attack_models) else 0

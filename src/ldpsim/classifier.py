@@ -99,18 +99,8 @@ class NaiveBayes:
             if col.min(initial=0) < 0 or col.max(initial=0) >= k:
                 raise ParameterError(f"feature {j} must lie in [0, {k})")
 
-    def log_scores(self, X: np.ndarray) -> np.ndarray:
-        """(n, C) log posterior scores, up to a per-row constant."""
-        X = np.asarray(X)
-        self._check_features(X)
-        if self.constant_class is not None:
-            scores = np.full((len(X), self.n_classes), -np.inf)
-            scores[:, self.constant_class] = 0.0
-            return scores
-        return self._scores(X)
-
     def _scores(self, X: np.ndarray) -> np.ndarray:
-        """Scores of checked rows under a model fitted on two or more classes."""
+        """(n, C) log posteriors up to a per-row constant: checked rows, no constant_class."""
         if self.mode == "bernoulli":
             log_t, log_1mt = self._log_like
             Xb = X.astype(np.float64)

@@ -34,7 +34,6 @@ class Dataset:
 
     multidomain: MultiDomain
     rows: np.ndarray
-    ids: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -53,64 +52,63 @@ class Dataset:
         if n > self.n:
             raise ParameterError(f"cannot subsample {n} of {self.n} rows")
         idx = np.sort(rng.choice(self.n, size=n, replace=False))
-        ids = None if self.ids is None else self.ids[idx]
-        return Dataset(self.multidomain, self.rows[idx], ids)
+        return Dataset(self.multidomain, self.rows[idx])
 
     def select(self, attrs: Sequence[int]) -> "Dataset":
         """Column projection onto the given attribute indices."""
         attrs = list(attrs)
         md = MultiDomain(tuple(self.multidomain.domains[a] for a in attrs))
-        return Dataset(md, self.rows[:, attrs], self.ids)
+        return Dataset(md, self.rows[:, attrs])
 
 
 def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
                  id_column: str | None = None) -> Dataset:
-    """Read a UTF-8 CSV with header into an integer-encoded dataset.
+    """Read a UTF-8 CSV with header, BOM or not, into an integer-encoded dataset.
 
     ``columns`` selects and orders the categorical attributes (default: all
-    non-id columns in header order).  Value dictionaries are built in
-    first-appearance order, so ingestion is deterministic.  A header or
-    ``columns`` that repeats a name or names ``id_column``, or a header that
-    lacks a selected column or ``id_column``, raises DomainError.
+    non-id columns in header order); ``id_column`` is only checked, no ids are
+    kept.  Value dictionaries are built in first-appearance order, so
+    ingestion is deterministic.  A header or ``columns`` that repeats a name
+    or names ``id_column``, a header that lacks a selected column or
+    ``id_column``, and a ragged or malformed row raise DomainError.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path} is empty") from None
-        if columns is None:
-            columns = [c for c in header if c != id_column]
-        for what, names in ((f"header of {path}", header), ("columns", list(columns))):
-            repeated = sorted({c for c in names if names.count(c) > 1})
-            if repeated:
-                raise DomainError(f"{what} repeats {repeated}")
-        if id_column is not None and id_column in columns:
-            raise DomainError(f"columns name the id column {id_column!r}")
-        wanted = list(columns) if id_column is None else [*columns, id_column]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise DomainError(f"columns {missing} not in header of {path}")
-        col_idx = [header.index(c) for c in columns]
-        id_idx = header.index(id_column) if id_column is not None else None
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DomainError(f"{path} is empty") from None
+            if columns is None:
+                columns = [c for c in header if c != id_column]
+            for what, names in ((f"header of {path}", header), ("columns", list(columns))):
+                repeated = sorted({c for c in names if names.count(c) > 1})
+                if repeated:
+                    raise DomainError(f"{what} repeats {repeated}")
+            if id_column is not None and id_column in columns:
+                raise DomainError(f"columns name the id column {id_column!r}")
+            wanted = list(columns) if id_column is None else [*columns, id_column]
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise DomainError(f"columns {missing} not in header of {path}")
+            col_idx = [header.index(c) for c in columns]
 
-        dicts: list[dict] = [{} for _ in columns]
-        encoded: list[list[int]] = []
-        ids: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DomainError(f"{path}:{line_no}: ragged row ({len(row)} fields)")
-            rec = []
-            for j, ci in enumerate(col_idx):
-                label = row[ci]
-                d = dicts[j]
-                if label not in d:
-                    d[label] = len(d)
-                rec.append(d[label])
-            encoded.append(rec)
-            if id_idx is not None:
-                ids.append(row[id_idx])
+            dicts: list[dict] = [{} for _ in columns]
+            encoded: list[list[int]] = []
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DomainError(f"{path}:{line_no}: ragged row ({len(row)} fields)")
+                rec = []
+                for j, ci in enumerate(col_idx):
+                    label = row[ci]
+                    d = dicts[j]
+                    if label not in d:
+                        d[label] = len(d)
+                    rec.append(d[label])
+                encoded.append(rec)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not encoded:
         raise DomainError(f"{path} has no data rows")
     empty = [c for c, d in zip(columns, dicts) if len(d) == 0]
@@ -119,11 +117,7 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
     domains = tuple(
         AttributeDomain(name, tuple(d.keys())) for name, d in zip(columns, dicts)
     )
-    return Dataset(
-        MultiDomain(domains),
-        np.asarray(encoded, dtype=np.int64),
-        np.asarray(ids) if ids else None,
-    )
+    return Dataset(MultiDomain(domains), np.asarray(encoded, dtype=np.int64))
 
 
 def dataset_file(spec: str):

@@ -34,7 +34,6 @@ from .attacks import (
     ATTACK_MODELS,
     SurveysConfig,
     analytic_acc,
-    check_protocol,
     compromised_count,
     empirical_attack_acc,
     multi_collection_acc,
@@ -59,6 +58,7 @@ from .multidim import (
     SAMPLING_MODES,
     CollectionConfig,
     amplified_epsilon,
+    check_collection,
     rs_estimate,
     rs_sanitize_batch,
     uniform_priors,
@@ -196,7 +196,7 @@ class ExperimentConfig:
             raise ConfigError("the grid needs epsilons (or, for reident, betas)")
         for protocol, solution in self.collections:
             try:
-                check_protocol(solution, protocol)
+                check_collection(solution, protocol)
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from exc
         _check_epsilons(self)

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .oracles import (
+    PROTOCOLS,
     AttributeDomain,
     ProtocolParams,
     ReportBatch,
@@ -219,6 +220,8 @@ class CollectionConfig:
     fake: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.solution not in FAKE_DATA_VARIANTS:
+            raise ParameterError(f"{self.solution!r} is not a fake-data solution (rs_fd, rs_rfd)")
         check_collection(self.solution, self.variant)
         if self.variant.endswith("_z"):
             fake = None
@@ -241,15 +244,14 @@ def variant_oracle(variant: str) -> str:
     return variant.split("_")[0]
 
 
-def check_collection(solution: str, variant: str) -> None:
-    """Reject a (solution, variant) pair the fake-data engine does not run."""
-    variants = FAKE_DATA_VARIANTS.get(solution)
-    if variants is None:
-        raise ParameterError(
-            f"unknown fake-data solution {solution!r}; use one of {tuple(FAKE_DATA_VARIANTS)}"
-        )
-    if variant not in variants:
-        raise ParameterError(f"{solution} variant must be one of {variants}, got {variant!r}")
+def check_collection(solution: str, protocol: str) -> None:
+    """Reject a (solution, protocol) pair no collection runs: smp takes one of the five
+    oracles, rs_fd and rs_rfd a variant tag of ``FAKE_DATA_VARIANTS``."""
+    protocols = {"smp": PROTOCOLS, **FAKE_DATA_VARIANTS}.get(solution)
+    if protocols is None:
+        raise ParameterError(f"unknown solution {solution!r}; use smp, rs_fd or rs_rfd")
+    if protocol not in protocols:
+        raise ParameterError(f"{solution} protocol must be one of {protocols}, got {protocol!r}")
 
 
 def rs_sanitize_batch(

@@ -30,6 +30,7 @@ from ldpsim.datasets import (
     zipf_dataset,
 )
 from ldpsim.rng import stream
+from montecarlo import smp_attack_acc_mc
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -189,8 +190,8 @@ def test_c05_multi_collection_accuracy():
     for mode in ("uniform", "non_uniform"):
         for ei, eps in enumerate((1.0, 5.0, 10.0)):
             ana = atk.multi_collection_acc("grr", eps, ks, mode)
-            mc = atk.smp_attack_acc_mc("grr", eps, ks, mode, n,
-                                       stream(7800, ei, mode == "uniform"))
+            mc = smp_attack_acc_mc("grr", eps, ks, mode, n,
+                                   stream(7800, ei, mode == "uniform"))
             sig = 100 * math.sqrt(max(ana / 100 * (1 - ana / 100), 1e-12) / n)
             dev = abs(mc - ana) / sig
             worst = max(worst, dev)

@@ -12,6 +12,7 @@ from ldpsim.classifier import NaiveBayes
 from ldpsim.datasets import Dataset, synthesize_profiles
 from ldpsim.errors import ParameterError
 from ldpsim.rng import stream
+from montecarlo import smp_attack_acc_mc
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def test_monte_carlo_accuracy_needs_a_sample(n):
     with pytest.raises(ParameterError, match="sample size"):
         atk.empirical_attack_acc("grr", 1.0, 4, n, rng)
     with pytest.raises(ParameterError, match="sample size"):
-        atk.smp_attack_acc_mc("grr", 1.0, [4, 4], "uniform", n, rng)
+        smp_attack_acc_mc("grr", 1.0, [4, 4], "uniform", n, rng)
     assert rng.bit_generator.state == state
 
 
@@ -178,7 +179,7 @@ def test_smp_attack_mc_matches_eq_products():
     ks = [8, 5, 12]
     for mi, mode in enumerate(("uniform", "non_uniform")):
         ana = atk.multi_collection_acc("grr", 3.0, ks, mode)
-        mc = atk.smp_attack_acc_mc("grr", 3.0, ks, mode, 100_000, stream(6, mi))
+        mc = smp_attack_acc_mc("grr", 3.0, ks, mode, 100_000, stream(6, mi))
         sig = 100 * math.sqrt(ana / 100 * (1 - ana / 100) / 100_000)
         assert abs(mc - ana) < 3 * sig, mode
 
@@ -465,14 +466,18 @@ def test_rank_kernel_tie_rank_uniform():
 
 
 def test_rank_kernel_null_model_uniform():
+    # the null attacker's ranks, read back from its top-k rows at every k = 1..n:
+    # 10 scored surveys x 25 runs x 40 users
     n = 40
-    rows = stream(22, 0).integers(0, 4, size=(n, 3))
-    rng = stream(22, 1)
-    ranks = np.concatenate([
-        atk._rank_of_true(rows, rows, np.arange(3), rng, null_attack=True) for _ in range(250)
-    ])
-    assert ranks.min() >= 0 and ranks.max() < n
-    assert stats.chisquare(np.bincount(ranks, minlength=n)).pvalue > 1e-3
+    ds = Dataset(mdm.MultiDomain.from_ks([4, 4, 4]), stream(22, 0).integers(0, 4, size=(n, 3)))
+    acc, _ = atk.run_reident_experiment(
+        ds, "grr", "smp", ("epsilon", 1.0), atk.SurveysConfig(count=11), "null",
+        range(1, n + 1), runs=25, seed=22)
+    below = np.rint(acc * n / 100).astype(np.int64).reshape(-1, n)  # users with rank < k
+    assert (below[:, -1] == n).all()
+    counts = np.diff(below, axis=1, prepend=0)  # users at each rank 0..n-1
+    assert (counts >= 0).all()
+    assert stats.chisquare(counts.sum(axis=0)).pvalue > 1e-3
 
 
 def test_rank_kernel_more_than_255_columns_exact():

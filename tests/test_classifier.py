@@ -11,7 +11,7 @@ def test_categorical_matches_hand_computation():
     X = np.array([[0, 1], [0, 0], [1, 1], [2, 0]])
     y = np.array([0, 0, 1, 1])
     clf = NaiveBayes(mode="categorical").fit(X, y, n_classes=2, categories=[3, 2])
-    scores = clf.log_scores(np.array([[0, 1]]))
+    scores = clf._scores(np.array([[0, 1]]))
     # Laplace-1 smoothed: priors (2+1)/(4+2); class 0: P(x0=0)=(2+1)/(2+3), P(x1=1)=(1+1)/(2+2)
     s0 = math.log(3 / 6) + math.log(3 / 5) + math.log(2 / 4)
     s1 = math.log(3 / 6) + math.log(1 / 5) + math.log(2 / 4)
@@ -24,7 +24,7 @@ def test_bernoulli_matches_hand_computation():
     X = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1]])
     y = np.array([0, 0, 1, 1])
     clf = NaiveBayes(mode="bernoulli").fit(X, y, n_classes=2)
-    scores = clf.log_scores(np.array([[1, 0, 1]]))
+    scores = clf._scores(np.array([[1, 0, 1]]))
     # theta[c, j] = (ones + 1) / (count_c + 2)
     t0 = [(2 + 1) / 4, (1 + 1) / 4, (0 + 1) / 4]
     s0 = math.log(0.5) + math.log(t0[0]) + math.log(1 - t0[1]) + math.log(t0[2])
@@ -57,7 +57,7 @@ def test_deterministic_and_tie_break():
     preds = clf.predict(np.zeros((5, 2), dtype=int))
     assert (preds == 0).all()  # argmax ties resolve to the lowest index
     clf2 = NaiveBayes(mode="categorical").fit(X, y, n_classes=2, categories=[1, 1])
-    assert np.array_equal(clf.log_scores(X), clf2.log_scores(X))
+    assert np.array_equal(clf._scores(X), clf2._scores(X))
 
 
 def test_validation_errors():

@@ -334,20 +334,23 @@ def test_reident_one_user_epsilon_still_runs(tmp_path):
     "dataset = synth:zipf\nid_column = key\n",
     "dataset = fixture:adult_style_100\ncolumns = age, nope\n",
     "dataset = fixture:adult_style_100\ncolumns = id, age\n",
+    "dataset = {tmp}/wide.csv\n",
 ], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n",
         "missing-id-column", "repeated-column", "constant-column", "repeated-selection",
         "synth-columns", "synth-id-column", "fixture-missing-column",
-        "id-as-attribute"])
+        "id-as-attribute", "field-over-csv-limit"])
 def test_bad_dataset_spec_is_config_error(tmp_path, body):
     # each exited 3, as a runtime error, or (the repeated column) read its first
     # occurrence twice, or (the repeated selection) loaded one column twice, or
     # (the id as an attribute) made every record unique; each is now refused
-    # before any task runs
+    # before any task runs.  The wide field holds one more character than
+    # csv's default field_size_limit of 131,072
     (tmp_path / "data.csv").write_text("a,b\nx,y\n")
     (tmp_path / "no_id.csv").write_text("color,size\nred,S\nblue,M\n")
     (tmp_path / "repeated.csv").write_text("id,a,a\n1,x,p\n2,y,q\n")
     (tmp_path / "constant.csv").write_text("id,a,b\n1,x,p\n2,x,q\n")
     (tmp_path / "ok.csv").write_text("id,a,b\n1,x,p\n2,y,q\n")
+    (tmp_path / "wide.csv").write_text("id,a,b\n1,x,p\n2,y," + "q" * 131_073 + "\n")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nepsilons = 1\nsolutions = rs_fd\n" + body.format(tmp=tmp_path))
     out = tmp_path / "out.csv"

@@ -491,6 +491,20 @@ def test_variance_gamma_out_of_range():
         mdm.CollectionConfig(md, "rs_fd", "ue_q", 1.0)
 
 
+def test_check_collection_decides_every_pair():
+    # smp runs the five oracles, the fake-data solutions their variant tags
+    for solution, protocols in {"smp": oc.PROTOCOLS, **mdm.FAKE_DATA_VARIANTS}.items():
+        for protocol in protocols:
+            mdm.check_collection(solution, protocol)
+    for solution, protocol in [("smp", "sue_r"), ("rs_fd", "olh"), ("rs_rfd", "sue_z"),
+                               ("spl", "grr")]:
+        with pytest.raises(ParameterError):
+            mdm.check_collection(solution, protocol)
+    # the fake-data engine itself does not run smp
+    with pytest.raises(ParameterError, match="not a fake-data solution"):
+        mdm.CollectionConfig(md_of([2, 3]), "smp", "grr", 1.0)
+
+
 def test_variance_matches_monte_carlo():
     md = md_of([4, 3, 5])
     freqs = dirichlet_freqs(md, 29)
