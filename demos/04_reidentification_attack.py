@@ -17,7 +17,7 @@ print()
 print(f"{'eps':>4} {'surveys':>8} {'top-1 %':>9} {'top-5 %':>9} {'top-10 %':>10}")
 for eps in (1.0, 4.0, 10.0):
     acc, _ = run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", eps), SurveysConfig(count=5),
+        ds, "grr", "smp", eps, SurveysConfig(count=5),
         "fk", (1, 5, 10), runs=2, seed=2024_04,
     )
     # acc[run, survey - 2, top-k]: average over the runs
@@ -27,7 +27,7 @@ for eps in (1.0, 4.0, 10.0):
 
 print("a null attacker (random ranking) stays at the baseline:")
 acc, _ = run_reident_experiment(
-    ds, "grr", "smp", ("epsilon", 10.0), SurveysConfig(count=3),
+    ds, "grr", "smp", 10.0, SurveysConfig(count=3),
     "null", (1, 10), runs=4, seed=2024_05,
 )
 for t, top_k in enumerate((1, 10)):

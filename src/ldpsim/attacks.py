@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import beta_epsilons
 from .errors import ParameterError
 from .classifier import NaiveBayes
 from .datasets import clip_or_uniform, synthesize_profiles
@@ -43,6 +42,10 @@ from .rng import chunk_rows, hash_matches, stream
 
 # sampled-attribute inference models, in the order of their random streams
 ATTACK_MODELS = ("nk", "pk", "hm")
+
+# epsilon of an rs_* survey whose every attribute passes through (inf): the
+# fake-data tuple still needs one finite epsilon; this one is all but noiseless
+PASS_THROUGH_EPSILON = 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +304,7 @@ def run_reident_experiment(
     dataset,
     protocol: str = "grr",
     solution: str = "smp",
-    privacy: tuple = ("epsilon", 1.0),
+    epsilons: float | Sequence[float] = 1.0,
     surveys: SurveysConfig = SurveysConfig(),
     attack_mode: str = "fk",
     top_ks: Sequence[int] = (1, 5, 10),
@@ -310,17 +313,18 @@ def run_reident_experiment(
     seed: int = 0,
     rfd_priors: Sequence[np.ndarray] | None = None,
     nk_s_mult: float = 1.0,
-) -> tuple[np.ndarray, list[list[str]]]:
+) -> tuple[np.ndarray, list[list[list[str]]]]:
     """Simulate repeated collections and score top-k re-identification.
 
-    ``protocol`` is the oracle under smp and the variant tag (grr, sue_z,
-    ...) under rs_fd / rs_rfd.  Per survey, each user reports through
-    ``solution``; the attacker turns reports into value predictions (for
-    the fake-data solutions, by first inferring the sampled attribute with a
-    no-knowledge classifier), keeps the most recent prediction per
-    attribute, and after every survey >= 2 matches profiles against the
-    background knowledge.  RID-ACC is the percentage of users whose true
-    identity lands in the attacker's top-k.
+    ``epsilons`` is one budget for every attribute or one per attribute,
+    where ``inf`` passes the raw value through.  ``protocol`` is the oracle
+    under smp and the variant tag (grr, sue_z, ...) under rs_fd / rs_rfd.
+    Per survey, each user reports through ``solution``; the attacker turns
+    reports into value predictions (for the fake-data solutions, by first
+    inferring the sampled attribute with a no-knowledge classifier), keeps
+    the most recent prediction per attribute, and after every survey >= 2
+    matches profiles against the background knowledge.  RID-ACC is the
+    percentage of users whose true identity lands in the attacker's top-k.
     Ties in distance are broken by one uniform draw per user and survey
     (:func:`_rank_of_true`).  Matching compares each user on the columns it
     has reported only, against per-(column, value) record bitsets, and holds
@@ -332,7 +336,7 @@ def run_reident_experiment(
     baseline with expected RID-ACC = 100 * top_k / n).
 
     Returns ``(acc, flags)``: ``acc[run, s, t]`` is RID-ACC after survey
-    s + 2 at ``top_ks[t]``, and ``flags[run][s]`` the ``;``-joined flags
+    s + 2 at ``top_ks[t]``, and ``flags[run][s]`` the list of attack flags
     raised up to that survey.
     """
     if attack_mode not in ("fk", "pk", "null"):
@@ -342,16 +346,13 @@ def run_reident_experiment(
     check_collection(solution, protocol)
     md, rows = dataset.multidomain, dataset.rows
     n, d = rows.shape
-    # per-attribute epsilons (inf: pass-through) and the budget's flags
-    kind, value = privacy[0], float(privacy[1])
-    if kind == "epsilon":
-        eps_list, budget_flags = [value] * d, []
-    elif kind == "beta":
-        eps_list, budget_flags = beta_epsilons(value, n, md.ks)
-    else:
-        raise ParameterError(f"privacy spec kind must be epsilon or beta, got {kind!r}")
+    eps_list = ([float(epsilons)] * d if np.ndim(epsilons) == 0
+                else [float(e) for e in epsilons])
+    if len(eps_list) != d:
+        raise ParameterError(f"epsilons must be one value or one per attribute ({d}), "
+                             f"got {len(eps_list)}")
     acc = np.empty((runs, surveys.count - 1, len(top_ks)))
-    snapshots: list[list[str]] = []
+    snapshots: list[list[list[str]]] = []
 
     for run in range(runs):
         struct = stream(seed, 101, run)
@@ -370,7 +371,7 @@ def run_reident_experiment(
         else:
             bk_cols = np.arange(d)
 
-        flags = list(budget_flags)
+        flags: list[str] = []
         rng_rep = stream(seed, 202, run)
         rng_match = stream(seed, 303, run)
 
@@ -389,7 +390,7 @@ def run_reident_experiment(
             ranks = (rng_match.integers(0, n, size=n) if attack_mode == "null"
                      else _rank_of_true(profile, rows, bk_cols, rng_match))
             acc[run, s_idx - 1] = [100.0 * float(np.mean(ranks < k)) for k in top_ks]
-            snapshots[run].append(";".join(flags))
+            snapshots[run].append(list(flags))
     return acc, snapshots
 
 
@@ -416,10 +417,8 @@ def _rs_survey_step(dataset, solution, variant, eps_list, attrs,
                     rfd_priors, nk_s_mult, profile, rng, flags):
     sub = dataset.select(attrs)
     finite = [eps_list[a] for a in attrs if not math.isinf(eps_list[a])]
-    # under a beta budget the whole tuple shares one epsilon: the tightest
-    # non-pass-through attribute's; an all-pass-through subset degenerates
-    # to a near-noiseless budget
-    eps = min(finite) if finite else 50.0
+    # the whole tuple shares one epsilon: the tightest non-pass-through attribute's
+    eps = min(finite) if finite else PASS_THROUGH_EPSILON
     priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
     cfg = CollectionConfig(sub.multidomain, solution, variant, eps, priors)
     batches, _ = rs_sanitize_batch(sub.rows, cfg, rng)
@@ -509,11 +508,11 @@ def run_attr_infer_experiment(
     npk_frac: float = 0.1,
     run: int = 0,
     seed: int = 0,
-) -> dict[str, tuple[float, str]]:
+) -> dict[str, tuple[float, list[str]]]:
     """One collection under ``cfg`` + the inference attacks against it.
 
     Returns ``{model: (AIF-ACC, flags)}`` in ``attack_models`` order, the
-    flags being :func:`train_attacker`'s, ``;``-joined.
+    flags being :func:`train_attacker`'s.
     """
     for model in attack_models:
         if model not in ATTACK_MODELS:
@@ -540,5 +539,5 @@ def run_attr_infer_experiment(
             parts.insert(0, build_learning_set(est, s, cfg, rng_m))
         clf, flags = train_attacker(parts, cfg)
         acc = 100.0 * float(np.mean(clf.predict(features[rest]) == labels[rest]))
-        results[model] = (acc, ";".join(flags))
+        results[model] = (acc, flags)
     return results

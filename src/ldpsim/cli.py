@@ -72,8 +72,8 @@ def main(argv: list[str] | None = None) -> int:
         raw = {}
         if args.config is not None:
             try:
-                text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
+                text = Path(args.config).read_text(encoding="utf-8-sig")
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             raw = parse_config(text)
         kind = SUBCOMMANDS[args.command]

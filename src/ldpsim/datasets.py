@@ -96,9 +96,9 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
 
             dicts: list[dict] = [{} for _ in columns]
             encoded: list[list[int]] = []
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) != len(header):
-                    raise DomainError(f"{path}:{line_no}: ragged row ({len(row)} fields)")
+                    raise DomainError(f"{path}:{reader.line_num}: ragged row ({len(row)} fields)")
                 rec = []
                 for j, ci in enumerate(col_idx):
                     label = row[ci]

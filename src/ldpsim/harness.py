@@ -10,8 +10,9 @@ Each grid point runs in a worker with rng streams derived from (master
 seed, grid index, run index), so the thread count can never change a
 result; results are collected in grid order before writing.
 
-The attacks return plain accuracies and flags; each kind's point function
-alone turns them into ``ResultRow``s, whose fields are the one output
+The attacks take resolved epsilons and return plain accuracies and flag
+lists; each kind's point function alone maps a beta budget to epsilons,
+joins the flags and builds ``ResultRow``s, whose fields are the one output
 schema: experiment, protocol, solution, epsilon, beta, metric, value,
 stderr, run, seed, flags.  Floats are printed with 10 significant digits;
 CSV and JSONL carry identical values.
@@ -41,7 +42,7 @@ from .attacks import (
     run_reident_experiment,
     synthetic_count,
 )
-from .budget import alpha_from_bayes_error
+from .budget import alpha_from_bayes_error, beta_epsilons
 from .datasets import (
     Dataset,
     dataset_file,
@@ -401,15 +402,16 @@ def _check_counts(cfg: ExperimentConfig, n: int) -> None:
 
 
 def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto: str,
-                   privacy: tuple, model: str, run: int) -> list[ResultRow]:
+                   eps: float | None, beta: float | None, model: str, run: int) -> list[ResultRow]:
+    epsilons, budget_flags = (eps, []) if beta is None else beta_epsilons(beta, ds.n, ds.ks)
     surveys = SurveysConfig(cfg.surveys, cfg.survey_min_frac, cfg.survey_all_attributes)
     acc, flags = run_reident_experiment(
-        ds, proto, cfg.solution, privacy, surveys, attack_mode=model, top_ks=cfg.top_k,
+        ds, proto, cfg.solution, epsilons, surveys, attack_mode=model, top_ks=cfg.top_k,
         sampling_mode=cfg.sampling_mode, runs=1, seed=seed + run, rfd_priors=priors,
         nk_s_mult=cfg.nk_s_mult)
-    eps, beta = (privacy[1], None) if privacy[0] == "epsilon" else (None, privacy[1])
     return [ResultRow(cfg.experiment, proto, cfg.solution, eps, beta,
-                      f"rid_acc_top{k}_sv{s + 2}", value, None, run, cfg.seed, flags[0][s])
+                      f"rid_acc_top{k}_sv{s + 2}", value, None, run, cfg.seed,
+                      ";".join(budget_flags + flags[0][s]))
             for s, values in enumerate(acc[0].tolist()) for k, value in zip(cfg.top_k, values)]
 
 
@@ -420,13 +422,10 @@ def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vta
         ds.rows, collection, attack_models=cfg.attack, s_mult=cfg.s_mult,
         npk_frac=cfg.npk_frac, run=run, seed=seed,
     )
-    rows = []
-    for model in cfg.attack:  # a model listed twice keeps its two rows
-        acc, flags = results[model]
-        flags = "classifier=naive_bayes" + (flags and f";{flags}")
-        rows.append(ResultRow(cfg.experiment, vtag, solution, eps, None, f"aif_acc_{model}",
-                              acc, None, run, cfg.seed, flags))
-    return rows
+    return [ResultRow(cfg.experiment, vtag, solution, eps, None, f"aif_acc_{model}",
+                      results[model][0], None, run, cfg.seed,
+                      ";".join(["classifier=naive_bayes", *results[model][1]]))
+            for model in cfg.attack]  # a model listed twice keeps its two rows
 
 
 def _mse_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, solution: str,
@@ -450,8 +449,8 @@ def _grid(cfg: ExperimentConfig) -> list[tuple]:
         fn, points = _attack_oracle_point, [(p, e, int(k)) for p in cfg.protocols
                                             for e in eps for k in cfg.ks]
     elif kind == "reident":
-        privacy = [("epsilon", e) for e in eps] + [("beta", float(b)) for b in cfg.betas]
-        fn, points = _reident_point, [(p, pv, m) for p in cfg.protocols for pv in privacy
+        budgets = [(e, None) for e in eps] + [(None, float(b)) for b in cfg.betas]
+        fn, points = _reident_point, [(p, e, b, m) for p in cfg.protocols for e, b in budgets
                                       for m in cfg.attack_models]
     elif kind == "attr_infer":
         fn, points = _attr_infer_point, [(v, e, s) for v in cfg.variants for e in eps

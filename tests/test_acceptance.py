@@ -215,7 +215,7 @@ def test_c06_reident_trends():
     cells: dict = {}
     for eps in eps_grid:
         acc, _ = atk.run_reident_experiment(
-            ds, "grr", "smp", ("epsilon", eps), atk.SurveysConfig(count=5),
+            ds, "grr", "smp", eps, atk.SurveysConfig(count=5),
             "fk", top_ks, runs=runs, seed=606,
         )
         for si, s in enumerate(svs):
@@ -243,7 +243,7 @@ def test_c06_reident_trends():
 
     # null attacker sits on the baseline (3 sigma, hits pooled over matchings)
     null_acc, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 10.0), atk.SurveysConfig(count=5),
+        ds, "grr", "smp", 10.0, atk.SurveysConfig(count=5),
         "null", top_ks, runs=runs, seed=607,
     )
     for t, top_k in enumerate(top_ks):

@@ -8,6 +8,7 @@ from scipy import stats
 from ldpsim import attacks as atk
 from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
+from ldpsim.budget import beta_epsilons
 from ldpsim.classifier import NaiveBayes
 from ldpsim.datasets import Dataset, synthesize_profiles
 from ldpsim.errors import ParameterError
@@ -228,7 +229,7 @@ def test_pk_background_needs_half_columns(monkeypatch):
     d = 5
     ds = Dataset(mdm.MultiDomain.from_ks([3] * d), stream(17, 0).integers(0, 3, size=(60, d)))
     for seed in range(8):
-        atk.run_reident_experiment(ds, "grr", "smp", ("epsilon", 2.0),
+        atk.run_reident_experiment(ds, "grr", "smp", 2.0,
                                    atk.SurveysConfig(count=2, all_attributes=True), "pk", (1,),
                                    runs=2, seed=seed)
     assert len(seen) == 16
@@ -263,7 +264,7 @@ def test_smp_survey_step_exhausted_pool_resends_memo(mode):
 def test_reident_noiseless_unique_records():
     ds = _unique_dataset()
     acc, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 50.0),
+        ds, "grr", "smp", 50.0,
         atk.SurveysConfig(count=3, all_attributes=True), "fk", (1,), runs=1, seed=10,
     )
     assert acc[0, -1, 0] >= 99.0  # after survey 3
@@ -274,7 +275,7 @@ def test_reident_null_attacker_baseline():
     n = ds.n
     runs = 6
     acc, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 10.0),
+        ds, "grr", "smp", 10.0,
         atk.SurveysConfig(count=2, all_attributes=True), "null", (1, 5, 10),
         runs=runs, seed=11,
     )
@@ -288,7 +289,7 @@ def test_reident_null_attacker_baseline():
 def test_reident_trend_in_surveys():
     ds = _unique_dataset(300)
     acc, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 10.0),
+        ds, "grr", "smp", 10.0,
         atk.SurveysConfig(count=3, all_attributes=True), "fk", (1,), runs=2, seed=12,
     )
     means = list(acc[..., 0].mean(axis=0))  # per survey, over runs
@@ -296,32 +297,87 @@ def test_reident_trend_in_surveys():
 
 
 def test_reident_beta_privacy_and_flags():
+    # the budget is resolved by the caller; its flags lead the exported row's
+    # (test_harness), and the attack adds none here
     ds = _unique_dataset(300)
-    # the beta column of the exported row is checked in test_harness
+    epsilons, budget_flags = beta_epsilons(0.95, ds.n, ds.ks)
+    assert budget_flags == ["alpha_clamped", "epsilon_floor"]
     _, flags = atk.run_reident_experiment(
-        ds, "grr", "smp", ("beta", 0.95),
+        ds, "grr", "smp", epsilons,
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=13,
     )
-    assert "alpha_clamped" in flags[0][0]
+    assert flags == [[[]]]
+    epsilons, budget_flags = beta_epsilons(0.5, ds.n, ds.ks)
     acc, flags = atk.run_reident_experiment(
-        ds, "grr", "smp", ("beta", 0.5),
+        ds, "grr", "smp", epsilons,
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=13,
     )
     # beta=0.5 at n=300: alpha = 0.5 log2(300) - 1 ~ 3.1 -> k=8 passes through (log2 8 <= alpha)
-    assert flags[0][0] == ""
+    assert epsilons[0] == math.inf and budget_flags == []
+    assert flags == [[[]]]
     assert acc[0, 0, 0] > 0
+
+
+def test_reident_scalar_epsilon_is_one_per_attribute():
+    ds = _unique_dataset(300)
+    for solution in ("smp", "rs_fd"):
+        args = ("grr", solution)
+        kwargs = dict(surveys=atk.SurveysConfig(count=3), top_ks=(1, 5), runs=2, seed=17)
+        acc, flags = atk.run_reident_experiment(ds, *args, 2.0, **kwargs)
+        acc_d, flags_d = atk.run_reident_experiment(ds, *args, [2.0] * ds.d, **kwargs)
+        assert acc.tolist() == acc_d.tolist() and flags == flags_d
+
+
+def test_reident_epsilons_of_wrong_length_refused_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking epsilons")
+
+    monkeypatch.setattr(atk, "stream", no_draw)
+    ds = _unique_dataset(50)
+    for epsilons in ([1.0], [1.0] * 4, []):
+        with pytest.raises(ParameterError, match="epsilons"):
+            atk.run_reident_experiment(ds, "grr", "smp", epsilons)
+
+
+def test_reident_rs_fd_all_pass_through_uses_the_pass_through_epsilon(monkeypatch):
+    # with every attribute's raw value passing through, the fake-data tuple is
+    # still sanitized, at one finite epsilon
+    seen = []
+    sanitize = atk.rs_sanitize_batch
+
+    def spy(rows, cfg, rng):
+        seen.append(cfg.epsilon)
+        return sanitize(rows, cfg, rng)
+
+    monkeypatch.setattr(atk, "rs_sanitize_batch", spy)
+    ds = _unique_dataset(300)
+    atk.run_reident_experiment(ds, "grr", "rs_fd", [math.inf] * ds.d,
+                               atk.SurveysConfig(count=3), "fk", (1,), runs=1, seed=18)
+    # each survey sanitizes the users' tuples, then the learning set's
+    assert seen == [atk.PASS_THROUGH_EPSILON] * 6
+
+
+def test_reident_smp_all_pass_through_reports_raw_values():
+    # without replacement, survey 3 has every user's three raw values: each
+    # record of _unique_dataset is then its own unique nearest
+    ds = _unique_dataset()
+    acc, _ = atk.run_reident_experiment(
+        ds, "grr", "smp", [math.inf] * ds.d,
+        atk.SurveysConfig(count=3, all_attributes=True), "fk", (1,), runs=1, seed=19,
+    )
+    assert acc[0, -1, 0] == 100.0
 
 
 def test_reident_rs_fd_solution_runs():
     ds = _unique_dataset(300)
     # the solution column of the exported row is checked in test_harness
     acc, _ = atk.run_reident_experiment(
-        ds, "grr", "rs_fd", ("epsilon", 5.0),
+        ds, "grr", "rs_fd", 5.0,
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1, 5), runs=1, seed=14,
     )
     assert acc.shape == (1, 1, 2)
     acc2, _ = atk.run_reident_experiment(
-        ds, "grr", "rs_fd", ("epsilon", 5.0),
+        ds, "grr", "rs_fd", 5.0,
         atk.SurveysConfig(count=2, all_attributes=True), "fk", (1, 5), runs=1, seed=14,
     )
     assert acc.tolist() == acc2.tolist()
@@ -330,9 +386,9 @@ def test_reident_rs_fd_solution_runs():
 def test_reident_rs_fd_single_class_flag():
     # nk_s_mult = 1/300 gives the NK classifier one synthetic row, so one class
     ds = _unique_dataset(300)
-    for s_mult, expected in ((1 / 300, "single_class"), (1.0, "")):
+    for s_mult, expected in ((1 / 300, ["single_class"]), (1.0, [])):
         _, flags = atk.run_reident_experiment(
-            ds, "grr", "rs_fd", ("epsilon", 5.0),
+            ds, "grr", "rs_fd", 5.0,
             atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=14,
             nk_s_mult=s_mult,
         )
@@ -342,14 +398,14 @@ def test_reident_rs_fd_single_class_flag():
 def test_reident_with_replacement_memoizes():
     ds = _unique_dataset(300)
     acc, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 10.0),
+        ds, "grr", "smp", 10.0,
         atk.SurveysConfig(count=4, all_attributes=True), "fk", (1,), runs=1, seed=16,
         sampling_mode="with_replacement",
     )
     assert acc.shape == (1, 3, 1)  # surveys 2..4
     assert ((0.0 <= acc) & (acc <= 100.0)).all()
     acc2, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 10.0),
+        ds, "grr", "smp", 10.0,
         atk.SurveysConfig(count=4, all_attributes=True), "fk", (1,), runs=1, seed=16,
         sampling_mode="with_replacement",
     )
@@ -358,14 +414,14 @@ def test_reident_with_replacement_memoizes():
 
 def test_reident_flags_snapshot_per_survey():
     # without replacement over 3 attributes the pool runs dry at survey 4, so
-    # the flag string of surveys 2 and 3 stays empty
+    # the flag list of surveys 2 and 3 stays empty
     ds = _unique_dataset(300)
     acc, flags = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 2.0),
+        ds, "grr", "smp", 2.0,
         atk.SurveysConfig(count=5, all_attributes=True), "fk", (1, 5), runs=2, seed=1,
     )
     assert acc.shape == (2, 4, 2)
-    assert flags == [["", "", "smp_pool_reused", "smp_pool_reused"]] * 2
+    assert flags == [[[], [], ["smp_pool_reused"], ["smp_pool_reused"]]] * 2
 
 
 def test_surveys_config_needs_two_surveys():
@@ -384,13 +440,13 @@ def test_reident_needs_a_run_before_any_draw(monkeypatch):
     ds = _unique_dataset(50)
     for runs in (0, -1):
         with pytest.raises(ParameterError, match="runs"):
-            atk.run_reident_experiment(ds, "grr", "smp", ("epsilon", 1.0), runs=runs)
+            atk.run_reident_experiment(ds, "grr", "smp", 1.0, runs=runs)
 
 
 def test_reident_pk_uses_column_subset():
     ds = _unique_dataset(300)
     acc, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 50.0),
+        ds, "grr", "smp", 50.0,
         atk.SurveysConfig(count=3, all_attributes=True), "pk", (1,), runs=1, seed=15,
     )
     assert 0.0 <= acc[0, -1, 0] <= 100.0
@@ -471,7 +527,7 @@ def test_rank_kernel_null_model_uniform():
     n = 40
     ds = Dataset(mdm.MultiDomain.from_ks([4, 4, 4]), stream(22, 0).integers(0, 4, size=(n, 3)))
     acc, _ = atk.run_reident_experiment(
-        ds, "grr", "smp", ("epsilon", 1.0), atk.SurveysConfig(count=11), "null",
+        ds, "grr", "smp", 1.0, atk.SurveysConfig(count=11), "null",
         range(1, n + 1), runs=25, seed=22)
     below = np.rint(acc * n / 100).astype(np.int64).reshape(-1, n)  # users with rank < k
     assert (below[:, -1] == n).all()
@@ -659,4 +715,4 @@ def test_reident_protocol_checked_against_solution():
     ds = _unique_dataset(50)
     for protocol, solution in (("sue_z", "rs_rfd"), ("oue", "rs_fd"), ("oue_r", "smp")):
         with pytest.raises(ParameterError):
-            atk.run_reident_experiment(ds, protocol, solution, ("epsilon", 1.0))
+            atk.run_reident_experiment(ds, protocol, solution, 1.0)

@@ -41,6 +41,23 @@ def test_missing_config_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_config_with_byte_order_mark_runs(tmp_path):
+    # the BOM stuck to the first key: "unknown config keys: ['\ufeffepsilons']"
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("epsilons = 1\nks = 5\nseed = 42\n".encode("utf-8-sig"))
+    rc = run_cli(["analytic", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert rc == 0
+
+
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    # a decode error escaped as a runtime error (exit 3)
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("epsilons = 1\nseed = 42\nout = r\u00e9.csv\n".encode("latin-1"))
+    rc = run_cli(["analytic", "--config", str(cfg)])
+    assert rc == 2
+    assert f"cannot read config {cfg}" in capsys.readouterr().err
+
+
 def test_missing_seed_is_config_error(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("epsilons = 1\n")

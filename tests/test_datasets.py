@@ -94,6 +94,18 @@ def test_load_utf8_byte_order_mark(tmp_path):
     assert ds.multidomain.names == ("a",) and ds.rows.tolist() == [[0], [1]]
 
 
+@pytest.mark.parametrize("text,line", [
+    ("id,a,b\n1,x,p\n2,y\n", 3),
+    ('id,a,b\n1,"x\ny",p\n2,y\n', 4),
+], ids=["one-line-fields", "after-a-two-line-field"])
+def test_ragged_row_names_its_physical_line(tmp_path, text, line):
+    # rows were numbered by record, one line too early after a quoted line break
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=rf"ragged\.csv:{line}: ragged row \(2 fields\)"):
+        dst.load_dataset(path, id_column="id")
+
+
 def test_fixture_shapes_match_census_layout():
     adult = dst.load_fixture("adult_style_5000")
     assert adult.n == 5000
