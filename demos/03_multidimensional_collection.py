@@ -25,7 +25,6 @@ EPS = math.log(4)
 
 ds = load_fixture("adult_style_5000")
 truth = true_frequencies(ds)
-md = ds.multidomain
 priors, _ = laplace_prior(truth, 0.1, 45_222, stream(2024_03, 0))
 print(f"census-style table: n = {ds.n}, d = {ds.d}, k = {list(ds.ks)}, eps = ln 4")
 print()
@@ -39,18 +38,18 @@ def averaged(fn):
 
 
 def spl_mse(rep):
-    batches = mdm.spl_sanitize_batch(ds.rows, md, "grr", EPS, stream(2024_03, 1, rep))
+    batches = mdm.spl_sanitize_batch(ds.rows, ds.ks, "grr", EPS, stream(2024_03, 1, rep))
     return mse_avg(truth, [oc.estimate_frequencies(b) for b in batches])
 
 
 def smp_mse(rep):
     # one attribute per user at full eps (d-fold fewer reports per attribute)
     rng = stream(2024_03, 2, rep)
-    sampled, _ = mdm.smp_sample(np.zeros((ds.n, md.d), dtype=bool), np.arange(md.d),
+    sampled, _ = mdm.smp_sample(np.zeros((ds.n, ds.d), dtype=bool), np.arange(ds.d),
                                 "without_replacement", rng)
     est = []
-    for a, dom in enumerate(md.domains):
-        params = oc.protocol_params("grr", EPS, dom.k)
+    for a, k in enumerate(ds.ks):
+        params = oc.protocol_params("grr", EPS, k)
         batch = oc.randomize_batch(ds.rows[sampled == a, a], params, rng)
         est.append(oc.estimate_frequencies(batch))
     return mse_avg(truth, est)
@@ -61,7 +60,7 @@ rows["smp[grr]"] = averaged(smp_mse)
 
 for variant in ("grr", "sue_r", "oue_r"):
     for solution in ("rs_fd", "rs_rfd"):
-        cfg = mdm.CollectionConfig(md, solution, variant, EPS, priors)
+        cfg = mdm.CollectionConfig(ds.ks, solution, variant, EPS, priors)
 
         def fake_data_mse(rep, cfg=cfg):
             batches, _ = mdm.rs_sanitize_batch(ds.rows, cfg, stream(2024_03, 3, rep))
@@ -74,4 +73,4 @@ for name, value in rows.items():
     print(f"{name:<16} {value:>12.3e}")
 print()
 print("the sampled slot of rs_fd / rs_rfd runs at the amplified budget")
-print(f"eps' = ln(d(e^eps - 1) + 1) = {mdm.amplified_epsilon(EPS, md.d):.4f}")
+print(f"eps' = ln(d(e^eps - 1) + 1) = {mdm.amplified_epsilon(EPS, ds.d):.4f}")

@@ -26,7 +26,7 @@ for name, ds in [("skewed (zipf)", skewed), ("uniform", uniform)]:
     for variant in ("grr", "sue_z", "oue_r"):
         for eps in (1.0, 10.0):
             res = run_attr_infer_experiment(
-                ds.rows, CollectionConfig(ds.multidomain, "rs_fd", variant, eps),
+                ds.rows, CollectionConfig(ds.ks, "rs_fd", variant, eps),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1,
                 seed=2024_07,
             )
@@ -41,7 +41,7 @@ for variant in ("grr", "oue_r"):
     for eps in (1.0, 10.0):
         res = run_attr_infer_experiment(
             skewed.rows,
-            CollectionConfig(skewed.multidomain, "rs_rfd", variant, eps, priors),
+            CollectionConfig(skewed.ks, "rs_rfd", variant, eps, priors),
             attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=2024_08,
         )
         vals = {model: acc for model, (acc, _) in res.items()}

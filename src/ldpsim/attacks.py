@@ -175,6 +175,10 @@ def empirical_attack_acc(protocol: str, epsilon: float, k: int, n: int,
 # Re-identification
 # ---------------------------------------------------------------------------
 
+# Largest record bitset _rank_of_true holds at once, in bytes.
+_BITSET_BYTES = 1 << 25
+
+
 def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray,
                   rng: np.random.Generator, chunk: int = 256) -> np.ndarray:
     """Rank (0-based) of each user's own record (background row i for user i).
@@ -186,38 +190,38 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     one draw per user, in user order, the law of sorting by (distance, iid
     uniform key).
 
-    The records are bit-sliced once per call: for each column j and value v,
-    one row of ceil(n_bk / 64) uint64 words has bit r set when record r holds
-    v in column j (a value no record holds gets an all-zero row).  A user
-    with m known columns and ``own`` of them matching its own record takes
-    its m rows; a record's match count is the number of those rows with its
-    bit set.  Users are grouped by m and by whether own = m, and ranked in
-    blocks of at most ``chunk`` users:
+    The records are bit-sliced in equal blocks of W words, as few blocks as
+    keep each one's bitsets within ``_BITSET_BYTES`` (or W = 1): for each
+    column j and value v, one row of W uint64 words has bit r set when
+    record r of the block holds v in column j (a value no record holds gets
+    an all-zero row).  A user with m known columns and ``own`` of them
+    matching its own record takes its m rows; a record's match count is the
+    number of those rows with its bit set.  Users are grouped by m and by
+    whether own = m, and ranked in blocks of at most ``chunk`` users:
 
     * m = 0: every record ties;
     * own = m: no record is nearer, and the tied records are the AND of the
       m rows;
     * otherwise the m rows are ripple-added into ceil(log2(m + 1)) bit planes
       of the match count, which are compared with own from the top bit down
-      into a "greater" and an "equal" mask.  The padding bits past n_bk count
-      0 matches, so they are taken off ``tied`` when own = 0.
+      into a "greater" and an "equal" mask.  The padding bits past the last
+      record count 0 matches, so they are taken off ``tied`` when own = 0.
 
-    closer / tied are popcounts of those masks.  Memory is
-    O(sum(k) * n_bk / 8 + chunk * n_bk / 8 * planes) bytes beyond the
-    (n, c) narrow copies of the table.
+    closer / tied are popcounts of those masks, summed over the record
+    blocks, which reuse one set of buffers.  Memory is O(min(sum(k) * n_bk,
+    8 * _BITSET_BYTES) / 8 + chunk * W * 8 * planes) bytes beyond the (n, c)
+    narrow copies of the table.
     """
     n = len(profiles)
-    n_bk, c, W = len(bk_rows), len(bk_cols), -(-len(bk_rows) // 64)
+    n_bk, c = len(bk_rows), len(bk_cols)
     dt = np.min_scalar_type(-max(profiles.max(initial=0), bk_rows.max(initial=0)) - 1)
     P = profiles[:, bk_cols].astype(dt)
     B = bk_rows[:, bk_cols].astype(dt)
     ks = np.maximum(P.max(axis=0, initial=-1), B.max(axis=0, initial=-1)).astype(np.int64) + 1
     base = (np.cumsum(ks) - ks).astype(np.min_scalar_type(-ks.sum()))
-    # bit r of row base[j] + v is bit r % 8 of byte r // 8: bit r of the little-endian words
-    rec = np.arange(n_bk)
-    bits = np.zeros((ks.sum(), 8 * W), dtype=np.uint8)
-    np.bitwise_or.at(bits, (base + B, rec[:, None] // 8), (1 << rec % 8).astype(np.uint8)[:, None])
-    bits = bits.view(np.uint64)
+    n_rows, words = int(ks.sum()), -(-n_bk // 64)
+    blocks = -(-words // max(1, _BITSET_BYTES // (8 * n_rows)))
+    W = -(-words // blocks)
 
     m = np.count_nonzero(P >= 0, axis=1)
     own = np.count_nonzero(P == B[:n], axis=1)
@@ -227,60 +231,69 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     sizes = np.bincount(key, minlength=2 * c + 2)
     ends = np.cumsum(sizes)
     planes = int(m.max(initial=0)).bit_length()
-    del P, B, rec, m, key  # free before the block buffers
+    closer = np.zeros(n, dtype=np.int64)
+    tied = np.where(m == 0, n_bk, 0)  # the blocks add up the others' ties
+    del P, m, key  # free before the block buffers
     rows = min(chunk, int(sizes[2:].max(initial=0)))
+    bits8 = np.empty((n_rows, 8 * W), dtype=np.uint8)
+    bits = bits8.view(np.uint64)
     buf = np.empty((planes + 2, rows, W), dtype=np.uint64)
     counts = np.empty((rows, W), dtype=np.uint8)
-    closer = np.zeros(n, dtype=np.int64)
-    tied = np.full(n, n_bk, dtype=np.int64)
 
     def popcount(mask):
         return np.bitwise_count(mask, out=counts[:len(mask)]).sum(axis=1, dtype=np.int64)
 
-    for g in range(2, 2 * c + 2):
-        mg, slow = divmod(g, 2)
-        for lo in range(ends[g - 1], ends[g], chunk):
-            users = order[lo:min(lo + chunk, ends[g])]
-            b = len(users)
-            block = rid[users]
-            idx = block[block >= 0].reshape(b, mg).T.copy()  # one row of bits per known column
-            lv = mg.bit_length() if slow else 1
-            plane = [buf[i, :b] for i in range(lv)]
-            x, t = buf[lv, :b], buf[lv + 1, :b]
-            # mode="clip" (the rows are in range) lets take write straight into out
-            np.take(bits, idx[0], axis=0, out=plane[0], mode="clip")
-            buf[1:lv, :b] = 0
-            for j in range(1, mg):
-                np.take(bits, idx[j], axis=0, out=x, mode="clip")
+    for r0 in range(0, n_bk, 64 * W):
+        rec = np.arange(min(64 * W, n_bk - r0))
+        pad = 64 * W - len(rec)
+        # bit r of row base[j] + v is bit r % 8 of byte r // 8: bit r of the little-endian words
+        bits8[...] = 0
+        np.bitwise_or.at(bits8, (base + B[r0:r0 + len(rec)], rec[:, None] // 8),
+                         (1 << rec % 8).astype(np.uint8)[:, None])
+        for g in range(2, 2 * c + 2):
+            mg, slow = divmod(g, 2)
+            for lo in range(ends[g - 1], ends[g], chunk):
+                users = order[lo:min(lo + chunk, ends[g])]
+                b = len(users)
+                block = rid[users]
+                idx = block[block >= 0].reshape(b, mg).T.copy()  # one row of bits per known column
+                lv = mg.bit_length() if slow else 1
+                plane = [buf[i, :b] for i in range(lv)]
+                x, t = buf[lv, :b], buf[lv + 1, :b]
+                # mode="clip" (the rows are in range) lets take write straight into out
+                np.take(bits, idx[0], axis=0, out=plane[0], mode="clip")
+                buf[1:lv, :b] = 0
+                for j in range(1, mg):
+                    np.take(bits, idx[j], axis=0, out=x, mode="clip")
+                    if not slow:
+                        plane[0] &= x
+                        continue
+                    # ripple-add row j; the count j + 1 fits in planes 0..top
+                    top = (j + 1).bit_length() - 1
+                    for i in range(top):
+                        np.bitwise_and(plane[i], x, out=t)
+                        plane[i] ^= x
+                        x, t = t, x
+                    plane[top] |= x
                 if not slow:
-                    plane[0] &= x
+                    tied[users] += popcount(plane[0])
                     continue
-                # ripple-add row j; the count j + 1 fits in planes 0..top
-                top = (j + 1).bit_length() - 1
-                for i in range(top):
-                    np.bitwise_and(plane[i], x, out=t)
-                    plane[i] ^= x
-                    x, t = t, x
-                plane[top] |= x
-            if not slow:
-                tied[users] = popcount(plane[0])
-                continue
-            o = own[users]
-            gt, eq = t, x
-            gt[...] = 0
-            eq[...] = ~np.uint64(0)
-            for i in reversed(range(lv)):
-                # all ones where own's bit i is clear: a set count bit there is nearer
-                clear = np.where((o >> i) & 1, 0, ~np.uint64(0))[:, None]
-                p = plane[i]
-                p ^= clear  # count bit i equals own's
-                p &= eq     # equal on bits i and up
-                eq ^= p     # equal above i, different at i
-                eq &= clear
-                gt |= eq
-                eq = p
-            closer[users] = popcount(gt)
-            tied[users] = popcount(eq) - (64 * W - n_bk) * (o == 0)
+                o = own[users]
+                gt, eq = t, x
+                gt[...] = 0
+                eq[...] = ~np.uint64(0)
+                for i in reversed(range(lv)):
+                    # all ones where own's bit i is clear: a set count bit there is nearer
+                    clear = np.where((o >> i) & 1, 0, ~np.uint64(0))[:, None]
+                    p = plane[i]
+                    p ^= clear  # count bit i equals own's
+                    p &= eq     # equal on bits i and up
+                    eq ^= p     # equal above i, different at i
+                    eq &= clear
+                    gt |= eq
+                    eq = p
+                closer[users] += popcount(gt)
+                tied[users] += popcount(eq) - pad * (o == 0)
     return closer + rng.integers(0, tied)
 
 
@@ -327,9 +340,10 @@ def run_reident_experiment(
     percentage of users whose true identity lands in the attacker's top-k.
     Ties in distance are broken by one uniform draw per user and survey
     (:func:`_rank_of_true`).  Matching compares each user on the columns it
-    has reported only, against per-(column, value) record bitsets, and holds
-    those bitsets (sum(k) * n / 8 bytes) plus 256 * n / 8 bytes for each bit
-    plane of the match counts and two scratch rows.
+    has reported only, against per-(column, value) record bitsets, built in
+    record blocks of at most ``_BITSET_BYTES`` (sum(k) * n / 8 bytes in all),
+    and holds 256 * block / 8 bytes for each bit plane of the match counts
+    and two scratch rows.
 
     ``attack_mode``: 'fk' matches over all columns, 'pk' over a random
     subset of >= d/2 columns, 'null' ranks records uniformly at random (the
@@ -344,7 +358,7 @@ def run_reident_experiment(
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs!r}")
     check_collection(solution, protocol)
-    md, rows = dataset.multidomain, dataset.rows
+    rows, ks = dataset.rows, dataset.ks
     n, d = rows.shape
     eps_list = ([float(epsilons)] * d if np.ndim(epsilons) == 0
                 else [float(e) for e in epsilons])
@@ -380,10 +394,10 @@ def run_reident_experiment(
 
         for s_idx, attrs in enumerate(subsets):
             if solution == "smp":
-                _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
+                _smp_survey_step(rows, ks, protocol, eps_list, attrs, sampling_mode,
                                  profile, rng_rep, flags)
             else:
-                _rs_survey_step(dataset, solution, protocol, eps_list, attrs,
+                _rs_survey_step(rows, ks, solution, protocol, eps_list, attrs,
                                 rfd_priors, nk_s_mult, profile, rng_rep, flags)
             if s_idx == 0:
                 continue
@@ -394,7 +408,7 @@ def run_reident_experiment(
     return acc, snapshots
 
 
-def _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
+def _smp_survey_step(rows, ks, protocol, eps_list, attrs, sampling_mode,
                      profile, rng, flags):
     # profile >= 0 marks an attribute the user has reported before: under smp
     # its entry is the prediction from that user's memoized report, which a
@@ -408,21 +422,20 @@ def _smp_survey_step(rows, md, protocol, eps_list, attrs, sampling_mode,
         if math.isinf(eps_list[a]):  # pass-through under a beta budget
             profile[m, a] = rows[m, a]
         elif m.any():
-            params = protocol_params(protocol, eps_list[a], md.domains[a].k)
+            params = protocol_params(protocol, eps_list[a], ks[a])
             batch = randomize_batch(rows[m, a], params, rng)
             profile[m, a] = predict_batch(batch, rng)
 
 
-def _rs_survey_step(dataset, solution, variant, eps_list, attrs,
+def _rs_survey_step(rows, ks, solution, variant, eps_list, attrs,
                     rfd_priors, nk_s_mult, profile, rng, flags):
-    sub = dataset.select(attrs)
     finite = [eps_list[a] for a in attrs if not math.isinf(eps_list[a])]
     # the whole tuple shares one epsilon: the tightest non-pass-through attribute's
     eps = min(finite) if finite else PASS_THROUGH_EPSILON
     priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
-    cfg = CollectionConfig(sub.multidomain, solution, variant, eps, priors)
-    batches, _ = rs_sanitize_batch(sub.rows, cfg, rng)
-    learn = build_learning_set(rs_estimate(batches, cfg), synthetic_count(nk_s_mult, sub.n),
+    cfg = CollectionConfig([ks[a] for a in attrs], solution, variant, eps, priors)
+    batches, _ = rs_sanitize_batch(rows[:, attrs], cfg, rng)
+    learn = build_learning_set(rs_estimate(batches, cfg), synthetic_count(nk_s_mult, len(rows)),
                                cfg, rng)
     clf, attack_flags = train_attacker([learn], cfg)
     flags.extend(f for f in attack_flags if f not in flags)
@@ -461,7 +474,7 @@ def build_learning_set(estimated_freqs: Sequence[np.ndarray], s: int,
     same draws, and sets ``estimate_fallback``.
     """
     dists, fell_back = clip_or_uniform(estimated_freqs)
-    synth_rows = synthesize_profiles(dists, s, rng, cfg.md).rows
+    synth_rows = synthesize_profiles(dists, s, rng, cfg.ks)
     batches, labels = rs_sanitize_batch(synth_rows, cfg, rng)
     return LearningSet(encode_features(batches), labels, any(fell_back))
 
@@ -474,7 +487,7 @@ def train_attacker(parts: Sequence[LearningSet],
     clf = NaiveBayes(mode="categorical" if cfg.variant == "grr" else "bernoulli")
     clf.fit(np.concatenate([p.features for p in parts]),
             np.concatenate([p.labels for p in parts]),
-            n_classes=cfg.md.d, categories=list(cfg.md.ks))
+            n_classes=len(cfg.ks), categories=list(cfg.ks))
     flags = [flag for flag, hit in (("single_class", clf.constant_class is not None),
                                     ("estimate_fallback",
                                      any(p.estimate_fallback for p in parts)))

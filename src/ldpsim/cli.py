@@ -23,7 +23,6 @@ from .errors import ConfigError
 from .harness import (
     KINDS,
     build_config,
-    env_threads,
     export_results,
     parse_config,
     run_experiment,
@@ -88,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             "out": args.out,
             "format": args.format,
             "runs": args.runs,
-            "threads": env_threads() if args.threads is None else args.threads,
+            "threads": args.threads,
         }
         cfg = build_config(raw, overrides)
         _check_out(cfg.out)

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .multidim import MultiDomain, _categorical, validate_priors
-from .oracles import AttributeDomain, clip_normalize
+from .multidim import _categorical, validate_priors
+from .oracles import clip_normalize
 
 FIXTURES = {
     "adult_style_5000": "adult_style_5000.csv",
@@ -30,10 +30,29 @@ FIXTURES = {
 
 @dataclass
 class Dataset:
-    """Integer-encoded categorical table plus its domain metadata."""
+    """Integer-encoded categorical table plus its schema: ``names[a]`` names attribute a
+    and ``labels[a][v]`` labels its value v, so k_a = len(labels[a]).  No attribute, a
+    label-tuple count unlike the name count, or an empty or repeated label tuple raises
+    DomainError."""
 
-    multidomain: MultiDomain
+    names: tuple[str, ...]
+    labels: tuple[tuple[str, ...], ...]
     rows: np.ndarray
+
+    def __post_init__(self):
+        if len(self.names) < 1:
+            raise DomainError("a dataset needs at least one attribute")
+        if len(self.labels) != len(self.names):
+            raise DomainError(f"{len(self.labels)} label tuples for {len(self.names)} attributes")
+        for name, values in zip(self.names, self.labels):
+            if not values or len(set(values)) != len(values):
+                raise DomainError(f"attribute {name!r} has an empty domain or repeated labels")
+
+    @classmethod
+    def from_ks(cls, ks: Sequence[int], rows: np.ndarray) -> "Dataset":
+        """The synthetic schema: attribute i is ``a{i}``, its value v ``a{i}_v{v}``."""
+        return cls(tuple(f"a{i}" for i in range(len(ks))),
+                   tuple(tuple(f"a{i}_v{v}" for v in range(k)) for i, k in enumerate(ks)), rows)
 
     @property
     def n(self) -> int:
@@ -41,24 +60,18 @@ class Dataset:
 
     @property
     def d(self) -> int:
-        return self.multidomain.d
+        return len(self.names)
 
     @property
     def ks(self) -> tuple[int, ...]:
-        return self.multidomain.ks
+        return tuple(len(values) for values in self.labels)
 
     def subsample(self, n: int, rng: np.random.Generator) -> "Dataset":
         """Uniform row subsample without replacement (domains unchanged)."""
         if n > self.n:
             raise ParameterError(f"cannot subsample {n} of {self.n} rows")
         idx = np.sort(rng.choice(self.n, size=n, replace=False))
-        return Dataset(self.multidomain, self.rows[idx])
-
-    def select(self, attrs: Sequence[int]) -> "Dataset":
-        """Column projection onto the given attribute indices."""
-        attrs = list(attrs)
-        md = MultiDomain(tuple(self.multidomain.domains[a] for a in attrs))
-        return Dataset(md, self.rows[:, attrs])
+        return Dataset(self.names, self.labels, self.rows[idx])
 
 
 def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
@@ -114,10 +127,8 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
     empty = [c for c, d in zip(columns, dicts) if len(d) == 0]
     if empty:
         raise DomainError(f"columns {empty} are empty")
-    domains = tuple(
-        AttributeDomain(name, tuple(d.keys())) for name, d in zip(columns, dicts)
-    )
-    return Dataset(MultiDomain(domains), np.asarray(encoded, dtype=np.int64))
+    return Dataset(tuple(columns), tuple(tuple(d) for d in dicts),
+                   np.asarray(encoded, dtype=np.int64))
 
 
 def dataset_file(spec: str):
@@ -183,12 +194,12 @@ def clip_or_uniform(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], li
 
 
 def synthesize_profiles(freqs: Sequence[np.ndarray], count: int, rng: np.random.Generator,
-                        md: MultiDomain) -> Dataset:
-    """Draw independent categorical rows over ``md`` from per-attribute distributions."""
+                        ks: Sequence[int]) -> np.ndarray:
+    """(count, d) rows of independent categorical draws, column a from ``freqs[a]`` over ks[a]."""
     if count < 0:
         raise ParameterError("count must be >= 0")
-    freqs = validate_priors(freqs, md)
-    return Dataset(md, np.column_stack([_categorical(f, count, rng) for f in freqs]))
+    freqs = validate_priors(freqs, ks)
+    return np.column_stack([_categorical(f, count, rng) for f in freqs])
 
 
 def mse_avg(true_tables: Sequence[np.ndarray], est_tables: Sequence[np.ndarray]) -> float:
@@ -223,11 +234,9 @@ def zipf_dataset(n: int, ks: Sequence[int], exponent: float,
     is not always index 0.
     """
     cols = [_categorical(zipf_marginal(k, exponent)[rng.permutation(k)], n, rng) for k in ks]
-    return Dataset(MultiDomain.from_ks(ks), np.column_stack(cols))
+    return Dataset.from_ks(ks, np.column_stack(cols))
 
 
 def uniform_dataset(n: int, ks: Sequence[int], rng: np.random.Generator) -> Dataset:
     """Synthetic dataset with independent uniform marginals per attribute."""
-    md = MultiDomain.from_ks(ks)
-    rows = np.column_stack([rng.integers(0, k, size=n) for k in ks])
-    return Dataset(md, rows)
+    return Dataset.from_ks(ks, np.column_stack([rng.integers(0, k, size=n) for k in ks]))

@@ -13,9 +13,5 @@ class ParameterError(LdpSimError, ValueError):
     """Raised for invalid privacy parameters or inconsistent probabilities."""
 
 
-class NonIdentifiableError(LdpSimError, ValueError):
-    """Raised when an estimator cannot be inverted (p == q, i.e. the epsilon = 0 path)."""
-
-
 class ConfigError(LdpSimError, ValueError):
     """Raised for malformed experiment configurations."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -71,8 +70,6 @@ from .rng import stream
 KINDS = ("analytic", "attack_oracle", "reident", "attr_infer", "mse")
 _DATA = ("reident", "attr_infer", "mse")  # the kinds that load a dataset
 _FAKE = ("attr_infer", "mse")             # the kinds whose grid runs fake-data variants
-
-THREADS_ENV_VAR = "LDPSIM_THREADS"
 
 # the Python types a value of each key type may have; a float key also takes an int
 _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
@@ -323,7 +320,7 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
                 ds = load_dataset(path, cfg.columns or None, cfg.id_column or None)
         if cfg.subsample:
             ds = ds.subsample(cfg.subsample, stream(cfg.seed, 7002))
-        constant = [name for name, k in zip(ds.multidomain.names, ds.ks) if k < 2]
+        constant = [name for name, k in zip(ds.names, ds.ks) if k < 2]
         if constant:
             raise DomainError(f"columns {constant} hold one value; every attribute needs k >= 2")
     except (OSError, UnicodeDecodeError, LdpSimError) as exc:
@@ -376,7 +373,7 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | 
     if not cfg.uses_rfd:
         return None, False
     if cfg.prior_mode == "uniform":
-        return uniform_priors(ds.multidomain), False
+        return uniform_priors(ds.ks), False
     freqs = true_frequencies(ds)
     if cfg.prior_mode == "exact":
         return freqs, False
@@ -417,7 +414,7 @@ def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto:
 
 def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vtag: str,
                       eps: float, solution: str, run: int) -> list[ResultRow]:
-    collection = CollectionConfig(ds.multidomain, solution, vtag, eps, priors)
+    collection = CollectionConfig(ds.ks, solution, vtag, eps, priors)
     results = run_attr_infer_experiment(
         ds.rows, collection, attack_models=cfg.attack, s_mult=cfg.s_mult,
         npk_frac=cfg.npk_frac, run=run, seed=seed,
@@ -431,7 +428,7 @@ def _attr_infer_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, vta
 def _mse_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, solution: str,
                vtag: str, eps: float, run: int) -> list[ResultRow]:
     truth = true_frequencies(ds)
-    collection = CollectionConfig(ds.multidomain, solution, vtag, eps, priors)
+    collection = CollectionConfig(ds.ks, solution, vtag, eps, priors)
     batches, _ = rs_sanitize_batch(ds.rows, collection, stream(seed, run))
     value = mse_avg(truth, rs_estimate(batches, collection))
     return [ResultRow(cfg.experiment, vtag, solution,
@@ -511,13 +508,3 @@ def export_results(rows: Sequence[ResultRow], path: str | Path, format: str = "c
     else:
         raise ConfigError(f"unknown export format {format!r}")
     return path
-
-
-def env_threads() -> int | None:
-    """``LDPSIM_THREADS`` as an int (None when unset), for the CLI to rank between
-    the ``--threads`` flag and the config; the threads key's domain checks it."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    try:
-        return None if env is None else int(env)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")

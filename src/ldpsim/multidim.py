@@ -44,10 +44,10 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .oracles import (
     PROTOCOLS,
-    AttributeDomain,
     ProtocolParams,
     ReportBatch,
     as_indices,
+    check_domain_size,
     estimate_from_counts,
     protocol_params,
     randomize_batch,
@@ -60,34 +60,6 @@ FAKE_DATA_VARIANTS = {"rs_fd": ("grr", "sue_z", "oue_z", "sue_r", "oue_r"),
 SAMPLING_MODES = ("without_replacement", "with_replacement")
 
 
-@dataclass(frozen=True)
-class MultiDomain:
-    """An ordered collection of categorical attribute domains."""
-
-    domains: tuple[AttributeDomain, ...]
-
-    def __post_init__(self):
-        if len(self.domains) < 1:
-            raise DomainError("MultiDomain needs at least one attribute")
-
-    @property
-    def d(self) -> int:
-        return len(self.domains)
-
-    @property
-    def ks(self) -> tuple[int, ...]:
-        return tuple(dom.k for dom in self.domains)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(dom.name for dom in self.domains)
-
-    @classmethod
-    def from_ks(cls, ks: Sequence[int]) -> "MultiDomain":
-        return cls(tuple(AttributeDomain(f"a{i}", tuple(f"a{i}_v{v}" for v in range(k)))
-                         for i, k in enumerate(ks)))
-
-
 def amplified_epsilon(epsilon: float, d: int) -> float:
     """Budget amplification from sampling 1 of d attributes: ln(d(e^eps - 1) + 1)."""
     if epsilon <= 0:
@@ -97,36 +69,36 @@ def amplified_epsilon(epsilon: float, d: int) -> float:
     return math.log(d * (math.exp(epsilon) - 1.0) + 1.0)
 
 
-def validate_priors(priors: Sequence[np.ndarray], md: MultiDomain) -> list[np.ndarray]:
-    """Check one non-negative unit-sum vector per attribute."""
-    if len(priors) != md.d:
-        raise ParameterError(f"expected {md.d} prior vectors, got {len(priors)}")
+def validate_priors(priors: Sequence[np.ndarray], ks: Sequence[int]) -> list[np.ndarray]:
+    """Check one non-negative unit-sum vector per attribute, of length ks[a]."""
+    if len(priors) != len(ks):
+        raise ParameterError(f"expected {len(ks)} prior vectors, got {len(priors)}")
     out = []
-    for dom, vec in zip(md.domains, priors):
+    for a, (k, vec) in enumerate(zip(ks, priors)):
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (dom.k,):
-            raise ParameterError(f"prior for {dom.name!r} has shape {vec.shape}, expected ({dom.k},)")
+        if vec.shape != (k,):
+            raise ParameterError(f"prior for attribute {a} has shape {vec.shape}, expected ({k},)")
         if (vec < 0).any() or abs(vec.sum() - 1.0) > 1e-9:
-            raise ParameterError(f"prior for {dom.name!r} is not a distribution")
+            raise ParameterError(f"prior for attribute {a} is not a distribution")
         out.append(vec)
     return out
 
 
-def uniform_priors(md: MultiDomain) -> list[np.ndarray]:
-    return [np.full(k, 1.0 / k) for k in md.ks]
+def uniform_priors(ks: Sequence[int]) -> list[np.ndarray]:
+    return [np.full(k, 1.0 / k) for k in ks]
 
 
-def _check_rows(rows, md: MultiDomain) -> np.ndarray:
-    """``rows`` as an (n, d) int64 matrix with column a in [0, k_a), else DomainError.
+def _check_rows(rows, ks: Sequence[int]) -> np.ndarray:
+    """``rows`` as an (n, d) int64 matrix with column a in [0, ks[a]), else DomainError.
 
     The sanitizers check their whole input here before any draw, so bad input
     fails whichever attribute a user would sample; :func:`oracles.as_indices`
     refuses a fractional, non-finite or out-of-range value.
     """
     rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != md.d:
-        raise DomainError(f"rows must be an (n, {md.d}) matrix, got shape {rows.shape}")
-    return as_indices(rows, md.ks, "attribute value")
+    if rows.ndim != 2 or rows.shape[1] != len(ks):
+        raise DomainError(f"rows must be an (n, {len(ks)}) matrix, got shape {rows.shape}")
+    return as_indices(rows, ks, "attribute value")
 
 
 # Largest domain _categorical draws by counting: uint8 holds its 255 thresholds.
@@ -161,11 +133,11 @@ def _categorical(pvec: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
 # SPL and SMP
 # ---------------------------------------------------------------------------
 
-def spl_sanitize_batch(rows: np.ndarray, md: MultiDomain, protocol: str, epsilon: float,
+def spl_sanitize_batch(rows: np.ndarray, ks: Sequence[int], protocol: str, epsilon: float,
                        rng: np.random.Generator) -> list[ReportBatch]:
     """SPL for n users: attribute a's column randomized at epsilon / d, one batch each."""
-    rows = _check_rows(rows, md)
-    params = [protocol_params(protocol, epsilon / md.d, k) for k in md.ks]
+    rows = _check_rows(rows, ks)
+    params = [protocol_params(protocol, epsilon / len(ks), k) for k in ks]
     return [randomize_batch(rows[:, a], p, rng) for a, p in enumerate(params)]
 
 
@@ -205,14 +177,16 @@ def smp_sample(reported: np.ndarray, attrs: Sequence[int], sampling_mode: str,
 class CollectionConfig:
     """How fake-data tuples are produced; everything the server and attacker know.
 
-    The constructor rejects a (solution, variant, priors) combination the
-    engine does not run and resolves ``fake``, the per-attribute fake
-    distribution: uniform for rs_fd, the validated ``priors`` for rs_rfd
-    (required there, ignored by rs_fd) and None for sue_z / oue_z, whose
-    fakes are randomized all-zero vectors.
+    ``ks`` holds the domain size of each attribute.  The constructor refuses
+    an empty ``ks`` or a k that is not an integer >= 2, and a (solution,
+    variant, priors) combination the engine does not run, before any draw.
+    It stores ``ks`` as a tuple of ints and resolves ``fake``, the
+    per-attribute fake distribution: uniform for rs_fd, the validated
+    ``priors`` for rs_rfd (required there, ignored by rs_fd) and None for
+    sue_z / oue_z, whose fakes are randomized all-zero vectors.
     """
 
-    md: MultiDomain
+    ks: tuple[int, ...]
     solution: str            # 'rs_fd' | 'rs_rfd'
     variant: str             # a tag of FAKE_DATA_VARIANTS[solution]
     epsilon: float
@@ -220,23 +194,26 @@ class CollectionConfig:
     fake: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.ks) < 1:
+            raise DomainError("a collection needs at least one attribute")
+        object.__setattr__(self, "ks", tuple(check_domain_size(k) for k in self.ks))
         if self.solution not in FAKE_DATA_VARIANTS:
             raise ParameterError(f"{self.solution!r} is not a fake-data solution (rs_fd, rs_rfd)")
         check_collection(self.solution, self.variant)
         if self.variant.endswith("_z"):
             fake = None
         elif self.solution == "rs_fd":
-            fake = tuple(uniform_priors(self.md))
+            fake = tuple(uniform_priors(self.ks))
         elif self.priors is None:
             raise ParameterError("rs_rfd needs one prior vector per attribute")
         else:
-            fake = tuple(validate_priors(self.priors, self.md))
+            fake = tuple(validate_priors(self.priors, self.ks))
         object.__setattr__(self, "fake", fake)
 
     def params(self, a: int) -> ProtocolParams:
         """Randomizer parameters for attribute a's sampled slot, at the amplified budget."""
         return protocol_params(variant_oracle(self.variant),
-                               amplified_epsilon(self.epsilon, self.md.d), self.md.domains[a].k)
+                               amplified_epsilon(self.epsilon, len(self.ks)), self.ks[a])
 
 
 def variant_oracle(variant: str) -> str:
@@ -262,13 +239,12 @@ def rs_sanitize_batch(
     Every fake draw goes through ``cfg.fake``, so rs_fd (uniform) and rs_rfd
     (priors) consume the random stream identically at equal seeds.
     """
-    md = cfg.md
-    rows = _check_rows(rows, md)
+    rows = _check_rows(rows, cfg.ks)
     n, d = rows.shape
     sampled = rng.integers(0, d, size=n)
     batches = []
     grr = cfg.variant == "grr"
-    for a, k in enumerate(md.ks):
+    for a, k in enumerate(cfg.ks):
         params = cfg.params(a)
         # index arrays, not masks: one gather and two row scatters per attribute
         real, fake = np.flatnonzero(sampled == a), np.flatnonzero(sampled != a)
@@ -301,7 +277,7 @@ def rs_estimate_from_counts(
     d-1 of a user's d slots are fakes supporting a value with probability s
     (:func:`_fake_support`), so the oracle's own estimator inverts d c - n (d-1) s.
     """
-    d = cfg.md.d
+    d = len(cfg.ks)
     out = []
     for a, c in enumerate(counts):
         params = cfg.params(a)
@@ -325,7 +301,7 @@ def rs_variance(freqs: Sequence[np.ndarray], cfg: CollectionConfig, n: int) -> l
 
     with s the support probability of a fake slot (:func:`_fake_support`).
     """
-    d = cfg.md.d
+    d = len(cfg.ks)
     out = []
     for a in range(d):
         params = cfg.params(a)

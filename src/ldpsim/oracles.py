@@ -26,28 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonIdentifiableError, ParameterError
+from .errors import DomainError, ParameterError
 from .rng import chunk_rows, draw_hash_seeds, hash_bucket, hash_matches
 
 PROTOCOLS = ("grr", "olh", "ss", "sue", "oue")
-
-
-@dataclass(frozen=True)
-class AttributeDomain:
-    """A named categorical attribute with labelled values indexed 0..k-1."""
-
-    name: str
-    values: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise DomainError(f"attribute {self.name!r} has an empty domain")
-        if len(set(self.values)) != len(self.values):
-            raise DomainError(f"attribute {self.name!r} has duplicate value labels")
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -74,6 +56,17 @@ class ProtocolParams:
             )
 
 
+def check_domain_size(k) -> int:
+    """``k`` as an int, else DomainError: randomization needs an integer k >= 2."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DomainError(f"domain size k={k!r} is not an integer") from None
+    if k < 2:
+        raise DomainError(f"domain size k={k} is degenerate; randomization needs k >= 2")
+    return k
+
+
 def protocol_params(protocol: str, epsilon: float, k: int) -> ProtocolParams:
     """Calibrate (p, q, aux) for one protocol at privacy budget epsilon.
 
@@ -91,13 +84,7 @@ def protocol_params(protocol: str, epsilon: float, k: int) -> ProtocolParams:
         raise ParameterError(f"unknown protocol {protocol!r}")
     if not 0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    try:
-        operator.index(k)
-    except TypeError:
-        raise DomainError(f"domain size k={k!r} is not an integer") from None
-    if k < 2:
-        raise DomainError(f"domain size k={k} is degenerate; randomization needs k >= 2")
-
+    check_domain_size(k)
     try:
         ee = math.exp(epsilon)
     except OverflowError:
@@ -269,10 +256,7 @@ def estimate_from_counts(counts: np.ndarray, n: int, params: ProtocolParams) -> 
     """Debias raw support counts into frequency estimates (may leave [0, 1])."""
     if n <= 0:
         raise ParameterError("n must be positive")
-    denom = params.p - params.q
-    if denom <= 0 or not np.isfinite(denom):
-        raise NonIdentifiableError("p == q: estimator is non-identifiable (epsilon = 0 path)")
-    return (np.asarray(counts, dtype=np.float64) - n * params.q) / (n * denom)
+    return (np.asarray(counts, dtype=np.float64) - n * params.q) / (n * (params.p - params.q))
 
 
 def estimate_frequencies(batch: ReportBatch) -> np.ndarray:

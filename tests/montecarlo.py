@@ -10,7 +10,6 @@ import numpy as np
 
 from ldpsim.attacks import _smp_survey_step
 from ldpsim.errors import ParameterError
-from ldpsim.multidim import MultiDomain
 
 
 def smp_attack_acc_mc(protocol: str, epsilon: float, ks: Sequence[int],
@@ -29,10 +28,10 @@ def smp_attack_acc_mc(protocol: str, epsilon: float, ks: Sequence[int],
         raise ParameterError(f"unknown mode {mode!r}")
     if n < 1:
         raise ParameterError(f"sample size n must be >= 1, got {n!r}")
-    md = MultiDomain.from_ks(ks)
+    d = len(ks)
     values = np.column_stack([rng.integers(0, k, size=n) for k in ks])
-    profile = np.full((n, md.d), -1, dtype=np.int64)
-    for _ in range(md.d):
-        _smp_survey_step(values, md, protocol, [epsilon] * md.d, np.arange(md.d),
+    profile = np.full((n, d), -1, dtype=np.int64)
+    for _ in range(d):
+        _smp_survey_step(values, ks, protocol, [epsilon] * d, np.arange(d),
                          sampling_mode, profile, rng, [])
     return 100.0 * float(np.mean((profile == values).all(axis=1)))

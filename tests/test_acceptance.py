@@ -22,6 +22,7 @@ from ldpsim import harness as hn
 from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
 from ldpsim.datasets import (
+    Dataset,
     laplace_prior,
     load_fixture,
     mse_avg,
@@ -112,7 +113,6 @@ def _bias_ok(ests, truth, runs):
 def test_c03_estimator_unbiasedness():
     n, runs = 200_000, 20
     ks = [5, 7, 16]
-    md = mdm.MultiDomain.from_ks(ks)
     freqs = [stream(7100, a).dirichlet(np.ones(k)) for a, k in enumerate(ks)]
     priors = [stream(7200, a).dirichlet(np.ones(k)) for a, k in enumerate(ks)]
     checked = []
@@ -136,7 +136,7 @@ def test_c03_estimator_unbiasedness():
             rng = stream(7401, vi, r)
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
-            cfg = mdm.CollectionConfig(md, solution, variant, 1.0, priors)
+            cfg = mdm.CollectionConfig(ks, solution, variant, 1.0, priors)
             batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batches, cfg))
         for a in range(3):
@@ -152,12 +152,11 @@ def test_c03_estimator_unbiasedness():
 def test_c04_variance_formulas():
     n, runs = 50_000, 200
     ks = [5, 7, 16]
-    md = mdm.MultiDomain.from_ks(ks)
     freqs = [stream(7500, a).dirichlet(np.ones(k)) for a, k in enumerate(ks)]
     priors = [stream(7600, a).dirichlet(np.ones(k)) for a, k in enumerate(ks)]
     details = []
     for vi, variant in enumerate(["grr", "sue_r", "oue_r"]):
-        cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
+        cfg = mdm.CollectionConfig(ks, "rs_rfd", variant, 1.0, priors)
         ests = []
         for r in range(runs):
             rng = stream(7700, vi, r)
@@ -271,7 +270,7 @@ def test_c07_attribute_inference():
     d = len(ks)
 
     res = atk.run_attr_infer_experiment(
-        skewed.rows, mdm.CollectionConfig(skewed.multidomain, "rs_fd", "sue_z", 10.0),
+        skewed.rows, mdm.CollectionConfig(skewed.ks, "rs_fd", "sue_z", 10.0),
         attack_models=("nk",), s_mult=1.0, npk_frac=0.1, seed=8000,
     )
     suez_acc = res["nk"][0]
@@ -282,7 +281,7 @@ def test_c07_attribute_inference():
         for eps in (1.0, 4.0, 7.0, 10.0):
             res = atk.run_attr_infer_experiment(
                 skewed.rows,
-                mdm.CollectionConfig(skewed.multidomain, "rs_fd", variant, eps),
+                mdm.CollectionConfig(skewed.ks, "rs_fd", variant, eps),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8001,
             )
             for model, (acc, _) in res.items():
@@ -295,7 +294,7 @@ def test_c07_attribute_inference():
     for variant in ("grr", "oue_r"):
         res = atk.run_attr_infer_experiment(
             uniform.rows,
-            mdm.CollectionConfig(uniform.multidomain, "rs_fd", variant, 10.0),
+            mdm.CollectionConfig(uniform.ks, "rs_fd", variant, 10.0),
             attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8002,
         )
         for model, (acc, _) in res.items():
@@ -318,15 +317,15 @@ EPS_GRID_MSE = (math.log(2), math.log(4), math.log(7))
 @pytest.fixture(scope="module")
 def mse_paired_runs():
     """20 paired-seed runs per (variant, eps): list of (mse_fd, mse_rfd)."""
-    ds = load_fixture("adult_style_5000").select([0, 1, 2, 3, 4, 5, 6, 8])
+    full, cols = load_fixture("adult_style_5000"), [0, 1, 2, 3, 4, 5, 6, 8]
+    ds = Dataset.from_ks([full.ks[a] for a in cols], full.rows[:, cols])
     truth = true_frequencies(ds)
     priors, _ = laplace_prior(truth, 0.1, 45222, stream(2024, 0))
-    md = ds.multidomain
     out = {}
     for variant in ("grr", "sue_r", "oue_r"):
         for eps in EPS_GRID_MSE:
-            fd = mdm.CollectionConfig(md, "rs_fd", variant, eps)
-            rfd = mdm.CollectionConfig(md, "rs_rfd", variant, eps, priors)
+            fd = mdm.CollectionConfig(ds.ks, "rs_fd", variant, eps)
+            rfd = mdm.CollectionConfig(ds.ks, "rs_rfd", variant, eps, priors)
             pairs = []
             for run in range(20):
                 b1, _ = mdm.rs_sanitize_batch(ds.rows, fd, stream(808, run))
@@ -395,7 +394,7 @@ def test_c08_countermeasure_aif_gain():
         for eps in (1.0, 4.0, 10.0):
             res = atk.run_attr_infer_experiment(
                 ds.rows,
-                mdm.CollectionConfig(ds.multidomain, "rs_rfd", variant, eps, priors),
+                mdm.CollectionConfig(ds.ks, "rs_rfd", variant, eps, priors),
                 attack_models=("nk", "pk", "hm"), s_mult=1.0, npk_frac=0.1, seed=8100,
             )
             for model, (acc, _) in res.items():

@@ -227,7 +227,7 @@ def test_pk_background_needs_half_columns(monkeypatch):
 
     monkeypatch.setattr(atk, "_rank_of_true", spy)
     d = 5
-    ds = Dataset(mdm.MultiDomain.from_ks([3] * d), stream(17, 0).integers(0, 3, size=(60, d)))
+    ds = Dataset.from_ks([3] * d, stream(17, 0).integers(0, 3, size=(60, d)))
     for seed in range(8):
         atk.run_reident_experiment(ds, "grr", "smp", 2.0,
                                    atk.SurveysConfig(count=2, all_attributes=True), "pk", (1,),
@@ -242,20 +242,19 @@ def test_pk_background_needs_half_columns(monkeypatch):
 def _unique_dataset(n=400):
     ks = [8, 9, 10]
     rows = np.array([(i % 8, (i // 8) % 9, (i // 72) % 10) for i in range(n)])
-    return Dataset(mdm.MultiDomain.from_ks(ks), rows)
+    return Dataset.from_ks(ks, rows)
 
 
 @pytest.mark.parametrize("mode", mdm.SAMPLING_MODES)
 def test_smp_survey_step_exhausted_pool_resends_memo(mode):
     # every pool attribute already reported: each user re-sends a memoized
     # report, so no prediction moves and no budget is spent again
-    md = mdm.MultiDomain.from_ks([4, 4, 4])
     n = 2_000
     rows = np.zeros((n, 3), dtype=np.int64)
     profile = np.tile(np.array([1, -1, 2], dtype=np.int64), (n, 1))
     before = profile.copy()
     flags = []
-    atk._smp_survey_step(rows, md, "grr", [1.0] * 3, np.array([0, 2]), mode,
+    atk._smp_survey_step(rows, (4, 4, 4), "grr", [1.0] * 3, np.array([0, 2]), mode,
                          profile, stream(16, 0), flags)
     assert (profile == before).all()
     assert flags == (["smp_pool_reused"] if mode == "without_replacement" else [])
@@ -525,7 +524,7 @@ def test_rank_kernel_null_model_uniform():
     # the null attacker's ranks, read back from its top-k rows at every k = 1..n:
     # 10 scored surveys x 25 runs x 40 users
     n = 40
-    ds = Dataset(mdm.MultiDomain.from_ks([4, 4, 4]), stream(22, 0).integers(0, 4, size=(n, 3)))
+    ds = Dataset.from_ks([4, 4, 4], stream(22, 0).integers(0, 4, size=(n, 3)))
     acc, _ = atk.run_reident_experiment(
         ds, "grr", "smp", 1.0, atk.SurveysConfig(count=11), "null",
         range(1, n + 1), runs=25, seed=22)
@@ -552,16 +551,15 @@ def test_rank_kernel_more_than_255_columns_exact():
 # ---------------------------------------------------------------------------
 
 def _collection(ks, n, seed, variant="grr", eps=1.0):
-    md = mdm.MultiDomain.from_ks(ks)
     rng = stream(seed, 0)
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
-    cfg = mdm.CollectionConfig(md, "rs_fd", variant, eps)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", variant, eps)
     batches, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
-    return md, rows, cfg, batches, labels
+    return rows, cfg, batches, labels
 
 
 def test_build_learning_set_nk_uniform_labels():
-    md, rows, cfg, batches, labels = _collection([4, 5, 3], 30_000, 16)
+    rows, cfg, batches, labels = _collection([4, 5, 3], 30_000, 16)
     est = mdm.rs_estimate(batches, cfg)
     learn = atk.build_learning_set(est, 30_000, cfg, stream(16, 1))
     counts = np.bincount(learn.labels, minlength=3)
@@ -573,7 +571,7 @@ def test_build_learning_set_nk_uniform_labels():
 def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
     # a list of learning sets is one fit on their concatenation (s + n_pk rows,
     # synthetic first); estimate_fallback comes from any part
-    md, rows, cfg, batches, labels = _collection([4, 5, 3], 500, 18)
+    rows, cfg, batches, labels = _collection([4, 5, 3], 500, 18)
     feats = atk.encode_features(batches)
     est = mdm.rs_estimate(batches, cfg)
     synthetic = atk.build_learning_set(est, 250, cfg, stream(18, 1))
@@ -598,8 +596,7 @@ def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
 def test_build_learning_set_degenerate_estimates_fall_back_to_uniform():
     # an attribute whose estimates all clip to zero is synthesized uniformly,
     # with the same draws as any other estimate vector
-    md = mdm.MultiDomain.from_ks([3, 3])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    cfg = mdm.CollectionConfig([3, 3], "rs_fd", "grr", 1.0)
     bad = [np.array([-0.1, -0.2, -0.3]), np.array([0.5, 0.3, 0.2])]
     learn = atk.build_learning_set(bad, 10, cfg, stream(19, 0))
     uniform = [np.full(3, 1 / 3), bad[1]]
@@ -613,14 +610,13 @@ def test_nk_synthetic_features_match_real_distribution():
     # synthetic profiles drawn from the true distribution produce sanitized
     # features indistinguishable from the real stream (chi-square at 1%)
     ks = [5, 4]
-    md = mdm.MultiDomain.from_ks(ks)
     rng = stream(20, 0)
     n = 60_000
     freqs = [stream(20, 9).dirichlet(np.ones(k)) for k in ks]
     rows = np.column_stack([rng.choice(k, n, p=f) for k, f in zip(ks, freqs)])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
     real_batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-    synth_rows = synthesize_profiles(freqs, n, rng, md).rows
+    synth_rows = synthesize_profiles(freqs, n, rng, ks)
     synth_batch, _ = mdm.rs_sanitize_batch(synth_rows, cfg, rng)
     for a, k in enumerate(ks):
         c_real = np.bincount(real_batch[a].data, minlength=k)
@@ -631,8 +627,7 @@ def test_nk_synthetic_features_match_real_distribution():
 
 def test_classifier_pipeline_separable():
     # class label equals a deterministic feature -> perfect training accuracy
-    md = mdm.MultiDomain.from_ks([3, 3, 3])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    cfg = mdm.CollectionConfig([3, 3, 3], "rs_fd", "grr", 1.0)
     labels = np.arange(300) % 3
     feats = np.column_stack([labels, np.zeros(300, dtype=int), np.zeros(300, dtype=int)])
     clf, flags = atk.train_attacker([atk.LearningSet(feats, labels)], cfg)
@@ -653,7 +648,7 @@ def test_random_baseline_accuracy():
 
 
 def test_aif_uniform_data_at_baseline():
-    md, rows, cfg, batch, labels = _collection([6, 5, 4, 3], 30_000, 22)
+    rows, cfg, batch, labels = _collection([6, 5, 4, 3], 30_000, 22)
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk", "pk", "hm"), seed=22)
     assert list(res) == ["nk", "pk", "hm"]
     sig = 300 * math.sqrt(0.25 * 0.75 / 27_000)
@@ -665,15 +660,14 @@ def test_aif_sue_z_high_budget_near_perfect():
     rng = stream(23, 0)
     ks = [6, 5, 4]
     rows = np.column_stack([rng.integers(0, k, 5000) for k in ks])
-    md = mdm.MultiDomain.from_ks(ks)
-    cfg = mdm.CollectionConfig(md, "rs_fd", "sue_z", 10.0)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "sue_z", 10.0)
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), seed=23)
     assert res["nk"][0] >= 95.0
 
 
 def test_aif_near_zero_budget_matches_prior_rule():
     # with essentially no signal the classifier reduces to its prior argmax
-    md, rows, cfg, batch, labels = _collection([6, 5, 4], 20_000, 24, eps=0.01)
+    rows, cfg, batch, labels = _collection([6, 5, 4], 20_000, 24, eps=0.01)
     res = atk.run_attr_infer_experiment(rows, cfg, attack_models=("nk",), seed=24)
     baseline = 100 / 3
     sig = 300 * math.sqrt((1 / 3) * (2 / 3) / 20_000)
@@ -682,7 +676,7 @@ def test_aif_near_zero_budget_matches_prior_rule():
 
 def test_attr_infer_npk_frac_needs_train_and_test_users():
     # n_pk = round(npk_frac * n) must leave a compromised user and a test user
-    md, rows, cfg, batch, labels = _collection([4, 4], 100, 26)
+    rows, cfg, batch, labels = _collection([4, 4], 100, 26)
     for frac in (0.001, 0.999):
         with pytest.raises(ParameterError, match="npk_frac"):
             atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",), npk_frac=frac)
@@ -694,7 +688,7 @@ def test_attr_infer_npk_frac_needs_train_and_test_users():
 
 def test_attr_infer_s_mult_needs_a_synthetic_profile():
     # s = round(s_mult * n) = 0 failed at the first nk learning set; now before any draw
-    md, rows, cfg, batch, labels = _collection([4, 4], 100, 28)
+    rows, cfg, batch, labels = _collection([4, 4], 100, 28)
     for models in (("nk",), ("hm",)):
         with pytest.raises(ParameterError, match="s_mult"):
             atk.run_attr_infer_experiment(rows, cfg, attack_models=models, s_mult=0.001)
@@ -705,7 +699,7 @@ def test_attr_infer_s_mult_needs_a_synthetic_profile():
 
 
 def test_attr_infer_unknown_model_rejected_before_any_draw():
-    md, rows, cfg, batch, labels = _collection([4, 4], 100, 27)
+    rows, cfg, batch, labels = _collection([4, 4], 100, 27)
     for models in (("xx",), ("nk", "xx")):
         with pytest.raises(ParameterError, match="nk"):
             atk.run_attr_infer_experiment(rows, cfg, attack_models=models)

@@ -182,16 +182,13 @@ def test_all_nonpositive_estimates_fall_back_to_uniform(tmp_path, command, body,
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
-def test_threads_env_var_checked_like_the_flag(tmp_path, analytic_cfg, monkeypatch, threads):
-    monkeypatch.setenv("LDPSIM_THREADS", threads)
-    assert run_cli(["analytic", "--config", str(analytic_cfg),
-                    "--out", str(tmp_path / "r.csv")]) == 2
+def test_threads_flag_checked_like_the_config(tmp_path, analytic_cfg, threads):
     assert run_cli(["analytic", "--config", str(analytic_cfg), "--threads", threads,
                     "--out", str(tmp_path / "r.csv")]) == 2
 
 
 def test_threads_precedence(tmp_path, monkeypatch):
-    # flag > LDPSIM_THREADS > config > 1, all checked by the one config validation
+    # flag > config > 1, all checked by the one config validation
     seen = []
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg.threads) or [])
     cfg = tmp_path / "a.cfg"
@@ -205,14 +202,9 @@ def test_threads_precedence(tmp_path, monkeypatch):
                       "--out", str(tmp_path / "r.csv")])
         return rc, seen[:]
 
-    monkeypatch.delenv("LDPSIM_THREADS", raising=False)
     assert threads(cfg) == (0, [1])
     assert threads(cfg3) == (0, [3])
-    monkeypatch.setenv("LDPSIM_THREADS", "5")
-    assert threads(cfg3) == (0, [5])
     assert threads(cfg3, "--threads", "2") == (0, [2])
-    monkeypatch.setenv("LDPSIM_THREADS", "soup")
-    assert threads(cfg3) == (2, [])
 
 
 @pytest.mark.parametrize("surveys", [0, 1])

@@ -27,8 +27,8 @@ def test_load_first_appearance_order(tmp_path):
     path = write_csv(tmp_path, "t.csv", ["id", "color", "size"],
                      [["u1", "red", "L"], ["u2", "blue", "S"], ["u3", "red", "M"]])
     ds = dst.load_dataset(path, columns=["color", "size"], id_column="id")
-    assert ds.multidomain.domains[0].values == ("red", "blue")
-    assert ds.multidomain.domains[1].values == ("L", "S", "M")
+    assert ds.names == ("color", "size")
+    assert ds.labels == (("red", "blue"), ("L", "S", "M"))
     assert ds.rows.tolist() == [[0, 0], [1, 1], [0, 2]]
 
 
@@ -37,8 +37,8 @@ def test_load_determinism(tmp_path):
     path = write_csv(tmp_path, "t.csv", ["id", "a", "b"], rows)
     d1 = dst.load_dataset(path, id_column="id")
     d2 = dst.load_dataset(path, id_column="id")
-    assert d1.multidomain.names == ("a", "b")  # the id column is no attribute
-    assert d1.multidomain == d2.multidomain
+    assert d1.names == ("a", "b")  # the id column is no attribute
+    assert d1.labels == d2.labels
     assert np.array_equal(d1.rows, d2.rows)
 
 
@@ -91,7 +91,7 @@ def test_load_utf8_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfid,a\n1,x\n2,y\n")
     ds = dst.load_dataset(path, id_column="id")
-    assert ds.multidomain.names == ("a",) and ds.rows.tolist() == [[0], [1]]
+    assert ds.names == ("a",) and ds.rows.tolist() == [[0], [1]]
 
 
 @pytest.mark.parametrize("text,line", [
@@ -119,13 +119,13 @@ def test_fixture_shapes_match_census_layout():
 
 def test_fixture_sex_column_hand_count():
     ds = dst.load_fixture("adult_style_100")
-    j = ds.multidomain.names.index("sex")
+    j = ds.names.index("sex")
     freq = dst.true_frequencies(ds)[j]
     # independent count straight off the CSV text
     ref = resources.files("ldpsim.data").joinpath("adult_style_100.csv")
     with ref.open() as fh:
         labels = [row["sex"] for row in csv.DictReader(fh)]
-    for idx, value in enumerate(ds.multidomain.domains[j].values):
+    for idx, value in enumerate(ds.labels[j]):
         assert freq[idx] == pytest.approx(labels.count(value) / len(labels))
 
 
@@ -143,10 +143,9 @@ def test_gen_fixtures_regenerates_bundled_bytes(tmp_path, capsys):
 
 
 def test_true_frequencies_trivial():
-    md = dst.MultiDomain.from_ks([2])
-    ds = dst.Dataset(md, np.array([[0], [1]]))
+    ds = dst.Dataset.from_ks([2], np.array([[0], [1]]))
     assert dst.true_frequencies(ds)[0] == pytest.approx([0.5, 0.5])
-    ds = dst.Dataset(md, np.zeros((7, 1), dtype=int))
+    ds = dst.Dataset.from_ks([2], np.zeros((7, 1), dtype=int))
     assert dst.true_frequencies(ds)[0] == pytest.approx([1.0, 0.0])
 
 
@@ -199,21 +198,18 @@ def test_laplace_noise_distribution_ks():
 
 def test_synthesize_profiles():
     freqs = [np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
-    md = dst.MultiDomain.from_ks([2, 3])
-    ds = dst.synthesize_profiles(freqs, 50, stream(44, 0), md)
-    assert ds.multidomain is md
-    assert (ds.rows[:, 0] == 1).all() and (ds.rows[:, 1] == 0).all()
-    empty = dst.synthesize_profiles(freqs, 0, stream(44, 1), md)
-    assert empty.rows.shape == (0, 2) and empty.rows.dtype == np.int64
+    rows = dst.synthesize_profiles(freqs, 50, stream(44, 0), (2, 3))
+    assert (rows[:, 0] == 1).all() and (rows[:, 1] == 0).all()
+    empty = dst.synthesize_profiles(freqs, 0, stream(44, 1), (2, 3))
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
     with pytest.raises(ParameterError):
-        dst.synthesize_profiles([np.array([0.5, 0.6])], 5, stream(44, 2),
-                                dst.MultiDomain.from_ks([2]))
+        dst.synthesize_profiles([np.array([0.5, 0.6])], 5, stream(44, 2), (2,))
 
 
 def test_synthesize_profiles_marginals_chi_square():
     freqs = [stream(45, 0).dirichlet(np.ones(6))]
-    ds = dst.synthesize_profiles(freqs, 100_000, stream(45, 1), dst.MultiDomain.from_ks([6]))
-    counts = np.bincount(ds.rows[:, 0], minlength=6)
+    rows = dst.synthesize_profiles(freqs, 100_000, stream(45, 1), (6,))
+    counts = np.bincount(rows[:, 0], minlength=6)
     assert stats.chisquare(counts, f_exp=100_000 * freqs[0]).pvalue > 0.01
 
 
@@ -242,14 +238,28 @@ def test_zipf_and_uniform_generators():
     assert stats.chisquare(counts).pvalue > 0.01
 
 
-def test_subsample_and_select():
+def test_subsample_keeps_the_schema():
     ds = dst.load_fixture("adult_style_100")
     sub = ds.subsample(40, stream(47, 0))
-    assert sub.n == 40 and sub.multidomain == ds.multidomain
-    proj = ds.select([0, 2, 4])
-    assert proj.d == 3
-    assert proj.multidomain.names == (ds.multidomain.names[0],
-                                      ds.multidomain.names[2],
-                                      ds.multidomain.names[4])
+    assert sub.n == 40 and sub.names == ds.names and sub.labels == ds.labels
     with pytest.raises(ParameterError):
         ds.subsample(101, stream(47, 1))
+
+
+def test_dataset_schema_validation():
+    ds = dst.Dataset(("color",), (("red", "green", "blue"),), np.zeros((2, 1), dtype=np.int64))
+    assert ds.ks == (3,) and ds.d == 1 and ds.n == 2
+    rows = np.zeros((1, 2), dtype=np.int64)
+    for names, labels, match in [((), (), "at least one attribute"),
+                                 (("a", "b"), (("x",),), "1 label tuples for 2"),
+                                 (("a", "b"), (("x",), ()), "'b' has an empty domain"),
+                                 (("a", "b"), (("x",), ("y", "y")), "'b' .* repeated")]:
+        with pytest.raises(DomainError, match=match):
+            dst.Dataset(names, labels, rows)
+
+
+def test_dataset_from_ks_synthetic_schema():
+    ds = dst.Dataset.from_ks([2, 3], np.zeros((4, 2), dtype=np.int64))
+    assert ds.names == ("a0", "a1")
+    assert ds.labels == (("a0_v0", "a0_v1"), ("a1_v0", "a1_v1", "a1_v2"))
+    assert ds.ks == (2, 3)

@@ -322,7 +322,7 @@ def test_fixture_dataset_reads_columns_and_id_column():
     keys = {"experiment": "mse", "seed": 1, "dataset": "fixture:adult_style_100",
             "epsilons": [1.0]}
     ds = hn.resolve_dataset(hn.build_config({**keys, "columns": ["age", "sex"]}))
-    assert ds.d == 2 and ds.multidomain.names == ("age", "sex")
+    assert ds.d == 2 and ds.names == ("age", "sex")
     assert hn.resolve_dataset(hn.build_config({**keys, "id_column": ""})).d == 11
 
 

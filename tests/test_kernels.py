@@ -15,7 +15,8 @@ per-(column, value) record bitsets, is checked against the single-pass kernel
 for fk and pk columns, users with no known column, a group larger than a
 block, tie counts past 255, values compared in int16, record counts with and
 without padding bits, users whose every known entry is wrong, a profile value
-no record holds, and every known-column count from 1 to 8 across block edges.
+no record holds, and every known-column count from 1 to 8 across block edges,
+also with its bitset budget cut so that the records split into several blocks.
 """
 
 import tracemalloc
@@ -26,6 +27,7 @@ import pytest
 from ldpsim import attacks as atk
 from ldpsim import oracles as oc
 from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
+from ldpsim.datasets import load_fixture
 from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
 from ldpsim.rng import chunk_rows, hash_matches, stream
@@ -429,18 +431,24 @@ def test_rank_of_true_matches_reference(case, bk, chunk):
     # wide: values 0..384, compared in int16 (int8 would equate 0 and 256)
     rows, profiles = _rank_profiles(case)
     bk_cols = np.arange(8) if bk == "fk" else np.array([0, 2, 3, 5, 6])
+    closer, tied = _assert_rank_matches_reference(profiles, rows, bk_cols, chunk, (49, 0))
+    assert (tied > 1).any() and (closer > 0).any()
+    if case == "mixed":
+        assert tied.max() == len(rows) > 255
+
+
+def _assert_rank_matches_reference(profiles, rows, bk_cols, chunk, seed):
+    """closer, tied, the ranks and the next draw equal the reference's; returns (closer, tied)."""
     closer, tied = _closer_tied(atk._rank_of_true, profiles, rows, bk_cols, chunk)
     ref_closer, ref_tied = _closer_tied(_ref_rank_of_true, profiles, rows, bk_cols, chunk)
     np.testing.assert_array_equal(closer, ref_closer)
     np.testing.assert_array_equal(tied, ref_tied)
-    assert (tied > 1).any() and (closer > 0).any()
-    if case == "mixed":
-        assert tied.max() == len(rows) > 255
-    got_rng, ref_rng = stream(49, 0), stream(49, 0)
+    got_rng, ref_rng = stream(*seed), stream(*seed)
     ranks = atk._rank_of_true(profiles, rows, bk_cols, got_rng, chunk=chunk)
     np.testing.assert_array_equal(
         ranks, _ref_rank_of_true(profiles, rows, bk_cols, ref_rng, chunk=chunk))
     assert got_rng.random() == ref_rng.random()
+    return closer, tied
 
 
 def _bitset_profiles(n):
@@ -474,16 +482,25 @@ def test_rank_of_true_bitset_edges(n_bk):
         assert np.count_nonzero((m == k) & (own == k)) > 7
         assert np.count_nonzero((m == k) & (own < k)) > 7
     assert (own == 0).sum() >= n_bk // 4 and (profiles == 3).any()
-    bk_cols, chunk = np.arange(8), 7
-    closer, tied = _closer_tied(atk._rank_of_true, profiles, rows, bk_cols, chunk)
-    ref_closer, ref_tied = _closer_tied(_ref_rank_of_true, profiles, rows, bk_cols, chunk)
-    np.testing.assert_array_equal(closer, ref_closer)
-    np.testing.assert_array_equal(tied, ref_tied)
-    got_rng, ref_rng = stream(54, n_bk), stream(54, n_bk)
-    ranks = atk._rank_of_true(profiles, rows, bk_cols, got_rng, chunk=chunk)
-    np.testing.assert_array_equal(
-        ranks, _ref_rank_of_true(profiles, rows, bk_cols, ref_rng, chunk=chunk))
-    assert got_rng.random() == ref_rng.random()
+    _assert_rank_matches_reference(profiles, rows, np.arange(8), 7, (54, n_bk))
+
+
+@pytest.mark.parametrize("budget", [64, 512])
+@pytest.mark.parametrize("case", ["bitset-256", "bitset-300", "mixed", "wide"])
+def test_rank_of_true_record_blocks_match_reference(case, budget, monkeypatch):
+    # a cut bitset budget splits the records into blocks of one word (64 bytes,
+    # and the wide case's 3,000-odd rows at 512) or two (512 bytes); the 300
+    # records end in a part-filled block, whose padding bits users with own = 0
+    # must not count as tied
+    monkeypatch.setattr(atk, "_BITSET_BYTES", budget)
+    if case.startswith("bitset"):
+        rows, profiles = _bitset_profiles(int(case.split("-")[1]))
+    else:
+        rows, profiles = _rank_profiles(case)
+    assert (np.count_nonzero(profiles == rows, axis=1) == 0).any()
+    for bk_cols in (np.arange(8), np.array([0, 2, 3, 5, 6])):
+        for chunk in (7, 256):
+            _assert_rank_matches_reference(profiles, rows, bk_cols, chunk, (55, len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,3 +557,18 @@ def test_rank_of_true_peak_memory_bounded():
     small, large = peak(1250), peak(5000)
     assert large < 3 * 2**20
     assert large <= 4 * small
+
+
+def test_rank_of_true_bitset_budget_bounds_memory(monkeypatch):
+    # an index-like column holds one value per record, so its bitsets alone take
+    # n^2 / 8 bytes: the single-block kernel peaked at 53.3 MiB at n = 20,000
+    monkeypatch.setattr(atk, "_BITSET_BYTES", 4 * 2**20)
+    n = 20_000
+    fixture = load_fixture("adult_style_5000").rows
+    rows = np.column_stack([np.tile(fixture, (n // len(fixture), 1)), np.arange(n)])
+    profiles = np.where(stream(61, n).random(rows.shape) < 0.4, rows, -1)
+    ranks, peak = _traced_peak(lambda: atk._rank_of_true(profiles, rows,
+                                                         np.arange(rows.shape[1]),
+                                                         stream(62, 0)))
+    assert peak < 12 * 2**20
+    assert len(ranks) == n and (ranks >= 0).all() and (ranks < n).all()

@@ -12,17 +12,13 @@ from ldpsim.errors import DomainError, ParameterError
 from ldpsim.rng import stream
 
 
-def md_of(ks):
-    return mdm.MultiDomain.from_ks(ks)
-
-
-def dirichlet_freqs(md, seed):
+def dirichlet_freqs(ks, seed):
     rng = stream(seed, 0)
-    return [rng.dirichlet(np.ones(k)) for k in md.ks]
+    return [rng.dirichlet(np.ones(k)) for k in ks]
 
 
-def draw_rows(md, freqs, n, rng):
-    return np.column_stack([rng.choice(k, size=n, p=f) for k, f in zip(md.ks, freqs)])
+def draw_rows(ks, freqs, n, rng):
+    return np.column_stack([rng.choice(k, size=n, p=f) for k, f in zip(ks, freqs)])
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +34,11 @@ def test_amplified_epsilon():
 
 
 def test_spl_budget_split():
-    md = md_of([4, 6])
+    ks = (4, 6)
     # each slot randomized at eps/d = 1: check via distribution over many draws
     n = 60_000
     params = oc.protocol_params("grr", 1.0, 4)
-    cols = mdm.spl_sanitize_batch(np.tile([1, 3], (n, 1)), md, "grr", 2.0, stream(1, 0))
+    cols = mdm.spl_sanitize_batch(np.tile([1, 3], (n, 1)), ks, "grr", 2.0, stream(1, 0))
     assert [c.params for c in cols] == [params, oc.protocol_params("grr", 1.0, 6)]
     hits = np.count_nonzero(cols[0].data == 1)
     sig = 3 * math.sqrt(params.p * (1 - params.p) / n)
@@ -50,23 +46,23 @@ def test_spl_budget_split():
 
 
 def test_spl_single_attribute_matches_plain_randomize():
-    md = md_of([5])
-    (b1,) = mdm.spl_sanitize_batch([[2], [4], [0]], md, "grr", 1.3, stream(2, 7))
+    ks = (5,)
+    (b1,) = mdm.spl_sanitize_batch([[2], [4], [0]], ks, "grr", 1.3, stream(2, 7))
     b2 = oc.randomize_batch([2, 4, 0], oc.protocol_params("grr", 1.3, 5), stream(2, 7))
     assert b1.params == b2.params
     np.testing.assert_array_equal(b1.data, b2.data)
 
 
 def test_spl_estimates_unbiased_at_split_budget():
-    md = md_of([3, 4])
-    freqs = dirichlet_freqs(md, 3)
+    ks = (3, 4)
+    freqs = dirichlet_freqs(ks, 3)
     n, runs = 50_000, 20
     ests = []
     for r in range(runs):
         rng = stream(4, r)
-        rows = draw_rows(md, freqs, n, rng)
+        rows = draw_rows(ks, freqs, n, rng)
         cols = [
-            oc.randomize_batch(rows[:, a], oc.protocol_params("grr", 1.0, md.ks[a]), rng)
+            oc.randomize_batch(rows[:, a], oc.protocol_params("grr", 1.0, ks[a]), rng)
             for a in range(2)
         ]
         ests.append([oc.estimate_frequencies(c) for c in cols])
@@ -164,22 +160,22 @@ def test_smp_sample_exhausted_rows_uniform_over_pool():
 # ---------------------------------------------------------------------------
 
 def test_rsfd_single_attribute_degenerate():
-    md = md_of([7])
+    ks = (7,)
     assert mdm.amplified_epsilon(1.0, 1) == 1.0
     _, sampled = mdm.rs_sanitize_batch(
-        np.arange(7).reshape(-1, 1), mdm.CollectionConfig(md, "rs_fd", "grr", 1.0),
+        np.arange(7).reshape(-1, 1), mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0),
         stream(9, 0),
     )
     assert (sampled == 0).all()  # no fake slots exist
 
 
 def test_rsfd_uez_fake_bit_count():
-    md = md_of([4, 9])
+    ks = (4, 9)
     n = 100_000
     rng = stream(10, 0)
     rows = np.zeros((n, 2), dtype=int)
     batches, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_fd", "oue_z", 1.0), rng)
+        rows, mdm.CollectionConfig(ks, "rs_fd", "oue_z", 1.0), rng)
     params = oc.protocol_params("oue", mdm.amplified_epsilon(1.0, 2), 9)
     fakes = batches[1].data[sampled != 1]
     m = len(fakes)
@@ -189,12 +185,12 @@ def test_rsfd_uez_fake_bit_count():
 
 
 def test_rsfd_grr_fake_slot_uniform():
-    md = md_of([5, 6])
+    ks = (5, 6)
     n = 100_000
     rng = stream(11, 0)
     rows = np.zeros((n, 2), dtype=int)
     batches, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), rng)
+        rows, mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0), rng)
     fakes = batches[1].data[sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts)
@@ -204,39 +200,39 @@ def test_rsfd_grr_fake_slot_uniform():
 def test_rsfd_tuple_object_hides_sampled_index():
     # one report batch per attribute under cfg.params(a), the shape spl returns; the
     # sampled indices go back to the simulator only, and no batch holds them
-    md = md_of([3, 4])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "oue_r", 1.0)
+    ks = (3, 4)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "oue_r", 1.0)
     batches, sampled = mdm.rs_sanitize_batch(np.array([[1, 2]] * 5), cfg, stream(12, 0))
     assert [type(b) for b in batches] == [oc.ReportBatch] * 2
     for a, b in enumerate(batches):
         assert vars(b).keys() == {"params", "data"}
-        assert b.params == cfg.params(a) and b.data.shape == (5, md.ks[a])
+        assert b.params == cfg.params(a) and b.data.shape == (5, ks[a])
     assert ((0 <= sampled) & (sampled < 2)).all()
 
 
 def test_rsfd_variant_validation():
-    md = md_of([3, 4])
+    ks = (3, 4)
     rows = np.zeros((5, 2), dtype=int)
     with pytest.raises(ParameterError):
-        mdm.rs_sanitize_batch(rows, mdm.CollectionConfig(md, "rs_fd", "ue_q", 1.0),
+        mdm.rs_sanitize_batch(rows, mdm.CollectionConfig(ks, "rs_fd", "ue_q", 1.0),
                               stream(13, 0))
     with pytest.raises(ParameterError):
         mdm.rs_sanitize_batch(
-            rows, mdm.CollectionConfig(md, "rs_rfd", "oue_z", 1.0, mdm.uniform_priors(md)),
+            rows, mdm.CollectionConfig(ks, "rs_rfd", "oue_z", 1.0, mdm.uniform_priors(ks)),
             stream(13, 1))
     with pytest.raises(DomainError):
         mdm.rs_sanitize_batch(np.zeros((5, 3), dtype=int),
-                              mdm.CollectionConfig(md, "rs_fd", "grr", 1.0), stream(13, 2))
+                              mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0), stream(13, 2))
 
 
 def test_sanitizers_check_every_value_before_any_draw():
     # each value is checked, not only the sampled attribute's, so no seed lets bad
     # input through and the generator is untouched when it is refused
-    md = md_of([4, 4, 4])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    ks = (4, 4, 4)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
     calls = {
         "batch row -1": lambda rng: mdm.rs_sanitize_batch(np.array([[0, -1, 0]]), cfg, rng),
-        "spl row 99": lambda rng: mdm.spl_sanitize_batch([[0, 0, 0], [0, 99, 0]], md, "grr",
+        "spl row 99": lambda rng: mdm.spl_sanitize_batch([[0, 0, 0], [0, 99, 0]], ks, "grr",
                                                          1.0, rng),
         "fractional row": lambda rng: mdm.rs_sanitize_batch(np.array([[0.5, 3.9, 0]]), cfg,
                                                             rng),
@@ -254,12 +250,12 @@ def test_sanitizers_check_every_value_before_any_draw():
 def test_fractional_and_non_finite_indices_refused(bad):
     # refused before the int64 cast, so no value is truncated and no RuntimeWarning
     # is raised, and before any draw; whole-number floats pass as their integers
-    md = md_of([4, 4])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    ks = (4, 4)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
     params = oc.protocol_params("grr", 1.0, 4)
     calls = {
         "rs": lambda rows, rng: [b.data for b in mdm.rs_sanitize_batch(rows, cfg, rng)[0]],
-        "spl": lambda rows, rng: [b.data for b in mdm.spl_sanitize_batch(rows, md, "grr",
+        "spl": lambda rows, rng: [b.data for b in mdm.spl_sanitize_batch(rows, ks, "grr",
                                                                          1.0, rng)],
         "oracle": lambda rows, rng: [oc.randomize_batch(rows.ravel(), params, rng).data],
     }
@@ -285,9 +281,9 @@ def _tree_expected_counts(cfg, freqs, priors, n):
     Walks sampled-vs-fake branches and every (true value, outcome) pair,
     independently of the estimator algebra under test.
     """
-    d, variant = cfg.md.d, cfg.variant
+    d, variant = len(cfg.ks), cfg.variant
     out = []
-    for a, k in enumerate(cfg.md.ks):
+    for a, k in enumerate(cfg.ks):
         params = cfg.params(a)
         p, q = params.p, params.q
         prob = np.zeros(k)
@@ -312,10 +308,10 @@ def _tree_expected_counts(cfg, freqs, priors, n):
 @pytest.mark.parametrize("variant", ["grr", "sue_z", "oue_z", "sue_r", "oue_r"],
                          ids=["grr-None", "ue_z-sue", "ue_z-oue", "ue_r-sue", "ue_r-oue"])
 def test_rsfd_estimator_exact_on_expected_counts(variant):
-    md = md_of([4, 3, 5])
-    freqs = dirichlet_freqs(md, 14)
-    cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
-    counts = _tree_expected_counts(cfg, freqs, mdm.uniform_priors(md), 1000)
+    ks = (4, 3, 5)
+    freqs = dirichlet_freqs(ks, 14)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
+    counts = _tree_expected_counts(cfg, freqs, mdm.uniform_priors(ks), 1000)
     est = mdm.rs_estimate_from_counts(counts, cfg, 1000)
     for a in range(3):
         assert est[a] == pytest.approx(freqs[a], abs=1e-12)
@@ -326,10 +322,10 @@ def test_rsfd_estimator_exact_on_expected_counts(variant):
 def test_rs_estimator_matches_two_branch_reference(solution, variant):
     # the per-oracle closed forms the fake-support estimator replaced; the
     # terms now add in another order, so equal to a few ulps
-    md = md_of([4, 3, 5])
-    cfg = mdm.CollectionConfig(md, solution, variant, 1.0, dirichlet_freqs(md, 17))
-    n, d = 1000, md.d
-    counts = [stream(17, a).integers(0, n, k) for a, k in enumerate(md.ks)]
+    ks = (4, 3, 5)
+    cfg = mdm.CollectionConfig(ks, solution, variant, 1.0, dirichlet_freqs(ks, 17))
+    n, d = 1000, len(ks)
+    counts = [stream(17, a).integers(0, n, k) for a, k in enumerate(ks)]
     est = mdm.rs_estimate_from_counts(counts, cfg, n)
     for a in range(d):
         p, q = cfg.params(a).p, cfg.params(a).q
@@ -345,10 +341,10 @@ def test_rs_estimator_matches_two_branch_reference(solution, variant):
 @pytest.mark.parametrize("variant", ["grr", "sue_r", "oue_r"],
                          ids=["grr-None", "ue_r-sue", "ue_r-oue"])
 def test_rsrfd_estimator_exact_on_expected_counts(variant):
-    md = md_of([4, 3, 5])
-    freqs = dirichlet_freqs(md, 15)
-    priors = dirichlet_freqs(md, 16)
-    cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
+    ks = (4, 3, 5)
+    freqs = dirichlet_freqs(ks, 15)
+    priors = dirichlet_freqs(ks, 16)
+    cfg = mdm.CollectionConfig(ks, "rs_rfd", variant, 1.0, priors)
     counts = _tree_expected_counts(cfg, freqs, priors, 1000)
     est = mdm.rs_estimate_from_counts(counts, cfg, 1000)
     for a in range(3):
@@ -356,15 +352,15 @@ def test_rsrfd_estimator_exact_on_expected_counts(variant):
 
 
 def test_rsfd_estimate_monte_carlo_bias():
-    md = md_of([4, 3, 5])
-    freqs = dirichlet_freqs(md, 17)
+    ks = (4, 3, 5)
+    freqs = dirichlet_freqs(ks, 17)
     n, runs = 50_000, 20
     for variant in ("grr", "oue_z", "sue_r"):
         ests = []
         for r in range(runs):
             rng = stream(18, r)
-            rows = draw_rows(md, freqs, n, rng)
-            cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
+            rows = draw_rows(ks, freqs, n, rng)
+            cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
             batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batches, cfg))
         for a in range(3):
@@ -374,28 +370,28 @@ def test_rsfd_estimate_monte_carlo_bias():
 
 
 def test_rsfd_uniform_data_estimates_uniform():
-    md = md_of([4, 6])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    ks = (4, 6)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
     n, runs = 50_000, 20
     ests = []
     for r in range(runs):
         rng = stream(19, r)
-        rows = np.column_stack([rng.integers(0, k, n) for k in md.ks])
+        rows = np.column_stack([rng.integers(0, k, n) for k in ks])
         batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
         ests.append(mdm.rs_estimate(batches, cfg))
-    for a, k in enumerate(md.ks):
+    for a, k in enumerate(ks):
         arr = np.array([e[a] for e in ests])
         se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
         assert (np.abs(arr.mean(axis=0) - 1.0 / k) < 4 * se).all()
 
 
 def test_rsrfd_uniform_prior_degenerates_to_rsfd():
-    md = md_of([4, 3, 5])
-    freqs = dirichlet_freqs(md, 20)
-    rows = draw_rows(md, freqs, 20_000, stream(21, 0))
+    ks = (4, 3, 5)
+    freqs = dirichlet_freqs(ks, 20)
+    rows = draw_rows(ks, freqs, 20_000, stream(21, 0))
     for variant in ("grr", "sue_r", "oue_r"):
-        fd = mdm.CollectionConfig(md, "rs_fd", variant, 0.9)
-        rfd = mdm.CollectionConfig(md, "rs_rfd", variant, 0.9, mdm.uniform_priors(md))
+        fd = mdm.CollectionConfig(ks, "rs_fd", variant, 0.9)
+        rfd = mdm.CollectionConfig(ks, "rs_rfd", variant, 0.9, mdm.uniform_priors(ks))
         b1, s1 = mdm.rs_sanitize_batch(rows, fd, stream(22, 5))
         b2, s2 = mdm.rs_sanitize_batch(rows, rfd, stream(22, 5))
         assert np.array_equal(s1, s2)
@@ -408,21 +404,21 @@ def test_rsrfd_uniform_prior_degenerates_to_rsfd():
 
 
 def test_rsrfd_point_mass_prior_fake_slots_constant():
-    md = md_of([4, 5])
+    ks = (4, 5)
     priors = [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0, 0])]
     rows = np.column_stack([np.full(5000, 3), np.full(5000, 4)])
     batches, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", 1.0, priors), stream(23, 0))
+        rows, mdm.CollectionConfig(ks, "rs_rfd", "grr", 1.0, priors), stream(23, 0))
     assert (batches[0].data[sampled != 0] == 0).all()
     assert (batches[1].data[sampled != 1] == 2).all()
 
 
 def test_rsrfd_fake_slots_follow_prior():
-    md = md_of([3, 6])
-    priors = dirichlet_freqs(md, 24)
+    ks = (3, 6)
+    priors = dirichlet_freqs(ks, 24)
     rows = np.zeros((100_000, 2), dtype=int)
     batches, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(md, "rs_rfd", "grr", 1.0, priors), stream(25, 0))
+        rows, mdm.CollectionConfig(ks, "rs_rfd", "grr", 1.0, priors), stream(25, 0))
     fakes = batches[1].data[sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts, f_exp=len(fakes) * priors[1])
@@ -430,16 +426,16 @@ def test_rsrfd_fake_slots_follow_prior():
 
 
 def test_rsrfd_monte_carlo_bias():
-    md = md_of([4, 3, 5])
-    freqs = dirichlet_freqs(md, 26)
-    priors = dirichlet_freqs(md, 27)
+    ks = (4, 3, 5)
+    freqs = dirichlet_freqs(ks, 26)
+    priors = dirichlet_freqs(ks, 27)
     n, runs = 50_000, 20
     for variant in ("grr", "oue_r"):
         ests = []
         for r in range(runs):
             rng = stream(28, r)
-            rows = draw_rows(md, freqs, n, rng)
-            cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
+            rows = draw_rows(ks, freqs, n, rng)
+            cfg = mdm.CollectionConfig(ks, "rs_rfd", variant, 1.0, priors)
             batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batches, cfg))
         for a in range(3):
@@ -449,13 +445,13 @@ def test_rsrfd_monte_carlo_bias():
 
 
 def test_invalid_priors_rejected():
-    md = md_of([3, 4])
+    ks = (3, 4)
     with pytest.raises(ParameterError):
-        mdm.validate_priors([np.array([0.5, 0.5, 0.5]), np.full(4, 0.25)], md)
+        mdm.validate_priors([np.array([0.5, 0.5, 0.5]), np.full(4, 0.25)], ks)
     with pytest.raises(ParameterError):
-        mdm.validate_priors([np.array([0.7, 0.3])], md)
+        mdm.validate_priors([np.array([0.7, 0.3])], ks)
     with pytest.raises(ParameterError):
-        mdm.validate_priors([np.array([-0.1, 0.6, 0.5]), np.full(4, 0.25)], md)
+        mdm.validate_priors([np.array([-0.1, 0.6, 0.5]), np.full(4, 0.25)], ks)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +459,10 @@ def test_invalid_priors_rejected():
 # ---------------------------------------------------------------------------
 
 def test_variance_scales_inversely_with_n():
-    md = md_of([4, 3])
-    freqs = dirichlet_freqs(md, 36)
+    ks = (4, 3)
+    freqs = dirichlet_freqs(ks, 36)
     for variant in mdm.FAKE_DATA_VARIANTS["rs_fd"]:
-        cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
+        cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
         for v1, v2 in zip(mdm.rs_variance(freqs, cfg, 1000), mdm.rs_variance(freqs, cfg, 2000)):
             np.testing.assert_allclose(v1, 2 * v2, rtol=1e-12)
 
@@ -475,20 +471,40 @@ def test_variance_d1_reduces_to_pure_binomial():
     params = oc.protocol_params("grr", 1.0, 6)
     f = np.array([0.37, 0.13, 0.1, 0.2, 0.1, 0.1])
     expected = [oc.pure_estimator_variance(fv, params, 5000) for fv in f]
-    cfg = mdm.CollectionConfig(md_of([6]), "rs_fd", "grr", 1.0)
+    cfg = mdm.CollectionConfig((6,), "rs_fd", "grr", 1.0)
     got = mdm.rs_variance([f], cfg, 5000)[0]
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_variance_gamma_out_of_range():
-    md = md_of([3, 3, 3])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
+    ks = (3, 3, 3)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
     with pytest.raises(ParameterError):
         mdm.rs_variance([np.full(3, 5.0)] * 3, cfg, 100)
     with pytest.raises(ParameterError):
         mdm.rs_variance([np.full(3, np.nan)] * 3, cfg, 100)
     with pytest.raises(ParameterError):
-        mdm.CollectionConfig(md, "rs_fd", "ue_q", 1.0)
+        mdm.CollectionConfig(ks, "rs_fd", "ue_q", 1.0)
+
+
+@pytest.mark.parametrize("ks,match", [
+    ((), "at least one attribute"),
+    ((4, 0), "k=0 is degenerate"),
+    ((4, 1), "k=1 is degenerate"),
+    ((4, 2.0), "not an integer"),
+    ((4, "3"), "not an integer"),
+], ids=["empty", "k0", "k1", "float", "str"])
+@pytest.mark.parametrize("solution", ["rs_fd", "rs_rfd"])
+def test_collection_config_refuses_bad_ks(ks, match, solution):
+    # refused when the config is built: k = 0 would otherwise divide by zero in
+    # uniform_priors, and k = 1 would fail only at the first params(a), mid-sanitize
+    with pytest.raises(DomainError, match=match):
+        mdm.CollectionConfig(ks, solution, "grr", 1.0, mdm.uniform_priors((4, 4)))
+
+
+def test_collection_config_stores_ks_as_ints():
+    cfg = mdm.CollectionConfig([np.int64(3), 4], "rs_fd", "grr", 1.0)
+    assert cfg.ks == (3, 4) and all(type(k) is int for k in cfg.ks)
 
 
 def test_check_collection_decides_every_pair():
@@ -502,20 +518,20 @@ def test_check_collection_decides_every_pair():
             mdm.check_collection(solution, protocol)
     # the fake-data engine itself does not run smp
     with pytest.raises(ParameterError, match="not a fake-data solution"):
-        mdm.CollectionConfig(md_of([2, 3]), "smp", "grr", 1.0)
+        mdm.CollectionConfig((2, 3), "smp", "grr", 1.0)
 
 
 def test_variance_matches_monte_carlo():
-    md = md_of([4, 3, 5])
-    freqs = dirichlet_freqs(md, 29)
-    priors = dirichlet_freqs(md, 30)
+    ks = (4, 3, 5)
+    freqs = dirichlet_freqs(ks, 29)
+    priors = dirichlet_freqs(ks, 30)
     n, runs = 50_000, 200
     for variant in ("grr", "oue_r"):
-        cfg = mdm.CollectionConfig(md, "rs_rfd", variant, 1.0, priors)
+        cfg = mdm.CollectionConfig(ks, "rs_rfd", variant, 1.0, priors)
         ests = []
         for r in range(runs):
             rng = stream(31, r)
-            rows = draw_rows(md, freqs, n, rng)
+            rows = draw_rows(ks, freqs, n, rng)
             batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batches, cfg)[0])
         arr = np.array(ests)
@@ -526,15 +542,15 @@ def test_variance_matches_monte_carlo():
 
 def test_rsfd_variance_matches_monte_carlo():
     # rs_fd fakes are uniform (mass 1/k per value); sue_z fakes carry no mass
-    md = md_of([4, 3, 5])
-    freqs = dirichlet_freqs(md, 34)
+    ks = (4, 3, 5)
+    freqs = dirichlet_freqs(ks, 34)
     n, runs = 10_000, 400
     for variant in ("grr", "sue_z", "oue_r"):
-        cfg = mdm.CollectionConfig(md, "rs_fd", variant, 1.0)
+        cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
         ests = []
         for r in range(runs):
             rng = stream(35, r)
-            rows = draw_rows(md, freqs, n, rng)
+            rows = draw_rows(ks, freqs, n, rng)
             batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             ests.append(mdm.rs_estimate(batches, cfg))
         for a, theo in enumerate(mdm.rs_variance(freqs, cfg, n)):
@@ -550,7 +566,7 @@ def test_sampled_slot_satisfies_amplified_ratio():
     for d in (2, 3, 5):
         for eps in (0.5, 1.0, 2.0):
             eps_amp = mdm.amplified_epsilon(eps, d)
-            params = mdm.CollectionConfig(md_of([4] * d), "rs_fd", "grr", eps).params(0)
+            params = mdm.CollectionConfig((4,) * d, "rs_fd", "grr", eps).params(0)
             mat = np.full((4, 4), params.q)
             np.fill_diagonal(mat, params.p)
             worst = (mat.max(axis=0) / mat.min(axis=0)).max()
@@ -559,16 +575,16 @@ def test_sampled_slot_satisfies_amplified_ratio():
 
 
 def test_estimation_error_shrinks_as_sqrt_n():
-    md = md_of([4, 3, 5])
-    cfg = mdm.CollectionConfig(md, "rs_fd", "grr", 1.0)
-    freqs = dirichlet_freqs(md, 32)
+    ks = (4, 3, 5)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
+    freqs = dirichlet_freqs(ks, 32)
     ns = [10_000, 40_000, 160_000]
     mean_err = []
     for n in ns:
         errs = []
         for r in range(16):
             rng = stream(33, n, r)
-            rows = draw_rows(md, freqs, n, rng)
+            rows = draw_rows(ks, freqs, n, rng)
             batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
             est = mdm.rs_estimate(batches, cfg)
             errs.append(max(np.abs(est[a] - freqs[a]).max() for a in range(3)))

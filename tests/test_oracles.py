@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldpsim import oracles as oc
-from ldpsim.errors import DomainError, NonIdentifiableError, ParameterError
+from ldpsim.errors import DomainError, ParameterError
 from ldpsim.rng import splitmix64, stream
 
 
@@ -226,20 +226,6 @@ def test_estimate_monte_carlo_within_formula_variance():
         assert abs(est[v] - emp_f[v]) < 3 * sd
 
 
-def test_estimate_epsilon_zero_path():
-    params = oc.protocol_params("grr", 1.0, 3)
-    bad = oc.ProtocolParams.__new__(oc.ProtocolParams)
-    object.__setattr__(bad, "protocol", "grr")
-    object.__setattr__(bad, "epsilon", 0.0)
-    object.__setattr__(bad, "k", 3)
-    object.__setattr__(bad, "p", 1 / 3)
-    object.__setattr__(bad, "q", 1 / 3)
-    object.__setattr__(bad, "aux", None)
-    with pytest.raises(NonIdentifiableError):
-        oc.estimate_from_counts(np.array([1, 1, 1]), 3, bad)
-    del params
-
-
 @pytest.mark.parametrize("n", [0, -1])
 def test_estimator_variance_needs_a_sample(n):
     with pytest.raises(ParameterError, match="sample size"):
@@ -357,10 +343,3 @@ def test_report_stream_determinism():
             assert np.array_equal(b1.data[1], b2.data[1])
         else:
             assert np.array_equal(b1.data, b2.data)
-
-
-def test_attribute_domain_validation():
-    dom = oc.AttributeDomain("color", ("red", "green", "blue"))
-    assert dom.k == 3
-    with pytest.raises(DomainError):
-        oc.AttributeDomain("dup", ("a", "a"))
