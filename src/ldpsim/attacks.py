@@ -38,7 +38,7 @@ from .oracles import (
     protocol_params,
     randomize_batch,
 )
-from .rng import chunk_rows, hash_matches, stream
+from .rng import block_rows, chunk_rows, hash_match_blocks, stream
 
 # sampled-attribute inference models, in the order of their random streams
 ATTACK_MODELS = ("nk", "pk", "hm")
@@ -52,62 +52,74 @@ PASS_THROUGH_EPSILON = 50.0
 # Per-report value prediction
 # ---------------------------------------------------------------------------
 
-def _pick_from_rows(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _pick_from_rows(blocks, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform pick of a set column per row of an (n, k) 0/1 matrix.
 
-    Rows with no set column fall back to a uniform draw over [0, k).  The
-    running counts are kept column-major in one (k, n) array of
+    ``blocks`` yields ``(lo, hi, rows)`` in row order, ``rows`` being the
+    matrix's rows [lo, hi) as uint8 (any layout), at most ``block_rows(k)``
+    of them.  Rows with no set column fall back to a uniform draw over
+    [0, k).  Each block's running counts
+    are kept column-major in one (k, width) buffer of
     ``np.min_scalar_type(k)`` (uint8 up to k = 255, uint16 beyond), filled
-    per row chunk by a cumsum down axis 0, so every step is a contiguous
-    vector add; its last row gives the counts.  The pick is the first j
-    with ``cs[j] > r``, which, as ``cs`` never decreases, is the number of
-    j with ``cs[j] <= r``, counted over the k rows of ``cs``.  ``r`` for
-    all rows, then the empty-row values, are each one ``rng.integers``
-    call: drawing both per chunk would interleave them and change the
-    stream.
+    per ``chunk_rows(k)`` sub-step by a cumsum down axis 0, so every step is
+    a contiguous vector add; its last row gives the counts.  The buffer's
+    width is an odd number of 64-element lines: a power-of-two row stride
+    would map each column onto one cache set.  The pick is the first j with
+    ``cs[j] > r``, which, as ``cs`` never decreases, is the number of j with
+    ``cs[j] <= r``: one compare into a bool buffer of the same shape, summed
+    down axis 0 in ``np.min_scalar_type(k + 1)``.  Each block draws its
+    own ``r`` in one ``rng.integers`` call, which yields the values, and
+    leaves the generator in the state, of one call over all n rows; the
+    empty-row values follow all blocks in one more call.
     """
-    n = len(matrix)
     dt = np.min_scalar_type(k)
-    cs = np.empty((k, n), dtype=dt)
-    rows = chunk_rows(k)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        np.cumsum(matrix[lo:hi].T, axis=0, dtype=dt, out=cs[:, lo:hi])
-    counts = cs[-1]
-    r = rng.integers(0, np.maximum(counts, 1)).astype(dt)
-    pred = np.zeros(n, dtype=np.min_scalar_type(k + 1))
-    at_most = np.empty(n, dtype=bool)
-    for row in cs:
-        np.less_equal(row, r, out=at_most)
-        pred += at_most
-    pred = pred.astype(np.int64)
-    empty = counts == 0
-    if empty.any():
-        pred[empty] = rng.integers(0, k, int(empty.sum()))
+    sub = chunk_rows(k)
+    width = ((min(n, block_rows(k)) + 63) // 64 | 1) * 64
+    cs = np.empty((k, width), dtype=dt)
+    at_most = np.empty((k, width), dtype=bool)
+    picks = np.empty(width, dtype=np.min_scalar_type(k + 1))
+    pred = np.empty(n, dtype=np.int64)
+    empty = [np.empty(0, dtype=np.intp)]
+    for lo, hi, rows in blocks:
+        m = hi - lo
+        c, le = cs[:, :m], at_most[:, :m]
+        for s in range(0, m, sub):
+            np.cumsum(rows[s : s + sub].T, axis=0, dtype=dt, out=c[:, s : s + sub])
+        counts = c[-1]
+        r = rng.integers(0, np.maximum(counts, 1)).astype(dt)
+        empty.append(lo + np.flatnonzero(counts == 0))
+        np.less_equal(c, r, out=le)
+        pred[lo:hi] = np.add.reduce(le.view(np.uint8), axis=0, out=picks[:m])
+    empty = np.concatenate(empty)
+    if len(empty):
+        pred[empty] = rng.integers(0, k, len(empty))
     return pred
 
 
 def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
-    """Attacker's most-likely-value guess for every report in the batch.
+    """Attacker's most-likely-value guess (int64) for every report in the batch.
 
     GRR reports are taken at face value; OLH picks uniformly among the
     candidates hashing to the reported bucket; SS picks uniformly inside
     the subset; UE picks a uniform set bit, or a uniform domain value when
-    no bit is set.
+    no bit is set.  OLH matches stream from ``hash_match_blocks`` straight
+    into the pick, and UE bits go in as row blocks of the same size.
     """
     params = batch.params
     k = params.k
     proto = params.protocol
+    n = len(batch)
     if proto == "grr":
         return batch.data.copy()
     if proto == "olh":
         seeds, buckets = batch.data
-        return _pick_from_rows(hash_matches(seeds, buckets, k, params.aux).view(np.uint8), k, rng)
+        return _pick_from_rows(hash_match_blocks(seeds, buckets, k, params.aux), n, k, rng)
     if proto == "ss":
-        n, omega = batch.data.shape
-        pick = rng.integers(0, omega, n)
-        return batch.data[np.arange(n), pick]
-    return _pick_from_rows(batch.data, k, rng)
+        pick = rng.integers(0, params.aux, n)
+        return batch.data[np.arange(n), pick].astype(np.int64)
+    rows = block_rows(k)
+    blocks = ((lo, min(lo + rows, n), batch.data[lo : lo + rows]) for lo in range(0, n, rows))
+    return _pick_from_rows(blocks, n, k, rng)
 
 
 def analytic_acc(protocol: str, epsilon: float, k: int) -> float:

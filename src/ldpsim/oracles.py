@@ -12,9 +12,11 @@ where ``C(v)`` counts the sanitized reports that support value ``v``.
 
 The batch kernels whose work is (n, k) -- SS keys, UE bits, OLH support
 hashing -- run over row chunks of ``rng.chunk_rows(k)`` rows, so their
-temporaries stay O(rows * k) and cache-sized.  A chunked
+temporaries stay O(rows * k) and cache-sized; OLH support counts sum the
+matches of ``rng.hash_match_blocks`` one block at a time.  A chunked
 ``rng.random((rows, k))`` draw yields the values of one (n, k) draw, so
-chunking changes no random stream.
+chunking changes no random stream.  The only (n, k) array any of them makes
+is a UE batch's own bits.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .rng import chunk_rows, draw_hash_seeds, hash_bucket, hash_matches
+from .rng import CHUNK_ELEMENTS, chunk_rows, draw_hash_seeds, hash_bucket, hash_match_blocks
 
 PROTOCOLS = ("grr", "olh", "ss", "sue", "oue")
 
@@ -120,7 +122,8 @@ class ReportBatch:
     ``data`` layout by protocol:
       grr      -> int array (n,)
       olh      -> (uint64 seeds (n,), int buckets (n,))
-      ss       -> int array (n, omega), rows sorted
+      ss       -> (n, omega) array of ``np.min_scalar_type(k - 1)`` (uint8
+                  up to k = 256, uint16 beyond), rows sorted
       sue/oue  -> uint8 array (n, k)
     """
 
@@ -169,10 +172,12 @@ def randomize_batch(
         # is never drawn as an "other"; omega = 1 needs only the argmin.  Rows
         # are sorted, so only the set of the omega smallest keys matters: an
         # argpartition gives it, with the omega-th smallest at slot omega - 1,
-        # which included rows replace by their true value
+        # which included rows replace by their true value.  Reports take the
+        # narrowest dtype that holds k - 1; each chunk sorts its int64 indices
+        # before narrowing, as numpy's row sort is slower on uint8
         omega = params.aux
         include = rng.random(n) < params.p
-        out = np.empty((n, omega), dtype=np.int64)
+        out = np.empty((n, omega), dtype=np.min_scalar_type(k - 1))
         rows = chunk_rows(k)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
@@ -182,9 +187,10 @@ def randomize_batch(
             if omega == 1:
                 o[:, 0] = np.where(inc, values[lo:hi], keys.argmin(axis=1))
             else:
-                o[:] = np.argpartition(keys, omega - 1, axis=1)[:, :omega]
-                o[inc, omega - 1] = values[lo:hi][inc]
-                o.sort(axis=1)
+                picked = np.argpartition(keys, omega - 1, axis=1)[:, :omega]
+                picked[inc, omega - 1] = values[lo:hi][inc]
+                picked.sort(axis=1)
+                o[:] = picked
         return ReportBatch(params, out)
 
     return ReportBatch(params, unary_bits(n, k, params.q, rng, values, params.p))
@@ -225,9 +231,17 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
         return np.bincount(batch.data, minlength=k).astype(np.int64)
     if proto == "olh":
         seeds, buckets = batch.data
-        return hash_matches(seeds, buckets, k, params.aux).sum(axis=0, dtype=np.int64)
+        counts = np.zeros(k, dtype=np.int64)
+        for _, _, matches in hash_match_blocks(seeds, buckets, k, params.aux):
+            counts += matches.sum(axis=0, dtype=np.int64)
+        return counts
     if proto == "ss":
-        return np.bincount(batch.data.ravel(), minlength=k).astype(np.int64)
+        # bincount casts its input to intp: count the narrow reports in chunks
+        flat = batch.data.ravel()
+        counts = np.zeros(k, dtype=np.int64)
+        for lo in range(0, len(flat), CHUNK_ELEMENTS):
+            counts += np.bincount(flat[lo : lo + CHUNK_ELEMENTS], minlength=k)
+        return counts
     return batch.data.sum(axis=0, dtype=np.int64)
 
 

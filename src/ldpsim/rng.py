@@ -6,9 +6,11 @@ order in which parallel workers execute can never change a result.
 
 The 64-bit mixing function used by the hashing oracle is SplitMix64, chosen
 because it is bit-exact reproducible from its published constants in any
-language.  ``hash_matches`` evaluates it for every (report, candidate) pair
-in cache-sized row chunks (``CHUNK_ELEMENTS``, the row budget every (n, k)
-kernel shares), reducing modulo g with a floor-divide remainder.
+language.  ``hash_match_blocks`` evaluates it for every (report, candidate)
+pair and hands the matches on one row block at a time, so no (n, k) array
+is ever held; it works in cache-sized row chunks (``CHUNK_ELEMENTS``, the
+row budget every (n, k) kernel shares), reducing modulo g with a
+floor-divide remainder.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ CHUNK_ELEMENTS = 1 << 15
 def chunk_rows(k: int) -> int:
     """Rows per chunk of an (n, k) kernel."""
     return max(1, CHUNK_ELEMENTS // k)
+
+
+def block_rows(k: int) -> int:
+    """Rows per block that a streamed (n, k) kernel hands on: 8 chunks.
+
+    A consumer's fixed cost per block (the attacker's pick makes about ten
+    numpy calls on each) is then paid once per 8 chunks, not per chunk.
+    """
+    return 8 * chunk_rows(k)
 
 
 def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -66,36 +77,41 @@ def hash_bucket(seed: np.ndarray, value: np.ndarray, g: int) -> np.ndarray:
     return (mixed % np.uint64(g)).astype(np.int64)
 
 
-def hash_matches(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int) -> np.ndarray:
-    """(n, k) bool matrix: ``hash_bucket(seeds[i], v, g) == buckets[i]``.
+def hash_match_blocks(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int):
+    """Yield ``(lo, hi, matches)`` over row blocks of ``block_rows(k)`` rows.
 
+    ``matches`` is the (hi - lo, k) uint8 0/1 matrix of
+    ``hash_bucket(seeds[i], v, g) == buckets[i]`` for rows i in [lo, hi).
+    It is one buffer, overwritten by the next block: copy it to keep it.
     The candidate hashes ``splitmix64(v)`` are computed once; the outer
     SplitMix64, the ``% g`` and the compare run in place on two reused
-    uint64 buffers of ``chunk_rows(k)`` rows, so the only (n, k) array is
-    the bool result.  The ``% g`` is taken as ``z - (z // g) * g``: numpy's
-    uint64 floor-divide by a scalar is several times faster than its
-    remainder, and the result is exact with no overflow, as
-    ``(z // g) * g <= z``.
+    uint64 buffers of ``chunk_rows(k)`` rows.  The ``% g`` is taken as
+    ``z - (z // g) * g``: numpy's uint64 floor-divide by a scalar is several
+    times faster than its remainder, and the result is exact with no
+    overflow, as ``(z // g) * g <= z``.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    buckets = np.asarray(buckets).astype(np.uint64)
+    buckets = np.asarray(buckets)
     n = len(seeds)
-    out = np.empty((n, k), dtype=bool)
     cand = splitmix64(np.arange(k, dtype=np.uint64))
-    rows = chunk_rows(k)
+    rows, block = chunk_rows(k), block_rows(k)
     z = np.empty((min(rows, n), k), dtype=np.uint64)
     tmp = np.empty_like(z)
+    out = np.empty((min(block, n), k), dtype=np.uint8)
     g = np.uint64(g)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        zc, tc = z[: hi - lo], tmp[: hi - lo]
-        np.bitwise_xor(seeds[lo:hi, None], cand, out=zc)
-        _splitmix64_inplace(zc, tc)
-        np.floor_divide(zc, g, out=tc)
-        tc *= g
-        zc -= tc
-        np.equal(zc, buckets[lo:hi, None], out=out[lo:hi])
-    return out
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        for s in range(lo, hi, rows):
+            e = min(s + rows, hi)
+            zc, tc = z[: e - s], tmp[: e - s]
+            np.bitwise_xor(seeds[s:e, None], cand, out=zc)
+            _splitmix64_inplace(zc, tc)
+            np.floor_divide(zc, g, out=tc)
+            tc *= g
+            zc -= tc
+            np.equal(zc, buckets[s:e, None].astype(np.uint64),
+                     out=out[s - lo : e - lo].view(bool))
+        yield lo, hi, out[: hi - lo]
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:

@@ -3,14 +3,17 @@
 Each reference below is the earlier (n, k) implementation, kept verbatim in
 spirit: one ``rng.random((n, k))`` draw, an int64 cumsum, a broadcast hash.
 The kernels must return the same arrays and leave the generator in the same
-state (the next ``rng.random()`` agrees), at row counts around the chunk
-boundaries, at k = 300 (uint16 cumsum), for SS subset sizes 1 and > 1 and
-for OLH bucket counts that are and are not powers of two.  The uniform pick
-is also checked at k = 255 / 256, where its count dtype widens, on all-0 and
-all-1 rows and on inputs that are not C-contiguous; the OLH match kernel at
-bucket counts near 2^63.  The naive-Bayes predict, which scores fixed row
-blocks, is checked against the whole-matrix scorer at row counts around its
-block size.  The re-identification rank kernel, which counts matches on
+state (the next ``rng.random()`` agrees), at row counts around the chunk and
+block boundaries, at k = 300 (uint16 cumsum), for SS subset sizes 1 and > 1
+and for OLH bucket counts that are and are not powers of two.  The streamed
+OLH matches are stacked and compared whole.  The uniform pick is also checked
+at k = 255 / 256, where its count dtype widens, on all-0 and all-1 rows, on
+blocks that are not C-contiguous and on blocks of growing size, and the numpy
+property it rests on (bounded integers drawn per block equal one draw) is
+pinned.  SS reports are checked at k = 256 / 257, where their dtype widens;
+the OLH match kernel at bucket counts near 2^63.  The naive-Bayes predict,
+which scores fixed row blocks, is checked against the whole-matrix scorer at
+row counts around its block size.  The re-identification rank kernel, which counts matches on
 per-(column, value) record bitsets, is checked against the single-pass kernel
 for fk and pk columns, users with no known column, a group larger than a
 block, tie counts past 255, values compared in int16, record counts with and
@@ -30,7 +33,7 @@ from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
 from ldpsim.datasets import load_fixture
 from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
-from ldpsim.rng import chunk_rows, hash_matches, stream
+from ldpsim.rng import block_rows, chunk_rows, hash_match_blocks, stream
 
 KS = (2, 74, 300)
 
@@ -151,6 +154,24 @@ def _pair(seed, k, n):
     return stream(seed, k, n, 1), stream(seed, k, n, 1)
 
 
+def _blocks(matrix, rows):
+    """``(lo, hi, rows)`` blocks of ``matrix``, as the streamed kernels hand them on."""
+    n = len(matrix)
+    return ((lo, min(lo + rows, n), matrix[lo:lo + rows]) for lo in range(0, n, rows))
+
+
+def _olh_matches(seeds, buckets, k, g):
+    """The blocks of ``hash_match_blocks``, copied and stacked; they must tile [0, n)."""
+    parts, end = [np.empty((0, k), dtype=np.uint8)], 0
+    for lo, hi, matches in hash_match_blocks(seeds, buckets, k, g):
+        assert lo == end and hi - lo == len(matches) <= block_rows(k)
+        assert matches.dtype == np.uint8
+        parts.append(matches.copy())
+        end = hi
+    assert end == len(seeds)
+    return np.concatenate(parts)
+
+
 # ---------------------------------------------------------------------------
 # Byte identity
 # ---------------------------------------------------------------------------
@@ -165,11 +186,27 @@ def test_ss_randomize_matches_reference(k, n, eps):
     ref = _ref_ss(values, params.p, params.aux, k, ref_rng)
     np.testing.assert_array_equal(got, ref)
     assert rng.random() == ref_rng.random()
+    np.testing.assert_array_equal(oc.support_counts(oc.ReportBatch(params, got)),
+                                  np.bincount(ref.ravel(), minlength=k))
 
 
 def test_ss_grid_has_both_subset_sizes():
     omegas = {oc.protocol_params("ss", eps, k).aux > 1 for k in KS for eps in (1.0, 4.0)}
     assert omegas == {False, True}
+
+
+@pytest.mark.parametrize("k,dtype", [(256, np.uint8), (257, np.uint16)])
+def test_ss_reports_take_the_narrowest_dtype(k, dtype):
+    params = oc.protocol_params("ss", 1.0, k)
+    n = 300
+    values = _values(k, n, 68)
+    values[::4] = k - 1  # the largest value the dtype must hold
+    rng, ref_rng = _pair(68, k, n)
+    batch = oc.randomize_batch(values, params, rng)
+    assert batch.data.dtype == dtype
+    np.testing.assert_array_equal(batch.data, _ref_ss(values, params.p, params.aux, k, ref_rng))
+    assert (batch.data == k - 1).any()
+    assert atk.predict_batch(batch, rng).dtype == np.int64
 
 
 @pytest.mark.parametrize("k,n", _grid())
@@ -210,7 +247,7 @@ def test_olh_predict_and_counts_match_reference(k, n, eps):
     oc.randomize_batch(values, params, ref_rng)  # GRR on buckets: untouched here
     seeds, buckets = batch.data
     ref_matches = _ref_olh_matches(seeds, buckets, k, g)
-    np.testing.assert_array_equal(hash_matches(seeds, buckets, k, g), ref_matches)
+    np.testing.assert_array_equal(_olh_matches(seeds, buckets, k, g), ref_matches)
     np.testing.assert_array_equal(oc.support_counts(batch), ref_matches.sum(axis=0))
     pred = atk.predict_batch(batch, rng)
     ref_pred = _ref_pick_from_rows(ref_matches, ref_matches.sum(axis=1), k, ref_rng)
@@ -224,7 +261,7 @@ def test_pick_from_rows_matches_reference(k, n, density):
     # density 0.97 at k = 300 puts more than 255 set bits in a row
     matrix = (stream(35, k, n).random((n, k)) < density).astype(np.uint8)
     rng, ref_rng = _pair(35, k, n)
-    pred = atk._pick_from_rows(matrix, k, rng)
+    pred = atk._pick_from_rows(_blocks(matrix, block_rows(k)), n, k, rng)
     ref = _ref_pick_from_rows(matrix, matrix.sum(axis=1), k, ref_rng)
     np.testing.assert_array_equal(pred, ref)
     assert rng.random() == ref_rng.random()
@@ -255,10 +292,62 @@ def test_pick_from_rows_edges_match_reference(k, layout):
     np.testing.assert_array_equal(matrix, _edge_rows(k, n))
     assert matrix.flags.c_contiguous == (layout == "c")
     rng, ref_rng = _pair(38, k, n)
-    pred = atk._pick_from_rows(matrix, k, rng)
+    pred = atk._pick_from_rows(_blocks(matrix, chunk_rows(k) + 5), n, k, rng)
     ref = _ref_pick_from_rows(matrix, matrix.sum(axis=1), k, ref_rng)
     np.testing.assert_array_equal(pred, ref)
     assert pred.dtype == np.int64
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("dtype,top", [(np.uint8, 255), (np.uint16, 65535), (np.int64, 1 << 40)])
+def test_bounded_integers_drawn_in_blocks_equal_one_call(dtype, top):
+    # the pick draws each block's r by itself, which rests on numpy's bounded
+    # integers giving the values, and leaving the generator in the state, of
+    # one call over all rows; a bound of 1 (an empty or one-bit row) draws nothing
+    bounds = stream(64, 0).integers(1, top + 1, 5000).astype(dtype)
+    bounds[::7] = 1
+    bounds[1::7] = top
+    one, blocked = stream(65, 0), stream(65, 0)
+    whole = one.integers(0, bounds)
+    parts = [blocked.integers(0, bounds[lo:lo + 337]) for lo in range(0, len(bounds), 337)]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+    assert one.random() == blocked.random()
+
+
+def test_pick_from_rows_takes_blocks_of_any_size():
+    # blocks of 1, 2, 3, ... rows: each block draws its own r, and the rows
+    # with no set bit (about 2 %) draw after the last block
+    k, n = 74, 2000
+    matrix = (stream(66, 0).random((n, k)) < 0.05).astype(np.uint8)
+    assert (matrix.sum(axis=1) == 0).any()
+    edges = np.unique(np.minimum(np.cumsum(np.arange(64)), n))
+    assert edges[0] == 0 and edges[-1] == n
+    rng, ref_rng = _pair(66, k, n)
+    pred = atk._pick_from_rows(((lo, hi, matrix[lo:hi]) for lo, hi in zip(edges, edges[1:])),
+                               n, k, rng)
+    np.testing.assert_array_equal(pred, _ref_pick_from_rows(matrix, matrix.sum(axis=1), k,
+                                                            ref_rng))
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("k,n", [(k, b + d) for k in KS for b in [block_rows(k)]
+                                 for d in (-1, 0, 1, b + 3)])
+@pytest.mark.parametrize("proto", ["oue", "olh"])
+def test_streamed_predict_and_counts_match_reference_across_blocks(proto, k, n):
+    params = oc.protocol_params(proto, 1.0, k)
+    values = _values(k, n, 67)
+    rng, ref_rng = _pair(67, k, n)
+    batch = oc.randomize_batch(values, params, rng)
+    if proto == "olh":
+        oc.randomize_batch(values, params, ref_rng)
+        ref = _ref_olh_matches(*batch.data, k, params.aux)
+        np.testing.assert_array_equal(_olh_matches(*batch.data, k, params.aux), ref)
+    else:
+        ref = _ref_ue(values, params.p, params.q, k, ref_rng)
+        np.testing.assert_array_equal(batch.data, ref)
+    np.testing.assert_array_equal(oc.support_counts(batch), ref.sum(axis=0))
+    pred = atk.predict_batch(batch, rng)
+    np.testing.assert_array_equal(pred, _ref_pick_from_rows(ref, ref.sum(axis=1), k, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
@@ -275,7 +364,7 @@ def test_hash_matches_near_the_bucket_limit(g):
     true = _ref_hash(seeds, values, g)
     neighbour = np.where(true > 0, true - 1, true + 1)
     for buckets in (true, neighbour):
-        got = hash_matches(seeds, buckets, k, g)
+        got = _olh_matches(seeds, buckets, k, g)
         np.testing.assert_array_equal(got, _ref_olh_matches(seeds, buckets, k, g))
         np.testing.assert_array_equal(got[rows, values], buckets is true)
 
@@ -516,18 +605,35 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("proto", ["sue", "olh"])
+@pytest.mark.parametrize("proto", ["sue", "olh", "ss"])
 def test_randomize_and_predict_peak_memory_bounded(proto):
-    # the whole-matrix kernels peaked near 18 x n*k bytes (float64 / int64 temporaries)
-    n, k = 50_000, 74
+    # the whole-matrix kernels peaked near 18 x n*k bytes (float64 / int64 temporaries);
+    # a (k, n) count array and the (n, k) OLH match matrix put UE / OLH predict at
+    # 1.23 / 2.24 x n*k, and int64 reports SS randomize at 2.32
+    n_small, n, k = 10_000, 50_000, 74
     params = oc.protocol_params(proto, 1.0, k)
-    values = _values(k, n, 36)
-    rng = stream(36, 0)
-    batch, peak = _traced_peak(lambda: oc.randomize_batch(values, params, rng))
+
+    def run(m):
+        values = _values(k, m, 36)
+        rng = stream(36, 0)
+        batch, randomize = _traced_peak(lambda: oc.randomize_batch(values, params, rng))
+        pred, predict = _traced_peak(lambda: atk.predict_batch(batch, rng))
+        assert pred.dtype == np.int64
+        return batch, randomize, predict
+
+    _, _, small = run(n_small)
+    batch, randomize, predict = run(n)
+    if proto == "ss":
+        assert batch.data.dtype == np.uint8
+        assert randomize < n * k
+        # bincount casts to intp: one copy of the uint8 reports would be 8 x their bytes
+        assert _traced_peak(lambda: oc.support_counts(batch))[1] < batch.data.nbytes / 2
+        return
     if proto == "sue":
-        assert peak < 1.5 * n * k
-    _, peak = _traced_peak(lambda: atk.predict_batch(batch, rng))
-    assert peak < 3 * n * k
+        assert randomize < 1.5 * n * k
+    assert predict < n * k
+    # only the int64 output grows with n; 64 KiB covers the interpreter's own small objects
+    assert predict - small <= 8 * (n - n_small) + 64 * 1024
 
 
 def test_nb_predict_peak_memory_bounded():
