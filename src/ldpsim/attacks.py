@@ -33,12 +33,8 @@ from .multidim import (
     rs_sanitize_batch,
     smp_sample,
 )
-from .oracles import (
-    ReportBatch,
-    protocol_params,
-    randomize_batch,
-)
-from .rng import block_rows, chunk_rows, hash_match_blocks, stream
+from .oracles import ReportBatch, protocol_params, randomize_batch, support_blocks
+from .rng import block_rows, chunk_rows, stream
 
 # sampled-attribute inference models, in the order of their random streams
 ATTACK_MODELS = ("nk", "pk", "hm")
@@ -99,27 +95,20 @@ def _pick_from_rows(blocks, n: int, k: int, rng: np.random.Generator) -> np.ndar
 def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
     """Attacker's most-likely-value guess (int64) for every report in the batch.
 
-    GRR reports are taken at face value; OLH picks uniformly among the
-    candidates hashing to the reported bucket; SS picks uniformly inside
-    the subset; UE picks a uniform set bit, or a uniform domain value when
-    no bit is set.  OLH matches stream from ``hash_match_blocks`` straight
-    into the pick, and UE bits go in as row blocks of the same size.
+    GRR reports are taken at face value; SS picks uniformly inside the
+    subset; OLH and UE pick uniformly inside the report's support (the
+    candidates hashing to the reported bucket, the set bits), or a uniform
+    domain value when it is empty.  Their supports stream from
+    ``oracles.support_blocks`` straight into the pick.
     """
     params = batch.params
-    k = params.k
-    proto = params.protocol
     n = len(batch)
-    if proto == "grr":
+    if params.protocol == "grr":
         return batch.data.copy()
-    if proto == "olh":
-        seeds, buckets = batch.data
-        return _pick_from_rows(hash_match_blocks(seeds, buckets, k, params.aux), n, k, rng)
-    if proto == "ss":
+    if params.protocol == "ss":
         pick = rng.integers(0, params.aux, n)
         return batch.data[np.arange(n), pick].astype(np.int64)
-    rows = block_rows(k)
-    blocks = ((lo, min(lo + rows, n), batch.data[lo : lo + rows]) for lo in range(0, n, rows))
-    return _pick_from_rows(blocks, n, k, rng)
+    return _pick_from_rows(support_blocks(batch), n, params.k, rng)
 
 
 def analytic_acc(protocol: str, epsilon: float, k: int) -> float:
@@ -314,15 +303,17 @@ class SurveysConfig:
     """How the server structures repeated collections."""
 
     count: int = 5
-    min_frac: float = 0.5       # each survey draws at least ceil(d * min_frac) attrs
-    all_attributes: bool = False
+    all_attributes: bool = False  # else each survey draws _half_or_more of the attributes
 
     def __post_init__(self):
-        # RID is scored from survey 2 on; min_frac > 0 keeps every survey's pool non-empty
+        # RID is scored from survey 2 on
         if self.count < 2:
             raise ParameterError(f"survey count must be >= 2, got {self.count!r}")
-        if not 0 < self.min_frac <= 1:
-            raise ParameterError(f"survey min_frac must lie in (0, 1], got {self.min_frac!r}")
+
+
+def _half_or_more(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A sorted uniform draw of ceil(d/2) to d of the d columns, its size uniform first."""
+    return np.sort(rng.choice(d, size=int(rng.integers(math.ceil(d / 2), d + 1)), replace=False))
 
 
 def run_reident_experiment(
@@ -382,20 +373,9 @@ def run_reident_experiment(
 
     for run in range(runs):
         struct = stream(seed, 101, run)
-        subsets = []
-        for _ in range(surveys.count):
-            if surveys.all_attributes:
-                attrs = np.arange(d)
-            else:
-                lo = math.ceil(d * surveys.min_frac)
-                dsv = int(struct.integers(lo, d + 1))
-                attrs = np.sort(struct.choice(d, size=dsv, replace=False))
-            subsets.append(attrs)
-        if attack_mode == "pk":
-            dpk = int(struct.integers(math.ceil(d / 2), d + 1))
-            bk_cols = np.sort(struct.choice(d, size=dpk, replace=False))
-        else:
-            bk_cols = np.arange(d)
+        subsets = [np.arange(d) if surveys.all_attributes else _half_or_more(d, struct)
+                   for _ in range(surveys.count)]
+        bk_cols = _half_or_more(d, struct) if attack_mode == "pk" else np.arange(d)
 
         flags: list[str] = []
         rng_rep = stream(seed, 202, run)

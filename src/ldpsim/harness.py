@@ -78,20 +78,17 @@ _ACCEPTED = {int: (int, np.integer), float: (int, float, np.integer, np.floating
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval as a key domain; ``value in interval`` tests membership."""
+    """A real interval, open above, as a key domain; ``value in interval`` tests membership."""
 
     lo: float
     hi: float = math.inf
     lo_open: bool = False
-    hi_open: bool = True
 
     def __contains__(self, value) -> bool:
-        above = self.lo < value if self.lo_open else self.lo <= value
-        below = value < self.hi if self.hi_open else value <= self.hi
-        return above and below
+        return (self.lo < value if self.lo_open else self.lo <= value) and value < self.hi
 
     def __str__(self) -> str:
-        return f"{'[('[self.lo_open]}{self.lo:g}, {self.hi:g}{'])'[self.hi_open]}"
+        return f"{'[('[self.lo_open]}{self.lo:g}, {self.hi:g})"
 
 
 _POSITIVE = Interval(0, lo_open=True)
@@ -156,8 +153,6 @@ class ExperimentConfig:
     # reident; RID is scored from survey 2 on, so fewer surveys export no rows
     solution: str = _key("smp", str, ("reident",), ("smp", *FAKE_DATA_VARIANTS))
     surveys: int = _key(5, int, ("reident",), Interval(2))
-    survey_min_frac: float = _key(0.5, float, ("reident",),
-                                  Interval(0, 1, lo_open=True, hi_open=False))
     survey_all_attributes: bool = _key(False, bool, ("reident",))
     sampling_mode: str = _key("without_replacement", str, ("reident",), SAMPLING_MODES)
     attack_models: list = _key(["fk"], str, ("reident",), ("fk", "pk", "null"))
@@ -401,7 +396,7 @@ def _check_counts(cfg: ExperimentConfig, n: int) -> None:
 def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto: str,
                    eps: float | None, beta: float | None, model: str, run: int) -> list[ResultRow]:
     epsilons, budget_flags = (eps, []) if beta is None else beta_epsilons(beta, ds.n, ds.ks)
-    surveys = SurveysConfig(cfg.surveys, cfg.survey_min_frac, cfg.survey_all_attributes)
+    surveys = SurveysConfig(cfg.surveys, cfg.survey_all_attributes)
     acc, flags = run_reident_experiment(
         ds, proto, cfg.solution, epsilons, surveys, attack_mode=model, top_ks=cfg.top_k,
         sampling_mode=cfg.sampling_mode, runs=1, seed=seed + run, rfd_priors=priors,
@@ -472,7 +467,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         priors, fell_back = _rfd_priors(cfg, ds)
     tasks = [partial(fn, cfg, ds, priors, _point_seed(cfg.seed, seed_idx), *axes, run)
              for seed_idx, fn, axes in _grid(cfg) for run in range(cfg.runs)]
-    if cfg.threads == 1:
+    if cfg.threads == 1:  # a pool of one measured 2 MiB more peak RSS on oracle_sweep
         batches = [task() for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -12,11 +12,11 @@ where ``C(v)`` counts the sanitized reports that support value ``v``.
 
 The batch kernels whose work is (n, k) -- SS keys, UE bits, OLH support
 hashing -- run over row chunks of ``rng.chunk_rows(k)`` rows, so their
-temporaries stay O(rows * k) and cache-sized; OLH support counts sum the
-matches of ``rng.hash_match_blocks`` one block at a time.  A chunked
-``rng.random((rows, k))`` draw yields the values of one (n, k) draw, so
-chunking changes no random stream.  The only (n, k) array any of them makes
-is a UE batch's own bits.
+temporaries stay O(rows * k) and cache-sized; support counts and the
+attacker's pick read OLH and UE supports from ``support_blocks``.  A
+chunked ``rng.random((rows, k))`` draw yields the values of one (n, k)
+draw, so chunking changes no random stream.  The only (n, k) array any
+of them makes is a UE batch's own bits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .rng import CHUNK_ELEMENTS, chunk_rows, draw_hash_seeds, hash_bucket, hash_match_blocks
+from .rng import CHUNK_ELEMENTS, block_rows, chunk_rows, hash_bucket, hash_match_blocks
 
 PROTOCOLS = ("grr", "olh", "ss", "sue", "oue")
 
@@ -163,7 +163,7 @@ def randomize_batch(
 
     if proto == "olh":
         g = params.aux
-        seeds = draw_hash_seeds(rng, n)
+        seeds = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
         buckets = _grr_perturb(hash_bucket(seeds, values, g), params.p, g, rng)
         return ReportBatch(params, (seeds, buckets))
 
@@ -222,19 +222,29 @@ def unary_bits(n: int, k: int, q: float, rng: np.random.Generator,
 # Support semantics and the shared estimator
 # ---------------------------------------------------------------------------
 
+def support_blocks(batch: ReportBatch):
+    """Yield ``(lo, hi, rows)`` over the OLH or UE reports lo..hi-1 of ``batch``.
+
+    ``rows`` is the (hi - lo, k) uint8 0/1 matrix of the values each report
+    supports, at most ``block_rows(k)`` rows: the hash matches of
+    ``hash_match_blocks`` for OLH, row slices of the bits for UE.  It may be
+    a reused buffer, overwritten by the next block: copy it to keep it.
+    """
+    params = batch.params
+    if params.protocol == "olh":
+        yield from hash_match_blocks(*batch.data, params.k, params.aux)
+    else:
+        n, rows = len(batch), block_rows(params.k)
+        for lo in range(0, n, rows):
+            yield lo, min(lo + rows, n), batch.data[lo : lo + rows]
+
+
 def support_counts(batch: ReportBatch) -> np.ndarray:
     """C(v) for every domain value: how many reports support each value."""
-    params = batch.params
-    k = params.k
-    proto = params.protocol
+    k = batch.params.k
+    proto = batch.params.protocol
     if proto == "grr":
         return np.bincount(batch.data, minlength=k).astype(np.int64)
-    if proto == "olh":
-        seeds, buckets = batch.data
-        counts = np.zeros(k, dtype=np.int64)
-        for _, _, matches in hash_match_blocks(seeds, buckets, k, params.aux):
-            counts += matches.sum(axis=0, dtype=np.int64)
-        return counts
     if proto == "ss":
         # bincount casts its input to intp: count the narrow reports in chunks
         flat = batch.data.ravel()
@@ -242,7 +252,10 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
         for lo in range(0, len(flat), CHUNK_ELEMENTS):
             counts += np.bincount(flat[lo : lo + CHUNK_ELEMENTS], minlength=k)
         return counts
-    return batch.data.sum(axis=0, dtype=np.int64)
+    counts = np.zeros(k, dtype=np.int64)
+    for _, _, rows in support_blocks(batch):
+        counts += rows.sum(axis=0, dtype=np.int64)
+    return counts
 
 
 def as_indices(values, size, what: str = "value index") -> np.ndarray:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-
 _GAMMA = 0x9E37_79B9_7F4A_7C15
 _MIX1 = 0xBF58_476D_1CE4_E5B9
 _MIX2 = 0x94D0_49BB_1331_11EB
@@ -55,12 +53,10 @@ def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
-    """SplitMix64 finalizer applied to an integer or a uint64 array."""
-    scalar = np.ndim(x) == 0
-    z = np.array(int(x) & MASK64 if scalar else x, dtype=np.uint64, ndmin=1)
-    z = _splitmix64_inplace(z, np.empty_like(z))
-    return int(z[0]) if scalar else z.reshape(np.shape(x))
+def splitmix64(x) -> np.ndarray:
+    """SplitMix64 finalizer of ``x`` as a uint64 array of its shape (0-d for a scalar)."""
+    z = np.array(x, dtype=np.uint64, ndmin=1)
+    return _splitmix64_inplace(z, np.empty_like(z)).reshape(np.shape(x))
 
 
 def hash_bucket(seed: np.ndarray, value: np.ndarray, g: int) -> np.ndarray:
@@ -122,8 +118,3 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def draw_hash_seeds(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Fresh 64-bit hash seeds, one per report."""
-    return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)

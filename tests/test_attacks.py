@@ -239,6 +239,44 @@ def test_pk_background_needs_half_columns(monkeypatch):
     assert len({len(cols) for cols in seen}) > 1
 
 
+def test_half_or_more_draws_sorted_columns_of_every_size():
+    # the survey pools and the pk background columns: ceil(d/2) to d distinct columns
+    rng = stream(18, 0)
+    for d in range(1, 13):
+        sizes = set()
+        for _ in range(200):
+            cols = atk._half_or_more(d, rng)
+            assert (np.diff(cols) > 0).all() and 0 <= cols[0] and cols[-1] < d
+            sizes.add(len(cols))
+        assert sizes == set(range(math.ceil(d / 2), d + 1)), d
+
+
+@pytest.mark.parametrize("all_attributes", [True, False])
+def test_survey_pools_are_every_attribute_or_half_or_more(all_attributes, monkeypatch):
+    seen = []
+    step = atk._smp_survey_step
+
+    def spy(rows, ks, protocol, eps_list, attrs, *args):
+        seen.append(attrs)
+        return step(rows, ks, protocol, eps_list, attrs, *args)
+
+    monkeypatch.setattr(atk, "_smp_survey_step", spy)
+    d = 7
+    ds = Dataset.from_ks([3] * d, stream(17, 1).integers(0, 3, size=(40, d)))
+    for seed in range(4):
+        atk.run_reident_experiment(ds, "grr", "smp", 2.0,
+                                   atk.SurveysConfig(count=4, all_attributes=all_attributes),
+                                   "fk", (1,), seed=seed)
+    assert len(seen) == 16
+    if all_attributes:
+        assert all(np.array_equal(attrs, np.arange(d)) for attrs in seen)
+    else:
+        for attrs in seen:
+            assert math.ceil(d / 2) <= len(attrs) <= d
+            assert (np.diff(attrs) > 0).all() and 0 <= attrs[0] and attrs[-1] < d
+        assert len({len(attrs) for attrs in seen}) > 1
+
+
 def _unique_dataset(n=400):
     ks = [8, 9, 10]
     rows = np.array([(i % 8, (i // 8) % 9, (i // 72) % 10) for i in range(n)])

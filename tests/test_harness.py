@@ -63,14 +63,18 @@ def test_build_config_raises_only_config_error(kind, keys):
 
 
 def test_readme_key_table_matches_config_fields():
-    # README rows: | `key` | type | default | domain | read by |
+    # the key table's rows: | `key` | type | default | domain | read by |, up to
+    # the first line after its header that is not a table row
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = lines.index("| key | type | default | domain | read by |") + 2
     rows = {}
-    for line in text.splitlines():
-        if line.startswith("| `"):
-            cells = [c.strip() for c in line.strip("|").split("|")]
-            rows[cells[0].strip("`")] = cells
-    assert set(hn.KEYS) <= set(rows)
+    for line in lines[start:]:
+        if not line.startswith("| `"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells
+    assert set(rows) == set(hn.KEYS)
     for key, meta in hn.KEYS.items():
         typ = meta["type"].__name__ + (" list" if meta["many"] else "")
         kinds = hn.KINDS if rows[key][4] == "all" else tuple(rows[key][4].split(", "))

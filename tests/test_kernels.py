@@ -6,7 +6,8 @@ The kernels must return the same arrays and leave the generator in the same
 state (the next ``rng.random()`` agrees), at row counts around the chunk and
 block boundaries, at k = 300 (uint16 cumsum), for SS subset sizes 1 and > 1
 and for OLH bucket counts that are and are not powers of two.  The streamed
-OLH matches are stacked and compared whole.  The uniform pick is also checked
+OLH matches, and the support blocks of OLH and UE batches, are stacked and
+compared whole, from an empty batch to three blocks.  The uniform pick is also checked
 at k = 255 / 256, where its count dtype widens, on all-0 and all-1 rows, on
 blocks that are not C-contiguous and on blocks of growing size, and the numpy
 property it rests on (bounded integers drawn per block equal one draw) is
@@ -160,16 +161,21 @@ def _blocks(matrix, rows):
     return ((lo, min(lo + rows, n), matrix[lo:lo + rows]) for lo in range(0, n, rows))
 
 
-def _olh_matches(seeds, buckets, k, g):
-    """The blocks of ``hash_match_blocks``, copied and stacked; they must tile [0, n)."""
+def _stacked(blocks, n, k):
+    """``(lo, hi, rows)`` blocks of a streamed kernel, copied and stacked; they tile [0, n)."""
     parts, end = [np.empty((0, k), dtype=np.uint8)], 0
-    for lo, hi, matches in hash_match_blocks(seeds, buckets, k, g):
-        assert lo == end and hi - lo == len(matches) <= block_rows(k)
-        assert matches.dtype == np.uint8
-        parts.append(matches.copy())
+    for lo, hi, rows in blocks:
+        assert lo == end and hi - lo == len(rows) <= block_rows(k)
+        assert rows.dtype == np.uint8
+        parts.append(rows.copy())
         end = hi
-    assert end == len(seeds)
+    assert end == n
     return np.concatenate(parts)
+
+
+def _olh_matches(seeds, buckets, k, g):
+    """The blocks of ``hash_match_blocks``, stacked by ``_stacked``."""
+    return _stacked(hash_match_blocks(seeds, buckets, k, g), len(seeds), k)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +336,11 @@ def test_pick_from_rows_takes_blocks_of_any_size():
     assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("k,n", [(k, b + d) for k in KS for b in [block_rows(k)]
-                                 for d in (-1, 0, 1, b + 3)])
-@pytest.mark.parametrize("proto", ["oue", "olh"])
+@pytest.mark.parametrize("k,n", [(k, n) for k in KS for b in [block_rows(k)]
+                                 for n in (0, b - 1, b, b + 1, 2 * b + 3)])
+@pytest.mark.parametrize("proto", ["oue", "olh", "sue"])
 def test_streamed_predict_and_counts_match_reference_across_blocks(proto, k, n):
+    # support_blocks tiles [0, n) with the matches or bits that counts and pick read
     params = oc.protocol_params(proto, 1.0, k)
     values = _values(k, n, 67)
     rng, ref_rng = _pair(67, k, n)
@@ -345,6 +352,7 @@ def test_streamed_predict_and_counts_match_reference_across_blocks(proto, k, n):
     else:
         ref = _ref_ue(values, params.p, params.q, k, ref_rng)
         np.testing.assert_array_equal(batch.data, ref)
+    np.testing.assert_array_equal(_stacked(oc.support_blocks(batch), n, k), ref)
     np.testing.assert_array_equal(oc.support_counts(batch), ref.sum(axis=0))
     pred = atk.predict_batch(batch, rng)
     np.testing.assert_array_equal(pred, _ref_pick_from_rows(ref, ref.sum(axis=1), k, ref_rng))
