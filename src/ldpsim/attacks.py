@@ -104,7 +104,7 @@ def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
     params = batch.params
     n = len(batch)
     if params.protocol == "grr":
-        return batch.data.copy()
+        return batch.data.astype(np.int64)
     if params.protocol == "ss":
         pick = rng.integers(0, params.aux, n)
         return batch.data[np.arange(n), pick].astype(np.int64)
@@ -452,8 +452,30 @@ class LearningSet:
 
 
 def encode_features(batches: Sequence[ReportBatch]) -> np.ndarray:
-    """Fake-data batches, one per attribute -> classifier features: values or bit rows."""
-    return np.column_stack([b.data for b in batches])
+    """The classifier's features: the report matrix that ``rs_sanitize_batch`` wrote
+    the batches into (values or bit rows), without a copy.
+
+    Raises ParameterError unless the batches are, in attribute order, the column
+    views of one C-contiguous matrix: the next column for 1-D data, else the
+    next data.shape[1] columns, up to the last.
+    """
+    M = getattr(batches[0].data, "base", None) if len(batches) else None
+    ok = isinstance(M, np.ndarray) and M.ndim == 2 and M.flags.c_contiguous
+    lo = 0
+    for b in batches:
+        x = b.data
+        if not (ok and isinstance(x, np.ndarray) and x.base is M and x.ndim in (1, 2)):
+            ok = False
+            break
+        hi = lo + (x.shape[1] if x.ndim == 2 else 1)
+        # the same start, shape, strides and dtype as the expected view
+        ok = hi <= M.shape[1] and (x.__array_interface__ == (
+            M[:, lo:hi] if x.ndim == 2 else M[:, lo]).__array_interface__)
+        lo = hi
+    if not (ok and lo == M.shape[1]):
+        raise ParameterError("fake-data features need the column views of one report "
+                             "matrix, as rs_sanitize_batch returns them")
+    return M
 
 
 def build_learning_set(estimated_freqs: Sequence[np.ndarray], s: int,
@@ -473,12 +495,12 @@ def build_learning_set(estimated_freqs: Sequence[np.ndarray], s: int,
 
 def train_attacker(parts: Sequence[LearningSet],
                    cfg: CollectionConfig) -> tuple[NaiveBayes, list]:
-    """Naive Bayes fitted to the concatenated learning sets (categorical on grr values,
-    else bernoulli on bits) and the attacker's flags: ``single_class``, then
-    ``estimate_fallback`` if any part carries it."""
+    """Naive Bayes fitted to the learning sets as row blocks of one set (categorical on
+    grr values, else bernoulli on bits), with no concatenated copy, and the
+    attacker's flags: ``single_class``, then ``estimate_fallback`` if any part
+    carries it."""
     clf = NaiveBayes(mode="categorical" if cfg.variant == "grr" else "bernoulli")
-    clf.fit(np.concatenate([p.features for p in parts]),
-            np.concatenate([p.labels for p in parts]),
+    clf.fit([p.features for p in parts], [p.labels for p in parts],
             n_classes=len(cfg.ks), categories=list(cfg.ks))
     flags = [flag for flag, hit in (("single_class", clf.constant_class is not None),
                                     ("estimate_fallback",
@@ -543,6 +565,7 @@ def run_attr_infer_experiment(
         if model != "pk":
             parts.insert(0, build_learning_set(est, s, cfg, rng_m))
         clf, flags = train_attacker(parts, cfg)
+        del parts  # free the learning sets before the test rows are gathered
         acc = 100.0 * float(np.mean(clf.predict(features[rest]) == labels[rest]))
         results[model] = (acc, flags)
     return results

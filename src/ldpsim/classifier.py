@@ -7,6 +7,12 @@ everywhere, log-space scoring, ties broken toward the lowest class index, so
 training and prediction are fully deterministic.  The interface is small on
 purpose (fit / predict) so an alternative model can be swapped in.
 
+``fit`` takes its learning set as one array pair or as lists of row blocks,
+and adds up its integer class and cell counts block by block, so learning
+sets are never concatenated and the tables equal those of one fit on the
+concatenation, bit for bit.  Features may be any integer dtype; the attack
+passes its narrow report matrix as it is.
+
 ``predict`` scores fixed blocks of ``PREDICT_ROWS`` rows and keeps only each
 block's argmax, so neither a float64 copy of the (n, m) features nor the
 (n, C) score matrix is ever held.  The block is a constant, not a function of
@@ -36,30 +42,37 @@ class NaiveBayes:
     _log_like: list = field(default=None, repr=False)
     _ks: np.ndarray = field(default=None, repr=False)  # feature j lies in [0, _ks[j])
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int,
+    def fit(self, X, y, n_classes: int,
             categories: list[int] | None = None) -> "NaiveBayes":
         """Fit class priors and per-feature likelihood tables.
 
-        Labels must lie in [0, n_classes) and feature j's values in
-        [0, categories[j]); categorical mode needs ``categories``, bernoulli
-        mode ignores it (its features are bits).
+        ``X`` is an (n, m) feature array and ``y`` its labels, or ``X`` is a
+        list of row blocks and ``y`` the list of their labels; the fit is
+        that of the blocks' concatenation.  Labels must lie in
+        [0, n_classes) and feature j's values in [0, categories[j]);
+        categorical mode needs ``categories``, bernoulli mode ignores it
+        (its features are bits).
         """
         if self.mode not in ("categorical", "bernoulli"):
             raise ParameterError(f"unknown naive Bayes mode {self.mode!r}")
-        X = np.asarray(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0:
-            raise ParameterError("empty learning set")
-        if len(X) != len(y):
+        blocks = isinstance(X, list)
+        Xs = [np.asarray(b) for b in (X if blocks else [X])]
+        ys = [np.asarray(b, dtype=np.int64) for b in (y if blocks else [y])]
+        if len(Xs) != len(ys) or any(yb.shape != Xb.shape[:1] for Xb, yb in zip(Xs, ys)):
             raise ParameterError("feature/label length mismatch")
+        seen = [yb for yb in ys if len(yb)]
+        if not seen:
+            raise ParameterError("empty learning set")
         self.n_classes = C = int(n_classes)
-        lo, hi = int(y.min()), int(y.max())
+        lo, hi = min(int(yb.min()) for yb in seen), max(int(yb.max()) for yb in seen)
         if lo < 0 or hi >= C:
             raise ParameterError(f"labels must lie in [0, {C}), got {lo}..{hi}")
         if self.mode == "categorical" and categories is None:
             raise ParameterError("categorical naive Bayes needs each feature's category count")
-        self._ks = np.asarray(categories if self.mode == "categorical" else [2] * X.shape[1])
-        self._check_features(X)
+        m = Xs[0].shape[1] if Xs[0].ndim == 2 else 0
+        self._ks = np.asarray(categories if self.mode == "categorical" else [2] * m)
+        for Xb in Xs:
+            self._check_features(Xb)
         if lo == hi:
             # degenerate learning set: predict the single observed class
             self.constant_class = lo
@@ -67,21 +80,25 @@ class NaiveBayes:
         self.constant_class = None
 
         a = SMOOTHING
-        counts = np.bincount(y, minlength=C)
+        counts = sum(np.bincount(yb, minlength=C) for yb in ys)
         self._log_prior = np.log((counts + a) / (counts.sum() + a * C))
 
         if self.mode == "bernoulli":
-            # uint8 bits sum in numpy's 64-bit integer accumulator: exact, so theta
-            # equals that of a float64 copy's sums, without the copy
-            ones = np.stack([X[y == c].sum(axis=0) for c in range(C)])
+            # integer sums of the bits: exact, so theta equals that of a float64
+            # copy's sums, without the copy
+            ones = np.zeros((C, len(self._ks)), dtype=np.int64)
+            for Xb, yb in zip(Xs, ys):
+                for c in range(C):
+                    ones[c] += Xb[yb == c].sum(axis=0, dtype=np.int64)
             theta = (ones + a) / (counts[:, None] + 2 * a)
             self._log_like = [np.log(theta), np.log1p(-theta)]
         else:
             tables = []
             for j, kj in enumerate(self._ks):
-                xj = X[:, j].astype(np.int64)
                 # one count per (class, category) cell: class c's counts sit at c * kj + x
-                tab = np.bincount(y * kj + xj, minlength=C * kj).reshape(C, kj).astype(np.float64)
+                tab = sum(np.bincount(yb * kj + Xb[:, j].astype(np.int64), minlength=C * kj)
+                          for Xb, yb in zip(Xs, ys))
+                tab = tab.reshape(C, kj).astype(np.float64)
                 tab = (tab + a) / (tab.sum(axis=1, keepdims=True) + a * kj)
                 # a (C, kj) view of a C-contiguous (kj, C) array: scoring gathers its rows
                 tables.append(np.ascontiguousarray(np.log(tab).T).T)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .multidim import _categorical, validate_priors
+from .multidim import _categorical, validate_priors, value_dtype
 from .oracles import clip_normalize
 
 FIXTURES = {
@@ -195,11 +195,15 @@ def clip_or_uniform(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], li
 
 def synthesize_profiles(freqs: Sequence[np.ndarray], count: int, rng: np.random.Generator,
                         ks: Sequence[int]) -> np.ndarray:
-    """(count, d) rows of independent categorical draws, column a from ``freqs[a]`` over ks[a]."""
+    """(count, d) rows of ``value_dtype(ks)`` (uint8 up to k = 256) of independent
+    categorical draws, column a from ``freqs[a]`` over ks[a], drawn column by column."""
     if count < 0:
         raise ParameterError("count must be >= 0")
     freqs = validate_priors(freqs, ks)
-    return np.column_stack([_categorical(f, count, rng) for f in freqs])
+    rows = np.empty((count, len(freqs)), dtype=value_dtype(ks))
+    for a, f in enumerate(freqs):
+        rows[:, a] = _categorical(f, count, rng)
+    return rows
 
 
 def mse_avg(true_tables: Sequence[np.ndarray], est_tables: Sequence[np.ndarray]) -> float:

@@ -23,6 +23,10 @@ and variant.
 Every collection is a batch over n users: the sanitizers take an (n, d)
 matrix of value indices, check all of it before any draw, and return one
 ``ReportBatch`` per attribute: at epsilon/d under spl, else under ``cfg.params(a)``.
+``rs_sanitize_batch`` writes every attribute's reports into one C-contiguous
+report matrix, the classifier's features, and each batch's data is a column
+view of it: grr values in an (n, d) matrix of ``value_dtype(ks)``, unary bits
+in an (n, sum(ks)) uint8 matrix.
 
 A variant is named by one tag, its oracle then its fakes: ``grr`` (plain
 values), ``sue_z`` / ``oue_z`` (unary encoding on all-zero fake vectors,
@@ -88,12 +92,18 @@ def uniform_priors(ks: Sequence[int]) -> list[np.ndarray]:
     return [np.full(k, 1.0 / k) for k in ks]
 
 
+def value_dtype(ks: Sequence[int]) -> np.dtype:
+    """Narrowest dtype that holds a value of every attribute: uint8 up to k = 256."""
+    return np.min_scalar_type(max(ks) - 1)
+
+
 def _check_rows(rows, ks: Sequence[int]) -> np.ndarray:
-    """``rows`` as an (n, d) int64 matrix with column a in [0, ks[a]), else DomainError.
+    """``rows`` as an (n, d) matrix with column a in [0, ks[a]), else DomainError.
 
     The sanitizers check their whole input here before any draw, so bad input
     fails whichever attribute a user would sample; :func:`oracles.as_indices`
-    refuses a fractional, non-finite or out-of-range value.
+    refuses a fractional, non-finite or out-of-range value, and keeps an
+    integer matrix in its own dtype.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != len(ks):
@@ -237,18 +247,25 @@ def rs_sanitize_batch(
     """Client side for n users: (batches under ``cfg.params(a)``, simulator-only sampled indices).
 
     Every fake draw goes through ``cfg.fake``, so rs_fd (uniform) and rs_rfd
-    (priors) consume the random stream identically at equal seeds.
+    (priors) consume the random stream identically at equal seeds.  The
+    reports go straight into one C-contiguous report matrix: (n, d) of
+    ``value_dtype(cfg.ks)`` for grr, else (n, sum(ks)) uint8 bits.  Batch a's
+    data is its column ``M[:, a]`` (grr) or its ks[a]-column slice, and
+    ``attacks.encode_features`` hands the matrix on without a copy.
     """
     rows = _check_rows(rows, cfg.ks)
     n, d = rows.shape
     sampled = rng.integers(0, d, size=n)
     batches = []
     grr = cfg.variant == "grr"
+    M = np.empty((n, d) if grr else (n, sum(cfg.ks)),
+                 dtype=value_dtype(cfg.ks) if grr else np.uint8)
+    ends = np.cumsum(cfg.ks)
     for a, k in enumerate(cfg.ks):
         params = cfg.params(a)
         # index arrays, not masks: one gather and two row scatters per attribute
         real, fake = np.flatnonzero(sampled == a), np.flatnonzero(sampled != a)
-        col = np.empty(n if grr else (n, k), dtype=np.int64 if grr else np.uint8)
+        col = M[:, a] if grr else M[:, ends[a] - k : ends[a]]
         col[real] = randomize_batch(rows[real, a], params, rng).data
         if cfg.fake is None:  # sue_z / oue_z: all-zero fakes
             col[fake] = unary_bits(len(fake), k, params.q, rng)

@@ -120,11 +120,14 @@ class ReportBatch:
     """Column-oriented container of n sanitized reports for one protocol.
 
     ``data`` layout by protocol:
-      grr      -> int array (n,)
+      grr      -> (n,) array of any signed or unsigned integer dtype
+                  (``randomize_batch`` gives int64; a fake-data collection's
+                  is a narrow column view of its report matrix)
       olh      -> (uint64 seeds (n,), int buckets (n,))
       ss       -> (n, omega) array of ``np.min_scalar_type(k - 1)`` (uint8
                   up to k = 256, uint16 beyond), rows sorted
-      sue/oue  -> uint8 array (n, k)
+      sue/oue  -> uint8 array (n, k), any layout (a fake-data collection's
+                  is a column slice of its report matrix)
     """
 
     def __init__(self, params: ProtocolParams, data):
@@ -139,7 +142,7 @@ class ReportBatch:
 
 def _grr_perturb(values: np.ndarray, p: float, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(values)
-    out = values.copy()
+    out = values.astype(np.int64)  # a narrow input dtype may not hold every value of [0, k)
     flip = rng.random(n) >= p
     other = rng.integers(0, k - 1, size=n)
     repl = other + (other >= values)
@@ -239,6 +242,10 @@ def support_blocks(batch: ReportBatch):
             yield lo, min(lo + rows, n), batch.data[lo : lo + rows]
 
 
+# Rows of 0/1 supports summed in uint16 at a time: their column sums stay below 2^16.
+_U16_SUM_ROWS = 1 << 15
+
+
 def support_counts(batch: ReportBatch) -> np.ndarray:
     """C(v) for every domain value: how many reports support each value."""
     k = batch.params.k
@@ -254,20 +261,24 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
         return counts
     counts = np.zeros(k, dtype=np.int64)
     for _, _, rows in support_blocks(batch):
-        counts += rows.sum(axis=0, dtype=np.int64)
+        for lo in range(0, len(rows), _U16_SUM_ROWS):
+            counts += rows[lo : lo + _U16_SUM_ROWS].sum(axis=0, dtype=np.uint16)
     return counts
 
 
 def as_indices(values, size, what: str = "value index") -> np.ndarray:
-    """``values`` as an int64 array of indices in [0, size), else DomainError.
+    """``values`` as an array of indices in [0, size), else DomainError.
 
-    ``size`` is one bound, or one per column of a 2-D ``values``.  Input that
-    is not of an integer dtype must hold finite whole numbers.  A fractional,
-    non-finite or out-of-range value is refused before the int64 cast, so
-    none is truncated or wrapped, and before the caller's first draw.
+    ``size`` is one bound, or one per column of a 2-D ``values``.  An integer
+    array is returned as it is, in its own dtype, so a narrow matrix is never
+    widened; other input must hold finite whole numbers and comes back as
+    int64.  A fractional, non-finite or out-of-range value is refused before
+    that cast, so none is truncated or wrapped, and before the caller's
+    first draw.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
+    integer = arr.dtype.kind in "iu"
+    if not integer:
         arr = arr.astype(np.float64)
         odd = arr[~np.isfinite(arr) | (arr != np.floor(arr))]
         if odd.size:
@@ -276,7 +287,7 @@ def as_indices(values, size, what: str = "value index") -> np.ndarray:
         at = tuple(int(i) for i in np.argwhere((arr < 0) | (arr >= size))[0])
         bound = np.broadcast_to(size, arr.shape)[at]
         raise DomainError(f"{what} {arr[at]} at {at} outside [0, {bound})")
-    return arr.astype(np.int64, copy=False)
+    return arr if integer else arr.astype(np.int64)
 
 
 def estimate_from_counts(counts: np.ndarray, n: int, params: ProtocolParams) -> np.ndarray:

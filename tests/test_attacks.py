@@ -608,7 +608,8 @@ def test_build_learning_set_nk_uniform_labels():
 
 def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
     # a list of learning sets is one fit on their concatenation (s + n_pk rows,
-    # synthetic first); estimate_fallback comes from any part
+    # synthetic first), passed as row blocks with no concatenated copy;
+    # estimate_fallback comes from any part
     rows, cfg, batches, labels = _collection([4, 5, 3], 500, 18)
     feats = atk.encode_features(batches)
     est = mdm.rs_estimate(batches, cfg)
@@ -621,9 +622,15 @@ def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
     monkeypatch.setattr(NaiveBayes, "fit",
                         lambda self, X, y, **kw: fitted.append((X, y)) or fit(self, X, y, **kw))
     clf, flags = atk.train_attacker([synthetic, compromised], cfg)
-    assert len(fitted) == 1 and len(fitted[0][0]) == 350
-    np.testing.assert_array_equal(fitted[0][0], X)
-    np.testing.assert_array_equal(fitted[0][1], y)
+    assert len(fitted) == 1
+    Xs, ys = fitted[0]
+    assert [len(b) for b in Xs] == [250, 100]
+    assert Xs[0] is synthetic.features and Xs[1] is compromised.features
+    np.testing.assert_array_equal(np.concatenate(Xs), X)
+    np.testing.assert_array_equal(np.concatenate(ys), y)
+    np.testing.assert_array_equal(clf._log_prior, one._log_prior)
+    for got, want in zip(clf._log_like, one._log_like, strict=True):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(clf.predict(feats), one.predict(feats))
     assert flags == []
     fell_back = atk.LearningSet(feats[:100], labels[:100], True)

@@ -145,3 +145,47 @@ def test_predict_checks_bernoulli_bits():
     single = NaiveBayes(mode="bernoulli").fit(X, np.zeros(4, dtype=int), n_classes=2)
     with pytest.raises(ParameterError):
         single.predict(np.array([[2, 0, 0]]))
+
+
+@pytest.mark.parametrize("mode", ["categorical", "bernoulli"])
+def test_block_fit_equals_fit_on_the_concatenation(mode):
+    # class and cell counts add up over row blocks, so the tables are bit-identical;
+    # the blocks mix integer dtypes, and one is empty and one holds a single class
+    rng = np.random.default_rng(6)
+    ks, C, n = [5, 2, 9], 4, 2000
+    X = (np.column_stack([rng.integers(0, k, n) for k in ks]) if mode == "categorical"
+         else (rng.random((n, 23)) < 0.3).astype(np.int64))
+    y = rng.integers(0, C, n)
+    one_class = np.flatnonzero(y == 2)[:40]
+    Xs = [X[:700].astype(np.uint8), X[700:700], X[700:1500].astype(np.int32),
+          X[one_class].astype(np.uint16), X[1500:]]
+    ys = [y[:700], y[700:700], y[700:1500].astype(np.int8), y[one_class], y[1500:]]
+    blocks = NaiveBayes(mode=mode).fit(Xs, ys, n_classes=C, categories=ks)
+    one = NaiveBayes(mode=mode).fit(np.concatenate(Xs), np.concatenate(ys), n_classes=C,
+                                    categories=ks)
+    assert blocks.constant_class is None
+    np.testing.assert_array_equal(blocks._log_prior, one._log_prior)
+    for got, want in zip(blocks._log_like, one._log_like, strict=True):
+        np.testing.assert_array_equal(got, want)
+    # one class over all blocks is the constant predictor
+    single = NaiveBayes(mode=mode).fit([X[one_class[:20]], X[one_class[20:]]],
+                                       [y[one_class[:20]], y[one_class[20:]]],
+                                       n_classes=C, categories=ks)
+    assert single.constant_class == 2
+
+
+@pytest.mark.parametrize("mode", ["categorical", "bernoulli"])
+def test_block_fit_checks_every_block(mode):
+    X = np.array([[0, 1], [1, 0], [1, 1], [0, 0]])
+    y = np.array([0, 1, 1, 0])
+    fit = NaiveBayes(mode=mode).fit
+    with pytest.raises(ParameterError, match="length mismatch"):
+        fit([X[:2], X[2:]], [y[:2]], n_classes=2, categories=[2, 2])
+    with pytest.raises(ParameterError, match="length mismatch"):
+        fit([X[:2], X[2:]], y, n_classes=2, categories=[2, 2])
+    with pytest.raises(ParameterError, match="empty learning set"):
+        fit([X[:0], X[:0]], [y[:0], y[:0]], n_classes=2, categories=[2, 2])
+    with pytest.raises(ParameterError, match=r"labels must lie in \[0, 2\), got 0..2"):
+        fit([X[:2], X[2:]], [y[:2], y[2:] + 1], n_classes=2, categories=[2, 2])
+    with pytest.raises(ParameterError, match="feature 1"):
+        fit([X[:2], X[2:] * [1, 2]], [y[:2], y[2:]], n_classes=2, categories=[2, 2])

@@ -11,6 +11,7 @@ from scipy import stats
 from ldpsim import datasets as dst
 from ldpsim import oracles as oc
 from ldpsim.errors import DomainError, ParameterError
+from ldpsim.multidim import _categorical
 from ldpsim.rng import stream
 
 
@@ -200,8 +201,17 @@ def test_synthesize_profiles():
     freqs = [np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
     rows = dst.synthesize_profiles(freqs, 50, stream(44, 0), (2, 3))
     assert (rows[:, 0] == 1).all() and (rows[:, 1] == 0).all()
+    # rows take the narrowest dtype that holds k - 1: uint8 up to k = 256
+    assert rows.dtype == np.uint8 and rows.flags.c_contiguous
     empty = dst.synthesize_profiles(freqs, 0, stream(44, 1), (2, 3))
-    assert empty.shape == (0, 2) and empty.dtype == np.int64
+    assert empty.shape == (0, 2) and empty.dtype == np.uint8
+    wide_freqs = [np.full(300, 1 / 300), np.array([0.25, 0.75])]
+    wide = dst.synthesize_profiles(wide_freqs, 500, stream(44, 3), (300, 2))
+    assert wide.dtype == np.uint16 and wide[:, 0].max() >= 256
+    # the same draws, column by column, as an int64 column_stack of the columns
+    rng = stream(44, 3)
+    ref = np.column_stack([_categorical(f, 500, rng) for f in wide_freqs])
+    np.testing.assert_array_equal(wide, ref)
     with pytest.raises(ParameterError):
         dst.synthesize_profiles([np.array([0.5, 0.6])], 5, stream(44, 2), (2,))
 

@@ -14,7 +14,9 @@ property it rests on (bounded integers drawn per block equal one draw) is
 pinned.  SS reports are checked at k = 256 / 257, where their dtype widens;
 the OLH match kernel at bucket counts near 2^63.  The naive-Bayes predict,
 which scores fixed row blocks, is checked against the whole-matrix scorer at
-row counts around its block size.  The re-identification rank kernel, which counts matches on
+row counts around its block size.  The fake-data sanitizer, which writes every
+attribute into one report matrix, is checked against one array per attribute
+for grr, sue_z and oue_r, at n = 0 and at k = 300 (a uint16 grr matrix).  The re-identification rank kernel, which counts matches on
 per-(column, value) record bitsets, is checked against the single-pass kernel
 for fk and pk columns, users with no known column, a group larger than a
 block, tie counts past 255, values compared in int16, record counts with and
@@ -29,9 +31,10 @@ import numpy as np
 import pytest
 
 from ldpsim import attacks as atk
+from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
 from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
-from ldpsim.datasets import load_fixture
+from ldpsim.datasets import load_fixture, zipf_dataset
 from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
 from ldpsim.rng import block_rows, chunk_rows, hash_match_blocks, stream
@@ -491,6 +494,63 @@ def test_nb_predict_checks_the_last_block_before_scoring(mode, single, monkeypat
     assert scored == []
 
 
+def _ref_rs_sanitize(rows, cfg, rng):
+    """The fake-data sanitizer with one array per attribute (int64 values or (n, k)
+    uint8 bits), as it was before the report matrix, column-stacked in int64."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n, d = rows.shape
+    sampled = rng.integers(0, d, size=n)
+    grr = cfg.variant == "grr"
+    cols = []
+    for a, k in enumerate(cfg.ks):
+        params = cfg.params(a)
+        real, fake = np.flatnonzero(sampled == a), np.flatnonzero(sampled != a)
+        col = np.empty(n if grr else (n, k), dtype=np.int64 if grr else np.uint8)
+        col[real] = oc.randomize_batch(rows[real, a], params, rng).data
+        if cfg.fake is None:
+            col[fake] = oc.unary_bits(len(fake), k, params.q, rng)
+        else:
+            fakes = _categorical(cfg.fake[a], len(fake), rng)
+            col[fake] = fakes if grr else oc.randomize_batch(fakes, params, rng).data
+        cols.append(col)
+    return np.column_stack(cols).astype(np.int64), sampled
+
+
+@pytest.mark.parametrize("n", [0, 1, 3000])
+@pytest.mark.parametrize("variant,ks", [("grr", (4, 5, 3)), ("sue_z", (4, 5, 3)),
+                                        ("oue_r", (4, 5, 3)), ("grr", (300, 3))])
+def test_rs_sanitize_writes_one_report_matrix(variant, ks, n):
+    # every batch is a column view of the one matrix encode_features returns, in
+    # attribute order; k = 300 makes the grr matrix uint16
+    cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
+    rng = stream(56, n)
+    rows = np.column_stack([rng.integers(0, k, n) for k in ks])
+    batches, sampled = mdm.rs_sanitize_batch(rows, cfg, stream(57, n))
+    ref, ref_sampled = _ref_rs_sanitize(rows, cfg, stream(57, n))
+    M = atk.encode_features(batches)
+    grr = variant == "grr"
+    assert M.flags.c_contiguous and M.shape == (n, len(ks) if grr else sum(ks))
+    assert M.dtype == (np.uint16 if grr and max(ks) > 256 else np.uint8)
+    np.testing.assert_array_equal(M, ref)
+    np.testing.assert_array_equal(sampled, ref_sampled)
+    lo = 0
+    for b, k in zip(batches, ks):
+        hi = lo + (1 if grr else k)
+        assert b.data.base is M
+        np.testing.assert_array_equal(b.data, M[:, lo] if grr else M[:, lo:hi])
+        if n:
+            assert np.shares_memory(b.data, M[:, lo:hi])
+            assert not np.shares_memory(b.data, M[:, :lo])
+            assert not np.shares_memory(b.data, M[:, hi:])
+        lo = hi
+    copies = [[oc.ReportBatch(b.params, b.data.copy()) for b in batches], batches[:-1]]
+    if n:  # numpy gives every empty column view of M the same start and strides
+        copies += [batches[::-1], [oc.ReportBatch(b.params, b.data[: n - 1]) for b in batches]]
+    for bad in copies:
+        with pytest.raises(ParameterError, match="one report matrix"):
+            atk.encode_features(bad)
+
+
 class _TieRecorder:
     """rng stand-in: the bounded draw returns 0 and keeps its upper bounds."""
 
@@ -656,6 +716,28 @@ def test_nb_predict_peak_memory_bounded():
     assert peak < 16 * 2**20
     # only the int64 output grows with n; 64 KiB covers the interpreter's own small objects
     assert peak - small <= 8 * (n - n_small) + 64 * 1024
+
+
+def test_attr_infer_peak_memory_bounded():
+    # one oue_r collection over d = 5 attributes and nk, pk and hm against it; with a
+    # column_stack of the batches, the concatenated hm learning set and int64
+    # synthetic rows this peaked at 5.61 bytes per n * sum(k) at n = 80,000 and grew
+    # by 4.69 bytes per added n * sum(k) from n = 20,000 (one report matrix, block
+    # fit and narrow rows: 3.49 and 2.63)
+    ks = [16, 12, 8, 6, 4]
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "oue_r", 1.0)
+
+    def peak(n):
+        rows = zipf_dataset(n, ks, 0.6, stream(3, n)).rows
+        res, traced = _traced_peak(lambda: atk.run_attr_infer_experiment(
+            rows, cfg, atk.ATTACK_MODELS, seed=5))
+        assert list(res) == list(atk.ATTACK_MODELS)
+        return traced
+
+    n_small, n = 20_000, 80_000
+    small, large = peak(n_small), peak(n)
+    assert large < 4 * n * sum(ks)
+    assert large - small < 3.2 * (n - n_small) * sum(ks)
 
 
 def test_rank_of_true_peak_memory_bounded():

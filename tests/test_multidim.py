@@ -246,6 +246,17 @@ def test_sanitizers_check_every_value_before_any_draw():
             assert rng.random() == stream(38, seed).random(), name
 
 
+def test_check_rows_keeps_integer_dtype():
+    # a narrow integer matrix is checked as it is, not widened into an int64 copy
+    rows = np.array([[1, 2], [0, 4]], dtype=np.uint8)
+    assert mdm._check_rows(rows, (2, 5)) is rows
+    floats = mdm._check_rows(rows.astype(np.float64), (2, 5))
+    assert floats.dtype == np.int64
+    np.testing.assert_array_equal(floats, rows)
+    with pytest.raises(DomainError, match=r"200 at \(1, 0\) outside \[0, 150\)"):
+        mdm._check_rows(np.array([[3, 0], [200, 1]], dtype=np.uint8), (150, 2))
+
+
 @pytest.mark.parametrize("bad", [0.5, 3.9, np.inf, -np.inf, np.nan, 1e300, -1e300])
 def test_fractional_and_non_finite_indices_refused(bad):
     # refused before the int64 cast, so no value is truncated and no RuntimeWarning

@@ -118,6 +118,21 @@ def test_grr_near_noiseless():
     assert np.mean(batch.data == 2) >= 0.9999
 
 
+@pytest.mark.parametrize("proto", ["grr", "olh", "ss", "sue", "oue"])
+def test_narrow_integer_values_randomize_like_int64(proto):
+    # integer values keep their dtype through the range check; a uint8 vector over
+    # k = 300 must still draw every output value of [0, 300), as int64 values do
+    params = oc.protocol_params(proto, 0.5, 300)
+    values = stream(3, 1).integers(0, 256, 2000)
+    narrow = oc.randomize_batch(values.astype(np.uint8), params, stream(3, 0))
+    wide = oc.randomize_batch(values, params, stream(3, 0))
+    for got, want in zip(*(b.data if proto == "olh" else (b.data,) for b in (narrow, wide))):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    if proto == "grr":
+        assert narrow.data.max() >= 256
+
+
 def test_sue_bit_marginals():
     params = oc.protocol_params("sue", 1.4, 3)
     rng = stream(2, 0)
