@@ -33,8 +33,9 @@ from .multidim import (
     rs_sanitize_batch,
     smp_sample,
 )
-from .oracles import ReportBatch, protocol_params, randomize_batch, support_blocks
-from .rng import block_rows, chunk_rows, stream
+from .oracles import (ProtocolParams, ReportBatch, as_indices, protocol_params,
+                      randomize_batch, support_blocks, unary_bit_blocks)
+from .rng import ahead, block_rows, chunk_rows, stream
 
 # sampled-attribute inference models, in the order of their random streams
 ATTACK_MODELS = ("nk", "pk", "hm")
@@ -107,8 +108,22 @@ def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
         return batch.data.astype(np.int64)
     if params.protocol == "ss":
         pick = rng.integers(0, params.aux, n)
-        return batch.data[np.arange(n), pick].astype(np.int64)
+        return np.take_along_axis(batch.data, pick[:, None], axis=1)[:, 0].astype(np.int64)
     return _pick_from_rows(support_blocks(batch), n, params.k, rng)
+
+
+def randomize_predict(values, params: ProtocolParams, rng: np.random.Generator) -> np.ndarray:
+    """``predict_batch(randomize_batch(values, params, rng), rng)``, with the same draws.  SUE
+    and OUE stream ``unary_bit_blocks`` into a pick that draws past their n * k doubles, from
+    ``rng.ahead(rng, n * k)`` (PCG64 only), whose state ``rng`` then takes: no (n, k) array."""
+    if params.protocol not in ("sue", "oue"):
+        return predict_batch(randomize_batch(values, params, rng), rng)
+    values = as_indices(values, params.k)
+    n, k = len(values), params.k
+    pick = ahead(rng, n * k)
+    pred = _pick_from_rows(unary_bit_blocks(n, k, params.q, rng, values, params.p), n, k, pick)
+    rng.bit_generator.state = pick.bit_generator.state
+    return pred
 
 
 def analytic_acc(protocol: str, epsilon: float, k: int) -> float:
@@ -168,7 +183,7 @@ def empirical_attack_acc(protocol: str, epsilon: float, k: int, n: int,
         raise ParameterError(f"sample size n must be >= 1, got {n!r}")
     params = protocol_params(protocol, epsilon, k)
     values = rng.integers(0, k, size=n)
-    preds = predict_batch(randomize_batch(values, params, rng), rng)
+    preds = randomize_predict(values, params, rng)
     return 100.0 * float(np.mean(preds == values))
 
 
@@ -415,8 +430,7 @@ def _smp_survey_step(rows, ks, protocol, eps_list, attrs, sampling_mode,
             profile[m, a] = rows[m, a]
         elif m.any():
             params = protocol_params(protocol, eps_list[a], ks[a])
-            batch = randomize_batch(rows[m, a], params, rng)
-            profile[m, a] = predict_batch(batch, rng)
+            profile[m, a] = randomize_predict(rows[m, a], params, rng)
 
 
 def _rs_survey_step(rows, ks, solution, variant, eps_list, attrs,

@@ -238,7 +238,7 @@ def zipf_dataset(n: int, ks: Sequence[int], exponent: float,
     is not always index 0.
     """
     cols = [_categorical(zipf_marginal(k, exponent)[rng.permutation(k)], n, rng) for k in ks]
-    return Dataset.from_ks(ks, np.column_stack(cols))
+    return Dataset.from_ks(ks, np.column_stack(cols).astype(np.int64))
 
 
 def uniform_dataset(n: int, ks: Sequence[int], rng: np.random.Generator) -> Dataset:

@@ -126,8 +126,8 @@ def _categorical(pvec: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
     uint8 compare-and-add pass per threshold, which beats the binary search's
     scattered loads.  The pass count grows with k, so the gain shrinks: at
     100k draws about 0.5 against 2.8 ms at k = 4 but 6.4 against 8.3 ms at
-    k = 256, where uint8 runs out.  Larger domains keep ``searchsorted``.
-    """
+    k = 256, where uint8 runs out; those draws stay uint8.  Larger domains keep
+    ``searchsorted`` and int64."""
     cum = np.cumsum(pvec)
     cum[-1] = 1.0  # guard float round-off at the top edge
     u = rng.random(size)
@@ -136,7 +136,7 @@ def _categorical(pvec: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
     idx = np.zeros(size, dtype=np.uint8)
     for c in cum[:-1]:
         idx += u >= c
-    return idx.astype(np.int64)
+    return idx
 
 
 # ---------------------------------------------------------------------------

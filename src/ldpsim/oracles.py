@@ -15,8 +15,8 @@ hashing -- run over row chunks of ``rng.chunk_rows(k)`` rows, so their
 temporaries stay O(rows * k) and cache-sized; support counts and the
 attacker's pick read OLH and UE supports from ``support_blocks``.  A
 chunked ``rng.random((rows, k))`` draw yields the values of one (n, k)
-draw, so chunking changes no random stream.  The only (n, k) array any
-of them makes is a UE batch's own bits.
+draw, so chunking changes no random stream.  The only (n, k) array made
+is a batch's UE bits, from ``unary_bit_blocks``, which stream instead.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def _grr_perturb(values: np.ndarray, p: float, k: int, rng: np.random.Generator)
     out = values.astype(np.int64)  # a narrow input dtype may not hold every value of [0, k)
     flip = rng.random(n) >= p
     other = rng.integers(0, k - 1, size=n)
-    repl = other + (other >= values)
-    out[flip] = repl[flip]
+    other += other >= values
+    np.copyto(out, other, where=flip)
     return out
 
 
@@ -156,8 +156,6 @@ def randomize_batch(
     """Sanitize a vector of value indices under ``params``."""
     k = params.k
     values = as_indices(values, k)
-    if values.ndim != 1:
-        raise DomainError(f"values must be a 1-D vector of indices, got shape {values.shape}")
     n = len(values)
     proto = params.protocol
 
@@ -199,25 +197,33 @@ def randomize_batch(
     return ReportBatch(params, unary_bits(n, k, params.q, rng, values, params.p))
 
 
+def unary_bit_blocks(n: int, k: int, q: float, rng: np.random.Generator,
+                     values: np.ndarray | None = None, p: float | None = None, out=None):
+    """Yield ``(lo, hi, bits)``: rows [lo, hi) of (n, k) uint8 unary-encoding bits, ``block_rows(k)``
+    at a time, bit v of row i set w.p. q, or p at v = values[i] (``values=None``: the ue_z fakes).
+    Row chunks draw ``rng.random((rows, k))``, the stream of one (n, k) draw, into ``u < q``, then
+    reset each true column to ``u < p``.  Blocks are slices of ``out``, else of one reused buffer."""
+    block, rows = block_rows(k), chunk_rows(k)
+    buf = np.empty((min(block, n), k), dtype=np.uint8) if out is None else None
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        bits = buf[: hi - lo] if out is None else out[lo:hi]
+        for s in range(0, hi - lo, rows):
+            o = bits[s : s + rows]
+            u = rng.random(o.shape)
+            np.less(u, q, out=o.view(bool))
+            if values is not None:
+                i, v = np.arange(len(o)), values[lo + s : lo + s + len(o)]
+                o[i, v] = u[i, v] < p
+        yield lo, hi, bits
+
+
 def unary_bits(n: int, k: int, q: float, rng: np.random.Generator,
                values: np.ndarray | None = None, p: float | None = None) -> np.ndarray:
-    """(n, k) uint8 unary-encoding bits: bit v of row i is set w.p. q, or p at v = values[i].
-
-    Row chunks draw ``rng.random((rows, k))`` -- the stream of one (n, k)
-    draw -- and write ``u < q`` straight into the output, then reset each
-    true column to ``u < p``.  ``values=None`` encodes no true value (the
-    ue_z fake rows).
-    """
+    """(n, k) uint8 unary-encoding bits: ``unary_bit_blocks`` written into one array."""
     out = np.empty((n, k), dtype=np.uint8)
-    rows = chunk_rows(k)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        u = rng.random((hi - lo, k))
-        np.less(u, q, out=out[lo:hi].view(bool))
-        if values is not None:
-            idx = np.arange(hi - lo)
-            v = values[lo:hi]
-            out[lo + idx, v] = u[idx, v] < p
+    for _ in unary_bit_blocks(n, k, q, rng, values, p, out):
+        pass
     return out
 
 
@@ -269,14 +275,16 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
 def as_indices(values, size, what: str = "value index") -> np.ndarray:
     """``values`` as an array of indices in [0, size), else DomainError.
 
-    ``size`` is one bound, or one per column of a 2-D ``values``.  An integer
-    array is returned as it is, in its own dtype, so a narrow matrix is never
-    widened; other input must hold finite whole numbers and comes back as
-    int64.  A fractional, non-finite or out-of-range value is refused before
-    that cast, so none is truncated or wrapped, and before the caller's
-    first draw.
+    ``size`` is one bound of a 1-D ``values`` or one per column of a 2-D one.
+    An integer array is returned as it is, in its own dtype, so a narrow
+    matrix is never widened; other input must hold finite whole numbers and
+    comes back as int64.  Another shape, or a fractional, non-finite or
+    out-of-range value, is refused before that cast, so none is truncated
+    or wrapped, and before the caller's first draw.
     """
     arr = np.asarray(values)
+    if arr.ndim != np.ndim(size) + 1:
+        raise DomainError(f"{what} array must be {np.ndim(size) + 1}-D, got shape {arr.shape}")
     integer = arr.dtype.kind in "iu"
     if not integer:
         arr = arr.astype(np.float64)

@@ -7,15 +7,17 @@ order in which parallel workers execute can never change a result.
 The 64-bit mixing function used by the hashing oracle is SplitMix64, chosen
 because it is bit-exact reproducible from its published constants in any
 language.  ``hash_match_blocks`` evaluates it for every (report, candidate)
-pair and hands the matches on one row block at a time, so no (n, k) array
-is ever held; it works in cache-sized row chunks (``CHUNK_ELEMENTS``, the
-row budget every (n, k) kernel shares), reducing modulo g with a
-floor-divide remainder.
+pair and hands the matches on one row block at a time, in cache-sized
+row chunks (``CHUNK_ELEMENTS``, every (n, k) kernel's row budget), reducing
+modulo g with a floor-divide remainder.  ``ahead`` jumps a copy of a PCG64
+stream past a known number of draws, so what follows them is drawn first.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ParameterError
 
 _GAMMA = 0x9E37_79B9_7F4A_7C15
 _MIX1 = 0xBF58_476D_1CE4_E5B9
@@ -65,12 +67,18 @@ def hash_bucket(seed: np.ndarray, value: np.ndarray, g: int) -> np.ndarray:
     ``g`` must be at most 2^63 so that buckets fit int64 (OLH's
     g = round(e^eps) + 1 reaches that near eps = 43.7, which
     ``protocol_params`` rejects).  The modulo bias, at most g / 2^64 in
-    relative terms, is accepted: about 5e-7 at eps = 30 (g ~ 1e13).
+    relative terms, is accepted: about 5e-7 at eps = 30 (g ~ 1e13).  Buckets
+    take ``value``'s shape, in place in its uint64 copy, as ``hash_match_blocks``.
     """
-    seed = np.asarray(seed, dtype=np.uint64)
-    value = np.asarray(value, dtype=np.uint64)
-    mixed = splitmix64(seed ^ splitmix64(value))
-    return (mixed % np.uint64(g)).astype(np.int64)
+    z = splitmix64(value)
+    z ^= np.asarray(seed, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    _splitmix64_inplace(z, tmp)
+    g = np.uint64(g)
+    np.floor_divide(z, g, out=tmp)
+    tmp *= g
+    z -= tmp
+    return z.view(np.int64)
 
 
 def hash_match_blocks(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int):
@@ -118,3 +126,15 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def ahead(gen: np.random.Generator, outputs: int) -> np.random.Generator:
+    """A generator on a copy of ``gen``'s PCG64 stream (else ParameterError), ``outputs`` on:
+    ``random`` takes one 64-bit output per double, so it draws what ``gen`` draws after
+    ``gen.random(outputs)``, with ``gen``'s buffered 32-bit half, which ``advance`` clears."""
+    bg = gen.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise ParameterError(f"only a PCG64 stream can jump ahead, not {type(bg).__name__}")
+    copy = bg.jumped(0).advance(outputs)  # jumped(0) is a copy at gen's position
+    copy.state = {**bg.state, "state": copy.state["state"]}
+    return np.random.Generator(copy)

@@ -11,7 +11,10 @@ compared whole, from an empty batch to three blocks.  The uniform pick is also c
 at k = 255 / 256, where its count dtype widens, on all-0 and all-1 rows, on
 blocks that are not C-contiguous and on blocks of growing size, and the numpy
 property it rests on (bounded integers drawn per block equal one draw) is
-pinned.  SS reports are checked at k = 256 / 257, where their dtype widens;
+pinned.  The streamed SUE/OUE randomize-and-predict is checked against
+randomizing then predicting, with and without a buffered 32-bit half in the
+stream, and the PCG64 jump it draws the pick from against drawing the doubles
+it skips.  SS reports are checked at k = 256 / 257, where their dtype widens;
 the OLH match kernel at bucket counts near 2^63.  The naive-Bayes predict,
 which scores fixed row blocks, is checked against the whole-matrix scorer at
 row counts around its block size.  The fake-data sanitizer, which writes every
@@ -37,7 +40,7 @@ from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
 from ldpsim.datasets import load_fixture, zipf_dataset
 from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
-from ldpsim.rng import block_rows, chunk_rows, hash_match_blocks, stream
+from ldpsim.rng import ahead, block_rows, chunk_rows, hash_match_blocks, stream
 
 KS = (2, 74, 300)
 
@@ -235,6 +238,59 @@ def test_ue_randomize_and_predict_match_reference(k, n, proto):
     assert rng.random() == ref_rng.random()
 
 
+def _stream_ns(k):
+    rows, block = chunk_rows(k), block_rows(k)
+    return sorted({1, rows - 1, rows + 1, block + 1, 2 * block + 3})
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in KS for n in _stream_ns(k)])
+@pytest.mark.parametrize("eps", [1.0, 4.0])
+@pytest.mark.parametrize("proto", ["sue", "oue"])
+@pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
+def test_streamed_randomize_predict_equals_composition(k, n, eps, proto, half):
+    # half: a small-range draw first leaves a buffered 32-bit half in the stream,
+    # which the UE bits' doubles keep and the pick's draws take first
+    params = oc.protocol_params(proto, eps, k)
+    values = _values(k, n, 38)
+    rng, ref_rng = _pair(38, k, n)
+    if half:
+        assert rng.integers(0, 5) == ref_rng.integers(0, 5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    pred = atk.randomize_predict(values, params, rng)
+    ref = atk.predict_batch(oc.randomize_batch(values, params, ref_rng), ref_rng)
+    assert pred.dtype == np.int64
+    np.testing.assert_array_equal(pred, ref)
+    assert rng.random() == ref_rng.random()
+    np.testing.assert_array_equal(rng.integers(0, 7, 3), ref_rng.integers(0, 7, 3))
+
+
+@pytest.mark.parametrize("m", [0, 1, 1000])
+@pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
+def test_ahead_draws_what_follows_m_doubles(m, half):
+    # one 64-bit output per float64 double: ahead(g, m) draws what g draws after g.random(m)
+    g = stream(39, m)
+    if half:
+        g.integers(0, 5)
+    before = g.bit_generator.state
+    jumped = ahead(g, m)
+    assert g.bit_generator.state == before  # g itself is not moved
+    g.random(m)
+    assert jumped.bit_generator.state == g.bit_generator.state
+    np.testing.assert_array_equal(jumped.integers(0, 7, 5), g.integers(0, 7, 5))
+    assert jumped.random() == g.random()
+
+
+def test_ahead_refuses_a_stream_that_cannot_jump():
+    with pytest.raises(ParameterError, match="PCG64"):
+        ahead(np.random.Generator(np.random.MT19937(1)), 10)
+
+
+def test_streamed_ue_attack_refuses_a_stream_that_cannot_jump():
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(ParameterError, match="PCG64"):
+        atk.empirical_attack_acc("oue", 1.0, 8, 100, rng)
+
+
 @pytest.mark.parametrize("k,n", _grid())
 def test_unary_fake_rows_match_reference(k, n):
     # the ue_z fake rows: every bit set w.p. q, no true column
@@ -423,7 +479,7 @@ def test_categorical_matches_searchsorted_reference(name):
     n = 20_000
     rng, ref_rng = stream(37, len(pvec), 1), stream(37, len(pvec), 1)
     got = _categorical(pvec, n, rng)
-    assert got.dtype == np.int64
+    assert got.dtype == (np.uint8 if len(pvec) <= 256 else np.int64)
     np.testing.assert_array_equal(got, _ref_categorical(pvec, n, ref_rng))
     assert rng.random() == ref_rng.random()
     # uniforms on every threshold, just below each, and 0: zero-mass ties and the edges
@@ -702,6 +758,26 @@ def test_randomize_and_predict_peak_memory_bounded(proto):
     assert predict < n * k
     # only the int64 output grows with n; 64 KiB covers the interpreter's own small objects
     assert predict - small <= 8 * (n - n_small) + 64 * 1024
+
+
+@pytest.mark.parametrize("proto", ["sue", "oue"])
+def test_streamed_ue_attack_peak_memory_bounded(proto):
+    # randomize-then-predict held the (n, k) bits and grew by about 80 bytes per
+    # added row at k = 74; streamed into the pick, only the int64 output grows
+    n_small, n, k = 10_000, 50_000, 74
+    params = oc.protocol_params(proto, 1.0, k)
+
+    def peak(m):
+        values = _values(k, m, 40)
+        rng = stream(40, 0)
+        pred, traced = _traced_peak(lambda: atk.randomize_predict(values, params, rng))
+        assert len(pred) == m and pred.dtype == np.int64
+        return traced
+
+    peak(1)  # first-call allocations would otherwise count only in the small run
+    small, large = peak(n_small), peak(n)
+    # 64 KiB covers the interpreter's own small objects
+    assert large - small <= 8 * (n - n_small) + 64 * 1024
 
 
 def test_nb_predict_peak_memory_bounded():
