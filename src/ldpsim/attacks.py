@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .classifier import NaiveBayes
+from .classifier import PREDICT_ROWS, NaiveBayes
 from .datasets import clip_or_uniform, synthesize_profiles
 from .multidim import (
     CollectionConfig,
@@ -230,7 +230,8 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     """
     n = len(profiles)
     n_bk, c = len(bk_rows), len(bk_cols)
-    dt = np.min_scalar_type(-max(profiles.max(initial=0), bk_rows.max(initial=0)) - 1)
+    # Python ints: negating a uint8 maximum would wrap
+    dt = np.min_scalar_type(-max(int(profiles.max(initial=0)), int(bk_rows.max(initial=0))) - 1)
     P = profiles[:, bk_cols].astype(dt)
     B = bk_rows[:, bk_cols].astype(dt)
     ks = np.maximum(P.max(axis=0, initial=-1), B.max(axis=0, initial=-1)).astype(np.int64) + 1
@@ -552,6 +553,12 @@ def run_attr_infer_experiment(
 ) -> dict[str, tuple[float, list[str]]]:
     """One collection under ``cfg`` + the inference attacks against it.
 
+    Each model's test rows are scored ``PREDICT_ROWS`` at a time: nk's blocks
+    are views of the report matrix, pk's and hm's are gathered one block at a
+    time, and the hits are summed, so neither the test features nor their
+    labels are copied whole.  Those blocks are the ones ``NaiveBayes.predict``
+    scores, so every score is that of one predict call on all test rows.
+
     Returns ``{model: (AIF-ACC, flags)}`` in ``attack_models`` order, the
     flags being :func:`train_attacker`'s.
     """
@@ -571,7 +578,7 @@ def run_attr_infer_experiment(
         rng_m = stream(seed, 505, run, ATTACK_MODELS.index(model))
         # pk trains on n_pk compromised users and tests on the rest; nk trains on s
         # synthetic profiles and tests on all; hm trains on both, synthetic first
-        parts, rest = [], slice(None)
+        parts, rest = [], None
         if model != "nk":
             perm = rng_m.permutation(n)
             comp, rest = perm[:n_pk], perm[n_pk:]
@@ -579,7 +586,17 @@ def run_attr_infer_experiment(
         if model != "pk":
             parts.insert(0, build_learning_set(est, s, cfg, rng_m))
         clf, flags = train_attacker(parts, cfg)
-        del parts  # free the learning sets before the test rows are gathered
-        acc = 100.0 * float(np.mean(clf.predict(features[rest]) == labels[rest]))
-        results[model] = (acc, flags)
+        del parts  # free the learning sets before the test rows are scored
+        results[model] = (_test_acc(clf, features, labels, rest), flags)
     return results
+
+
+def _test_acc(clf: NaiveBayes, features: np.ndarray, labels: np.ndarray, rest) -> float:
+    """AIF-ACC (percent) of ``clf`` on the rows ``rest`` (None: all rows), predicted
+    ``PREDICT_ROWS`` rows at a time: row slices for None, else one gathered block."""
+    n_test = len(features) if rest is None else len(rest)
+    hits = 0
+    for lo in range(0, n_test, PREDICT_ROWS):
+        at = slice(lo, lo + PREDICT_ROWS) if rest is None else rest[lo : lo + PREDICT_ROWS]
+        hits += int(np.count_nonzero(clf.predict(features[at]) == labels[at]))
+    return 100.0 * (hits / n_test)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .multidim import _categorical, validate_priors, value_dtype
+from .multidim import _categorical, _check_rows, validate_priors, value_dtype
 from .oracles import clip_normalize
 
 FIXTURES = {
@@ -33,7 +33,10 @@ class Dataset:
     """Integer-encoded categorical table plus its schema: ``names[a]`` names attribute a
     and ``labels[a][v]`` labels its value v, so k_a = len(labels[a]).  No attribute, a
     label-tuple count unlike the name count, or an empty or repeated label tuple raises
-    DomainError."""
+    DomainError, and so do ``rows`` that are not an (n, d) matrix of whole numbers with
+    column a in [0, k_a) (the sanitizers' ``multidim._check_rows``).  The rows are
+    stored as ``value_dtype(ks)``: uint8 up to k = 256, so a table of n users takes
+    n * d bytes, not the 8 * n * d of int64."""
 
     names: tuple[str, ...]
     labels: tuple[tuple[str, ...], ...]
@@ -47,6 +50,7 @@ class Dataset:
         for name, values in zip(self.names, self.labels):
             if not values or len(set(values)) != len(values):
                 raise DomainError(f"attribute {name!r} has an empty domain or repeated labels")
+        self.rows = _check_rows(self.rows, self.ks).astype(value_dtype(self.ks), copy=False)
 
     @classmethod
     def from_ks(cls, ks: Sequence[int], rows: np.ndarray) -> "Dataset":
@@ -81,9 +85,10 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
     ``columns`` selects and orders the categorical attributes (default: all
     non-id columns in header order); ``id_column`` is only checked, no ids are
     kept.  Value dictionaries are built in first-appearance order, so
-    ingestion is deterministic.  A header or ``columns`` that repeats a name
-    or names ``id_column``, a header that lacks a selected column or
-    ``id_column``, and a ragged or malformed row raise DomainError.
+    ingestion is deterministic, and the codes are encoded straight into
+    ``value_dtype(ks)``.  A header or ``columns`` that repeats a name or names
+    ``id_column``, a header that lacks a selected column or ``id_column``, and
+    a ragged or malformed row raise DomainError.
     """
     path = Path(path)
     try:
@@ -128,7 +133,7 @@ def load_dataset(path: str | Path, columns: Sequence[str] | None = None,
     if empty:
         raise DomainError(f"columns {empty} are empty")
     return Dataset(tuple(columns), tuple(tuple(d) for d in dicts),
-                   np.asarray(encoded, dtype=np.int64))
+                   np.asarray(encoded, dtype=value_dtype([len(d) for d in dicts])))
 
 
 def dataset_file(spec: str):
@@ -238,7 +243,7 @@ def zipf_dataset(n: int, ks: Sequence[int], exponent: float,
     is not always index 0.
     """
     cols = [_categorical(zipf_marginal(k, exponent)[rng.permutation(k)], n, rng) for k in ks]
-    return Dataset.from_ks(ks, np.column_stack(cols).astype(np.int64))
+    return Dataset.from_ks(ks, np.column_stack(cols))
 
 
 def uniform_dataset(n: int, ks: Sequence[int], rng: np.random.Generator) -> Dataset:

@@ -56,8 +56,9 @@ from .oracles import (
     protocol_params,
     randomize_batch,
     support_counts,
-    unary_bits,
+    unary_bit_blocks,
 )
+from .rng import CHUNK_ELEMENTS
 
 FAKE_DATA_VARIANTS = {"rs_fd": ("grr", "sue_z", "oue_z", "sue_r", "oue_r"),
                       "rs_rfd": ("grr", "sue_r", "oue_r")}
@@ -93,8 +94,9 @@ def uniform_priors(ks: Sequence[int]) -> list[np.ndarray]:
 
 
 def value_dtype(ks: Sequence[int]) -> np.dtype:
-    """Narrowest dtype that holds a value of every attribute: uint8 up to k = 256."""
-    return np.min_scalar_type(max(ks) - 1)
+    """Narrowest dtype that holds a value of every attribute: uint8 up to k = 256, and
+    uint8 for no attribute, so a CSV with no attribute column reaches Dataset's error."""
+    return np.min_scalar_type(max(ks, default=1) - 1)
 
 
 def _check_rows(rows, ks: Sequence[int]) -> np.ndarray:
@@ -127,15 +129,21 @@ def _categorical(pvec: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
     scattered loads.  The pass count grows with k, so the gain shrinks: at
     100k draws about 0.5 against 2.8 ms at k = 4 but 6.4 against 8.3 ms at
     k = 256, where uint8 runs out; those draws stay uint8.  Larger domains keep
-    ``searchsorted`` and int64."""
+    ``searchsorted`` and int64.  The uniforms are drawn ``CHUNK_ELEMENTS`` at a
+    time, the doubles of one ``rng.random(size)`` call, so no float64 vector of
+    ``size`` is held."""
     cum = np.cumsum(pvec)
     cum[-1] = 1.0  # guard float round-off at the top edge
-    u = rng.random(size)
-    if len(cum) > _COUNT_MAX_K:
-        return np.searchsorted(cum, u, side="right").astype(np.int64)
-    idx = np.zeros(size, dtype=np.uint8)
-    for c in cum[:-1]:
-        idx += u >= c
+    wide = len(cum) > _COUNT_MAX_K
+    idx = np.zeros(size, dtype=np.int64 if wide else np.uint8)
+    for lo in range(0, size, CHUNK_ELEMENTS):
+        u = rng.random(min(CHUNK_ELEMENTS, size - lo))
+        out = idx[lo : lo + len(u)]
+        if wide:
+            out[:] = np.searchsorted(cum, u, side="right")
+        else:
+            for c in cum[:-1]:
+                out += u >= c
     return idx
 
 
@@ -251,11 +259,15 @@ def rs_sanitize_batch(
     reports go straight into one C-contiguous report matrix: (n, d) of
     ``value_dtype(cfg.ks)`` for grr, else (n, sum(ks)) uint8 bits.  Batch a's
     data is its column ``M[:, a]`` (grr) or its ks[a]-column slice, and
-    ``attacks.encode_features`` hands the matrix on without a copy.
+    ``attacks.encode_features`` hands the matrix on without a copy.  A UE
+    slot's bits (real, one-hot ``_r`` fakes or all-zero ``_z`` fakes) come from
+    ``oracles.unary_bit_blocks`` and are scattered into their rows one block at
+    a time, so no (n_a, k) bit array is made; the sampled indices are drawn as
+    int64 and kept in ``np.min_scalar_type(d - 1)``.
     """
     rows = _check_rows(rows, cfg.ks)
     n, d = rows.shape
-    sampled = rng.integers(0, d, size=n)
+    sampled = rng.integers(0, d, size=n).astype(np.min_scalar_type(d - 1))
     batches = []
     grr = cfg.variant == "grr"
     M = np.empty((n, d) if grr else (n, sum(cfg.ks)),
@@ -265,15 +277,25 @@ def rs_sanitize_batch(
         params = cfg.params(a)
         # index arrays, not masks: one gather and two row scatters per attribute
         real, fake = np.flatnonzero(sampled == a), np.flatnonzero(sampled != a)
-        col = M[:, a] if grr else M[:, ends[a] - k : ends[a]]
-        col[real] = randomize_batch(rows[real, a], params, rng).data
-        if cfg.fake is None:  # sue_z / oue_z: all-zero fakes
-            col[fake] = unary_bits(len(fake), k, params.q, rng)
-        else:  # a categorical fake draw, unary-encoded under sue_r / oue_r
-            fakes = _categorical(cfg.fake[a], len(fake), rng)
-            col[fake] = fakes if grr else randomize_batch(fakes, params, rng).data
+        if grr:
+            col = M[:, a]
+            col[real] = randomize_batch(rows[real, a], params, rng).data
+            col[fake] = _categorical(cfg.fake[a], len(fake), rng)
+        else:  # the fakes unary-encode a categorical draw, or all zeros under sue_z / oue_z
+            col = M[:, ends[a] - k : ends[a]]
+            _scatter_unary(col, real, rows[real, a], params, rng)
+            fakes = None if cfg.fake is None else _categorical(cfg.fake[a], len(fake), rng)
+            _scatter_unary(col, fake, fakes, params, rng)
         batches.append(ReportBatch(params, col))
     return batches, sampled
+
+
+def _scatter_unary(col: np.ndarray, idx: np.ndarray, values: np.ndarray | None,
+                   params: ProtocolParams, rng: np.random.Generator) -> None:
+    """Rows ``idx`` of ``col`` get ``randomize_batch(values, params, rng)``'s UE bits
+    (all-zero vectors' bits for ``values=None``), with its draws, a block at a time."""
+    for lo, hi, bits in unary_bit_blocks(len(idx), params.k, params.q, rng, values, params.p):
+        col[idx[lo:hi]] = bits
 
 
 def _fake_support(cfg: CollectionConfig, a: int, params: ProtocolParams):

@@ -73,6 +73,10 @@ def test_load_errors(tmp_path):
     path = write_csv(tmp_path, "t.csv", ["a"], [["x"]])
     with pytest.raises(DomainError):
         dst.load_dataset(path, columns=["missing"])
+    # no attribute left once the id column is dropped: no dtype to encode into
+    idonly = write_csv(tmp_path, "id.csv", ["id"], [["1"], ["2"]])
+    with pytest.raises(DomainError, match="at least one attribute"):
+        dst.load_dataset(idonly, id_column="id")
 
 
 @pytest.mark.parametrize("text,line", [
@@ -266,6 +270,42 @@ def test_dataset_schema_validation():
                                  (("a", "b"), (("x",), ("y", "y")), "'b' .* repeated")]:
         with pytest.raises(DomainError, match=match):
             dst.Dataset(names, labels, rows)
+
+
+def test_dataset_rows_take_the_narrow_value_dtype(tmp_path):
+    # every way to a Dataset stores value_dtype(ks): uint8 up to k = 256, uint16 beyond
+    made = {"zipf": dst.zipf_dataset(500, [6, 4], 1.2, stream(48, 0)),
+            "uniform": dst.uniform_dataset(500, [5, 3], stream(48, 1)),
+            "fixture": dst.load_fixture("adult_style_100"),
+            "csv": dst.load_dataset(write_csv(tmp_path, "t.csv", ["a", "b"],
+                                              [["x", "y"], ["z", "y"]]))}
+    made["subsample"] = made["fixture"].subsample(40, stream(48, 2))
+    for name, ds in made.items():
+        assert ds.rows.dtype == np.uint8, name
+        assert ds.rows.shape == (ds.n, ds.d)
+    wide = dst.load_dataset(write_csv(tmp_path, "w.csv", ["many", "few"],
+                                      [[f"v{i}", f"w{i % 2}"] for i in range(300)]))
+    assert wide.ks == (300, 2) and wide.rows.dtype == np.uint16
+    np.testing.assert_array_equal(wide.rows, np.column_stack([np.arange(300),
+                                                              np.arange(300) % 2]))
+    # the same values as the int64 draws they come from
+    rng = stream(48, 1)
+    ref = np.column_stack([rng.integers(0, k, size=500) for k in (5, 3)])
+    np.testing.assert_array_equal(made["uniform"].rows, ref)
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([[0, 3]], r"attribute value 3 at \(0, 1\) outside \[0, 3\)"),
+    ([[2, 0]], r"attribute value 2 at \(0, 0\) outside \[0, 2\)"),
+    ([[0, -1]], "attribute value -1"),
+    ([[0.5, 0]], "attribute value 0.5 is not a whole number"),
+    ([[0, 1, 0]], r"rows must be an \(n, 2\) matrix, got shape \(1, 3\)"),
+    ([0, 1], r"rows must be an \(n, 2\) matrix, got shape \(2,\)"),
+])
+def test_dataset_refuses_rows_outside_the_schema(rows, match):
+    # checked before they are cast or stored: a uint8 cast would wrap -1 to 255
+    with pytest.raises(DomainError, match=match):
+        dst.Dataset.from_ks([2, 3], np.asarray(rows))
 
 
 def test_dataset_from_ks_synthetic_schema():

@@ -40,7 +40,8 @@ from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
 from ldpsim.datasets import load_fixture, zipf_dataset
 from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
-from ldpsim.rng import ahead, block_rows, chunk_rows, hash_match_blocks, stream
+from ldpsim.rng import (CHUNK_ELEMENTS, ahead, block_rows, chunk_rows, hash_match_blocks,
+                        stream)
 
 KS = (2, 74, 300)
 
@@ -572,12 +573,15 @@ def _ref_rs_sanitize(rows, cfg, rng):
     return np.column_stack(cols).astype(np.int64), sampled
 
 
-@pytest.mark.parametrize("n", [0, 1, 3000])
+@pytest.mark.parametrize("n", [0, 1, block_rows(300) - 1, block_rows(300) + 1, 3000])
 @pytest.mark.parametrize("variant,ks", [("grr", (4, 5, 3)), ("sue_z", (4, 5, 3)),
-                                        ("oue_r", (4, 5, 3)), ("grr", (300, 3))])
+                                        ("oue_r", (4, 5, 3)), ("grr", (300, 3)),
+                                        ("sue_z", (300, 5, 3)), ("sue_r", (300, 5, 3)),
+                                        ("oue_r", (300, 5, 3))])
 def test_rs_sanitize_writes_one_report_matrix(variant, ks, n):
     # every batch is a column view of the one matrix encode_features returns, in
-    # attribute order; k = 300 makes the grr matrix uint16
+    # attribute order; k = 300 makes the grr matrix uint16, and its UE slots stream
+    # in blocks of block_rows(300) = 872 rows, which 3,000 users' slots cross
     cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
     rng = stream(56, n)
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
@@ -720,6 +724,106 @@ def test_rank_of_true_record_blocks_match_reference(case, budget, monkeypatch):
 # Memory bound
 # ---------------------------------------------------------------------------
 
+def test_rs_sanitize_scratch_is_block_sized():
+    # the (n_a, k) bits of each UE slot, the n-long float64 uniforms of each fake
+    # draw and int64 sampled indices grew the peak by 75.6 bytes per user at
+    # sum(k) = 46; now it is the report matrix and a few bytes per user (the row
+    # indices, the sampled index and the fake values)
+    ks = [16, 12, 8, 6, 4]
+    for variant in ("oue_r", "sue_z"):
+        cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
+
+        def peak(n):
+            rows = zipf_dataset(n, ks, 0.6, stream(64, n)).rows
+            (_, sampled), traced = _traced_peak(
+                lambda: mdm.rs_sanitize_batch(rows, cfg, stream(65, n)))
+            return traced, sampled
+
+        peak(100)  # first-call allocations would otherwise count only in the small run
+        n_small, n = 20_000, 80_000
+        (small, _), (large, sampled) = peak(n_small), peak(n)
+        assert large - small <= (n - n_small) * (sum(ks) + 12)
+        assert sampled.dtype == np.uint8 and len(sampled) == n
+
+
+@pytest.mark.parametrize("k", [16, 300])
+@pytest.mark.parametrize("size", [CHUNK_ELEMENTS - 1, CHUNK_ELEMENTS, CHUNK_ELEMENTS + 1,
+                                  2 * CHUNK_ELEMENTS + 3])
+def test_categorical_chunks_draw_the_unchunked_values(k, size):
+    pvec = CATEGORICAL_CASES[f"k{k}"]
+    rng, ref_rng = stream(66, size), stream(66, size)
+    np.testing.assert_array_equal(_categorical(pvec, size, rng),
+                                  _ref_categorical(pvec, size, ref_rng))
+    assert rng.random() == ref_rng.random()
+
+
+def _ref_attr_infer(rows, cfg, seed, run=0, s_mult=1.0, npk_frac=0.1):
+    """run_attr_infer_experiment with every model's test rows predicted in one call."""
+    n = len(rows)
+    rng = stream(seed, 404, run)
+    batches, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
+    features = atk.encode_features(batches)
+    est = mdm.rs_estimate(batches, cfg)
+    out = {}
+    for i, model in enumerate(atk.ATTACK_MODELS):
+        rng_m = stream(seed, 505, run, i)
+        parts, rest = [], slice(None)
+        if model != "nk":
+            perm = rng_m.permutation(n)
+            n_pk = atk.compromised_count(npk_frac, n)
+            comp, rest = perm[:n_pk], perm[n_pk:]
+            parts.append(atk.LearningSet(features[comp], labels[comp]))
+        if model != "pk":
+            parts.insert(0, atk.build_learning_set(est, atk.synthetic_count(s_mult, n),
+                                                   cfg, rng_m))
+        clf, flags = atk.train_attacker(parts, cfg)
+        pred = clf.predict(features[rest])
+        out[model] = (100.0 * float(np.mean(pred == labels[rest])), flags)
+    return out
+
+
+@pytest.mark.parametrize("variant", ["grr", "oue_r"])
+def test_attr_infer_scores_test_rows_in_predict_blocks(variant, monkeypatch):
+    # 10,001 users: no model's test rows (10,001 for nk, 9,001 for pk and hm) fill
+    # their last block of PREDICT_ROWS
+    ks = [16, 12, 8, 6, 4]
+    cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
+    rows = zipf_dataset(10_001, ks, 0.6, stream(67, 0)).rows
+    ref = _ref_attr_infer(rows, cfg, seed=68)
+    matrices, calls = [], []
+    encode, predict = atk.encode_features, NaiveBayes.predict
+
+    def spy_encode(batches):
+        matrices.append(encode(batches))
+        return matrices[-1]
+
+    def spy_predict(self, X):
+        calls.append((len(X), np.shares_memory(X, matrices[0])))
+        return predict(self, X)
+
+    monkeypatch.setattr(atk, "encode_features", spy_encode)
+    monkeypatch.setattr(NaiveBayes, "predict", spy_predict)
+    got = atk.run_attr_infer_experiment(rows, cfg, atk.ATTACK_MODELS, seed=68)
+    assert got == ref  # the accuracies bit for bit, and the flags
+    assert all(rows <= PREDICT_ROWS for rows, _ in calls)
+    # nk scores views of the collection's report matrix; pk and hm gather their rows
+    assert calls == [(4096, True), (4096, True), (1809, True)] + 2 * [
+        (4096, False), (4096, False), (809, False)]
+
+
+def test_rank_of_true_takes_narrow_background_rows():
+    # uint8 records whose maximum exceeds the profiles': negating that uint8 maximum
+    # for the compare dtype wrapped, with a RuntimeWarning
+    rows = stream(62, 0).integers(0, 5, size=(200, 3))
+    profiles = np.full(rows.shape, -1)
+    profiles[:, 0] = 0
+    narrow = rows.astype(np.uint8)
+    assert narrow.max() > profiles.max()
+    np.testing.assert_array_equal(
+        atk._rank_of_true(profiles, narrow, np.arange(3), stream(63, 0)),
+        atk._rank_of_true(profiles, rows, np.arange(3), stream(63, 0)))
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -799,7 +903,8 @@ def test_attr_infer_peak_memory_bounded():
     # column_stack of the batches, the concatenated hm learning set and int64
     # synthetic rows this peaked at 5.61 bytes per n * sum(k) at n = 80,000 and grew
     # by 4.69 bytes per added n * sum(k) from n = 20,000 (one report matrix, block
-    # fit and narrow rows: 3.49 and 2.63)
+    # fit and narrow rows: 3.37 and 2.47; block-sized UE and fake-draw scratch,
+    # uint8 sampled labels and test rows scored a block at a time: 2.85 and 2.11)
     ks = [16, 12, 8, 6, 4]
     cfg = mdm.CollectionConfig(ks, "rs_fd", "oue_r", 1.0)
 
@@ -812,8 +917,8 @@ def test_attr_infer_peak_memory_bounded():
 
     n_small, n = 20_000, 80_000
     small, large = peak(n_small), peak(n)
-    assert large < 4 * n * sum(ks)
-    assert large - small < 3.2 * (n - n_small) * sum(ks)
+    assert large < 3.0 * n * sum(ks)
+    assert large - small < 2.25 * (n - n_small) * sum(ks)
 
 
 def test_rank_of_true_peak_memory_bounded():
