@@ -11,7 +11,10 @@ purpose (fit / predict) so an alternative model can be swapped in.
 and adds up its integer class and cell counts block by block, so learning
 sets are never concatenated and the tables equal those of one fit on the
 concatenation, bit for bit.  Features may be any integer dtype; the attack
-passes its narrow report matrix as it is.
+passes its narrow report matrix as it is.  The Bernoulli cell counts are a
+float32 GEMM of a (C, b) class one-hot by each block's (b, m) bits, b at most
+``PREDICT_ROWS``: no count exceeds 4,096 < 2^24, so float32 holds it exactly,
+and the scratch is the size of a block, not of a class's rows.
 
 ``predict`` scores fixed blocks of ``PREDICT_ROWS`` rows and keeps only each
 block's argmax, so neither a float64 copy of the (n, m) features nor the
@@ -51,7 +54,9 @@ class NaiveBayes:
         that of the blocks' concatenation.  Labels must lie in
         [0, n_classes) and feature j's values in [0, categories[j]);
         categorical mode needs ``categories``, bernoulli mode ignores it
-        (its features are bits).
+        (its features are bits).  Bernoulli counts are summed over row blocks of
+        at most ``PREDICT_ROWS`` rows, each one exact float32 GEMM of the class
+        one-hot by the bits, so theta equals that of per-class float64 sums.
         """
         if self.mode not in ("categorical", "bernoulli"):
             raise ParameterError(f"unknown naive Bayes mode {self.mode!r}")
@@ -84,12 +89,16 @@ class NaiveBayes:
         self._log_prior = np.log((counts + a) / (counts.sum() + a * C))
 
         if self.mode == "bernoulli":
-            # integer sums of the bits: exact, so theta equals that of a float64
-            # copy's sums, without the copy
+            # per-class bit sums as one (C, b) one-hot by (b, m) bits GEMM per block of
+            # b <= PREDICT_ROWS rows: every product sum is an integer <= 4,096 < 2^24,
+            # which float32 holds exactly, so theta is that of a float64 copy's sums
             ones = np.zeros((C, len(self._ks)), dtype=np.int64)
+            classes = np.arange(C)[:, None]
             for Xb, yb in zip(Xs, ys):
-                for c in range(C):
-                    ones[c] += Xb[yb == c].sum(axis=0, dtype=np.int64)
+                for lo in range(0, len(yb), PREDICT_ROWS):
+                    at = slice(lo, lo + PREDICT_ROWS)
+                    onehot = (yb[at] == classes).astype(np.float32)
+                    ones += (onehot @ Xb[at].astype(np.float32)).astype(np.int64)
             theta = (ones + a) / (counts[:, None] + 2 * a)
             self._log_like = [np.log(theta), np.log1p(-theta)]
         else:

@@ -26,7 +26,8 @@ matrix of value indices, check all of it before any draw, and return one
 ``rs_sanitize_batch`` writes every attribute's reports into one C-contiguous
 report matrix, the classifier's features, and each batch's data is a column
 view of it: grr values in an (n, d) matrix of ``value_dtype(ks)``, unary bits
-in an (n, sum(ks)) uint8 matrix.
+in an (n, sum(ks)) uint8 matrix.  ``encode_features`` hands that matrix back
+from the batches, and ``rs_estimate`` counts UE bits over it in one pass.
 
 A variant is named by one tag, its oracle then its fakes: ``grr`` (plain
 values), ``sue_z`` / ``oue_z`` (unary encoding on all-zero fake vectors,
@@ -51,6 +52,7 @@ from .oracles import (
     ProtocolParams,
     ReportBatch,
     as_indices,
+    bit_counts,
     check_domain_size,
     estimate_from_counts,
     protocol_params,
@@ -259,7 +261,7 @@ def rs_sanitize_batch(
     reports go straight into one C-contiguous report matrix: (n, d) of
     ``value_dtype(cfg.ks)`` for grr, else (n, sum(ks)) uint8 bits.  Batch a's
     data is its column ``M[:, a]`` (grr) or its ks[a]-column slice, and
-    ``attacks.encode_features`` hands the matrix on without a copy.  A UE
+    :func:`encode_features` hands the matrix on without a copy.  A UE
     slot's bits (real, one-hot ``_r`` fakes or all-zero ``_z`` fakes) come from
     ``oracles.unary_bit_blocks`` and are scattered into their rows one block at
     a time, so no (n_a, k) bit array is made; the sampled indices are drawn as
@@ -293,9 +295,40 @@ def rs_sanitize_batch(
 def _scatter_unary(col: np.ndarray, idx: np.ndarray, values: np.ndarray | None,
                    params: ProtocolParams, rng: np.random.Generator) -> None:
     """Rows ``idx`` of ``col`` get ``randomize_batch(values, params, rng)``'s UE bits
-    (all-zero vectors' bits for ``values=None``), with its draws, a block at a time."""
+    (all-zero vectors' bits for ``values=None``), with its draws, a block at a time.
+    Each report's k bits are scattered as one k-byte void item: ``col``'s rows are
+    contiguous, though it is a column slice of the report matrix."""
+    item = np.dtype((np.void, params.k))
+    rows = col.view(item)[:, 0]
     for lo, hi, bits in unary_bit_blocks(len(idx), params.k, params.q, rng, values, params.p):
-        col[idx[lo:hi]] = bits
+        rows[idx[lo:hi]] = bits.view(item)[:, 0]
+
+
+def encode_features(batches: Sequence[ReportBatch]) -> np.ndarray:
+    """The classifier's features: the report matrix that ``rs_sanitize_batch`` wrote
+    the batches into (values or bit rows), without a copy.
+
+    Raises ParameterError unless the batches are, in attribute order, the column
+    views of one C-contiguous matrix: the next column for 1-D data, else the
+    next data.shape[1] columns, up to the last.
+    """
+    M = getattr(batches[0].data, "base", None) if len(batches) else None
+    ok = isinstance(M, np.ndarray) and M.ndim == 2 and M.flags.c_contiguous
+    lo = 0
+    for b in batches:
+        x = b.data
+        if not (ok and isinstance(x, np.ndarray) and x.base is M and x.ndim in (1, 2)):
+            ok = False
+            break
+        hi = lo + (x.shape[1] if x.ndim == 2 else 1)
+        # the same start, shape, strides and dtype as the expected view
+        ok = hi <= M.shape[1] and (x.__array_interface__ == (
+            M[:, lo:hi] if x.ndim == 2 else M[:, lo]).__array_interface__)
+        lo = hi
+    if not (ok and lo == M.shape[1]):
+        raise ParameterError("fake-data features need the column views of one report "
+                             "matrix, as rs_sanitize_batch returns them")
+    return M
 
 
 def _fake_support(cfg: CollectionConfig, a: int, params: ProtocolParams):
@@ -326,8 +359,19 @@ def rs_estimate_from_counts(
 
 
 def rs_estimate(batches: Sequence[ReportBatch], cfg: CollectionConfig) -> list[np.ndarray]:
-    """Raw unbiased per-attribute frequency estimates from one batch per attribute."""
-    return rs_estimate_from_counts([support_counts(b) for b in batches], cfg, len(batches[0]))
+    """Raw unbiased per-attribute frequency estimates from one batch per attribute.
+
+    The batches must be those ``rs_sanitize_batch`` returns (:func:`encode_features`
+    refuses others).  grr counts each value column with ``support_counts``; UE counts
+    every attribute's bits in one pass over the (n, sum(ks)) report matrix, split
+    at ``cumsum(ks)``: the same integers as one ``support_counts`` per batch.
+    """
+    M = encode_features(batches)
+    if cfg.variant == "grr":
+        counts = [support_counts(b) for b in batches]
+    else:
+        counts = np.split(bit_counts(M), np.cumsum(cfg.ks)[:-1])
+    return rs_estimate_from_counts(counts, cfg, len(M))
 
 
 def rs_variance(freqs: Sequence[np.ndarray], cfg: CollectionConfig, n: int) -> list[np.ndarray]:

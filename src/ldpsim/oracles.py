@@ -202,9 +202,14 @@ def unary_bit_blocks(n: int, k: int, q: float, rng: np.random.Generator,
     """Yield ``(lo, hi, bits)``: rows [lo, hi) of (n, k) uint8 unary-encoding bits, ``block_rows(k)``
     at a time, bit v of row i set w.p. q, or p at v = values[i] (``values=None``: the ue_z fakes).
     Row chunks draw ``rng.random((rows, k))``, the stream of one (n, k) draw, into ``u < q``, then
-    reset each true column to ``u < p``.  Blocks are slices of ``out``, else of one reused buffer."""
+    reset each true column to ``u < p`` through flat indices i k + v of the chunk, which is
+    C-contiguous: ParameterError for an ``out`` that is not.  Blocks are slices of ``out``, else
+    of one reused buffer."""
+    if out is not None and not out.flags.c_contiguous:
+        raise ParameterError("out must be C-contiguous: unary bits are written by flat index")
     block, rows = block_rows(k), chunk_rows(k)
     buf = np.empty((min(block, n), k), dtype=np.uint8) if out is None else None
+    starts = np.arange(0, min(rows, n) * k, k)  # flat index of each chunk row's first bit
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         bits = buf[: hi - lo] if out is None else out[lo:hi]
@@ -213,8 +218,9 @@ def unary_bit_blocks(n: int, k: int, q: float, rng: np.random.Generator,
             u = rng.random(o.shape)
             np.less(u, q, out=o.view(bool))
             if values is not None:
-                i, v = np.arange(len(o)), values[lo + s : lo + s + len(o)]
-                o[i, v] = u[i, v] < p
+                # an intp add: int64 plus uint64 values would promote to float64
+                at = np.add(starts[: len(o)], values[lo + s : lo + s + len(o)], dtype=np.intp)
+                o.reshape(-1)[at] = u.reshape(-1)[at] < p
         yield lo, hi, bits
 
 
@@ -267,8 +273,16 @@ def support_counts(batch: ReportBatch) -> np.ndarray:
         return counts
     counts = np.zeros(k, dtype=np.int64)
     for _, _, rows in support_blocks(batch):
-        for lo in range(0, len(rows), _U16_SUM_ROWS):
-            counts += rows[lo : lo + _U16_SUM_ROWS].sum(axis=0, dtype=np.uint16)
+        counts += bit_counts(rows)
+    return counts
+
+
+def bit_counts(bits: np.ndarray) -> np.ndarray:
+    """int64 column sums of the (n, m) 0/1 uint8 matrix ``bits``, summed ``_U16_SUM_ROWS``
+    rows at a time in uint16: exact, in half the time of an int64 reduction."""
+    counts = np.zeros(bits.shape[1], dtype=np.int64)
+    for lo in range(0, len(bits), _U16_SUM_ROWS):
+        counts += bits[lo : lo + _U16_SUM_ROWS].sum(axis=0, dtype=np.uint16)
     return counts
 
 

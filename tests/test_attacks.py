@@ -611,7 +611,7 @@ def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
     # synthetic first), passed as row blocks with no concatenated copy;
     # estimate_fallback comes from any part
     rows, cfg, batches, labels = _collection([4, 5, 3], 500, 18)
-    feats = atk.encode_features(batches)
+    feats = mdm.encode_features(batches)
     est = mdm.rs_estimate(batches, cfg)
     synthetic = atk.build_learning_set(est, 250, cfg, stream(18, 1))
     compromised = atk.LearningSet(feats[:100], labels[:100])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpsim.classifier import NaiveBayes
+from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
 from ldpsim.errors import ParameterError
 
 
@@ -119,6 +119,28 @@ def test_bernoulli_tables_match_float_per_class_masks():
     for bad in (-1, C):
         with pytest.raises(ParameterError, match=r"labels must lie in \[0, 4\)"):
             NaiveBayes(mode="bernoulli").fit(X[:3], np.array([0, bad, 1]), n_classes=C)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+def test_bernoulli_block_gemm_counts_match_per_class_masks(dtype):
+    # the fit sums each block of PREDICT_ROWS rows as one float32 GEMM; per-class float64
+    # sums are the reference, over 2 blocks and 3 rows, with an empty block, int8 labels,
+    # a class with no rows and a first block whose class-0 count of bit 0 is 4,096
+    rng = np.random.default_rng(7)
+    C, n, m = 5, 2 * PREDICT_ROWS + 3, 46
+    X = (rng.random((n, m)) < 0.3).astype(dtype)
+    y = rng.integers(0, C - 1, n).astype(np.int8)  # the last class has no rows
+    y[:PREDICT_ROWS], X[:PREDICT_ROWS, 0] = 0, 1
+    Xf = X.astype(np.float64)
+    counts = np.bincount(y, minlength=C).astype(np.float64)
+    theta = (np.stack([Xf[y == c].sum(axis=0) for c in range(C)]) + 1.0) / (counts[:, None] + 2.0)
+    cut = PREDICT_ROWS + 1
+    for clf in (NaiveBayes(mode="bernoulli").fit(X, y, n_classes=C),
+                NaiveBayes(mode="bernoulli").fit([X[:cut], X[cut:cut], X[cut:]],
+                                                 [y[:cut], y[cut:cut], y[cut:]], n_classes=C)):
+        np.testing.assert_array_equal(clf._log_prior, np.log((counts + 1.0) / (n + C)))
+        np.testing.assert_array_equal(clf._log_like[0], np.log(theta))
+        np.testing.assert_array_equal(clf._log_like[1], np.log1p(-theta))
 
 
 def test_predict_checks_categorical_features():

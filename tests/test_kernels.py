@@ -19,13 +19,17 @@ the OLH match kernel at bucket counts near 2^63.  The naive-Bayes predict,
 which scores fixed row blocks, is checked against the whole-matrix scorer at
 row counts around its block size.  The fake-data sanitizer, which writes every
 attribute into one report matrix, is checked against one array per attribute
-for grr, sue_z and oue_r, at n = 0 and at k = 300 (a uint16 grr matrix).  The re-identification rank kernel, which counts matches on
-per-(column, value) record bitsets, is checked against the single-pass kernel
-for fk and pk columns, users with no known column, a group larger than a
-block, tie counts past 255, values compared in int16, record counts with and
-without padding bits, users whose every known entry is wrong, a profile value
-no record holds, and every known-column count from 1 to 8 across block edges,
-also with its bitset budget cut so that the records split into several blocks.
+for grr, sue_z and oue_r, at n = 0 and at k = 300 (a uint16 grr matrix), and its
+one-pass UE estimate against one ``support_counts`` per batch around the uint16
+slice edges.  The UE bit kernel refuses an ``out`` it cannot write by flat index,
+and the Bernoulli fit's scratch does not grow with n.  The re-identification
+rank kernel, which counts matches on per-(column, value) record bitsets, is
+checked against the single-pass kernel for fk and pk columns, users with no
+known column, a group larger than a block, tie counts past 255, values compared
+in int16, record counts with and without padding bits, users whose every known
+entry is wrong, a profile value no record holds, and every known-column count
+from 1 to 8 across block edges, also with its bitset budget cut so that the
+records split into several blocks.
 """
 
 import tracemalloc
@@ -299,6 +303,22 @@ def test_unary_fake_rows_match_reference(k, n):
     got = oc.unary_bits(n, k, 0.3, rng)
     np.testing.assert_array_equal(got, (ref_rng.random((n, k)) < 0.3).astype(np.uint8))
     assert rng.random() == ref_rng.random()
+
+
+def test_unary_bit_blocks_refuse_an_out_that_is_not_c_contiguous():
+    # the true columns are reset through flat indices i * k + v of each chunk; on a
+    # column slice reshape(-1) is a copy, so those writes would be lost
+    n, k = 100, 6
+    values = _values(k, n, 70)
+    M = np.zeros((n, 2 * k), dtype=np.uint8)
+    with pytest.raises(ParameterError, match="C-contiguous"):
+        next(oc.unary_bit_blocks(n, k, 0.3, stream(70, 0), values, 0.7, out=M[:, :k]))
+    assert not M.any()
+    # the flat indices take any integer dtype of the values, uint64 included
+    want = oc.unary_bits(n, k, 0.3, stream(70, 0), values, 0.7)
+    for dtype in (np.uint8, np.uint64):
+        np.testing.assert_array_equal(
+            oc.unary_bits(n, k, 0.3, stream(70, 0), values.astype(dtype), 0.7), want)
 
 
 @pytest.mark.parametrize("k,n", _grid())
@@ -587,7 +607,7 @@ def test_rs_sanitize_writes_one_report_matrix(variant, ks, n):
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
     batches, sampled = mdm.rs_sanitize_batch(rows, cfg, stream(57, n))
     ref, ref_sampled = _ref_rs_sanitize(rows, cfg, stream(57, n))
-    M = atk.encode_features(batches)
+    M = mdm.encode_features(batches)
     grr = variant == "grr"
     assert M.flags.c_contiguous and M.shape == (n, len(ks) if grr else sum(ks))
     assert M.dtype == (np.uint16 if grr and max(ks) > 256 else np.uint8)
@@ -608,7 +628,35 @@ def test_rs_sanitize_writes_one_report_matrix(variant, ks, n):
         copies += [batches[::-1], [oc.ReportBatch(b.params, b.data[: n - 1]) for b in batches]]
     for bad in copies:
         with pytest.raises(ParameterError, match="one report matrix"):
-            atk.encode_features(bad)
+            mdm.encode_features(bad)
+
+
+@pytest.mark.parametrize("solution,variant", [
+    ("rs_fd", "grr"), ("rs_fd", "sue_z"), ("rs_fd", "oue_z"), ("rs_fd", "sue_r"),
+    ("rs_fd", "oue_r"), ("rs_rfd", "sue_r"), ("rs_rfd", "oue_r")])
+def test_rs_estimate_counts_the_report_matrix_in_one_pass(solution, variant):
+    # UE bits are counted over the whole (n, sum(ks)) matrix in uint16 slices of
+    # 32,768 rows, then split at cumsum(ks): the counts of one support_counts per
+    # batch, so the estimates are bit-identical, at n around the slice edges
+    ks = (300, 5, 3)
+    priors = [stream(73, k).dirichlet(np.ones(k)) for k in ks] if solution == "rs_rfd" else None
+    cfg = mdm.CollectionConfig(ks, solution, variant, 1.0, priors)
+    ns = (1, 32_767, 32_768, 32_769, 65_539)
+    rng = stream(74, 0)
+    rows = np.column_stack([rng.integers(0, k, ns[-1]) for k in ks])
+    batches, _ = mdm.rs_sanitize_batch(rows, cfg, stream(75, 0))
+    M, grr = mdm.encode_features(batches), variant == "grr"
+    ends = np.cumsum(ks)
+    for n in ns:
+        sub = M[:n].copy()  # batches as the sanitizer returns them, of n users
+        part = [oc.ReportBatch(b.params, sub[:, a] if grr else sub[:, e - k : e])
+                for a, (b, k, e) in enumerate(zip(batches, ks, ends))]
+        want = mdm.rs_estimate_from_counts([oc.support_counts(b) for b in part], cfg, n)
+        for got, ref in zip(mdm.rs_estimate(part, cfg), want, strict=True):
+            np.testing.assert_array_equal(got, ref)
+    for bad in ([oc.ReportBatch(b.params, b.data.copy()) for b in batches], batches[::-1]):
+        with pytest.raises(ParameterError, match="one report matrix"):
+            mdm.rs_estimate(bad, cfg)
 
 
 class _TieRecorder:
@@ -746,6 +794,23 @@ def test_rs_sanitize_scratch_is_block_sized():
         assert sampled.dtype == np.uint8 and len(sampled) == n
 
 
+def test_bernoulli_fit_scratch_is_block_sized():
+    # per-class mask gathers grew the fit's peak by about n m / C + n bytes (a class's
+    # rows and its mask); one float32 GEMM per block of PREDICT_ROWS rows holds a
+    # block's scratch, whatever n
+    m, C = 46, 5
+
+    def peak(n):
+        X = (stream(76, n).random((n, m)) < 0.3).astype(np.uint8)
+        y = stream(77, n).integers(0, C, n)
+        return _traced_peak(lambda: NaiveBayes(mode="bernoulli").fit(X, y, n_classes=C))[1]
+
+    peak(100)  # first-call allocations would otherwise count only in the small run
+    small, large = peak(20_000), peak(80_000)
+    # 64 KiB covers the interpreter's own small objects
+    assert large - small <= 64 * 1024
+
+
 @pytest.mark.parametrize("k", [16, 300])
 @pytest.mark.parametrize("size", [CHUNK_ELEMENTS - 1, CHUNK_ELEMENTS, CHUNK_ELEMENTS + 1,
                                   2 * CHUNK_ELEMENTS + 3])
@@ -762,7 +827,7 @@ def _ref_attr_infer(rows, cfg, seed, run=0, s_mult=1.0, npk_frac=0.1):
     n = len(rows)
     rng = stream(seed, 404, run)
     batches, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
-    features = atk.encode_features(batches)
+    features = mdm.encode_features(batches)
     est = mdm.rs_estimate(batches, cfg)
     out = {}
     for i, model in enumerate(atk.ATTACK_MODELS):
@@ -791,7 +856,7 @@ def test_attr_infer_scores_test_rows_in_predict_blocks(variant, monkeypatch):
     rows = zipf_dataset(10_001, ks, 0.6, stream(67, 0)).rows
     ref = _ref_attr_infer(rows, cfg, seed=68)
     matrices, calls = [], []
-    encode, predict = atk.encode_features, NaiveBayes.predict
+    encode, predict = mdm.encode_features, NaiveBayes.predict
 
     def spy_encode(batches):
         matrices.append(encode(batches))
@@ -801,7 +866,7 @@ def test_attr_infer_scores_test_rows_in_predict_blocks(variant, monkeypatch):
         calls.append((len(X), np.shares_memory(X, matrices[0])))
         return predict(self, X)
 
-    monkeypatch.setattr(atk, "encode_features", spy_encode)
+    monkeypatch.setattr(atk, "encode_features", spy_encode)  # the name attacks calls
     monkeypatch.setattr(NaiveBayes, "predict", spy_predict)
     got = atk.run_attr_infer_experiment(rows, cfg, atk.ATTACK_MODELS, seed=68)
     assert got == ref  # the accuracies bit for bit, and the flags
