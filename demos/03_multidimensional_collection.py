@@ -6,6 +6,8 @@ which attribute each user really reported; drawing the fakes from public
 priors (rs_rfd) instead of uniformly (rs_fd) recovers part of the accuracy.
 Both run through one engine: a CollectionConfig names the solution and
 resolves its fake distribution, and rs_sanitize_batch / rs_estimate take it.
+rs_sanitize_batch returns one report matrix, which rs_estimate reads as it
+is; multidim.report_batches cuts it into one batch per attribute.
 SPL runs through spl_sanitize_batch and SMP draws its attribute through
 smp_sample, the law the reident surveys use.  The SMP numbers printed here
 moved when that draw replaced a plain rng.integers one: the same law on
@@ -63,8 +65,8 @@ for variant in ("grr", "sue_r", "oue_r"):
         cfg = mdm.CollectionConfig(ds.ks, solution, variant, EPS, priors)
 
         def fake_data_mse(rep, cfg=cfg):
-            batches, _ = mdm.rs_sanitize_batch(ds.rows, cfg, stream(2024_03, 3, rep))
-            return mse_avg(truth, mdm.rs_estimate(batches, cfg))
+            M, _ = mdm.rs_sanitize_batch(ds.rows, cfg, stream(2024_03, 3, rep))
+            return mse_avg(truth, mdm.rs_estimate(M, cfg))
 
         rows[f"{solution}[{variant}]"] = averaged(fake_data_mse)
 

@@ -29,7 +29,7 @@ from .datasets import clip_or_uniform, synthesize_profiles
 from .multidim import (
     CollectionConfig,
     check_collection,
-    encode_features,
+    report_batches,
     rs_estimate,
     rs_sanitize_batch,
     smp_sample,
@@ -442,13 +442,13 @@ def _rs_survey_step(rows, ks, solution, variant, eps_list, attrs,
     eps = min(finite) if finite else PASS_THROUGH_EPSILON
     priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
     cfg = CollectionConfig([ks[a] for a in attrs], solution, variant, eps, priors)
-    batches, _ = rs_sanitize_batch(rows[:, attrs], cfg, rng)
-    learn = build_learning_set(rs_estimate(batches, cfg), synthetic_count(nk_s_mult, len(rows)),
+    M, _ = rs_sanitize_batch(rows[:, attrs], cfg, rng)
+    learn = build_learning_set(rs_estimate(M, cfg), synthetic_count(nk_s_mult, len(rows)),
                                cfg, rng)
     clf, attack_flags = train_attacker([learn], cfg)
     flags.extend(f for f in attack_flags if f not in flags)
-    jhat = clf.predict(encode_features(batches))
-    for ai, (a, b) in enumerate(zip(attrs, batches)):
+    jhat = clf.predict(M)
+    for ai, (a, b) in enumerate(zip(attrs, report_batches(M, cfg))):
         m = jhat == ai
         if m.any():
             profile[m, a] = predict_batch(ReportBatch(b.params, b.data[m]), rng)
@@ -478,8 +478,8 @@ def build_learning_set(estimated_freqs: Sequence[np.ndarray], s: int,
     """
     dists, fell_back = clip_or_uniform(estimated_freqs)
     synth_rows = synthesize_profiles(dists, s, rng, cfg.ks)
-    batches, labels = rs_sanitize_batch(synth_rows, cfg, rng)
-    return LearningSet(encode_features(batches), labels, any(fell_back))
+    features, labels = rs_sanitize_batch(synth_rows, cfg, rng)
+    return LearningSet(features, labels, any(fell_back))
 
 
 def train_attacker(parts: Sequence[LearningSet],
@@ -543,9 +543,8 @@ def run_attr_infer_experiment(
     n_pk = compromised_count(npk_frac, n) if {"pk", "hm"} & set(attack_models) else 0
     s = synthetic_count(s_mult, n) if {"nk", "hm"} & set(attack_models) else 0
     rng = stream(seed, 404, run)
-    batches, labels = rs_sanitize_batch(rows, cfg, rng)
-    features = encode_features(batches)
-    est = rs_estimate(batches, cfg)
+    features, labels = rs_sanitize_batch(rows, cfg, rng)
+    est = rs_estimate(features, cfg)
 
     results = {}
     for model in attack_models:

@@ -10,11 +10,11 @@ purpose (fit / predict) so an alternative model can be swapped in.
 ``fit`` takes its learning set as one array pair or as lists of row blocks,
 and adds up its integer class and cell counts block by block, so learning
 sets are never concatenated and the tables equal those of one fit on the
-concatenation, bit for bit.  Features may be any integer dtype; the attack
-passes its narrow report matrix as it is.  The Bernoulli cell counts are a
-float32 GEMM of a (C, b) class one-hot by each block's (b, m) bits, b at most
-``PREDICT_ROWS``: no count exceeds 4,096 < 2^24, so float32 holds it exactly,
-and the scratch is the size of a block, not of a class's rows.
+concatenation, bit for bit.  Features and labels may be any integer dtype;
+the attack passes its narrow ones as they are.  The Bernoulli cell counts are
+a float32 GEMM of a (C, b) class one-hot by each block's (b, m) bits, b at
+most ``PREDICT_ROWS``: no count exceeds 4,096 < 2^24, so float32 holds it
+exactly, and the scratch is the size of a block, not of a class's rows.
 
 ``predict`` scores fixed blocks of ``PREDICT_ROWS`` rows and keeps only each
 block's argmax, so neither a float64 copy of the (n, m) features nor the
@@ -51,8 +51,8 @@ class NaiveBayes:
 
         ``X`` is an (n, m) feature array and ``y`` its labels, or ``X`` is a
         list of row blocks and ``y`` the list of their labels; the fit is
-        that of the blocks' concatenation.  Labels must lie in
-        [0, n_classes) and feature j's values in [0, categories[j]);
+        that of the blocks' concatenation.  Labels must be integers in
+        [0, n_classes) and feature j's values lie in [0, categories[j]);
         categorical mode needs ``categories``, bernoulli mode ignores it
         (its features are bits).  Bernoulli counts are summed over row blocks of
         at most ``PREDICT_ROWS`` rows, each one exact float32 GEMM of the class
@@ -62,9 +62,11 @@ class NaiveBayes:
             raise ParameterError(f"unknown naive Bayes mode {self.mode!r}")
         blocks = isinstance(X, list)
         Xs = [np.asarray(b) for b in (X if blocks else [X])]
-        ys = [np.asarray(b, dtype=np.int64) for b in (y if blocks else [y])]
+        ys = [np.asarray(b) for b in (y if blocks else [y])]
         if len(Xs) != len(ys) or any(yb.shape != Xb.shape[:1] for Xb, yb in zip(Xs, ys)):
             raise ParameterError("feature/label length mismatch")
+        if any(yb.dtype.kind not in "iu" for yb in ys):
+            raise ParameterError("labels must be integers, in any integer dtype")
         seen = [yb for yb in ys if len(yb)]
         if not seen:
             raise ParameterError("empty learning set")
@@ -85,7 +87,8 @@ class NaiveBayes:
         self.constant_class = None
 
         a = SMOOTHING
-        counts = sum(np.bincount(yb, minlength=C) for yb in ys)
+        # in range, so intp holds every label (bincount refuses a uint64 one)
+        counts = sum(np.bincount(yb.astype(np.intp, copy=False), minlength=C) for yb in ys)
         self._log_prior = np.log((counts + a) / (counts.sum() + a * C))
 
         if self.mode == "bernoulli":
@@ -105,7 +108,8 @@ class NaiveBayes:
             tables = []
             for j, kj in enumerate(self._ks):
                 # one count per (class, category) cell: class c's counts sit at c * kj + x
-                tab = sum(np.bincount(yb * kj + Xb[:, j].astype(np.int64), minlength=C * kj)
+                tab = sum(np.bincount(yb.astype(np.int64) * kj + Xb[:, j].astype(np.int64),
+                                      minlength=C * kj)
                           for Xb, yb in zip(Xs, ys))
                 tab = tab.reshape(C, kj).astype(np.float64)
                 tab = (tab + a) / (tab.sum(axis=1, keepdims=True) + a * kj)

@@ -424,8 +424,8 @@ def _mse_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, solution: 
                vtag: str, eps: float, run: int) -> list[ResultRow]:
     truth = true_frequencies(ds)
     collection = CollectionConfig(ds.ks, solution, vtag, eps, priors)
-    batches, _ = rs_sanitize_batch(ds.rows, collection, stream(seed, run))
-    value = mse_avg(truth, rs_estimate(batches, collection))
+    M, _ = rs_sanitize_batch(ds.rows, collection, stream(seed, run))
+    value = mse_avg(truth, rs_estimate(M, collection))
     return [ResultRow(cfg.experiment, vtag, solution,
                       eps, None, "mse_avg", value, None, run, cfg.seed,
                       f"prior_mode={cfg.prior_mode}")]

@@ -21,13 +21,12 @@ its fake distribution; ``rs_sanitize_batch``, ``rs_estimate`` /
 and variant.
 
 Every collection is a batch over n users: the sanitizers take an (n, d)
-matrix of value indices, check all of it before any draw, and return one
-``ReportBatch`` per attribute: at epsilon/d under spl, else under ``cfg.params(a)``.
-``rs_sanitize_batch`` writes every attribute's reports into one C-contiguous
-report matrix, the classifier's features, and each batch's data is a column
-view of it: grr values in an (n, d) matrix of ``value_dtype(ks)``, unary bits
-in an (n, sum(ks)) uint8 matrix.  ``encode_features`` hands that matrix back
-from the batches, and ``rs_estimate`` counts UE bits over it in one pass.
+matrix of value indices and check all of it before any draw.
+``spl_sanitize_batch`` returns one ``ReportBatch`` per attribute at epsilon/d.
+``rs_sanitize_batch`` returns one report matrix, the classifier's features
+(grr values in an (n, d) matrix, unary bits in an (n, sum(ks)) one), which
+``rs_estimate`` reads as it is and ``report_batches`` cuts into one
+``ReportBatch`` view per attribute under ``cfg.params(a)``.
 
 A variant is named by one tag, its oracle then its fakes: ``grr`` (plain
 values), ``sue_z`` / ``oue_z`` (unary encoding on all-zero fake vectors,
@@ -251,45 +250,50 @@ def check_collection(solution: str, protocol: str) -> None:
         raise ParameterError(f"{solution} protocol must be one of {protocols}, got {protocol!r}")
 
 
+def report_batches(M: np.ndarray, cfg: CollectionConfig) -> list[ReportBatch]:
+    """One ``ReportBatch`` per attribute under ``cfg.params(a)``, each a view of the report
+    matrix ``M``: column a of the (n, d) values for grr, else attribute a's ks[a] columns
+    of the (n, sum(ks)) bits.  Raises ParameterError for an M that is not 2-D or has
+    another width.  This is the one place that knows the columns' layout."""
+    grr = cfg.variant == "grr"
+    width = len(cfg.ks) if grr else sum(cfg.ks)
+    if np.ndim(M) != 2 or np.shape(M)[1] != width:
+        raise ParameterError(f"report matrix must be (n, {width}), got shape {np.shape(M)}")
+    return [ReportBatch(cfg.params(a), M[:, a] if grr else M[:, e - k : e])
+            for a, (k, e) in enumerate(zip(cfg.ks, np.cumsum(cfg.ks)))]
+
+
 def rs_sanitize_batch(
     rows: np.ndarray, cfg: CollectionConfig, rng: np.random.Generator
-) -> tuple[list[ReportBatch], np.ndarray]:
-    """Client side for n users: (batches under ``cfg.params(a)``, simulator-only sampled indices).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Client side for n users: (report matrix M, simulator-only sampled indices).
 
     Every fake draw goes through ``cfg.fake``, so rs_fd (uniform) and rs_rfd
-    (priors) consume the random stream identically at equal seeds.  The
-    reports go straight into one C-contiguous report matrix: (n, d) of
-    ``value_dtype(cfg.ks)`` for grr, else (n, sum(ks)) uint8 bits.  Batch a's
-    data is its column ``M[:, a]`` (grr) or its ks[a]-column slice, and
-    :func:`encode_features` hands the matrix on without a copy.  A UE
-    slot's bits (real, one-hot ``_r`` fakes or all-zero ``_z`` fakes) come from
-    ``oracles.unary_bit_blocks`` and are scattered into their rows one block at
-    a time, so no (n_a, k) bit array is made; the sampled indices are drawn as
-    int64 and kept in ``np.min_scalar_type(d - 1)``.
+    (priors) consume the random stream identically at equal seeds.  M is
+    C-contiguous, of ``value_dtype(cfg.ks)`` for grr, else uint8 bits, and the
+    reports go straight into it through the views of :func:`report_batches`.
+    A UE slot's bits (real, one-hot ``_r`` fakes or all-zero ``_z`` fakes) come
+    from ``oracles.unary_bit_blocks`` and are scattered into their rows one
+    block at a time, so no (n_a, k) bit array is made; the sampled indices are
+    drawn as int64 and kept in ``np.min_scalar_type(d - 1)``.
     """
     rows = _check_rows(rows, cfg.ks)
     n, d = rows.shape
     sampled = rng.integers(0, d, size=n).astype(np.min_scalar_type(d - 1))
-    batches = []
     grr = cfg.variant == "grr"
     M = np.empty((n, d) if grr else (n, sum(cfg.ks)),
                  dtype=value_dtype(cfg.ks) if grr else np.uint8)
-    ends = np.cumsum(cfg.ks)
-    for a, k in enumerate(cfg.ks):
-        params = cfg.params(a)
+    for a, b in enumerate(report_batches(M, cfg)):
         # index arrays, not masks: one gather and two row scatters per attribute
         real, fake = np.flatnonzero(sampled == a), np.flatnonzero(sampled != a)
         if grr:
-            col = M[:, a]
-            col[real] = randomize_batch(rows[real, a], params, rng).data
-            col[fake] = _categorical(cfg.fake[a], len(fake), rng)
+            b.data[real] = randomize_batch(rows[real, a], b.params, rng).data
+            b.data[fake] = _categorical(cfg.fake[a], len(fake), rng)
         else:  # the fakes unary-encode a categorical draw, or all zeros under sue_z / oue_z
-            col = M[:, ends[a] - k : ends[a]]
-            _scatter_unary(col, real, rows[real, a], params, rng)
+            _scatter_unary(b.data, real, rows[real, a], b.params, rng)
             fakes = None if cfg.fake is None else _categorical(cfg.fake[a], len(fake), rng)
-            _scatter_unary(col, fake, fakes, params, rng)
-        batches.append(ReportBatch(params, col))
-    return batches, sampled
+            _scatter_unary(b.data, fake, fakes, b.params, rng)
+    return M, sampled
 
 
 def _scatter_unary(col: np.ndarray, idx: np.ndarray, values: np.ndarray | None,
@@ -302,33 +306,6 @@ def _scatter_unary(col: np.ndarray, idx: np.ndarray, values: np.ndarray | None,
     rows = col.view(item)[:, 0]
     for lo, hi, bits in unary_bit_blocks(len(idx), params.k, params.q, rng, values, params.p):
         rows[idx[lo:hi]] = bits.view(item)[:, 0]
-
-
-def encode_features(batches: Sequence[ReportBatch]) -> np.ndarray:
-    """The classifier's features: the report matrix that ``rs_sanitize_batch`` wrote
-    the batches into (values or bit rows), without a copy.
-
-    Raises ParameterError unless the batches are, in attribute order, the column
-    views of one C-contiguous matrix: the next column for 1-D data, else the
-    next data.shape[1] columns, up to the last.
-    """
-    M = getattr(batches[0].data, "base", None) if len(batches) else None
-    ok = isinstance(M, np.ndarray) and M.ndim == 2 and M.flags.c_contiguous
-    lo = 0
-    for b in batches:
-        x = b.data
-        if not (ok and isinstance(x, np.ndarray) and x.base is M and x.ndim in (1, 2)):
-            ok = False
-            break
-        hi = lo + (x.shape[1] if x.ndim == 2 else 1)
-        # the same start, shape, strides and dtype as the expected view
-        ok = hi <= M.shape[1] and (x.__array_interface__ == (
-            M[:, lo:hi] if x.ndim == 2 else M[:, lo]).__array_interface__)
-        lo = hi
-    if not (ok and lo == M.shape[1]):
-        raise ParameterError("fake-data features need the column views of one report "
-                             "matrix, as rs_sanitize_batch returns them")
-    return M
 
 
 def _fake_support(cfg: CollectionConfig, a: int, params: ProtocolParams):
@@ -358,15 +335,15 @@ def rs_estimate_from_counts(
     return out
 
 
-def rs_estimate(batches: Sequence[ReportBatch], cfg: CollectionConfig) -> list[np.ndarray]:
-    """Raw unbiased per-attribute frequency estimates from one batch per attribute.
+def rs_estimate(M: np.ndarray, cfg: CollectionConfig) -> list[np.ndarray]:
+    """Raw unbiased per-attribute frequency estimates from the report matrix ``M`` that
+    ``rs_sanitize_batch`` returns (:func:`report_batches` refuses a misshapen one).
 
-    The batches must be those ``rs_sanitize_batch`` returns (:func:`encode_features`
-    refuses others).  grr counts each value column with ``support_counts``; UE counts
-    every attribute's bits in one pass over the (n, sum(ks)) report matrix, split
-    at ``cumsum(ks)``: the same integers as one ``support_counts`` per batch.
+    grr counts each value column with ``support_counts``; UE counts every
+    attribute's bits in one pass over M, split at ``cumsum(ks)``: the same
+    integers as one ``support_counts`` per attribute.
     """
-    M = encode_features(batches)
+    batches = report_batches(M, cfg)
     if cfg.variant == "grr":
         counts = [support_counts(b) for b in batches]
     else:

@@ -8,9 +8,9 @@ The 64-bit mixing function used by the hashing oracle is SplitMix64, chosen
 because it is bit-exact reproducible from its published constants in any
 language.  ``hash_match_blocks`` evaluates it for every (report, candidate)
 pair and hands the matches on one row block at a time, in cache-sized
-row chunks (``CHUNK_ELEMENTS``, every (n, k) kernel's row budget), reducing
-modulo g with a floor-divide remainder.  ``ahead`` jumps a copy of a PCG64
-stream past a known number of draws, so what follows them is drawn first.
+row chunks (``CHUNK_ELEMENTS``, every (n, k) kernel's row budget).
+``ahead`` jumps a copy of a PCG64 stream past a known number of draws, so
+what follows them is drawn first.
 """
 
 from __future__ import annotations
@@ -61,6 +61,19 @@ def splitmix64(x) -> np.ndarray:
     return _splitmix64_inplace(z, np.empty_like(z)).reshape(np.shape(x))
 
 
+def _bucket_inplace(z: np.ndarray, tmp: np.ndarray, g: int) -> np.ndarray:
+    """Outer SplitMix64 of the uint64 array ``z`` (a value hash xor a seed), then ``% g``,
+    in place; ``tmp`` is scratch.  ``% g`` is ``z - (z // g) * g``: numpy's uint64
+    floor-divide by a scalar is several times faster than its remainder, and the result
+    is exact with no overflow, as ``(z // g) * g <= z``."""
+    _splitmix64_inplace(z, tmp)
+    g = np.uint64(g)
+    np.floor_divide(z, g, out=tmp)
+    tmp *= g
+    z -= tmp
+    return z
+
+
 def hash_bucket(seed: np.ndarray, value: np.ndarray, g: int) -> np.ndarray:
     """Map (seed, value) into a bucket in [0, g) via SplitMix64 mixing.
 
@@ -72,13 +85,7 @@ def hash_bucket(seed: np.ndarray, value: np.ndarray, g: int) -> np.ndarray:
     """
     z = splitmix64(value)
     z ^= np.asarray(seed, dtype=np.uint64)
-    tmp = np.empty_like(z)
-    _splitmix64_inplace(z, tmp)
-    g = np.uint64(g)
-    np.floor_divide(z, g, out=tmp)
-    tmp *= g
-    z -= tmp
-    return z.view(np.int64)
+    return _bucket_inplace(z, np.empty_like(z), g).view(np.int64)
 
 
 def hash_match_blocks(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int):
@@ -88,11 +95,8 @@ def hash_match_blocks(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int):
     ``hash_bucket(seeds[i], v, g) == buckets[i]`` for rows i in [lo, hi).
     It is one buffer, overwritten by the next block: copy it to keep it.
     The candidate hashes ``splitmix64(v)`` are computed once; the outer
-    SplitMix64, the ``% g`` and the compare run in place on two reused
-    uint64 buffers of ``chunk_rows(k)`` rows.  The ``% g`` is taken as
-    ``z - (z // g) * g``: numpy's uint64 floor-divide by a scalar is several
-    times faster than its remainder, and the result is exact with no
-    overflow, as ``(z // g) * g <= z``.
+    SplitMix64, the ``% g`` (``_bucket_inplace``) and the compare run in place
+    on two reused uint64 buffers of ``chunk_rows(k)`` rows.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     buckets = np.asarray(buckets)
@@ -102,17 +106,13 @@ def hash_match_blocks(seeds: np.ndarray, buckets: np.ndarray, k: int, g: int):
     z = np.empty((min(rows, n), k), dtype=np.uint64)
     tmp = np.empty_like(z)
     out = np.empty((min(block, n), k), dtype=np.uint8)
-    g = np.uint64(g)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         for s in range(lo, hi, rows):
             e = min(s + rows, hi)
             zc, tc = z[: e - s], tmp[: e - s]
             np.bitwise_xor(seeds[s:e, None], cand, out=zc)
-            _splitmix64_inplace(zc, tc)
-            np.floor_divide(zc, g, out=tc)
-            tc *= g
-            zc -= tc
+            _bucket_inplace(zc, tc, g)
             np.equal(zc, buckets[s:e, None].astype(np.uint64),
                      out=out[s - lo : e - lo].view(bool))
         yield lo, hi, out[: hi - lo]

@@ -137,8 +137,8 @@ def test_c03_estimator_unbiasedness():
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
             cfg = mdm.CollectionConfig(ks, solution, variant, 1.0, priors)
-            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batches, cfg))
+            M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(M, cfg))
         for a in range(3):
             assert _bias_ok([e[a] for e in ests], freqs[a], runs), (solution, variant, a)
         checked.append(f"{solution}[{variant}]")
@@ -162,8 +162,8 @@ def test_c04_variance_formulas():
             rng = stream(7700, vi, r)
             rows = np.column_stack([rng.choice(k, size=n, p=freqs[a])
                                     for a, k in enumerate(ks)])
-            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batches, cfg))
+            M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(M, cfg))
         for a, theo in enumerate(mdm.rs_variance(freqs, cfg, n)):
             arr = np.array([e[a] for e in ests])
             emp = arr.var(axis=0, ddof=1)

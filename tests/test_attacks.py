@@ -592,13 +592,13 @@ def _collection(ks, n, seed, variant="grr", eps=1.0):
     rng = stream(seed, 0)
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
     cfg = mdm.CollectionConfig(ks, "rs_fd", variant, eps)
-    batches, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
-    return rows, cfg, batches, labels
+    M, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
+    return rows, cfg, M, labels
 
 
 def test_build_learning_set_nk_uniform_labels():
-    rows, cfg, batches, labels = _collection([4, 5, 3], 30_000, 16)
-    est = mdm.rs_estimate(batches, cfg)
+    rows, cfg, M, labels = _collection([4, 5, 3], 30_000, 16)
+    est = mdm.rs_estimate(M, cfg)
     learn = atk.build_learning_set(est, 30_000, cfg, stream(16, 1))
     counts = np.bincount(learn.labels, minlength=3)
     sig = 3 * math.sqrt((1 / 3) * (2 / 3) / 30_000)
@@ -610,9 +610,8 @@ def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
     # a list of learning sets is one fit on their concatenation (s + n_pk rows,
     # synthetic first), passed as row blocks with no concatenated copy;
     # estimate_fallback comes from any part
-    rows, cfg, batches, labels = _collection([4, 5, 3], 500, 18)
-    feats = mdm.encode_features(batches)
-    est = mdm.rs_estimate(batches, cfg)
+    rows, cfg, feats, labels = _collection([4, 5, 3], 500, 18)
+    est = mdm.rs_estimate(feats, cfg)
     synthetic = atk.build_learning_set(est, 250, cfg, stream(18, 1))
     compromised = atk.LearningSet(feats[:100], labels[:100])
     X = np.concatenate([synthetic.features, feats[:100]])
@@ -660,12 +659,12 @@ def test_nk_synthetic_features_match_real_distribution():
     freqs = [stream(20, 9).dirichlet(np.ones(k)) for k in ks]
     rows = np.column_stack([rng.choice(k, n, p=f) for k, f in zip(ks, freqs)])
     cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
-    real_batch, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+    real, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
     synth_rows = synthesize_profiles(freqs, n, rng, ks)
-    synth_batch, _ = mdm.rs_sanitize_batch(synth_rows, cfg, rng)
+    synth, _ = mdm.rs_sanitize_batch(synth_rows, cfg, rng)
     for a, k in enumerate(ks):
-        c_real = np.bincount(real_batch[a].data, minlength=k)
-        c_synth = np.bincount(synth_batch[a].data, minlength=k)
+        c_real = np.bincount(real[:, a], minlength=k)
+        c_synth = np.bincount(synth[:, a], minlength=k)
         table = np.vstack([c_real, c_synth])
         assert stats.chi2_contingency(table).pvalue > 0.01
 

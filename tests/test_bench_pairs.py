@@ -17,11 +17,12 @@ def _run(wall, digest="a5f79cca", failed=0):
 def test_summary_counts_wins_in_each_metrics_direction():
     walls = [(1.00, 0.80), (1.10, 0.90), (0.95, 0.97), (1.05, 0.85), (1.20, 0.88)]
     lines = TOOL["summarize"]([(_run(a), _run(b)) for a, b in walls], METRICS)
-    wall, rate, digest = lines
+    wall, rate, failed, digest = lines
     # parent walls 0.95 1.00 1.05 1.10 1.20: median 1.05, quartiles 1.00 and 1.10
     assert wall.startswith("wall_s: parent 1.05 [1, 1.1] -> change 0.88 [0.85, 0.9]")
     assert "change wins 4/5" in wall and "beyond the parent IQR 0.1" in wall
     assert "change wins 4/5" in rate  # a higher rate is the better one
+    assert failed == "failed rows: parent 0, change 0"
     assert digest == "one digest: a5f79cca"
 
 
@@ -38,3 +39,20 @@ def test_one_pair_and_a_run_line():
                     "digest a5f79cca")
     assert TOOL["summarize"]([(_run(1.0), _run(0.5))], METRICS)[0].startswith(
         "wall_s: parent 1 [1, 1] -> change 0.5 [0.5, 0.5] (-50.0%); change wins 1/1")
+
+
+def test_summary_totals_failed_rows_and_flags_a_change_that_fails_more():
+    pairs = [(_run(1.0, failed=1), _run(1.0, failed=2)), (_run(1.1), _run(1.1, failed=1))]
+    assert TOOL["summarize"](pairs, METRICS)[2] == (
+        "failed rows: parent 1, change 3; CHANGE FAILS MORE ROWS")
+    fewer = [(c, p) for p, c in pairs]
+    assert TOOL["summarize"](fewer, METRICS)[2] == "failed rows: parent 3, change 1"
+
+
+def test_summary_survives_a_parent_median_of_zero():
+    run = {"metrics": {"wall_s": 0.0, "reports_per_s": 0.0}, "digest": "a5f79cca",
+           "correct": True, "failed": 0}
+    changed = {**run, "metrics": {"wall_s": 0.5, "reports_per_s": 2.0}}
+    wall, rate = TOOL["summarize"]([(run, changed)], METRICS)[:2]
+    assert "(parent median 0); change wins 0/1" in wall
+    assert "(parent median 0); change wins 1/1" in rate

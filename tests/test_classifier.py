@@ -211,3 +211,30 @@ def test_block_fit_checks_every_block(mode):
         fit([X[:2], X[2:]], [y[:2], y[2:] + 1], n_classes=2, categories=[2, 2])
     with pytest.raises(ParameterError, match="feature 1"):
         fit([X[:2], X[2:] * [1, 2]], [y[:2], y[2:]], n_classes=2, categories=[2, 2])
+
+
+@pytest.mark.parametrize("mode", ["categorical", "bernoulli"])
+def test_narrow_labels_fit_the_int64_tables(mode):
+    # labels are kept in their own dtype; the categorical cell index c * k + x reaches
+    # C * k - 1 = 899 > 255 at k = 300, so it must be taken in int64, not in uint8
+    rng = np.random.default_rng(8)
+    ks, C, n = [300, 4], 3, 5000
+    X = (np.column_stack([rng.integers(0, k, n) for k in ks]).astype(np.uint16)
+         if mode == "categorical" else (rng.random((n, 23)) < 0.3).astype(np.uint8))
+    y = rng.integers(0, C, n)
+    wide = NaiveBayes(mode=mode).fit(X, y, n_classes=C, categories=ks)
+    narrow = NaiveBayes(mode=mode).fit([X[:2000], X[2000:]],
+                                       [y[:2000].astype(np.uint8), y[2000:].astype(np.uint8)],
+                                       n_classes=C, categories=ks)
+    np.testing.assert_array_equal(narrow._log_prior, wide._log_prior)
+    for got, want in zip(narrow._log_like, wide._log_like, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("labels", [[0.0, 1.0, 1.0], [0.5, 1.0, 1.0], [False, True, True]])
+def test_non_integer_labels_rejected(labels):
+    # an int64 cast would truncate 0.5 to class 0 and fit silently
+    X = np.array([[0, 1], [1, 0], [2, 1]])
+    for mode in ("categorical", "bernoulli"):
+        with pytest.raises(ParameterError, match="labels must be integers"):
+            NaiveBayes(mode=mode).fit(X % 2, np.array(labels), n_classes=2, categories=[3, 2])

@@ -599,36 +599,32 @@ def _ref_rs_sanitize(rows, cfg, rng):
                                         ("sue_z", (300, 5, 3)), ("sue_r", (300, 5, 3)),
                                         ("oue_r", (300, 5, 3))])
 def test_rs_sanitize_writes_one_report_matrix(variant, ks, n):
-    # every batch is a column view of the one matrix encode_features returns, in
-    # attribute order; k = 300 makes the grr matrix uint16, and its UE slots stream
-    # in blocks of block_rows(300) = 872 rows, which 3,000 users' slots cross
+    # the sanitizer returns one report matrix, and report_batches cuts it into column
+    # views of it in attribute order; k = 300 makes the grr matrix uint16, and its UE
+    # slots stream in blocks of block_rows(300) = 872 rows, which 3,000 users' slots cross
     cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
     rng = stream(56, n)
     rows = np.column_stack([rng.integers(0, k, n) for k in ks])
-    batches, sampled = mdm.rs_sanitize_batch(rows, cfg, stream(57, n))
+    M, sampled = mdm.rs_sanitize_batch(rows, cfg, stream(57, n))
     ref, ref_sampled = _ref_rs_sanitize(rows, cfg, stream(57, n))
-    M = mdm.encode_features(batches)
     grr = variant == "grr"
     assert M.flags.c_contiguous and M.shape == (n, len(ks) if grr else sum(ks))
     assert M.dtype == (np.uint16 if grr and max(ks) > 256 else np.uint8)
     np.testing.assert_array_equal(M, ref)
     np.testing.assert_array_equal(sampled, ref_sampled)
     lo = 0
-    for b, k in zip(batches, ks):
+    for a, (b, k) in enumerate(zip(mdm.report_batches(M, cfg), ks, strict=True)):
         hi = lo + (1 if grr else k)
-        assert b.data.base is M
+        assert b.params == cfg.params(a) and b.data.base is M
         np.testing.assert_array_equal(b.data, M[:, lo] if grr else M[:, lo:hi])
         if n:
             assert np.shares_memory(b.data, M[:, lo:hi])
             assert not np.shares_memory(b.data, M[:, :lo])
             assert not np.shares_memory(b.data, M[:, hi:])
         lo = hi
-    copies = [[oc.ReportBatch(b.params, b.data.copy()) for b in batches], batches[:-1]]
-    if n:  # numpy gives every empty column view of M the same start and strides
-        copies += [batches[::-1], [oc.ReportBatch(b.params, b.data[: n - 1]) for b in batches]]
-    for bad in copies:
-        with pytest.raises(ParameterError, match="one report matrix"):
-            mdm.encode_features(bad)
+    for bad in (M[:, 0], M.ravel(), M[:, 1:], np.hstack([M, M[:, :1]])):
+        with pytest.raises(ParameterError, match="report matrix must be"):
+            mdm.report_batches(bad, cfg)
 
 
 @pytest.mark.parametrize("solution,variant", [
@@ -644,18 +640,18 @@ def test_rs_estimate_counts_the_report_matrix_in_one_pass(solution, variant):
     ns = (1, 32_767, 32_768, 32_769, 65_539)
     rng = stream(74, 0)
     rows = np.column_stack([rng.integers(0, k, ns[-1]) for k in ks])
-    batches, _ = mdm.rs_sanitize_batch(rows, cfg, stream(75, 0))
-    M, grr = mdm.encode_features(batches), variant == "grr"
+    M, _ = mdm.rs_sanitize_batch(rows, cfg, stream(75, 0))
+    grr = variant == "grr"
     ends = np.cumsum(ks)
     for n in ns:
-        sub = M[:n].copy()  # batches as the sanitizer returns them, of n users
-        part = [oc.ReportBatch(b.params, sub[:, a] if grr else sub[:, e - k : e])
-                for a, (b, k, e) in enumerate(zip(batches, ks, ends))]
+        sub = M[:n].copy()  # the report matrix of n users
+        part = [oc.ReportBatch(cfg.params(a), sub[:, a] if grr else sub[:, e - k : e])
+                for a, (k, e) in enumerate(zip(ks, ends))]
         want = mdm.rs_estimate_from_counts([oc.support_counts(b) for b in part], cfg, n)
-        for got, ref in zip(mdm.rs_estimate(part, cfg), want, strict=True):
+        for got, ref in zip(mdm.rs_estimate(sub, cfg), want, strict=True):
             np.testing.assert_array_equal(got, ref)
-    for bad in ([oc.ReportBatch(b.params, b.data.copy()) for b in batches], batches[::-1]):
-        with pytest.raises(ParameterError, match="one report matrix"):
+    for bad in (M[:, 0], M[:, 1:], np.hstack([M, M[:, :1]])):
+        with pytest.raises(ParameterError, match="report matrix must be"):
             mdm.rs_estimate(bad, cfg)
 
 
@@ -826,9 +822,8 @@ def _ref_attr_infer(rows, cfg, seed, run=0, s_mult=1.0, npk_frac=0.1):
     """run_attr_infer_experiment with every model's test rows predicted in one call."""
     n = len(rows)
     rng = stream(seed, 404, run)
-    batches, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
-    features = mdm.encode_features(batches)
-    est = mdm.rs_estimate(batches, cfg)
+    features, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
+    est = mdm.rs_estimate(features, cfg)
     out = {}
     for i, model in enumerate(atk.ATTACK_MODELS):
         rng_m = stream(seed, 505, run, i)
@@ -856,17 +851,17 @@ def test_attr_infer_scores_test_rows_in_predict_blocks(variant, monkeypatch):
     rows = zipf_dataset(10_001, ks, 0.6, stream(67, 0)).rows
     ref = _ref_attr_infer(rows, cfg, seed=68)
     matrices, calls = [], []
-    encode, predict = mdm.encode_features, NaiveBayes.predict
+    sanitize, predict = atk.rs_sanitize_batch, NaiveBayes.predict
 
-    def spy_encode(batches):
-        matrices.append(encode(batches))
+    def spy_sanitize(rows, cfg, rng):
+        matrices.append(sanitize(rows, cfg, rng))
         return matrices[-1]
 
     def spy_predict(self, X):
-        calls.append((len(X), np.shares_memory(X, matrices[0])))
+        calls.append((len(X), np.shares_memory(X, matrices[0][0])))
         return predict(self, X)
 
-    monkeypatch.setattr(atk, "encode_features", spy_encode)  # the name attacks calls
+    monkeypatch.setattr(atk, "rs_sanitize_batch", spy_sanitize)  # the name attacks calls
     monkeypatch.setattr(NaiveBayes, "predict", spy_predict)
     got = atk.run_attr_infer_experiment(rows, cfg, atk.ATTACK_MODELS, seed=68)
     assert got == ref  # the accuracies bit for bit, and the flags

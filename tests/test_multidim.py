@@ -174,10 +174,10 @@ def test_rsfd_uez_fake_bit_count():
     n = 100_000
     rng = stream(10, 0)
     rows = np.zeros((n, 2), dtype=int)
-    batches, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(ks, "rs_fd", "oue_z", 1.0), rng)
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "oue_z", 1.0)
+    M, sampled = mdm.rs_sanitize_batch(rows, cfg, rng)
     params = oc.protocol_params("oue", mdm.amplified_epsilon(1.0, 2), 9)
-    fakes = batches[1].data[sampled != 1]
+    fakes = mdm.report_batches(M, cfg)[1].data[sampled != 1]
     m = len(fakes)
     mean_ones = fakes.sum(axis=1).mean()
     sig = 3 * math.sqrt(9 * params.q * (1 - params.q) / m)
@@ -189,20 +189,23 @@ def test_rsfd_grr_fake_slot_uniform():
     n = 100_000
     rng = stream(11, 0)
     rows = np.zeros((n, 2), dtype=int)
-    batches, sampled = mdm.rs_sanitize_batch(
-        rows, mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0), rng)
-    fakes = batches[1].data[sampled != 1]
+    cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
+    M, sampled = mdm.rs_sanitize_batch(rows, cfg, rng)
+    fakes = mdm.report_batches(M, cfg)[1].data[sampled != 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts)
     assert chi.pvalue > 0.01
 
 
 def test_rsfd_tuple_object_hides_sampled_index():
-    # one report batch per attribute under cfg.params(a), the shape spl returns; the
-    # sampled indices go back to the simulator only, and no batch holds them
+    # the report matrix holds the reports only, cut into one report batch per attribute
+    # under cfg.params(a), the shape spl returns; the sampled indices go back to the
+    # simulator only, and no batch holds them
     ks = (3, 4)
     cfg = mdm.CollectionConfig(ks, "rs_fd", "oue_r", 1.0)
-    batches, sampled = mdm.rs_sanitize_batch(np.array([[1, 2]] * 5), cfg, stream(12, 0))
+    M, sampled = mdm.rs_sanitize_batch(np.array([[1, 2]] * 5), cfg, stream(12, 0))
+    assert M.shape == (5, 7)
+    batches = mdm.report_batches(M, cfg)
     assert [type(b) for b in batches] == [oc.ReportBatch] * 2
     for a, b in enumerate(batches):
         assert vars(b).keys() == {"params", "data"}
@@ -265,7 +268,7 @@ def test_fractional_and_non_finite_indices_refused(bad):
     cfg = mdm.CollectionConfig(ks, "rs_fd", "grr", 1.0)
     params = oc.protocol_params("grr", 1.0, 4)
     calls = {
-        "rs": lambda rows, rng: [b.data for b in mdm.rs_sanitize_batch(rows, cfg, rng)[0]],
+        "rs": lambda rows, rng: [mdm.rs_sanitize_batch(rows, cfg, rng)[0]],
         "spl": lambda rows, rng: [b.data for b in mdm.spl_sanitize_batch(rows, ks, "grr",
                                                                          1.0, rng)],
         "oracle": lambda rows, rng: [oc.randomize_batch(rows.ravel(), params, rng).data],
@@ -372,8 +375,8 @@ def test_rsfd_estimate_monte_carlo_bias():
             rng = stream(18, r)
             rows = draw_rows(ks, freqs, n, rng)
             cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
-            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batches, cfg))
+            M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(M, cfg))
         for a in range(3):
             arr = np.array([e[a] for e in ests])
             se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -388,8 +391,8 @@ def test_rsfd_uniform_data_estimates_uniform():
     for r in range(runs):
         rng = stream(19, r)
         rows = np.column_stack([rng.integers(0, k, n) for k in ks])
-        batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-        ests.append(mdm.rs_estimate(batches, cfg))
+        M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+        ests.append(mdm.rs_estimate(M, cfg))
     for a, k in enumerate(ks):
         arr = np.array([e[a] for e in ests])
         se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -403,13 +406,12 @@ def test_rsrfd_uniform_prior_degenerates_to_rsfd():
     for variant in ("grr", "sue_r", "oue_r"):
         fd = mdm.CollectionConfig(ks, "rs_fd", variant, 0.9)
         rfd = mdm.CollectionConfig(ks, "rs_rfd", variant, 0.9, mdm.uniform_priors(ks))
-        b1, s1 = mdm.rs_sanitize_batch(rows, fd, stream(22, 5))
-        b2, s2 = mdm.rs_sanitize_batch(rows, rfd, stream(22, 5))
+        m1, s1 = mdm.rs_sanitize_batch(rows, fd, stream(22, 5))
+        m2, s2 = mdm.rs_sanitize_batch(rows, rfd, stream(22, 5))
         assert np.array_equal(s1, s2)
-        for c1, c2 in zip(b1, b2):
-            assert np.array_equal(c1.data, c2.data)
-        e1 = mdm.rs_estimate(b1, fd)
-        e2 = mdm.rs_estimate(b2, rfd)
+        assert np.array_equal(m1, m2)
+        e1 = mdm.rs_estimate(m1, fd)
+        e2 = mdm.rs_estimate(m2, rfd)
         for a in range(3):
             assert np.abs(e1[a] - e2[a]).max() < 1e-9
 
@@ -418,19 +420,19 @@ def test_rsrfd_point_mass_prior_fake_slots_constant():
     ks = (4, 5)
     priors = [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0, 0])]
     rows = np.column_stack([np.full(5000, 3), np.full(5000, 4)])
-    batches, sampled = mdm.rs_sanitize_batch(
+    M, sampled = mdm.rs_sanitize_batch(
         rows, mdm.CollectionConfig(ks, "rs_rfd", "grr", 1.0, priors), stream(23, 0))
-    assert (batches[0].data[sampled != 0] == 0).all()
-    assert (batches[1].data[sampled != 1] == 2).all()
+    assert (M[sampled != 0, 0] == 0).all()
+    assert (M[sampled != 1, 1] == 2).all()
 
 
 def test_rsrfd_fake_slots_follow_prior():
     ks = (3, 6)
     priors = dirichlet_freqs(ks, 24)
     rows = np.zeros((100_000, 2), dtype=int)
-    batches, sampled = mdm.rs_sanitize_batch(
+    M, sampled = mdm.rs_sanitize_batch(
         rows, mdm.CollectionConfig(ks, "rs_rfd", "grr", 1.0, priors), stream(25, 0))
-    fakes = batches[1].data[sampled != 1]
+    fakes = M[sampled != 1, 1]
     counts = np.bincount(fakes, minlength=6)
     chi = stats.chisquare(counts, f_exp=len(fakes) * priors[1])
     assert chi.pvalue > 0.01
@@ -447,8 +449,8 @@ def test_rsrfd_monte_carlo_bias():
             rng = stream(28, r)
             rows = draw_rows(ks, freqs, n, rng)
             cfg = mdm.CollectionConfig(ks, "rs_rfd", variant, 1.0, priors)
-            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batches, cfg))
+            M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(M, cfg))
         for a in range(3):
             arr = np.array([e[a] for e in ests])
             se = arr.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -543,8 +545,8 @@ def test_variance_matches_monte_carlo():
         for r in range(runs):
             rng = stream(31, r)
             rows = draw_rows(ks, freqs, n, rng)
-            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batches, cfg)[0])
+            M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(M, cfg)[0])
         arr = np.array(ests)
         theo = mdm.rs_variance(freqs, cfg, n)[0]
         emp = arr.var(axis=0, ddof=1)
@@ -562,8 +564,8 @@ def test_rsfd_variance_matches_monte_carlo():
         for r in range(runs):
             rng = stream(35, r)
             rows = draw_rows(ks, freqs, n, rng)
-            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            ests.append(mdm.rs_estimate(batches, cfg))
+            M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            ests.append(mdm.rs_estimate(M, cfg))
         for a, theo in enumerate(mdm.rs_variance(freqs, cfg, n)):
             emp = np.array([e[a] for e in ests]).var(axis=0, ddof=1)
             assert emp.sum() == pytest.approx(theo.sum(), rel=0.15), (variant, a)
@@ -596,8 +598,8 @@ def test_estimation_error_shrinks_as_sqrt_n():
         for r in range(16):
             rng = stream(33, n, r)
             rows = draw_rows(ks, freqs, n, rng)
-            batches, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
-            est = mdm.rs_estimate(batches, cfg)
+            M, _ = mdm.rs_sanitize_batch(rows, cfg, rng)
+            est = mdm.rs_estimate(M, cfg)
             errs.append(max(np.abs(est[a] - freqs[a]).max() for a in range(3)))
         mean_err.append(np.mean(errs))
     slope = np.polyfit(np.log(ns), np.log(mean_err), 1)[0]

@@ -11,9 +11,11 @@ in odd ones, so a drift of the machine falls on both sides alike.  Without
 It prints every run's end-to-end metrics and table digest, then per metric
 each side's median and quartiles, the change's wins (pairs in which it is
 strictly better, in the metric's direction) and whether the medians differ
-by more than the parent's interquartile range.  A digest that differs
-between runs is flagged: the tables are not the same bytes.  Standard
-library only; the benchmark's own files are only run, never written.
+by more than the parent's interquartile range.  It then totals each side's
+failed rows and flags a change that fails more of them than the parent,
+and flags a digest that differs between runs: the tables are not the same
+bytes.  Standard library only; the benchmark's own files are only run,
+never written.
 """
 
 from __future__ import annotations
@@ -71,9 +73,13 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         (q1, med, q3), (c1, cmed, c3) = _quartiles(old), _quartiles(new)
         wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
         beyond = "beyond" if abs(cmed - med) > q3 - q1 else "within"
+        move = f"{cmed / med - 1:+.1%}" if med else "parent median 0"
         lines.append(f"{name}: parent {med:.6g} [{q1:.6g}, {q3:.6g}] -> change {cmed:.6g} "
-                     f"[{c1:.6g}, {c3:.6g}] ({cmed / med - 1:+.1%}); change wins "
+                     f"[{c1:.6g}, {c3:.6g}] ({move}); change wins "
                      f"{wins}/{len(pairs)}; median move {beyond} the parent IQR {q3 - q1:.3g}")
+    old, new = (sum(run["failed"] for run in side) for side in zip(*pairs))
+    more = "; CHANGE FAILS MORE ROWS" if new > old else ""
+    lines.append(f"failed rows: parent {old}, change {new}{more}")
     digests = sorted({run["digest"] for pair in pairs for run in pair})
     if len(digests) > 1:
         lines.append("DIGESTS DIFFER: " + " ".join(digests))
