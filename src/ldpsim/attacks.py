@@ -192,20 +192,17 @@ def empirical_attack_acc(protocol: str, epsilon: float, k: int, n: int,
 # Re-identification
 # ---------------------------------------------------------------------------
 
-# Largest record bitset _rank_of_true holds at once, in bytes.
+# Largest record bitset _closer_tied holds at once, in bytes, and most users it compares at once.
 _BITSET_BYTES = 1 << 25
+_USER_BLOCK = 256
 
 
-def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray,
-                  rng: np.random.Generator, chunk: int = 256) -> np.ndarray:
-    """Rank (0-based) of each user's own record (background row i for user i).
-
-    Records are ordered by Hamming distance over the user's known entries
-    (-1 in ``profiles`` is unknown), ties uniformly at random.  With
-    ``closer`` records strictly nearer and ``tied`` at the true record's
-    distance (itself included), its rank is closer + Uniform{0..tied-1}:
-    one draw per user, in user order, the law of sorting by (distance, iid
-    uniform key).
+def _closer_tied(profiles: np.ndarray, bk_rows: np.ndarray,
+                 bk_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(closer, tied): for each user i, the int64 counts of background records strictly
+    nearer to its profile than its own record (row i) and at the same distance (itself
+    included), by Hamming distance over the user's known entries (-1 in ``profiles`` is
+    unknown).  Its rank, ties uniformly at random, is closer + Uniform{0..tied-1}.
 
     The records are bit-sliced in equal blocks of W words, as few blocks as
     keep each one's bitsets within ``_BITSET_BYTES`` (or W = 1): for each
@@ -214,7 +211,7 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     an all-zero row).  A user with m known columns and ``own`` of them
     matching its own record takes its m rows; a record's match count is the
     number of those rows with its bit set.  Users are grouped by m and by
-    whether own = m, and ranked in blocks of at most ``chunk`` users:
+    whether own = m, and compared in blocks of at most ``_USER_BLOCK`` users:
 
     * m = 0: every record ties;
     * own = m: no record is nearer, and the tied records are the AND of the
@@ -226,8 +223,8 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
 
     closer / tied are popcounts of those masks, summed over the record
     blocks, which reuse one set of buffers.  Memory is O(min(sum(k) * n_bk,
-    8 * _BITSET_BYTES) / 8 + chunk * W * 8 * planes) bytes beyond the (n, c)
-    narrow copies of the table.
+    8 * _BITSET_BYTES) / 8 + _USER_BLOCK * W * 8 * planes) bytes beyond the
+    (n, c) narrow copies of the table.
     """
     n = len(profiles)
     n_bk, c = len(bk_rows), len(bk_cols)
@@ -252,7 +249,7 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
     closer = np.zeros(n, dtype=np.int64)
     tied = np.where(m == 0, n_bk, 0)  # the blocks add up the others' ties
     del P, m, key  # free before the block buffers
-    rows = min(chunk, int(sizes[2:].max(initial=0)))
+    rows = min(_USER_BLOCK, int(sizes[2:].max(initial=0)))
     bits8 = np.empty((n_rows, 8 * W), dtype=np.uint8)
     bits = bits8.view(np.uint64)
     buf = np.empty((planes + 2, rows, W), dtype=np.uint64)
@@ -270,8 +267,8 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
                          (1 << rec % 8).astype(np.uint8)[:, None])
         for g in range(2, 2 * c + 2):
             mg, slow = divmod(g, 2)
-            for lo in range(ends[g - 1], ends[g], chunk):
-                users = order[lo:min(lo + chunk, ends[g])]
+            for lo in range(ends[g - 1], ends[g], _USER_BLOCK):
+                users = order[lo:min(lo + _USER_BLOCK, ends[g])]
                 b = len(users)
                 block = rid[users]
                 idx = block[block >= 0].reshape(b, mg).T.copy()  # one row of bits per known column
@@ -312,7 +309,7 @@ def _rank_of_true(profiles: np.ndarray, bk_rows: np.ndarray, bk_cols: np.ndarray
                     eq = p
                 closer[users] += popcount(gt)
                 tied[users] += popcount(eq) - pad * (o == 0)
-    return closer + rng.integers(0, tied)
+    return closer, tied
 
 
 @dataclass(frozen=True)
@@ -345,7 +342,7 @@ def run_reident_experiment(
     runs: int = 1,
     seed: int = 0,
     rfd_priors: Sequence[np.ndarray] | None = None,
-    nk_s_mult: float = 1.0,
+    s_mult: float = 1.0,
 ) -> tuple[np.ndarray, list[list[list[str]]]]:
     """Simulate repeated collections and score top-k re-identification.
 
@@ -358,16 +355,14 @@ def run_reident_experiment(
     the most recent prediction per attribute, and after every survey >= 2
     matches profiles against the background knowledge.  RID-ACC is the
     percentage of users whose true identity lands in the attacker's top-k.
-    Ties in distance are broken by one uniform draw per user and survey
-    (:func:`_rank_of_true`).  Matching compares each user on the columns it
-    has reported only, against per-(column, value) record bitsets, built in
-    record blocks of at most ``_BITSET_BYTES`` (sum(k) * n / 8 bytes in all),
-    and holds 256 * block / 8 bytes for each bit plane of the match counts
-    and two scratch rows.
+    Every model ranks by one draw per user and survey, in user order,
+    closer + Uniform{0..tied-1} over :func:`_closer_tied`'s counts on the
+    columns each user has reported: the law of sorting by (distance, iid
+    uniform key).
 
     ``attack_mode``: 'fk' matches over all columns, 'pk' over a random
-    subset of >= d/2 columns, 'null' ranks records uniformly at random (the
-    baseline with expected RID-ACC = 100 * top_k / n).
+    subset of >= d/2 columns, 'null' ties every record (closer 0, tied n):
+    the baseline with expected RID-ACC = 100 * top_k / n.
 
     Returns ``(acc, flags)``: ``acc[run, s, t]`` is RID-ACC after survey
     s + 2 at ``top_ks[t]``, and ``flags[run][s]`` the list of attack flags
@@ -407,11 +402,12 @@ def run_reident_experiment(
                                  profile, rng_rep, flags)
             else:
                 _rs_survey_step(rows, ks, solution, protocol, eps_list, attrs,
-                                rfd_priors, nk_s_mult, profile, rng_rep, flags)
+                                rfd_priors, s_mult, profile, rng_rep, flags)
             if s_idx == 0:
                 continue
-            ranks = (rng_match.integers(0, n, size=n) if attack_mode == "null"
-                     else _rank_of_true(profile, rows, bk_cols, rng_match))
+            closer, tied = ((0, np.full(n, n)) if attack_mode == "null"
+                            else _closer_tied(profile, rows, bk_cols))
+            ranks = closer + rng_match.integers(0, tied)
             acc[run, s_idx - 1] = [100.0 * float(np.mean(ranks < k)) for k in top_ks]
             snapshots[run].append(list(flags))
     return acc, snapshots
@@ -436,14 +432,14 @@ def _smp_survey_step(rows, ks, protocol, eps_list, attrs, sampling_mode,
 
 
 def _rs_survey_step(rows, ks, solution, variant, eps_list, attrs,
-                    rfd_priors, nk_s_mult, profile, rng, flags):
+                    rfd_priors, s_mult, profile, rng, flags):
     finite = [eps_list[a] for a in attrs if not math.isinf(eps_list[a])]
     # the whole tuple shares one epsilon: the tightest non-pass-through attribute's
     eps = min(finite) if finite else PASS_THROUGH_EPSILON
     priors = None if rfd_priors is None else tuple(rfd_priors[a] for a in attrs)
     cfg = CollectionConfig([ks[a] for a in attrs], solution, variant, eps, priors)
     M, _ = rs_sanitize_batch(rows[:, attrs], cfg, rng)
-    learn = build_learning_set(rs_estimate(M, cfg), synthetic_count(nk_s_mult, len(rows)),
+    learn = build_learning_set(rs_estimate(M, cfg), synthetic_count(s_mult, len(rows)),
                                cfg, rng)
     clf, attack_flags = train_attacker([learn], cfg)
     flags.extend(f for f in attack_flags if f not in flags)
@@ -508,11 +504,11 @@ def compromised_count(npk_frac: float, n: int) -> int:
 
 
 def synthetic_count(mult: float, n: int) -> int:
-    """Synthetic profiles nk and hm train on, round(mult * n); at least 1."""
-    s = int(round(mult * n))
-    if s < 1:
-        raise ParameterError(f"s_mult or nk_s_mult = {mult!r} makes {s} synthetic profiles "
-                             f"for {n} users; nk and hm need at least 1")
+    """Synthetic profiles nk and hm train on, round(mult * n); at least 1, and finite."""
+    s = int(round(mult * n)) if math.isfinite(mult * n) else math.inf
+    if not 1 <= s < math.inf:
+        raise ParameterError(f"s_mult = {mult!r} makes {s} synthetic profiles for {n} users; "
+                             "nk and hm need at least 1, and a finite number")
     return s
 
 

@@ -9,7 +9,7 @@ Subcommands map to experiment kinds::
     ldpsim mse           --config cfg.txt ...
 
 Flags override config keys.  Exit codes: 0 success, 2 config error,
-3 runtime error.
+3 runtime error, which a RuntimeWarning in the run (a nan path) raises.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from .errors import ConfigError
@@ -91,7 +92,9 @@ def main(argv: list[str] | None = None) -> int:
         }
         cfg = build_config(raw, overrides)
         _check_out(cfg.out)
-        rows = run_experiment(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_experiment(cfg)
         out = export_results(rows, cfg.out, cfg.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ layouts at desk scale); real datasets load from user-supplied CSVs.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
@@ -178,14 +179,16 @@ def laplace_prior(
 
     The budget splits evenly over the d attributes and a normalized
     histogram has sensitivity 2/n, so each frequency takes Laplace noise of
-    scale 2 / (n * (total_epsilon / d)).  Returns :func:`clip_or_uniform`
-    of the noisy vectors: (priors, fallback flags).
+    scale 2 / (n * (total_epsilon / d)), which must be finite.  Returns
+    :func:`clip_or_uniform` of the noisy vectors: (priors, fallback flags).
     """
-    if total_epsilon <= 0:
-        raise ParameterError("total_epsilon must be > 0")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    scale = 2.0 / (n * (total_epsilon / len(true_freqs)))
+    budget = total_epsilon / len(true_freqs)  # 0 if it underflows
+    scale = 2.0 / (n * budget) if budget > 0 else math.inf
+    if math.isinf(scale):
+        raise ParameterError(f"total_epsilon = {total_epsilon!r} leaves {len(true_freqs)} "
+                             f"attributes of {n} users no finite Laplace scale")
     return clip_or_uniform([perturb_frequencies(f, scale, rng) for f in true_freqs])
 
 
@@ -230,9 +233,14 @@ def mse_avg(true_tables: Sequence[np.ndarray], est_tables: Sequence[np.ndarray])
 # ---------------------------------------------------------------------------
 
 def zipf_marginal(k: int, exponent: float) -> np.ndarray:
-    """Zipf-shaped probability vector over k values."""
-    w = 1.0 / np.arange(1, k + 1, dtype=np.float64) ** exponent
-    return w / w.sum()
+    """Zipf-shaped probability vector over k values: 1 / j^exponent, normalized (a weight
+    whose power overflows is 0; an infinite one is a ParameterError)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        w = 1.0 / np.arange(1, k + 1, dtype=np.float64) ** exponent
+        total = w.sum()
+    if not np.isfinite(total):
+        raise ParameterError(f"zipf exponent {exponent!r} over {k} values gives infinite weights")
+    return w / total
 
 
 def zipf_dataset(n: int, ks: Sequence[int], exponent: float,

@@ -157,11 +157,10 @@ class ExperimentConfig:
     sampling_mode: str = _key("without_replacement", str, ("reident",), SAMPLING_MODES)
     attack_models: list = _key(["fk"], str, ("reident",), ("fk", "pk", "null"))
     top_k: list = _key([1, 5, 10], int, ("reident",), Interval(1))
-    nk_s_mult: float = _key(1.0, float, ("reident",), _POSITIVE)
     # attr-infer / mse
     variants: list = _key(["grr"], str, _FAKE, FAKE_DATA_VARIANTS["rs_fd"])  # every tag
     attack: list = _key(list(ATTACK_MODELS), str, ("attr_infer",), ATTACK_MODELS)
-    s_mult: float = _key(1.0, float, ("attr_infer",), _POSITIVE)
+    s_mult: float = _key(1.0, float, ("reident", "attr_infer"), _POSITIVE)
     npk_frac: float = _key(0.1, float, ("attr_infer",), Interval(0, 1, lo_open=True))
     solutions: list = _key(["rs_fd", "rs_rfd"], str, _FAKE, tuple(FAKE_DATA_VARIANTS))
     prior_mode: str = _key("laplace", str, _DATA, ("laplace", "exact", "uniform"))
@@ -364,7 +363,7 @@ def _attack_oracle_point(cfg: ExperimentConfig, ds, priors, seed: int, proto: st
 
 def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | None, bool]:
     """The rs_rfd priors (laplace noise from stream 7003) and whether one fell back to
-    uniform; (None, False) when no collection uses them."""
+    uniform; (None, False) when no collection uses them.  ConfigError if they cannot be drawn."""
     if not cfg.uses_rfd:
         return None, False
     if cfg.prior_mode == "uniform":
@@ -372,23 +371,25 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | 
     freqs = true_frequencies(ds)
     if cfg.prior_mode == "exact":
         return freqs, False
-    priors, fallback = laplace_prior(freqs, cfg.prior_epsilon, ds.n, stream(cfg.seed, 7003))
+    try:
+        priors, fallback = laplace_prior(freqs, cfg.prior_epsilon, ds.n, stream(cfg.seed, 7003))
+    except ParameterError as exc:
+        raise ConfigError(f"prior_epsilon: {exc}") from exc
     return priors, any(fallback)
 
 
 def _check_counts(cfg: ExperimentConfig, n: int) -> None:
-    """Refuse an npk_frac, s_mult or nk_s_mult that leaves an attack no user it
-    needs, and betas on a dataset too small for the Bayes-error bound."""
+    """Refuse an npk_frac or s_mult that leaves an attack (nk, pk, hm, rs_* reident) no user it
+    needs or infinitely many, and betas on a dataset too small for the Bayes-error bound."""
     models = set(cfg.attack) if cfg.experiment == "attr_infer" else set()
+    synthetic = models & {"nk", "hm"} or (cfg.experiment == "reident" and cfg.solution != "smp")
     try:
         for beta in cfg.betas:
             alpha_from_bayes_error(beta, n)
         if models & {"pk", "hm"}:
             compromised_count(cfg.npk_frac, n)
-        if models & {"nk", "hm"}:
+        if synthetic:
             synthetic_count(cfg.s_mult, n)
-        if cfg.experiment == "reident" and cfg.solution != "smp":
-            synthetic_count(cfg.nk_s_mult, n)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -400,7 +401,7 @@ def _reident_point(cfg: ExperimentConfig, ds: Dataset, priors, seed: int, proto:
     acc, flags = run_reident_experiment(
         ds, proto, cfg.solution, epsilons, surveys, attack_mode=model, top_ks=cfg.top_k,
         sampling_mode=cfg.sampling_mode, runs=1, seed=seed + run, rfd_priors=priors,
-        nk_s_mult=cfg.nk_s_mult)
+        s_mult=cfg.s_mult)
     return [ResultRow(cfg.experiment, proto, cfg.solution, eps, beta,
                       f"rid_acc_top{k}_sv{s + 2}", value, None, run, cfg.seed,
                       ";".join(budget_flags + flags[0][s]))

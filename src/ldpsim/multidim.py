@@ -76,7 +76,7 @@ def amplified_epsilon(epsilon: float, d: int) -> float:
 
 
 def validate_priors(priors: Sequence[np.ndarray], ks: Sequence[int]) -> list[np.ndarray]:
-    """Check one non-negative unit-sum vector per attribute, of length ks[a]."""
+    """Check one non-negative unit-sum vector per attribute, of length ks[a] (NaN fails)."""
     if len(priors) != len(ks):
         raise ParameterError(f"expected {len(ks)} prior vectors, got {len(priors)}")
     out = []
@@ -84,7 +84,7 @@ def validate_priors(priors: Sequence[np.ndarray], ks: Sequence[int]) -> list[np.
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (k,):
             raise ParameterError(f"prior for attribute {a} has shape {vec.shape}, expected ({k},)")
-        if (vec < 0).any() or abs(vec.sum() - 1.0) > 1e-9:
+        if not ((vec >= 0).all() and abs(vec.sum() - 1.0) <= 1e-9):
             raise ParameterError(f"prior for attribute {a} is not a distribution")
         out.append(vec)
     return out

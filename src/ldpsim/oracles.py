@@ -16,7 +16,7 @@ temporaries stay O(rows * k) and cache-sized; support counts and the
 attacker's pick read OLH and UE supports from ``support_blocks``.  A
 chunked ``rng.random((rows, k))`` draw yields the values of one (n, k)
 draw, so chunking changes no random stream.  The only (n, k) array made
-is a batch's UE bits, from ``unary_bit_blocks``, which stream instead.
+is a UE batch's bits, copied from the blocks of ``unary_bit_blocks``.
 """
 
 from __future__ import annotations
@@ -194,25 +194,25 @@ def randomize_batch(
                 o[:] = picked
         return ReportBatch(params, out)
 
-    return ReportBatch(params, unary_bits(n, k, params.q, rng, values, params.p))
+    bits = np.empty((n, k), dtype=np.uint8)
+    for lo, hi, block in unary_bit_blocks(n, k, params.q, rng, values, params.p):
+        bits[lo:hi] = block
+    return ReportBatch(params, bits)
 
 
 def unary_bit_blocks(n: int, k: int, q: float, rng: np.random.Generator,
-                     values: np.ndarray | None = None, p: float | None = None, out=None):
+                     values: np.ndarray | None = None, p: float | None = None):
     """Yield ``(lo, hi, bits)``: rows [lo, hi) of (n, k) uint8 unary-encoding bits, ``block_rows(k)``
     at a time, bit v of row i set w.p. q, or p at v = values[i] (``values=None``: the ue_z fakes).
     Row chunks draw ``rng.random((rows, k))``, the stream of one (n, k) draw, into ``u < q``, then
-    reset each true column to ``u < p`` through flat indices i k + v of the chunk, which is
-    C-contiguous: ParameterError for an ``out`` that is not.  Blocks are slices of ``out``, else
-    of one reused buffer."""
-    if out is not None and not out.flags.c_contiguous:
-        raise ParameterError("out must be C-contiguous: unary bits are written by flat index")
+    reset each true column to ``u < p`` through flat indices i k + v of the chunk.  ``bits`` is a
+    slice of one reused buffer, overwritten by the next block: copy it to keep it."""
     block, rows = block_rows(k), chunk_rows(k)
-    buf = np.empty((min(block, n), k), dtype=np.uint8) if out is None else None
+    buf = np.empty((min(block, n), k), dtype=np.uint8)
     starts = np.arange(0, min(rows, n) * k, k)  # flat index of each chunk row's first bit
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        bits = buf[: hi - lo] if out is None else out[lo:hi]
+        bits = buf[: hi - lo]
         for s in range(0, hi - lo, rows):
             o = bits[s : s + rows]
             u = rng.random(o.shape)
@@ -222,15 +222,6 @@ def unary_bit_blocks(n: int, k: int, q: float, rng: np.random.Generator,
                 at = np.add(starts[: len(o)], values[lo + s : lo + s + len(o)], dtype=np.intp)
                 o.reshape(-1)[at] = u.reshape(-1)[at] < p
         yield lo, hi, bits
-
-
-def unary_bits(n: int, k: int, q: float, rng: np.random.Generator,
-               values: np.ndarray | None = None, p: float | None = None) -> np.ndarray:
-    """(n, k) uint8 unary-encoding bits: ``unary_bit_blocks`` written into one array."""
-    out = np.empty((n, k), dtype=np.uint8)
-    for _ in unary_bit_blocks(n, k, q, rng, values, p, out):
-        pass
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +321,11 @@ def estimate_frequencies(batch: ReportBatch) -> np.ndarray:
 
 
 def clip_normalize(est: np.ndarray) -> np.ndarray:
-    """Clip negatives to 0 and renormalize to sum 1."""
+    """Clip negatives to 0 and renormalize to sum 1 (ParameterError for a sum of 0, inf or nan)."""
     out = np.clip(np.asarray(est, dtype=np.float64), 0.0, None)
     total = out.sum()
-    if total <= 0:
-        raise ParameterError("all estimates clipped to zero; cannot normalize")
+    if not 0 < total < math.inf:
+        raise ParameterError(f"estimates clipped to a total of {total}; cannot normalize")
     return out / total
 
 

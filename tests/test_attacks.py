@@ -193,14 +193,16 @@ def test_reident_unique_zero_distance():
     rows = np.array([[0, 1, 2], [1, 1, 2], [0, 2, 2], [2, 0, 0]])
     profiles = np.full_like(rows, -1)
     profiles[3] = [2, 0, 0]
-    assert atk._rank_of_true(profiles, rows, np.arange(3), stream(7, 0))[3] == 0
+    closer, tied = atk._closer_tied(profiles, rows, np.arange(3))
+    assert (closer[3], tied[3]) == (0, 1)
 
 
 def test_reident_skips_unknown_attributes():
     rows = np.array([[0, 9, 2], [1, 9, 9], [0, 9, 9]])
     profiles = np.full_like(rows, -1)
     profiles[0] = [0, -1, 2]
-    assert atk._rank_of_true(profiles, rows, np.arange(3), stream(7, 1))[0] == 0
+    closer, tied = atk._closer_tied(profiles, rows, np.arange(3))
+    assert (closer[0], tied[0]) == (0, 1)
 
 
 def test_reident_tie_probability():
@@ -208,10 +210,12 @@ def test_reident_tie_probability():
     rows = np.array([[5, 5]] * 4 + [[1, 2], [3, 4]])
     profiles = np.full_like(rows, -1)
     profiles[0] = [5, 5]
+    closer, tied = atk._closer_tied(profiles, rows, np.arange(2))
+    assert (closer[0], tied[0]) == (0, 4)
     rng = stream(8, 0)
     trials = 4000
-    hits = sum(atk._rank_of_true(profiles, rows, np.arange(2), rng)[0] < 2
-               for _ in range(trials))
+    # each trial ranks every user, as run_reident_experiment does
+    hits = sum((closer + rng.integers(0, tied))[0] < 2 for _ in range(trials))
     target, sig = 0.5, 3 * math.sqrt(0.25 / trials)
     assert abs(hits / trials - target) < sig
 
@@ -219,13 +223,13 @@ def test_reident_tie_probability():
 def test_pk_background_needs_half_columns(monkeypatch):
     # pk matches over a sorted draw of at least ceil(d/2) of the d columns
     seen = []
-    rank_of_true = atk._rank_of_true
+    closer_tied = atk._closer_tied
 
-    def spy(profiles, bk_rows, bk_cols, *args, **kwargs):
+    def spy(profiles, bk_rows, bk_cols):
         seen.append(bk_cols)
-        return rank_of_true(profiles, bk_rows, bk_cols, *args, **kwargs)
+        return closer_tied(profiles, bk_rows, bk_cols)
 
-    monkeypatch.setattr(atk, "_rank_of_true", spy)
+    monkeypatch.setattr(atk, "_closer_tied", spy)
     d = 5
     ds = Dataset.from_ks([3] * d, stream(17, 0).integers(0, 3, size=(60, d)))
     for seed in range(8):
@@ -421,13 +425,13 @@ def test_reident_rs_fd_solution_runs():
 
 
 def test_reident_rs_fd_single_class_flag():
-    # nk_s_mult = 1/300 gives the NK classifier one synthetic row, so one class
+    # s_mult = 1/300 gives the NK classifier one synthetic row, so one class
     ds = _unique_dataset(300)
     for s_mult, expected in ((1 / 300, ["single_class"]), (1.0, [])):
         _, flags = atk.run_reident_experiment(
             ds, "grr", "rs_fd", 5.0,
             atk.SurveysConfig(count=2, all_attributes=True), "fk", (1,), runs=1, seed=14,
-            nk_s_mult=s_mult,
+            s_mult=s_mult,
         )
         assert flags == [[expected]]
 
@@ -502,22 +506,6 @@ def _cube_closer_tied(profiles, bk_rows, bk_cols):
     return (dist < own).sum(axis=1), (dist == own).sum(axis=1)
 
 
-class _EdgeDraw:
-    """rng stand-in whose bounded draw returns the lowest or the highest value."""
-
-    def __init__(self, highest):
-        self.highest = highest
-
-    def integers(self, low, high, size=None):
-        return np.asarray(high) - 1 if self.highest else np.full(np.shape(high), low)
-
-
-def _kernel_closer_tied(profiles, bk_rows, bk_cols, chunk=256):
-    lo = atk._rank_of_true(profiles, bk_rows, bk_cols, _EdgeDraw(False), chunk=chunk)
-    hi = atk._rank_of_true(profiles, bk_rows, bk_cols, _EdgeDraw(True), chunk=chunk)
-    return lo, hi - lo + 1
-
-
 def _noisy_profiles(rows, rng, flip, unknown):
     """Each user's own record with a fraction of entries redrawn and some set to -1."""
     profiles = rows.copy()
@@ -529,13 +517,14 @@ def _noisy_profiles(rows, rng, flip, unknown):
 
 @pytest.mark.parametrize("chunk", [7, 256])
 @pytest.mark.parametrize("scale", [1, 128])
-def test_rank_kernel_counts_match_cube_reference(chunk, scale):
+def test_rank_kernel_counts_match_cube_reference(chunk, scale, monkeypatch):
     # scale 128 puts 0 and 256 in one column: a compare in int8 would equate them
+    monkeypatch.setattr(atk, "_USER_BLOCK", chunk)
     rng = stream(20, 0)
     rows = rng.integers(0, 3, size=(50, 6)) * scale
     profiles = _noisy_profiles(rows, rng, flip=0.4, unknown=0.3)
     for bk_cols in (np.arange(6), np.array([0, 2, 3, 5])):
-        closer, tied = _kernel_closer_tied(profiles, rows, bk_cols, chunk)
+        closer, tied = atk._closer_tied(profiles, rows, bk_cols)
         ref_closer, ref_tied = _cube_closer_tied(profiles, rows, bk_cols)
         assert (tied > 1).any() and (closer > 0).any()
         np.testing.assert_array_equal(closer, ref_closer)
@@ -549,10 +538,11 @@ def test_rank_kernel_tie_rank_uniform():
                      [1, 5, 0], [0, 5, 2], [5, 3, 3], [0, 0, 0], [1, 1, 1]])
     profiles = np.full_like(rows, -1)
     profiles[0] = [5, 5, -1]
+    closer, tied = atk._closer_tied(profiles, rows, np.arange(3))
+    assert (closer[0], tied[0]) == (2, 6)
     rng = stream(21, 0)
     trials = 6000
-    ranks = np.array([atk._rank_of_true(profiles, rows, np.arange(3), rng)[0]
-                      for _ in range(trials)])
+    ranks = np.array([(closer + rng.integers(0, tied))[0] for _ in range(trials)])
     counts = np.bincount(ranks, minlength=10)
     assert counts[:2].sum() == 0 and counts[8:].sum() == 0
     assert stats.chisquare(counts[2:8]).pvalue > 1e-3
@@ -573,15 +563,33 @@ def test_rank_kernel_null_model_uniform():
     assert stats.chisquare(counts.sum(axis=0)).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("n", [1, 256, 257, 5000])
+@pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
+def test_null_ranks_are_one_all_tied_draw(n, half):
+    # null ranks as every model does, closer + integers(0, tied), with closer 0 and
+    # tied n: the values and the next state of the one-bound draw it replaced.  half:
+    # a small-range draw first leaves a buffered 32-bit half in the stream
+    rng, ref_rng = stream(24, n), stream(24, n)
+    if half:
+        assert rng.integers(0, 5) == ref_rng.integers(0, 5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    np.testing.assert_array_equal(0 + rng.integers(0, np.full(n, n)),
+                                  ref_rng.integers(0, n, size=n))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    np.testing.assert_array_equal(rng.integers(0, 7, 3), ref_rng.integers(0, 7, 3))
+    assert rng.random() == ref_rng.random()
+
+
 def test_rank_kernel_more_than_255_columns_exact():
     # own-record match counts near 285 of 300 would wrap in a uint8 counter
     rng = stream(23, 0)
     rows = rng.integers(0, 2, size=(60, 300))
     profiles = _noisy_profiles(rows, rng, flip=0.05, unknown=0.03)
-    closer, tied = _cube_closer_tied(profiles, rows, np.arange(300))
-    assert (tied == 1).all()
-    ranks = atk._rank_of_true(profiles, rows, np.arange(300), stream(23, 1))
-    np.testing.assert_array_equal(ranks, closer)
+    ref_closer, ref_tied = _cube_closer_tied(profiles, rows, np.arange(300))
+    assert (ref_tied == 1).all()
+    closer, tied = atk._closer_tied(profiles, rows, np.arange(300))
+    np.testing.assert_array_equal(closer, ref_closer)
+    np.testing.assert_array_equal(tied, ref_tied)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +748,10 @@ def test_attr_infer_s_mult_needs_a_synthetic_profile():
     assert list(atk.run_attr_infer_experiment(rows, cfg, attack_models=("pk",),
                                               s_mult=0.001)) == ["pk"]
     assert atk.synthetic_count(0.5, 100) == 50
+    # an infinite s_mult * n: round(inf) raised OverflowError, a runtime error
+    for mult in (1e308, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            atk.synthetic_count(mult, 100)
 
 
 def test_attr_infer_unknown_model_rejected_before_any_draw():

@@ -3,10 +3,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ldpsim import cli
+from ldpsim import cli, harness
 from ldpsim.cli import main
 from ldpsim.harness import KEYS, ExperimentConfig
 from ldpsim.oracles import PROTOCOLS
@@ -261,7 +262,7 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("reident", _FIXTURE + "betas = 1.5\n"),
     ("reident", _FIXTURE + "betas = 0.5, nan\n"),
     ("reident", _FIXTURE + "epsilons = 1\ntop_k = 0\n"),
-    ("reident", _FIXTURE + "epsilons = 1\nnk_s_mult = abc\n"),
+    ("reident", _FIXTURE + "epsilons = 1\ns_mult = abc\n"),
     ("reident", _FIXTURE + "epsilons = 1\nsurvey_all_attributes = 1\n"),
     ("mse", "dataset = synth:zipf\nepsilons = 1\nsynth_zipf_a = abc\n"),
     ("analytic", "epsilons = 1\nmodes = foo\n"),
@@ -274,9 +275,9 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 0\n"),
     ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0\n"),
     ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 0.001\nattack = hm\n"),
-    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\nnk_s_mult = 0\n"),
-    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\nnk_s_mult = 0.001\n"),
-    ("reident", _FIXTURE + "epsilons = 1\ns_mult = 2\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\ns_mult = 0\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\ns_mult = 0.001\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nnk_s_mult = 1\n"),
     ("analytic", _FIXTURE + "epsilons = 1\n"),
     ("analytic", "epsilons = 1\nruns = 1, 2\n"),
     ("analytic", "epsilons = 1\nks = ,\n"),
@@ -286,6 +287,13 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("attr-infer", _FIXTURE + "epsilons = 1\nnpk_frac = 0.999\nattack = hm\n"),
     ("reident", _FIXTURE + "subsample = 1\nbetas = 0.5\nsurveys = 2\n"),
     ("reident", "dataset = synth:zipf\nsynth_n = 1\nbetas = 0.5\nsurveys = 2\n"),
+    ("mse", "dataset = synth:zipf\nsynth_n = 200\nepsilons = 1\nsynth_zipf_a = -300\n"),
+    ("reident", "dataset = synth:zipf\nsynth_n = 200\nepsilons = 1\nsynth_zipf_a = -300\n"),
+    ("mse", _FIXTURE + "epsilons = 1\nsolutions = rs_rfd\nprior_epsilon = 1e-320\n"),
+    ("mse", _FIXTURE + "epsilons = 1\nsolutions = rs_rfd\nprior_epsilon = 5e-324\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_rfd\nprior_epsilon = 1e-320\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 1e308\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\ns_mult = 1e308\n"),
 ], ids=["oracle-eps-nan", "oracle-eps-inf", "oracle-eps-negative", "oracle-eps-exp-overflow",
         "oracle-eps-olh-g-overflow", "oracle-eps-text", "oracle-n-zero", "oracle-k-one",
         "oracle-runs-text", "oracle-threads-text", "oracle-n-float", "analytic-k-one",
@@ -293,23 +301,53 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
         "attr-infer-eps-nan", "reident-olh-g-overflow", "reident-min-frac-zero",
         "reident-min-frac-above-one", "reident-min-frac-nan", "reident-min-frac-text",
         "reident-beta-above-one", "reident-beta-nan", "reident-top-k-zero",
-        "reident-nk-s-mult-text", "reident-all-attributes-int", "mse-zipf-a-text",
+        "reident-s-mult-text", "reident-all-attributes-int", "mse-zipf-a-text",
         "analytic-mode-unknown", "reident-attack-model-unknown", "attr-infer-attack-unknown",
         "mse-dataset-int", "mse-synth-k-one", "mse-synth-n-zero", "mse-subsample-negative",
         "attr-infer-s-mult-zero", "attr-infer-npk-frac-zero", "attr-infer-s-mult-no-profile",
-        "reident-rs-fd-nk-s-mult-zero", "reident-rs-fd-nk-s-mult-no-profile",
-        "reident-s-mult-unread", "analytic-dataset-unread", "analytic-runs-list",
+        "reident-rs-fd-s-mult-zero", "reident-rs-fd-s-mult-no-profile",
+        "reident-nk-s-mult-unknown", "analytic-dataset-unread", "analytic-runs-list",
         "analytic-ks-empty", "analytic-protocols-empty", "reident-top-k-empty",
         "attr-infer-npk-frac-no-compromised-user", "attr-infer-npk-frac-no-test-user",
-        "reident-beta-one-user", "reident-beta-synth-one-user"])
+        "reident-beta-one-user", "reident-beta-synth-one-user", "mse-zipf-a-weight-overflow",
+        "reident-zipf-a-weight-overflow", "mse-prior-epsilon-scale-overflow",
+        "mse-prior-epsilon-budget-zero", "reident-rs-rfd-prior-epsilon-scale-overflow",
+        "attr-infer-s-mult-overflow", "reident-rs-fd-s-mult-overflow"])
 def test_bad_grid_value_is_config_error(tmp_path, command, body):
     # each of these exited 3, 1 with a traceback or 0 ignoring the value (a key the
-    # kind does not read), most after the run had started
+    # kind does not read), most after the run had started; the zipf exponent and
+    # 1e-320 prior_epsilon cases exited 0 with nan or constant columns
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\n" + body)
     out = tmp_path / "out.csv"
     assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_zipf_exponent_whose_weights_underflow_still_runs(tmp_path):
+    # 1 / j^1000 overflows j^1000 to inf for j >= 3, so those weights are 0: one value
+    # per column, with no RuntimeWarning, which the CLI would raise as exit 3
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("seed = 1\ndataset = synth:zipf\nsynth_n = 200\nepsilons = 1\n"
+                   "synth_zipf_a = 1000\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["mse", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_runtime_warning_in_the_run_is_a_runtime_error(tmp_path, analytic_cfg, monkeypatch,
+                                                       capsys):
+    # a numpy warning marks a nan path: the CLI raises it, exits 3 and writes nothing
+    def nan_point(*args):
+        np.mean(np.empty(0))  # "Mean of empty slice"
+        return []
+
+    monkeypatch.setattr(harness, "_analytic_point", nan_point)
+    out = tmp_path / "r.csv"
+    assert run_cli(["analytic", "--config", str(analytic_cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "runtime error: Mean of empty slice" in capsys.readouterr().err
 
 
 def test_attack_oracle_large_olh_epsilon_still_runs(tmp_path):

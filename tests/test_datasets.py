@@ -182,6 +182,15 @@ def test_laplace_prior_uniform_fallback():
     assert hit
 
 
+def test_laplace_prior_refuses_a_budget_with_no_finite_scale():
+    # 5e-324 / 2 attributes is 0 (ZeroDivisionError); 1e-320 gives an infinite
+    # scale, whose noise clip_normalize turned into nan priors
+    freqs = [np.full(4, 0.25), np.full(3, 1 / 3)]
+    for eps in (5e-324, 1e-320):
+        with pytest.raises(ParameterError, match="finite Laplace scale"):
+            dst.laplace_prior(freqs, eps, 100, stream(42, 0))
+
+
 def test_clip_or_uniform():
     mixed = np.array([-0.2, 0.4, 0.8])
     dists, fell_back = dst.clip_or_uniform([mixed, np.array([-0.5, -0.1, 0.0, -2.0])])
@@ -250,6 +259,14 @@ def test_zipf_and_uniform_generators():
     du = dst.uniform_dataset(50_000, [5], stream(46, 1))
     counts = np.bincount(du.rows[:, 0], minlength=5)
     assert stats.chisquare(counts).pvalue > 0.01
+    # a = -300: 1 / j^-300 is inf from j = 11 on, and the k = 16 marginal came out nan;
+    # a = 1000: j^1000 overflows, so every weight past j = 2 is 0, with no RuntimeWarning
+    for k in (16, 12):
+        with pytest.raises(ParameterError, match="infinite weights"):
+            dst.zipf_marginal(k, -300.0)
+    m = dst.zipf_marginal(16, 1000.0)
+    assert m[0] == 1.0 and m[1] == 2.0 ** -1000 and not m[2:].any()
+    assert dst.zipf_marginal(5, -300.0)[-1] == pytest.approx(1.0)
 
 
 def test_subsample_keeps_the_schema():

@@ -269,11 +269,11 @@ def test_attack_rows_carry_metadata():
 
 def test_reident_beta_row_leads_with_the_budget_flags():
     # beta = 0.95 at n = 300 clamps alpha at 0, so every attribute gets the
-    # epsilon floor; nk_s_mult = 1/300 trains the attacker on one synthetic row
+    # epsilon floor; s_mult = 1/300 trains the attacker on one synthetic row
     rows = hn.run_experiment(hn.build_config({
         "experiment": "reident", "seed": 26, "dataset": "synth:uniform", "synth_n": 300,
         "synth_ks": [8, 9, 10], "solution": "rs_fd", "protocols": ["grr"], "betas": [0.95],
-        "nk_s_mult": 1 / 300, "top_k": [1], "surveys": 2}))
+        "s_mult": 1 / 300, "top_k": [1], "surveys": 2}))
     assert [(r.beta, r.flags) for r in rows] == [
         (0.95, "alpha_clamped;epsilon_floor;single_class")]
 

@@ -21,10 +21,11 @@ row counts around its block size.  The fake-data sanitizer, which writes every
 attribute into one report matrix, is checked against one array per attribute
 for grr, sue_z and oue_r, at n = 0 and at k = 300 (a uint16 grr matrix), and its
 one-pass UE estimate against one ``support_counts`` per batch around the uint16
-slice edges.  The UE bit kernel refuses an ``out`` it cannot write by flat index,
-and the Bernoulli fit's scratch does not grow with n.  The re-identification
-rank kernel, which counts matches on per-(column, value) record bitsets, is
-checked against the single-pass kernel for fk and pk columns, users with no
+slice edges.  The UE bit kernel takes values of any integer dtype, and the
+Bernoulli fit's scratch does not grow with n.  The re-identification
+kernel's (closer, tied) counts, which come from matches on per-(column, value)
+record bitsets, are checked against the single-pass kernel for fk and pk
+columns, with user blocks of 7 and 256, users with no
 known column, a group larger than a block, tie counts past 255, values compared
 in int16, record counts with and without padding bits, users whose every known
 entry is wrong, a profile value no record holds, and every known-column count
@@ -146,7 +147,7 @@ def _ref_match_counts(P, B):
     return M
 
 
-def _ref_rank_of_true(profiles, bk_rows, bk_cols, rng, chunk=256):
+def _ref_closer_tied(profiles, bk_rows, bk_cols, chunk=256):
     n = len(profiles)
     B = bk_rows[:, bk_cols]
     closer, tied = np.empty((2, n), dtype=np.int64)
@@ -155,7 +156,7 @@ def _ref_rank_of_true(profiles, bk_rows, bk_cols, rng, chunk=256):
         own = M[np.arange(len(M)), np.arange(lo, lo + len(M)), None]
         closer[lo:lo + chunk] = np.count_nonzero(M > own, axis=1)
         tied[lo:lo + chunk] = np.count_nonzero(M == own, axis=1)
-    return closer + rng.integers(0, tied)
+    return closer, tied
 
 
 def _values(k, n, seed):
@@ -300,25 +301,20 @@ def test_streamed_ue_attack_refuses_a_stream_that_cannot_jump():
 def test_unary_fake_rows_match_reference(k, n):
     # the ue_z fake rows: every bit set w.p. q, no true column
     rng, ref_rng = _pair(33, k, n)
-    got = oc.unary_bits(n, k, 0.3, rng)
+    got = _stacked(oc.unary_bit_blocks(n, k, 0.3, rng), n, k)
     np.testing.assert_array_equal(got, (ref_rng.random((n, k)) < 0.3).astype(np.uint8))
     assert rng.random() == ref_rng.random()
 
 
-def test_unary_bit_blocks_refuse_an_out_that_is_not_c_contiguous():
-    # the true columns are reset through flat indices i * k + v of each chunk; on a
-    # column slice reshape(-1) is a copy, so those writes would be lost
+def test_unary_bit_blocks_take_any_integer_value_dtype():
+    # the true columns are reset through flat indices i * k + v of each chunk, which
+    # take any integer dtype of the values, uint64 included
     n, k = 100, 6
     values = _values(k, n, 70)
-    M = np.zeros((n, 2 * k), dtype=np.uint8)
-    with pytest.raises(ParameterError, match="C-contiguous"):
-        next(oc.unary_bit_blocks(n, k, 0.3, stream(70, 0), values, 0.7, out=M[:, :k]))
-    assert not M.any()
-    # the flat indices take any integer dtype of the values, uint64 included
-    want = oc.unary_bits(n, k, 0.3, stream(70, 0), values, 0.7)
+    want = _stacked(oc.unary_bit_blocks(n, k, 0.3, stream(70, 0), values, 0.7), n, k)
     for dtype in (np.uint8, np.uint64):
-        np.testing.assert_array_equal(
-            oc.unary_bits(n, k, 0.3, stream(70, 0), values.astype(dtype), 0.7), want)
+        np.testing.assert_array_equal(_stacked(oc.unary_bit_blocks(
+            n, k, 0.3, stream(70, 0), values.astype(dtype), 0.7), n, k), want)
 
 
 @pytest.mark.parametrize("k,n", _grid())
@@ -585,7 +581,7 @@ def _ref_rs_sanitize(rows, cfg, rng):
         col = np.empty(n if grr else (n, k), dtype=np.int64 if grr else np.uint8)
         col[real] = oc.randomize_batch(rows[real, a], params, rng).data
         if cfg.fake is None:
-            col[fake] = oc.unary_bits(len(fake), k, params.q, rng)
+            col[fake] = _stacked(oc.unary_bit_blocks(len(fake), k, params.q, rng), len(fake), k)
         else:
             fakes = _categorical(cfg.fake[a], len(fake), rng)
             col[fake] = fakes if grr else oc.randomize_batch(fakes, params, rng).data
@@ -655,20 +651,6 @@ def test_rs_estimate_counts_the_report_matrix_in_one_pass(solution, variant):
             mdm.rs_estimate(bad, cfg)
 
 
-class _TieRecorder:
-    """rng stand-in: the bounded draw returns 0 and keeps its upper bounds."""
-
-    def integers(self, low, high, size=None):
-        self.high = np.asarray(high)
-        return np.zeros(np.shape(high), dtype=np.int64)
-
-
-def _closer_tied(kernel, profiles, rows, bk_cols, chunk):
-    draw = _TieRecorder()
-    closer = kernel(profiles, rows, bk_cols, draw, chunk=chunk)
-    return closer, draw.high
-
-
 def _rank_profiles(case):
     """300 users ranked against their own 300 records over 8 columns."""
     rng = stream(48, 0)
@@ -686,29 +668,26 @@ def _rank_profiles(case):
 @pytest.mark.parametrize("chunk", [7, 256])
 @pytest.mark.parametrize("bk", ["fk", "pk"])
 @pytest.mark.parametrize("case", ["mixed", "all", "wide"])
-def test_rank_of_true_matches_reference(case, bk, chunk):
+def test_rank_of_true_matches_reference(case, bk, chunk, monkeypatch):
     # mixed: -1 entries, users with no known column (tied = 300, past uint8);
     # all: one known-column group of 300 users, more than a block;
     # wide: values 0..384, compared in int16 (int8 would equate 0 and 256)
+    monkeypatch.setattr(atk, "_USER_BLOCK", chunk)
     rows, profiles = _rank_profiles(case)
     bk_cols = np.arange(8) if bk == "fk" else np.array([0, 2, 3, 5, 6])
-    closer, tied = _assert_rank_matches_reference(profiles, rows, bk_cols, chunk, (49, 0))
+    closer, tied = _assert_counts_match_reference(profiles, rows, bk_cols)
     assert (tied > 1).any() and (closer > 0).any()
     if case == "mixed":
         assert tied.max() == len(rows) > 255
 
 
-def _assert_rank_matches_reference(profiles, rows, bk_cols, chunk, seed):
-    """closer, tied, the ranks and the next draw equal the reference's; returns (closer, tied)."""
-    closer, tied = _closer_tied(atk._rank_of_true, profiles, rows, bk_cols, chunk)
-    ref_closer, ref_tied = _closer_tied(_ref_rank_of_true, profiles, rows, bk_cols, chunk)
+def _assert_counts_match_reference(profiles, rows, bk_cols):
+    """The kernel's int64 closer and tied equal the reference's; returns them."""
+    closer, tied = atk._closer_tied(profiles, rows, bk_cols)
+    ref_closer, ref_tied = _ref_closer_tied(profiles, rows, bk_cols)
+    assert closer.dtype == tied.dtype == np.int64
     np.testing.assert_array_equal(closer, ref_closer)
     np.testing.assert_array_equal(tied, ref_tied)
-    got_rng, ref_rng = stream(*seed), stream(*seed)
-    ranks = atk._rank_of_true(profiles, rows, bk_cols, got_rng, chunk=chunk)
-    np.testing.assert_array_equal(
-        ranks, _ref_rank_of_true(profiles, rows, bk_cols, ref_rng, chunk=chunk))
-    assert got_rng.random() == ref_rng.random()
     return closer, tied
 
 
@@ -733,7 +712,7 @@ def _bitset_profiles(n):
 
 
 @pytest.mark.parametrize("n_bk", [256, 300])
-def test_rank_of_true_bitset_edges(n_bk):
+def test_rank_of_true_bitset_edges(n_bk, monkeypatch):
     # 256 records fill their 4 words; 300 leave 20 padding bits, which an
     # all-wrong user (own = 0) must not count as tied
     rows, profiles = _bitset_profiles(n_bk)
@@ -743,7 +722,8 @@ def test_rank_of_true_bitset_edges(n_bk):
         assert np.count_nonzero((m == k) & (own == k)) > 7
         assert np.count_nonzero((m == k) & (own < k)) > 7
     assert (own == 0).sum() >= n_bk // 4 and (profiles == 3).any()
-    _assert_rank_matches_reference(profiles, rows, np.arange(8), 7, (54, n_bk))
+    monkeypatch.setattr(atk, "_USER_BLOCK", 7)
+    _assert_counts_match_reference(profiles, rows, np.arange(8))
 
 
 @pytest.mark.parametrize("budget", [64, 512])
@@ -761,7 +741,8 @@ def test_rank_of_true_record_blocks_match_reference(case, budget, monkeypatch):
     assert (np.count_nonzero(profiles == rows, axis=1) == 0).any()
     for bk_cols in (np.arange(8), np.array([0, 2, 3, 5, 6])):
         for chunk in (7, 256):
-            _assert_rank_matches_reference(profiles, rows, bk_cols, chunk, (55, len(rows)))
+            monkeypatch.setattr(atk, "_USER_BLOCK", chunk)
+            _assert_counts_match_reference(profiles, rows, bk_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -879,9 +860,9 @@ def test_rank_of_true_takes_narrow_background_rows():
     profiles[:, 0] = 0
     narrow = rows.astype(np.uint8)
     assert narrow.max() > profiles.max()
-    np.testing.assert_array_equal(
-        atk._rank_of_true(profiles, narrow, np.arange(3), stream(63, 0)),
-        atk._rank_of_true(profiles, rows, np.arange(3), stream(63, 0)))
+    for got, want in zip(atk._closer_tied(profiles, narrow, np.arange(3)),
+                         atk._closer_tied(profiles, rows, np.arange(3)), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def _traced_peak(fn):
@@ -988,8 +969,7 @@ def test_rank_of_true_peak_memory_bounded():
     def peak(n):
         rows = stream(50, n).integers(0, 5, size=(n, 10))
         profiles = np.where(stream(51, n).random((n, 10)) < 0.3, (rows + 1) % 5, rows)
-        return _traced_peak(lambda: atk._rank_of_true(profiles, rows, np.arange(10),
-                                                      stream(52, 0)))[1]
+        return _traced_peak(lambda: atk._closer_tied(profiles, rows, np.arange(10)))[1]
 
     small, large = peak(1250), peak(5000)
     assert large < 3 * 2**20
@@ -1004,8 +984,8 @@ def test_rank_of_true_bitset_budget_bounds_memory(monkeypatch):
     fixture = load_fixture("adult_style_5000").rows
     rows = np.column_stack([np.tile(fixture, (n // len(fixture), 1)), np.arange(n)])
     profiles = np.where(stream(61, n).random(rows.shape) < 0.4, rows, -1)
-    ranks, peak = _traced_peak(lambda: atk._rank_of_true(profiles, rows,
-                                                         np.arange(rows.shape[1]),
-                                                         stream(62, 0)))
+    (closer, tied), peak = _traced_peak(lambda: atk._closer_tied(profiles, rows,
+                                                                 np.arange(rows.shape[1])))
     assert peak < 12 * 2**20
-    assert len(ranks) == n and (ranks >= 0).all() and (ranks < n).all()
+    assert len(closer) == n and (closer >= 0).all() and (tied >= 1).all()
+    assert (closer + tied <= n).all()

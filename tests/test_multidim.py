@@ -465,6 +465,13 @@ def test_invalid_priors_rejected():
         mdm.validate_priors([np.array([0.7, 0.3])], ks)
     with pytest.raises(ParameterError):
         mdm.validate_priors([np.array([-0.1, 0.6, 0.5]), np.full(4, 0.25)], ks)
+    # a nan vector passed both the sign and the unit-sum check
+    for vec in (np.full(4, np.nan), np.array([np.nan, 0.5, 0.5, 0.0]),
+                np.array([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(ParameterError, match="not a distribution"):
+            mdm.validate_priors([np.full(3, 1 / 3), vec], ks)
+    with pytest.raises(ParameterError, match="not a distribution"):
+        mdm.CollectionConfig([4], "rs_rfd", "grr", 1.0, [np.full(4, np.nan)])
 
 
 # ---------------------------------------------------------------------------

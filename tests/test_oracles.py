@@ -253,6 +253,10 @@ def test_clip_normalize():
     assert out.sum() == pytest.approx(1.0)
     with pytest.raises(ParameterError):
         oc.clip_normalize(np.array([-0.5, -0.1]))
+    # a total that is not finite: inf / inf exported nan priors at exit 0
+    for est in ([np.inf, 0.2], [np.nan, 0.2], [np.inf, -np.inf]):
+        with pytest.raises(ParameterError, match="cannot normalize"):
+            oc.clip_normalize(np.array(est))
 
 
 def _enumerate_report_law(params):
