@@ -36,7 +36,7 @@ from .multidim import (
 )
 from .oracles import (ProtocolParams, ReportBatch, as_indices, protocol_params,
                       randomize_batch, support_blocks, unary_bit_blocks)
-from .rng import ahead, block_rows, chunk_rows, stream
+from .rng import block_rows, chunk_rows, stream
 
 # sampled-attribute inference models, in the order of their random streams
 ATTACK_MODELS = ("nk", "pk", "hm")
@@ -66,9 +66,9 @@ def _pick_from_rows(blocks, n: int, k: int, rng: np.random.Generator) -> np.ndar
     ``cs[j] > r``, which, as ``cs`` never decreases, is the number of j with
     ``cs[j] <= r``: one compare into a bool buffer of the same shape, summed
     down axis 0 in ``np.min_scalar_type(k + 1)``.  Each block draws its
-    own ``r`` in one ``rng.integers`` call, which yields the values, and
-    leaves the generator in the state, of one call over all n rows; the
-    empty-row values follow all blocks in one more call.
+    ``r`` in one ``rng.integers`` call, then its empty rows' values in one
+    more, before it reads the next block, so a producer may draw from ``rng``
+    between blocks.
     """
     dt = np.min_scalar_type(k)
     sub = chunk_rows(k)
@@ -77,7 +77,6 @@ def _pick_from_rows(blocks, n: int, k: int, rng: np.random.Generator) -> np.ndar
     at_most = np.empty((k, width), dtype=bool)
     picks = np.empty(width, dtype=np.min_scalar_type(k + 1))
     pred = np.empty(n, dtype=np.int64)
-    empty = [np.empty(0, dtype=np.intp)]
     for lo, hi, rows in blocks:
         m = hi - lo
         c, le = cs[:, :m], at_most[:, :m]
@@ -85,12 +84,10 @@ def _pick_from_rows(blocks, n: int, k: int, rng: np.random.Generator) -> np.ndar
             np.cumsum(rows[s : s + sub].T, axis=0, dtype=dt, out=c[:, s : s + sub])
         counts = c[-1]
         r = rng.integers(0, np.maximum(counts, 1)).astype(dt)
-        empty.append(lo + np.flatnonzero(counts == 0))
         np.less_equal(c, r, out=le)
         pred[lo:hi] = np.add.reduce(le.view(np.uint8), axis=0, out=picks[:m])
-    empty = np.concatenate(empty)
-    if len(empty):
-        pred[empty] = rng.integers(0, k, len(empty))
+        empty = np.flatnonzero(counts == 0)  # a draw of size 0 leaves rng as it was
+        pred[lo + empty] = rng.integers(0, k, len(empty))
     return pred
 
 
@@ -114,17 +111,13 @@ def predict_batch(batch: ReportBatch, rng: np.random.Generator) -> np.ndarray:
 
 
 def randomize_predict(values, params: ProtocolParams, rng: np.random.Generator) -> np.ndarray:
-    """``predict_batch(randomize_batch(values, params, rng), rng)``, with the same draws.  SUE
-    and OUE stream ``unary_bit_blocks`` into a pick that draws past their n * k doubles, from
-    ``rng.ahead(rng, n * k)`` (PCG64 only), whose state ``rng`` then takes: no (n, k) array."""
+    """``predict_batch(randomize_batch(values, params, rng), rng)`` in law, and in bytes up to
+    ``block_rows(k)`` reports; SUE/OUE bits reach the pick block by block, in no (n, k) array."""
     if params.protocol not in ("sue", "oue"):
         return predict_batch(randomize_batch(values, params, rng), rng)
     values = as_indices(values, params.k)
     n, k = len(values), params.k
-    pick = ahead(rng, n * k)
-    pred = _pick_from_rows(unary_bit_blocks(n, k, params.q, rng, values, params.p), n, k, pick)
-    rng.bit_generator.state = pick.bit_generator.state
-    return pred
+    return _pick_from_rows(unary_bit_blocks(n, k, params.q, rng, values, params.p), n, k, rng)
 
 
 def analytic_acc(protocol: str, epsilon: float, k: int) -> float:

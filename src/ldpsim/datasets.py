@@ -193,9 +193,11 @@ def laplace_prior(
 
 
 def clip_or_uniform(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[bool]]:
-    """:func:`clip_normalize` each vector; one with no positive entry has no mass
-    left, so it becomes uniform and its flag is set.  Returns (distributions, flags).
-    """
+    """:func:`clip_normalize` each vector, refusing one with an inf or nan entry; one with
+    no positive entry has no mass left, so it becomes uniform and its flag is set.
+    Returns (distributions, flags)."""
+    if not all(np.isfinite(vec).all() for vec in vectors):
+        raise ParameterError("estimates hold an inf or nan entry; cannot normalize")
     fell_back = [not (np.asarray(vec) > 0).any() for vec in vectors]
     return [np.full(len(vec), 1.0 / len(vec)) if empty else clip_normalize(vec)
             for vec, empty in zip(vectors, fell_back)], fell_back

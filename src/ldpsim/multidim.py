@@ -167,9 +167,8 @@ def smp_sample(reported: np.ndarray, attrs: Sequence[int], sampling_mode: str,
     ``reported`` is the (n, d) bool matrix of attributes each user has
     reported so far; it is updated in place.  ``without_replacement`` draws
     uniformly over the user's unreported pool attributes, and over the whole
-    pool once none are left; ``with_replacement`` draws uniformly over the
-    pool.  Both draw an (n, len(attrs)) matrix of uniform keys; dropping the
-    draw where ``with_replacement`` ignores it would move its reident tables.
+    pool once none are left, as the least of an (n, len(attrs)) matrix of
+    uniform keys; ``with_replacement`` draws uniformly over the pool.
 
     Returns (js, fresh).  A user with ``fresh`` false drew an attribute
     reported before and re-sends its memoized report, in both modes.
@@ -178,9 +177,9 @@ def smp_sample(reported: np.ndarray, attrs: Sequence[int], sampling_mode: str,
         raise ParameterError(f"unknown sampling_mode {sampling_mode!r}")
     attrs = np.asarray(attrs)
     n = len(reported)
-    keys = rng.random((n, len(attrs)))
     if sampling_mode == "without_replacement":
-        js = attrs[np.argmin(keys + reported[:, attrs], axis=1)]
+        keys = rng.random((n, len(attrs)))
+        js = attrs[np.argmin(np.add(keys, reported[:, attrs], out=keys), axis=1)]
     else:
         js = attrs[rng.integers(0, len(attrs), size=n)]
     fresh = ~reported[np.arange(n), js]

@@ -9,15 +9,13 @@ because it is bit-exact reproducible from its published constants in any
 language.  ``hash_match_blocks`` evaluates it for every (report, candidate)
 pair and hands the matches on one row block at a time, in cache-sized
 row chunks (``CHUNK_ELEMENTS``, every (n, k) kernel's row budget).
-``ahead`` jumps a copy of a PCG64 stream past a known number of draws, so
-what follows them is drawn first.
+Streamed kernels finish one block's draws before the next block's, so they
+take any ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ParameterError
 
 _GAMMA = 0x9E37_79B9_7F4A_7C15
 _MIX1 = 0xBF58_476D_1CE4_E5B9
@@ -126,15 +124,3 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def ahead(gen: np.random.Generator, outputs: int) -> np.random.Generator:
-    """A generator on a copy of ``gen``'s PCG64 stream (else ParameterError), ``outputs`` on:
-    ``random`` takes one 64-bit output per double, so it draws what ``gen`` draws after
-    ``gen.random(outputs)``, with ``gen``'s buffered 32-bit half, which ``advance`` clears."""
-    bg = gen.bit_generator
-    if type(bg) is not np.random.PCG64:
-        raise ParameterError(f"only a PCG64 stream can jump ahead, not {type(bg).__name__}")
-    copy = bg.jumped(0).advance(outputs)  # jumped(0) is a copy at gen's position
-    copy.state = {**bg.state, "state": copy.state["state"]}
-    return np.random.Generator(copy)

@@ -199,6 +199,15 @@ def test_clip_or_uniform():
     assert fell_back == [False, True]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_or_uniform_refuses_non_finite_vectors(bad):
+    # an all-nan vector has no positive entry either, and once came back uniform
+    with pytest.raises(ParameterError, match="inf or nan"):
+        dst.clip_or_uniform([np.full(3, bad)])
+    with pytest.raises(ParameterError, match="inf or nan"):
+        dst.clip_or_uniform([np.full(2, 0.5), np.array([0.2, bad, 0.3])])
+
+
 def test_laplace_noise_distribution_ks():
     scale = 0.05
     rng = stream(43, 0)

@@ -9,13 +9,16 @@ and for OLH bucket counts that are and are not powers of two.  The streamed
 OLH matches, and the support blocks of OLH and UE batches, are stacked and
 compared whole, from an empty batch to three blocks.  The uniform pick is also checked
 at k = 255 / 256, where its count dtype widens, on all-0 and all-1 rows, on
-blocks that are not C-contiguous and on blocks of growing size, and the numpy
-property it rests on (bounded integers drawn per block equal one draw) is
-pinned.  The streamed SUE/OUE randomize-and-predict is checked against
-randomizing then predicting, with and without a buffered 32-bit half in the
-stream, and the PCG64 jump it draws the pick from against drawing the doubles
-it skips.  SS reports are checked at k = 256 / 257, where their dtype widens;
-the OLH match kernel at bucket counts near 2^63.  The naive-Bayes predict,
+blocks that are not C-contiguous and on blocks of growing size.  The pick
+finishes each block's draws before it reads the next, so its reference past
+one block picks block by block; the numpy property that makes blocks with no
+empty row draw as one call (bounded integers drawn per block equal one draw)
+is pinned.  The streamed SUE/OUE randomize-and-predict is checked against
+randomizing then predicting up to one block, and past it against the bits'
+blocks picked as they come, with and without a buffered 32-bit half in the
+stream; it takes a generator other than PCG64.  SS reports are checked at
+k = 256 / 257, where their dtype widens; the OLH match kernel at bucket counts
+near 2^63.  The naive-Bayes predict,
 which scores fixed row blocks, is checked against the whole-matrix scorer at
 row counts around its block size.  The fake-data sanitizer, which writes every
 attribute into one report matrix, is checked against one array per attribute
@@ -45,8 +48,7 @@ from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
 from ldpsim.datasets import load_fixture, zipf_dataset
 from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
-from ldpsim.rng import (CHUNK_ELEMENTS, ahead, block_rows, chunk_rows, hash_match_blocks,
-                        stream)
+from ldpsim.rng import CHUNK_ELEMENTS, block_rows, chunk_rows, hash_match_blocks, stream
 
 KS = (2, 74, 300)
 
@@ -86,6 +88,15 @@ def _ref_pick_from_rows(matrix, counts, k, rng):
     if empty.any():
         pred[empty] = rng.integers(0, k, int(empty.sum()))
     return pred
+
+
+def _ref_pick_blocks(blocks, k, rng):
+    """``_ref_pick_from_rows`` on each ``(lo, hi, rows)`` block as it comes: the streamed
+    pick's draw order, each block's draws before the next block is read."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for _, _, rows in blocks:
+        parts.append(_ref_pick_from_rows(rows, rows.sum(axis=1), k, rng))
+    return np.concatenate(parts)
 
 
 def _ref_olh_matches(seeds, buckets, k, g):
@@ -255,7 +266,8 @@ def _stream_ns(k):
 @pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
 def test_streamed_randomize_predict_equals_composition(k, n, eps, proto, half):
     # half: a small-range draw first leaves a buffered 32-bit half in the stream,
-    # which the UE bits' doubles keep and the pick's draws take first
+    # which the UE bits' doubles keep and the pick's draws take first; past one
+    # block, each block's picks are drawn right after its bits
     params = oc.protocol_params(proto, eps, k)
     values = _values(k, n, 38)
     rng, ref_rng = _pair(38, k, n)
@@ -263,38 +275,23 @@ def test_streamed_randomize_predict_equals_composition(k, n, eps, proto, half):
         assert rng.integers(0, 5) == ref_rng.integers(0, 5)
         assert rng.bit_generator.state["has_uint32"] == 1
     pred = atk.randomize_predict(values, params, rng)
-    ref = atk.predict_batch(oc.randomize_batch(values, params, ref_rng), ref_rng)
+    if n <= block_rows(k):
+        ref = atk.predict_batch(oc.randomize_batch(values, params, ref_rng), ref_rng)
+    else:
+        ref = _ref_pick_blocks(oc.unary_bit_blocks(n, k, params.q, ref_rng, values, params.p),
+                               k, ref_rng)
     assert pred.dtype == np.int64
     np.testing.assert_array_equal(pred, ref)
     assert rng.random() == ref_rng.random()
     np.testing.assert_array_equal(rng.integers(0, 7, 3), ref_rng.integers(0, 7, 3))
 
 
-@pytest.mark.parametrize("m", [0, 1, 1000])
-@pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
-def test_ahead_draws_what_follows_m_doubles(m, half):
-    # one 64-bit output per float64 double: ahead(g, m) draws what g draws after g.random(m)
-    g = stream(39, m)
-    if half:
-        g.integers(0, 5)
-    before = g.bit_generator.state
-    jumped = ahead(g, m)
-    assert g.bit_generator.state == before  # g itself is not moved
-    g.random(m)
-    assert jumped.bit_generator.state == g.bit_generator.state
-    np.testing.assert_array_equal(jumped.integers(0, 7, 5), g.integers(0, 7, 5))
-    assert jumped.random() == g.random()
-
-
-def test_ahead_refuses_a_stream_that_cannot_jump():
-    with pytest.raises(ParameterError, match="PCG64"):
-        ahead(np.random.Generator(np.random.MT19937(1)), 10)
-
-
 def test_streamed_ue_attack_refuses_a_stream_that_cannot_jump():
-    rng = np.random.Generator(np.random.MT19937(1))
-    with pytest.raises(ParameterError, match="PCG64"):
-        atk.empirical_attack_acc("oue", 1.0, 8, 100, rng)
+    # the streamed pick draws as it goes, so any bit generator serves, twins alike
+    acc = atk.empirical_attack_acc("oue", 1.0, 8, 100, np.random.Generator(np.random.MT19937(1)))
+    assert 0.0 <= acc <= 100.0
+    assert acc == atk.empirical_attack_acc("oue", 1.0, 8, 100,
+                                           np.random.Generator(np.random.MT19937(1)))
 
 
 @pytest.mark.parametrize("k,n", _grid())
@@ -375,7 +372,7 @@ def test_pick_from_rows_edges_match_reference(k, layout):
     assert matrix.flags.c_contiguous == (layout == "c")
     rng, ref_rng = _pair(38, k, n)
     pred = atk._pick_from_rows(_blocks(matrix, chunk_rows(k) + 5), n, k, rng)
-    ref = _ref_pick_from_rows(matrix, matrix.sum(axis=1), k, ref_rng)
+    ref = _ref_pick_blocks(_blocks(matrix, chunk_rows(k) + 5), k, ref_rng)
     np.testing.assert_array_equal(pred, ref)
     assert pred.dtype == np.int64
     assert rng.random() == ref_rng.random()
@@ -383,8 +380,8 @@ def test_pick_from_rows_edges_match_reference(k, layout):
 
 @pytest.mark.parametrize("dtype,top", [(np.uint8, 255), (np.uint16, 65535), (np.int64, 1 << 40)])
 def test_bounded_integers_drawn_in_blocks_equal_one_call(dtype, top):
-    # the pick draws each block's r by itself, which rests on numpy's bounded
-    # integers giving the values, and leaving the generator in the state, of
+    # the pick draws each block's r by itself; over blocks with no empty row, numpy's
+    # bounded integers give the values, and leave the generator in the state, of
     # one call over all rows; a bound of 1 (an empty or one-bit row) draws nothing
     bounds = stream(64, 0).integers(1, top + 1, 5000).astype(dtype)
     bounds[::7] = 1
@@ -397,18 +394,20 @@ def test_bounded_integers_drawn_in_blocks_equal_one_call(dtype, top):
 
 
 def test_pick_from_rows_takes_blocks_of_any_size():
-    # blocks of 1, 2, 3, ... rows: each block draws its own r, and the rows
-    # with no set bit (about 2 %) draw after the last block
+    # blocks of 1, 2, 3, ... rows: each block draws its own r, then the values
+    # of its rows with no set bit (about 2 %)
     k, n = 74, 2000
     matrix = (stream(66, 0).random((n, k)) < 0.05).astype(np.uint8)
     assert (matrix.sum(axis=1) == 0).any()
     edges = np.unique(np.minimum(np.cumsum(np.arange(64)), n))
     assert edges[0] == 0 and edges[-1] == n
     rng, ref_rng = _pair(66, k, n)
-    pred = atk._pick_from_rows(((lo, hi, matrix[lo:hi]) for lo, hi in zip(edges, edges[1:])),
-                               n, k, rng)
-    np.testing.assert_array_equal(pred, _ref_pick_from_rows(matrix, matrix.sum(axis=1), k,
-                                                            ref_rng))
+
+    def blocks():
+        return ((lo, hi, matrix[lo:hi]) for lo, hi in zip(edges, edges[1:]))
+
+    pred = atk._pick_from_rows(blocks(), n, k, rng)
+    np.testing.assert_array_equal(pred, _ref_pick_blocks(blocks(), k, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
@@ -431,7 +430,7 @@ def test_streamed_predict_and_counts_match_reference_across_blocks(proto, k, n):
     np.testing.assert_array_equal(_stacked(oc.support_blocks(batch), n, k), ref)
     np.testing.assert_array_equal(oc.support_counts(batch), ref.sum(axis=0))
     pred = atk.predict_batch(batch, rng)
-    np.testing.assert_array_equal(pred, _ref_pick_from_rows(ref, ref.sum(axis=1), k, ref_rng))
+    np.testing.assert_array_equal(pred, _ref_pick_blocks(_blocks(ref, block_rows(k)), k, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
