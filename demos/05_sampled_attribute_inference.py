@@ -9,13 +9,13 @@ fakes (rs_rfd) close the gap again.
 
 from ldpsim.attacks import run_attr_infer_experiment
 from ldpsim.multidim import CollectionConfig
-from ldpsim.datasets import laplace_prior, true_frequencies, uniform_dataset, zipf_dataset
+from ldpsim.datasets import laplace_prior, true_frequencies, zipf_dataset
 from ldpsim.rng import stream
 
 KS = [16, 12, 8, 6, 4]
 N = 20_000
 skewed = zipf_dataset(N, KS, 1.0, stream(2024_06, 0))
-uniform = uniform_dataset(N, KS, stream(2024_06, 1))
+uniform = zipf_dataset(N, KS, 0.0, stream(2024_06, 1))  # exponent 0: uniform marginals
 baseline = 100 / len(KS)
 print(f"d = {len(KS)} attributes, n = {N}, baseline = {baseline:.0f}%")
 

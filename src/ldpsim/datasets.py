@@ -254,8 +254,3 @@ def zipf_dataset(n: int, ks: Sequence[int], exponent: float,
     """
     cols = [_categorical(zipf_marginal(k, exponent)[rng.permutation(k)], n, rng) for k in ks]
     return Dataset.from_ks(ks, np.column_stack(cols))
-
-
-def uniform_dataset(n: int, ks: Sequence[int], rng: np.random.Generator) -> Dataset:
-    """Synthetic dataset with independent uniform marginals per attribute."""
-    return Dataset.from_ks(ks, np.column_stack([rng.integers(0, k, size=n) for k in ks]))

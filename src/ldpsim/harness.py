@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -49,7 +50,6 @@ from .datasets import (
     load_dataset,
     mse_avg,
     true_frequencies,
-    uniform_dataset,
     zipf_dataset,
 )
 from .errors import ConfigError, DomainError, LdpSimError, ParameterError
@@ -61,7 +61,7 @@ from .multidim import (
     check_collection,
     rs_estimate,
     rs_sanitize_batch,
-    uniform_priors,
+    value_dtype,
     variant_oracle,
 )
 from .oracles import protocol_params
@@ -163,7 +163,7 @@ class ExperimentConfig:
     s_mult: float = _key(1.0, float, ("reident", "attr_infer"), _POSITIVE)
     npk_frac: float = _key(0.1, float, ("attr_infer",), Interval(0, 1, lo_open=True))
     solutions: list = _key(["rs_fd", "rs_rfd"], str, _FAKE, tuple(FAKE_DATA_VARIANTS))
-    prior_mode: str = _key("laplace", str, _DATA, ("laplace", "exact", "uniform"))
+    prior_mode: str = _key("laplace", str, _DATA, ("laplace", "exact"))
     # checked against (0, inf) only when laplace rs_rfd priors are drawn
     prior_epsilon: float = _key(0.1, float, _DATA)
 
@@ -302,13 +302,9 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
             kind = spec.split(":", 1)[1]
             if cfg.columns or cfg.id_column != ExperimentConfig.id_column:
                 raise ConfigError("a synthetic dataset takes no columns or id_column")
-            rng = stream(cfg.seed, 7001)
-            if kind == "zipf":
-                ds = zipf_dataset(cfg.synth_n, cfg.synth_ks, cfg.synth_zipf_a, rng)
-            elif kind == "uniform":
-                ds = uniform_dataset(cfg.synth_n, cfg.synth_ks, rng)
-            else:
+            if kind != "zipf":
                 raise ConfigError(f"unknown synthetic dataset {kind!r}")
+            ds = zipf_dataset(cfg.synth_n, cfg.synth_ks, cfg.synth_zipf_a, stream(cfg.seed, 7001))
         else:
             with dataset_file(spec) as path:
                 ds = load_dataset(path, cfg.columns or None, cfg.id_column or None)
@@ -366,8 +362,6 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | 
     uniform; (None, False) when no collection uses them.  ConfigError if they cannot be drawn."""
     if not cfg.uses_rfd:
         return None, False
-    if cfg.prior_mode == "uniform":
-        return uniform_priors(ds.ks), False
     freqs = true_frequencies(ds)
     if cfg.prior_mode == "exact":
         return freqs, False
@@ -378,10 +372,11 @@ def _rfd_priors(cfg: ExperimentConfig, ds: Dataset) -> tuple[list[np.ndarray] | 
     return priors, any(fallback)
 
 
-def _check_counts(cfg: ExperimentConfig, n: int) -> None:
+def _check_counts(cfg: ExperimentConfig, ds: Dataset) -> None:
     """Refuse an npk_frac or s_mult that leaves an attack (nk, pk, hm, rs_* reident) no user it
-    needs or infinitely many, and betas on a dataset too small for the Bayes-error bound."""
-    models = set(cfg.attack) if cfg.experiment == "attr_infer" else set()
+    needs or infinitely many, an s_mult whose synthetic reports (rows of d values, or of Σk UE
+    bits) exceed physical memory, and betas on a dataset too small for the Bayes-error bound."""
+    n, models = ds.n, set(cfg.attack) if cfg.experiment == "attr_infer" else set()
     synthetic = models & {"nk", "hm"} or (cfg.experiment == "reident" and cfg.solution != "smp")
     try:
         for beta in cfg.betas:
@@ -389,7 +384,13 @@ def _check_counts(cfg: ExperimentConfig, n: int) -> None:
         if models & {"pk", "hm"}:
             compromised_count(cfg.npk_frac, n)
         if synthetic:
-            synthetic_count(cfg.s_mult, n)
+            s = synthetic_count(cfg.s_mult, n)
+            row = max(ds.d * value_dtype(ds.ks).itemsize if variant_oracle(tag) == "grr"
+                      else sum(ds.ks) for tag, _ in cfg.collections)
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if s * row > memory:
+                raise ConfigError(f"s_mult = {cfg.s_mult!r} makes {s} synthetic reports of "
+                                  f"{row} bytes, more than the {memory} bytes of physical memory")
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -464,7 +465,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if cfg.experiment in _DATA:
         ds = resolve_dataset(cfg)
         _check_epsilons(cfg, ds.d)
-        _check_counts(cfg, ds.n)
+        _check_counts(cfg, ds)
         priors, fell_back = _rfd_priors(cfg, ds)
     tasks = [partial(fn, cfg, ds, priors, _point_seed(cfg.seed, seed_idx), *axes, run)
              for seed_idx, fn, axes in _grid(cfg) for run in range(cfg.runs)]

@@ -27,7 +27,6 @@ from ldpsim.datasets import (
     load_fixture,
     mse_avg,
     true_frequencies,
-    uniform_dataset,
     zipf_dataset,
 )
 from ldpsim.rng import stream
@@ -288,7 +287,8 @@ def test_c07_attribute_inference():
                 worst_capped = max(worst_capped, acc)
                 assert acc <= 35.0, (variant, eps, model, acc)
 
-    uniform = uniform_dataset(n, ks, stream(7900, 1))
+    rng = stream(7900, 1)
+    uniform = Dataset.from_ks(ks, np.column_stack([rng.integers(0, k, size=n) for k in ks]))
     base = 100.0 / d
     worst_dev = 0.0
     for variant in ("grr", "oue_r"):
@@ -439,7 +439,7 @@ DET_CONFIGS = {
                 "protocols": ["grr"], "epsilons": [5], "surveys": 3,
                 "attack_models": ["fk", "null"], "top_k": [1, 5]},
     "attr_infer": {"experiment": "attr_infer", "seed": 24, "runs": 1,
-                   "dataset": "synth:uniform", "synth_n": 2000,
+                   "dataset": "synth:zipf", "synth_zipf_a": 0, "synth_n": 2000,
                    "synth_ks": [4, 3, 5], "epsilons": [1.0], "variants": ["grr"],
                    "attack": ["nk", "pk", "hm"], "solutions": ["rs_fd"]},
     "mse": {"experiment": "mse", "seed": 25, "runs": 2,

@@ -294,6 +294,9 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
     ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_rfd\nprior_epsilon = 1e-320\n"),
     ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 1e308\n"),
     ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\ns_mult = 1e308\n"),
+    ("attr-infer", _FIXTURE + "epsilons = 1\ns_mult = 1e14\n"),
+    ("reident", _FIXTURE + "epsilons = 1\nsolution = rs_fd\ns_mult = 1e14\n"),
+    ("mse", _FIXTURE + "epsilons = 1\nprior_mode = uniform\n"),
 ], ids=["oracle-eps-nan", "oracle-eps-inf", "oracle-eps-negative", "oracle-eps-exp-overflow",
         "oracle-eps-olh-g-overflow", "oracle-eps-text", "oracle-n-zero", "oracle-k-one",
         "oracle-runs-text", "oracle-threads-text", "oracle-n-float", "analytic-k-one",
@@ -312,11 +315,14 @@ _FIXTURE = "dataset = fixture:adult_style_100\n"
         "reident-beta-one-user", "reident-beta-synth-one-user", "mse-zipf-a-weight-overflow",
         "reident-zipf-a-weight-overflow", "mse-prior-epsilon-scale-overflow",
         "mse-prior-epsilon-budget-zero", "reident-rs-rfd-prior-epsilon-scale-overflow",
-        "attr-infer-s-mult-overflow", "reident-rs-fd-s-mult-overflow"])
+        "attr-infer-s-mult-overflow", "reident-rs-fd-s-mult-overflow",
+        "attr-infer-s-mult-beyond-memory", "reident-rs-fd-s-mult-beyond-memory",
+        "mse-prior-mode-uniform"])
 def test_bad_grid_value_is_config_error(tmp_path, command, body):
     # each of these exited 3, 1 with a traceback or 0 ignoring the value (a key the
     # kind does not read), most after the run had started; the zipf exponent and
-    # 1e-320 prior_epsilon cases exited 0 with nan or constant columns
+    # 1e-320 prior_epsilon cases exited 0 with nan or constant columns.  prior_mode =
+    # uniform ran rs_rfd with rs_fd's fakes; rs_fd itself is that route now
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\n" + body)
     out = tmp_path / "out.csv"
@@ -382,16 +388,18 @@ def test_reident_one_user_epsilon_still_runs(tmp_path):
     "dataset = fixture:adult_style_100\ncolumns = age, nope\n",
     "dataset = fixture:adult_style_100\ncolumns = id, age\n",
     "dataset = {tmp}/wide.csv\n",
+    "dataset = synth:uniform\n",
 ], ids=["unknown-fixture", "unreadable-csv", "missing-column", "subsample-above-n",
         "missing-id-column", "repeated-column", "constant-column", "repeated-selection",
         "synth-columns", "synth-id-column", "fixture-missing-column",
-        "id-as-attribute", "field-over-csv-limit"])
+        "id-as-attribute", "field-over-csv-limit", "synth-uniform"])
 def test_bad_dataset_spec_is_config_error(tmp_path, body):
     # each exited 3, as a runtime error, or (the repeated column) read its first
     # occurrence twice, or (the repeated selection) loaded one column twice, or
     # (the id as an attribute) made every record unique; each is now refused
     # before any task runs.  The wide field holds one more character than
-    # csv's default field_size_limit of 131,072
+    # csv's default field_size_limit of 131,072.  synth:uniform had the law of
+    # synth:zipf at synth_zipf_a = 0 and is no longer a dataset
     (tmp_path / "data.csv").write_text("a,b\nx,y\n")
     (tmp_path / "no_id.csv").write_text("color,size\nred,S\nblue,M\n")
     (tmp_path / "repeated.csv").write_text("id,a,a\n1,x,p\n2,y,q\n")

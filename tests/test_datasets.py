@@ -259,15 +259,12 @@ def test_mse_avg():
         dst.mse_avg(t, [])
 
 
-def test_zipf_and_uniform_generators():
+def test_zipf_generator():
     m = dst.zipf_marginal(5, 1.0)
     assert m.sum() == pytest.approx(1.0)
     assert (np.diff(m) < 0).all()
     ds = dst.zipf_dataset(2000, [6, 4], 1.2, stream(46, 0))
     assert ds.ks == (6, 4) and ds.n == 2000
-    du = dst.uniform_dataset(50_000, [5], stream(46, 1))
-    counts = np.bincount(du.rows[:, 0], minlength=5)
-    assert stats.chisquare(counts).pvalue > 0.01
     # a = -300: 1 / j^-300 is inf from j = 11 on, and the k = 16 marginal came out nan;
     # a = 1000: j^1000 overflows, so every weight past j = 2 is 0, with no RuntimeWarning
     for k in (16, 12):
@@ -300,8 +297,10 @@ def test_dataset_schema_validation():
 
 def test_dataset_rows_take_the_narrow_value_dtype(tmp_path):
     # every way to a Dataset stores value_dtype(ks): uint8 up to k = 256, uint16 beyond
+    rng = stream(48, 1)
+    drawn = np.column_stack([rng.integers(0, k, size=500) for k in (5, 3)])
     made = {"zipf": dst.zipf_dataset(500, [6, 4], 1.2, stream(48, 0)),
-            "uniform": dst.uniform_dataset(500, [5, 3], stream(48, 1)),
+            "from_ks": dst.Dataset.from_ks((5, 3), drawn),
             "fixture": dst.load_fixture("adult_style_100"),
             "csv": dst.load_dataset(write_csv(tmp_path, "t.csv", ["a", "b"],
                                               [["x", "y"], ["z", "y"]]))}
@@ -315,9 +314,7 @@ def test_dataset_rows_take_the_narrow_value_dtype(tmp_path):
     np.testing.assert_array_equal(wide.rows, np.column_stack([np.arange(300),
                                                               np.arange(300) % 2]))
     # the same values as the int64 draws they come from
-    rng = stream(48, 1)
-    ref = np.column_stack([rng.integers(0, k, size=500) for k in (5, 3)])
-    np.testing.assert_array_equal(made["uniform"].rows, ref)
+    np.testing.assert_array_equal(made["from_ks"].rows, drawn)
 
 
 @pytest.mark.parametrize("rows,match", [

@@ -4,11 +4,14 @@ Each entry of ``GOLDEN`` is one config file run through the harness at seed
 1 and exported to ``tests/golden/<name>``.  The tables pin reident under smp
 (grr / olh / oue; fk, pk and null matching; epsilon and beta budgets) and
 under rs_fd / rs_rfd over every fake-data tag, attr_infer and mse over every
-tag x solution, analytic, attack_oracle, and one JSONL export.  Most of their
-streamed (n, k) kernels fit in one row block; ``attack_oracle_blocks.csv``
+tag x solution, analytic, attack_oracle, and one JSONL export;
+``reident_smp_with_replacement.csv`` runs SMP sampling with replacement.  Most
+of their streamed (n, k) kernels fit in one row block; ``attack_oracle_blocks.csv``
 runs the OLH, SUE and OUE attacks over 3 blocks (k = 74) and 12 (k = 300, a
-uint16 pick).  They pin only the streams these configs reach: SMP sampling
-with replacement, for one, runs in none of them.
+uint16 pick), and ``attack_oracle_empty_rows.csv`` the OLH and OUE attacks
+over 4 blocks (k = 4, epsilon = 4) in which about 47 % of the reports support
+no value, so the pick draws their values block by block.  They pin only the
+streams these configs reach.
 
 The files were written by running this module as a script::
 
@@ -147,6 +150,26 @@ GOLDEN = {
         ks = 74, 300
         n = 10000
     """,
+    # 4 blocks of block_rows(4) = 65,536 reports, about 47 % of them with no
+    # supported value: pins the pick's empty-row draws block by block
+    "attack_oracle_empty_rows.csv": """
+        experiment = attack_oracle
+        protocols = olh, oue
+        epsilons = 4
+        ks = 4
+        n = 200000
+    """,
+    "reident_smp_with_replacement.csv": """
+        experiment = reident
+        dataset = fixture:adult_style_5000
+        subsample = 500
+        protocols = grr, oue
+        epsilons = 4
+        surveys = 3
+        sampling_mode = with_replacement
+        attack_models = fk, null
+        top_k = 1, 5
+    """,
 }
 
 
@@ -162,17 +185,37 @@ def test_golden_table(name, tmp_path):
     assert got == (GOLDEN_DIR / name).read_bytes(), f"{name} differs from its golden table"
 
 
+def _rows(name: str) -> list[dict]:
+    with (GOLDEN_DIR / name).open() as f:
+        return list(csv.DictReader(f))
+
+
 def test_multi_block_attacks_lie_near_their_analytic_accuracy():
-    # the multi-block table was pinned only with every empirical accuracy
+    # the multi-block tables were pinned only with every empirical accuracy
     # within 4 stderrs of the exact one
-    rows = list(csv.DictReader((GOLDEN_DIR / "attack_oracle_blocks.csv").open()))
-    analytic = {(r["protocol"], r["flags"]): float(r["value"])
-                for r in rows if r["metric"].startswith("acc_analytic")}
-    empirical = [r for r in rows if r["metric"].startswith("acc_empirical")]
-    assert len(empirical) == len(analytic) == 6
-    for r in empirical:
-        gap = abs(float(r["value"]) - analytic[r["protocol"], r["flags"]])
-        assert gap <= 4 * float(r["stderr"]), r
+    for name, points in (("attack_oracle_blocks.csv", 6), ("attack_oracle_empty_rows.csv", 2)):
+        rows = _rows(name)
+        analytic = {(r["protocol"], r["flags"]): float(r["value"])
+                    for r in rows if r["metric"].startswith("acc_analytic")}
+        empirical = [r for r in rows if r["metric"].startswith("acc_empirical")]
+        assert len(empirical) == len(analytic) == points, name
+        for r in empirical:
+            gap = abs(float(r["value"]) - analytic[r["protocol"], r["flags"]])
+            assert gap <= 4 * float(r["stderr"]), (name, r)
+
+
+def test_null_matching_with_replacement_lies_near_chance():
+    # the table was pinned only with every null row within 4 sigma of a
+    # uniform guess's top-k accuracy 100 k / n; each protocol's 4 fk rows
+    # (top 1, 5 x surveys 2, 3) come before its 4 null rows
+    rows = _rows("reident_smp_with_replacement.csv")
+    null = [r for i, r in enumerate(rows) if i // 4 % 2 == 1]
+    assert len(rows) == 16 and {r["protocol"] for r in null} == {"grr", "oue"}
+    n = 500
+    for r in null:
+        k = int(r["metric"].split("_top")[1].split("_")[0])
+        sigma = 100 * (k / n * (1 - k / n) / n) ** 0.5
+        assert abs(float(r["value"]) - 100 * k / n) <= 4 * sigma, r
 
 
 if __name__ == "__main__":

@@ -186,18 +186,18 @@ def test_float_formatting_ten_significant_digits():
     assert hn._fmt(None) == ""
 
 
-def test_mse_uniform_prior_identity():
-    cfg = hn.build_config({
-        "experiment": "mse", "seed": 11, "dataset": "fixture:adult_style_100",
-        "epsilons": [math.log(4)], "variants": ["grr", "oue_r"],
-        "solutions": ["rs_fd", "rs_rfd"], "prior_mode": "uniform", "runs": 2,
-    })
-    rows = hn.run_experiment(cfg)
-    for variant in ("grr", "oue_r"):
-        for run in range(2):
-            pair = {r.solution: r.value for r in rows
-                    if r.protocol == variant and r.run == run}
-            assert pair["rs_fd"] == pytest.approx(pair["rs_rfd"], abs=1e-9)
+def test_mse_rs_fd_rows_do_not_depend_on_the_paired_solution():
+    # both solutions of a (variant, eps) pair share one seed, so the rs_fd rows
+    # of a paired grid are those of rs_fd alone; with the engine identity
+    # (test_rsrfd_uniform_prior_degenerates_to_rsfd) this makes rs_fd the
+    # uniform-prior baseline of the rs_rfd rows beside it
+    raw = {"experiment": "mse", "seed": 11, "dataset": "fixture:adult_style_100",
+           "epsilons": [math.log(4)], "variants": ["grr", "oue_r"],
+           "prior_mode": "laplace", "runs": 2}
+    paired = hn.run_experiment(hn.build_config({**raw, "solutions": ["rs_fd", "rs_rfd"]}))
+    alone = hn.run_experiment(hn.build_config({**raw, "solutions": ["rs_fd"]}))
+    assert [r for r in paired if r.solution == "rs_fd"] == alone
+    assert len(alone) == 4
 
 
 def test_reident_kind_small_and_deterministic():
@@ -219,7 +219,7 @@ def test_reident_kind_small_and_deterministic():
 
 def test_attr_infer_kind_rows():
     cfg = hn.build_config({
-        "experiment": "attr_infer", "seed": 17, "dataset": "synth:uniform",
+        "experiment": "attr_infer", "seed": 17, "dataset": "synth:zipf", "synth_zipf_a": 0,
         "synth_n": 4000, "synth_ks": [4, 3, 5], "epsilons": [1.0],
         "variants": ["grr"], "attack": ["nk", "pk"], "solutions": ["rs_fd"],
         "runs": 1,
@@ -242,10 +242,31 @@ def test_attr_infer_rs_rfd_solution():
     assert 0 <= rows[0].value <= 100
 
 
+def test_s_mult_refused_when_the_synthetic_reports_exceed_physical_memory(monkeypatch):
+    # s_mult = 1e14 on 100 users exited 3 ("Unable to allocate 88.8 PiB") after
+    # the real collection had been sanitized; the benchmark's fakedata_infer
+    # grid passes.  Its widest synthetic row is an oue_r row of Σk = 46 bits,
+    # a grr row d = 5 uint8 values
+    cfg = hn.build_config({
+        "experiment": "attr_infer", "seed": 1, "dataset": "synth:zipf", "synth_n": 100_000,
+        "synth_zipf_a": 0.6, "epsilons": [1, 4], "variants": ["grr", "oue_r"]})
+    ds = hn.resolve_dataset(cfg)
+    hn._check_counts(cfg, ds)
+    sysconf = {}
+    monkeypatch.setattr(hn.os, "sysconf", sysconf.__getitem__)
+    for variants, row in ((["grr", "oue_r"], 46), (["grr"], 5)):
+        cfg.variants = variants
+        sysconf.update(SC_PAGE_SIZE=row, SC_PHYS_PAGES=100_000)  # memory for s = n rows
+        hn._check_counts(cfg, ds)
+        sysconf["SC_PHYS_PAGES"] -= 1
+        with pytest.raises(ConfigError, match=f"100000 synthetic reports of {row} bytes"):
+            hn._check_counts(cfg, ds)
+
+
 def test_attack_rows_carry_metadata():
     # runs = 2 per point: the attacks return plain accuracies, and the harness
     # writes the run index, the grid axes and the master seed into each row
-    keys = {"seed": 25, "dataset": "synth:uniform", "synth_n": 300,
+    keys = {"seed": 25, "dataset": "synth:zipf", "synth_zipf_a": 0, "synth_n": 300,
             "synth_ks": [8, 9, 10], "epsilons": [2.0], "runs": 2}
     rows = hn.run_experiment(hn.build_config({
         "experiment": "attr_infer", "variants": ["oue_r"], "solutions": ["rs_fd"],
@@ -271,9 +292,9 @@ def test_reident_beta_row_leads_with_the_budget_flags():
     # beta = 0.95 at n = 300 clamps alpha at 0, so every attribute gets the
     # epsilon floor; s_mult = 1/300 trains the attacker on one synthetic row
     rows = hn.run_experiment(hn.build_config({
-        "experiment": "reident", "seed": 26, "dataset": "synth:uniform", "synth_n": 300,
-        "synth_ks": [8, 9, 10], "solution": "rs_fd", "protocols": ["grr"], "betas": [0.95],
-        "s_mult": 1 / 300, "top_k": [1], "surveys": 2}))
+        "experiment": "reident", "seed": 26, "dataset": "synth:zipf", "synth_zipf_a": 0,
+        "synth_n": 300, "synth_ks": [8, 9, 10], "solution": "rs_fd", "protocols": ["grr"],
+        "betas": [0.95], "s_mult": 1 / 300, "top_k": [1], "surveys": 2}))
     assert [(r.beta, r.flags) for r in rows] == [
         (0.95, "alpha_clamped;epsilon_floor;single_class")]
 
@@ -281,8 +302,8 @@ def test_reident_beta_row_leads_with_the_budget_flags():
 def test_reident_rows_carry_the_flags_raised_up_to_their_survey():
     # without replacement over 3 attributes the pool runs dry at survey 4
     rows = hn.run_experiment(hn.build_config({
-        "experiment": "reident", "seed": 1, "dataset": "synth:uniform", "synth_n": 300,
-        "synth_ks": [8, 9, 10], "protocols": ["grr"], "epsilons": [2.0],
+        "experiment": "reident", "seed": 1, "dataset": "synth:zipf", "synth_zipf_a": 0,
+        "synth_n": 300, "synth_ks": [8, 9, 10], "protocols": ["grr"], "epsilons": [2.0],
         "attack_models": ["fk"], "top_k": [1], "surveys": 5,
         "survey_all_attributes": True, "runs": 2}))
     assert [(r.run, r.metric, r.flags) for r in rows] == [
