@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .classifier import PREDICT_ROWS, NaiveBayes
+from .classifier import PREDICT_ROWS, Counts, NaiveBayes
 from .datasets import clip_or_uniform, synthesize_profiles
 from .multidim import (
     CollectionConfig,
@@ -32,6 +32,7 @@ from .multidim import (
     report_batches,
     rs_estimate,
     rs_sanitize_batch,
+    rs_sanitize_stream,
     smp_sample,
 )
 from .oracles import (ProtocolParams, ReportBatch, as_indices, protocol_params,
@@ -449,37 +450,59 @@ def _rs_survey_step(rows, ks, solution, variant, eps_list, attrs,
 
 @dataclass
 class LearningSet:
-    """One part of the attacker's training data: features and sampled-attribute labels."""
+    """One part of the attacker's training data: the naive-Bayes counts of its reports
+    and their sampled-attribute labels."""
 
-    features: np.ndarray
+    counts: Counts
     labels: np.ndarray
     estimate_fallback: bool = False  # some attribute's synthetic values came out uniform
+
+
+def _attacker_counts(cfg: CollectionConfig) -> Counts:
+    """Empty counts for the attacker's classifier on ``cfg``'s report matrix: categorical
+    on grr values, else bernoulli on bits."""
+    if cfg.variant == "grr":
+        return Counts("categorical", len(cfg.ks), cfg.ks)
+    return Counts("bernoulli", len(cfg.ks), [2] * sum(cfg.ks))
 
 
 def build_learning_set(estimated_freqs: Sequence[np.ndarray], s: int,
                        cfg: CollectionConfig, rng: np.random.Generator) -> LearningSet:
     """``s`` synthetic profiles pushed through the collection pipeline, each labelled
-    with the sampled attribute it drew.
+    with the sampled attribute it drew, as counts.
 
     The profiles are drawn from the clipped-normalized estimated frequencies; an
     attribute whose estimates are all <= 0 is drawn uniformly instead, with the
-    same draws, and sets ``estimate_fallback``.
+    same draws, and sets ``estimate_fallback``.  ``rs_sanitize_stream`` hands
+    over each attribute's reports, which are counted, so the (s, width) report
+    matrix is never made.
     """
     dists, fell_back = clip_or_uniform(estimated_freqs)
     synth_rows = synthesize_profiles(dists, s, rng, cfg.ks)
-    features, labels = rs_sanitize_batch(synth_rows, cfg, rng)
-    return LearningSet(features, labels, any(fell_back))
+    counts = _attacker_counts(cfg)
+    labels = rs_sanitize_stream(synth_rows, cfg, rng,
+                                lambda cols, reports, y: counts.add(reports, y, cols.start))
+    return LearningSet(counts, labels, any(fell_back))
+
+
+def compromised_set(features: np.ndarray, labels: np.ndarray, users: np.ndarray,
+                    cfg: CollectionConfig) -> LearningSet:
+    """The learning set of the report-matrix rows ``users``, counted ``PREDICT_ROWS`` rows
+    at a time, each block gathered by ``np.take``, so the rows are never copied whole."""
+    counts = _attacker_counts(cfg)
+    for lo in range(0, len(users), PREDICT_ROWS):
+        at = users[lo : lo + PREDICT_ROWS]
+        counts.add(np.take(features, at, axis=0), labels[at])
+    return LearningSet(counts, labels[users])
 
 
 def train_attacker(parts: Sequence[LearningSet],
                    cfg: CollectionConfig) -> tuple[NaiveBayes, list]:
-    """Naive Bayes fitted to the learning sets as row blocks of one set (categorical on
-    grr values, else bernoulli on bits), with no concatenated copy, and the
-    attacker's flags: ``single_class``, then ``estimate_fallback`` if any part
-    carries it."""
-    clf = NaiveBayes(mode="categorical" if cfg.variant == "grr" else "bernoulli")
-    clf.fit([p.features for p in parts], [p.labels for p in parts],
-            n_classes=len(cfg.ks), categories=list(cfg.ks))
+    """Naive Bayes fitted to the sum of the learning sets' counts (categorical on grr
+    values, else bernoulli on bits), and the attacker's flags: ``single_class``, then
+    ``estimate_fallback`` if any part carries it."""
+    clf = NaiveBayes(mode=parts[0].counts.mode)
+    clf.fit([p.counts for p in parts], None, n_classes=len(cfg.ks), categories=list(cfg.ks))
     flags = [flag for flag, hit in (("single_class", clf.constant_class is not None),
                                     ("estimate_fallback",
                                      any(p.estimate_fallback for p in parts)))
@@ -544,11 +567,11 @@ def run_attr_infer_experiment(
         if model != "nk":
             perm = rng_m.permutation(n)
             comp, rest = perm[:n_pk], perm[n_pk:]
-            parts.append(LearningSet(np.take(features, comp, axis=0), labels[comp]))
+            parts.append(compromised_set(features, labels, comp, cfg))
         if model != "pk":
             parts.insert(0, build_learning_set(est, s, cfg, rng_m))
         clf, flags = train_attacker(parts, cfg)
-        del parts  # free the learning sets before the test rows are scored
+        del parts  # free the learning sets' labels before the test rows are scored
         results[model] = (_test_acc(clf, features, labels, rest), flags)
     return results
 

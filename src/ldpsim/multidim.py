@@ -27,6 +27,8 @@ matrix of value indices and check all of it before any draw.
 (grr values in an (n, d) matrix, unary bits in an (n, sum(ks)) one), which
 ``rs_estimate`` reads as it is and ``report_batches`` cuts into one
 ``ReportBatch`` view per attribute under ``cfg.params(a)``.
+``rs_sanitize_stream`` makes the same draws and reports but hands each
+attribute's reports to its caller, in one reused buffer, in place of M.
 
 A variant is named by one tag, its oracle then its fakes: ``grr`` (plain
 values), ``sue_z`` / ``oue_z`` (unary encoding on all-zero fake vectors,
@@ -59,7 +61,7 @@ from .oracles import (
     support_counts,
     unary_bit_blocks,
 )
-from .rng import CHUNK_ELEMENTS
+from .rng import CHUNK_ELEMENTS, block_rows
 
 FAKE_DATA_VARIANTS = {"rs_fd": ("grr", "sue_z", "oue_z", "sue_r", "oue_r"),
                       "rs_rfd": ("grr", "sue_r", "oue_r")}
@@ -249,17 +251,30 @@ def check_collection(solution: str, protocol: str) -> None:
         raise ParameterError(f"{solution} protocol must be one of {protocols}, got {protocol!r}")
 
 
+def report_columns(cfg: CollectionConfig) -> list[slice]:
+    """Attribute a's columns of the report matrix: column a of the (n, d) grr values,
+    else its ks[a] columns of the (n, sum(ks)) UE bits.  The one place that knows the
+    columns' layout."""
+    widths = [1] * len(cfg.ks) if cfg.variant == "grr" else cfg.ks
+    ends = np.cumsum(widths).tolist()
+    return [slice(e - w, e) for w, e in zip(widths, ends)]
+
+
 def report_batches(M: np.ndarray, cfg: CollectionConfig) -> list[ReportBatch]:
     """One ``ReportBatch`` per attribute under ``cfg.params(a)``, each a view of the report
-    matrix ``M``: column a of the (n, d) values for grr, else attribute a's ks[a] columns
-    of the (n, sum(ks)) bits.  Raises ParameterError for an M that is not 2-D or has
-    another width.  This is the one place that knows the columns' layout."""
-    grr = cfg.variant == "grr"
-    width = len(cfg.ks) if grr else sum(cfg.ks)
+    matrix ``M``'s :func:`report_columns` (a 1-D column for grr).  Raises ParameterError
+    for an M that is not 2-D or has another width."""
+    cols = report_columns(cfg)
+    width = cols[-1].stop
     if np.ndim(M) != 2 or np.shape(M)[1] != width:
         raise ParameterError(f"report matrix must be (n, {width}), got shape {np.shape(M)}")
-    return [ReportBatch(cfg.params(a), M[:, a] if grr else M[:, e - k : e])
-            for a, (k, e) in enumerate(zip(cfg.ks, np.cumsum(cfg.ks)))]
+    grr = cfg.variant == "grr"
+    return [ReportBatch(cfg.params(a), M[:, c.start] if grr else M[:, c])
+            for a, c in enumerate(cols)]
+
+
+def _report_dtype(cfg: CollectionConfig) -> np.dtype:
+    return value_dtype(cfg.ks) if cfg.variant == "grr" else np.dtype(np.uint8)
 
 
 def rs_sanitize_batch(
@@ -267,44 +282,103 @@ def rs_sanitize_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Client side for n users: (report matrix M, simulator-only sampled indices).
 
-    Every fake draw goes through ``cfg.fake``, so rs_fd (uniform) and rs_rfd
-    (priors) consume the random stream identically at equal seeds.  M is
-    C-contiguous, of ``value_dtype(cfg.ks)`` for grr, else uint8 bits, and the
-    reports go straight into it through the views of :func:`report_batches`.
-    A UE slot's bits (real, one-hot ``_r`` fakes or all-zero ``_z`` fakes) come
-    from ``oracles.unary_bit_blocks`` and are scattered into their rows one
-    block at a time, so no (n_a, k) bit array is made; the sampled indices are
-    drawn as int64 and kept in ``np.min_scalar_type(d - 1)``.
+    M is C-contiguous, of ``value_dtype(cfg.ks)`` for grr, else uint8 bits,
+    and :func:`_sanitize` writes each attribute's reports straight into its
+    :func:`report_columns`.
     """
     rows = _check_rows(rows, cfg.ks)
+    M = np.empty((len(rows), report_columns(cfg)[-1].stop), dtype=_report_dtype(cfg))
+    return M, _sanitize(rows, cfg, rng, lambda cols: M[:, cols])
+
+
+def rs_sanitize_stream(rows: np.ndarray, cfg: CollectionConfig, rng: np.random.Generator,
+                       sink) -> np.ndarray:
+    """:func:`rs_sanitize_batch`'s draws and reports with no report matrix; returns the
+    sampled indices.
+
+    Each attribute's reports, its columns ``cols`` of M, go into one reused
+    (n, max width) buffer, and ``sink(cols, reports, sampled)`` is called with
+    the (n, width) view that holds them before the next attribute overwrites
+    it.  A consumer that only counts them (the attacker's learning set) holds
+    n max(ks) UE bytes, not n sum(ks).
+    """
+    rows = _check_rows(rows, cfg.ks)
+    cols = report_columns(cfg)
+    buf = np.empty((len(rows), max(c.stop - c.start for c in cols)), dtype=_report_dtype(cfg))
+    return _sanitize(rows, cfg, rng, lambda c: buf[:, : c.stop - c.start], sink)
+
+
+def _sanitize(rows: np.ndarray, cfg: CollectionConfig, rng: np.random.Generator,
+              column, sink=None) -> np.ndarray:
+    """The one fake-data sanitizer over checked ``rows``; returns the sampled indices.
+
+    Every fake draw goes through ``cfg.fake``, so rs_fd (uniform) and rs_rfd
+    (priors) consume the random stream identically at equal seeds.  The sampled
+    indices are drawn as int64 and kept in ``np.min_scalar_type(d - 1)``.  For
+    each attribute a in turn, its reports are written into ``column(cols)``, an
+    (n, width) view for its columns ``cols`` of M, and ``sink(cols, view,
+    sampled)`` is called after, if given.  The sampled and the fake rows are two
+    bool masks; the sampled values are gathered by ``np.compress``, and reports
+    go to their rows through :func:`_mask_blocks`' index blocks, so no index
+    array of the n users is made.  A UE slot's bits (real, one-hot ``_r`` fakes
+    or all-zero ``_z`` fakes) stream through :func:`_scatter_unary`.
+    """
     n, d = rows.shape
     sampled = rng.integers(0, d, size=n).astype(np.min_scalar_type(d - 1))
-    grr = cfg.variant == "grr"
-    M = np.empty((n, d) if grr else (n, sum(cfg.ks)),
-                 dtype=value_dtype(cfg.ks) if grr else np.uint8)
-    for a, b in enumerate(report_batches(M, cfg)):
-        # index arrays, not masks: one gather and two row scatters per attribute
-        real, fake = np.flatnonzero(sampled == a), np.flatnonzero(sampled != a)
-        if grr:
-            b.data[real] = randomize_batch(rows[real, a], b.params, rng).data
-            b.data[fake] = _categorical(cfg.fake[a], len(fake), rng)
+    for a, cols in enumerate(report_columns(cfg)):
+        out, params = column(cols), cfg.params(a)
+        real = sampled == a
+        fake = ~real
+        n_fake = n - int(np.count_nonzero(real))
+        values = np.compress(real, rows[:, a])
+        if cfg.variant == "grr":
+            col = out[:, 0]
+            reports = randomize_batch(values, params, rng).data
+            fakes = _categorical(cfg.fake[a], n_fake, rng)
+            for src, mask in ((reports, real), (fakes, fake)):
+                for at, idx in _mask_blocks(mask, block_rows(params.k)):
+                    col[idx] = src[at : at + len(idx)]
         else:  # the fakes unary-encode a categorical draw, or all zeros under sue_z / oue_z
-            _scatter_unary(b.data, real, rows[real, a], b.params, rng)
-            fakes = None if cfg.fake is None else _categorical(cfg.fake[a], len(fake), rng)
-            _scatter_unary(b.data, fake, fakes, b.params, rng)
-    return M, sampled
+            _scatter_unary(out, real, values, params, rng)
+            fakes = None if cfg.fake is None else _categorical(cfg.fake[a], n_fake, rng)
+            _scatter_unary(out, fake, fakes, params, rng)
+        if sink is not None:
+            sink(cols, out, sampled)
+    return sampled
 
 
-def _scatter_unary(col: np.ndarray, idx: np.ndarray, values: np.ndarray | None,
+def _mask_blocks(mask: np.ndarray, step: int):
+    """Yield ``(at, idx)`` over the rows that the bool ``mask`` sets, ``step`` rows of the
+    mask at a time: ``idx`` holds the block's set rows (intp, at most ``step``), and
+    ``at`` counts the set rows before them."""
+    at = 0
+    for lo in range(0, len(mask), step):
+        idx = np.flatnonzero(mask[lo : lo + step])
+        idx += lo
+        yield at, idx
+        at += len(idx)
+
+
+def _scatter_unary(out: np.ndarray, mask: np.ndarray, values: np.ndarray | None,
                    params: ProtocolParams, rng: np.random.Generator) -> None:
-    """Rows ``idx`` of ``col`` get ``randomize_batch(values, params, rng)``'s UE bits
-    (all-zero vectors' bits for ``values=None``), with its draws, a block at a time.
-    Each report's k bits are scattered as one k-byte void item: ``col``'s rows are
-    contiguous, though it is a column slice of the report matrix."""
-    item = np.dtype((np.void, params.k))
-    rows = col.view(item)[:, 0]
-    for lo, hi, bits in unary_bit_blocks(len(idx), params.k, params.q, rng, values, params.p):
-        rows[idx[lo:hi]] = bits.view(item)[:, 0]
+    """The rows of ``out`` that ``mask`` sets get ``randomize_batch(values, params,
+    rng)``'s UE bits in row order (all-zero vectors' bits for ``values=None``), with its
+    draws.
+
+    The rows go ``block_rows(k)`` rows of the mask at a time: a block's set rows
+    take the bits of one ``oracles.unary_bit_blocks`` call over them, which are
+    the bits of one call over every set row, as row i's bits come from the i-th
+    k doubles of the stream.  So the scratch is a block's.  Each report's k bits
+    are scattered as one k-byte void item: ``out``'s rows are contiguous, though
+    it is a column slice of the report matrix.
+    """
+    k = params.k
+    item = np.dtype((np.void, k))
+    items = out.view(item)[:, 0]
+    for at, idx in _mask_blocks(mask, block_rows(k)):
+        vals = None if values is None else values[at : at + len(idx)]
+        for lo, hi, bits in unary_bit_blocks(len(idx), k, params.q, rng, vals, params.p):
+            items[idx[lo:hi]] = bits.view(item)[:, 0]
 
 
 def _fake_support(cfg: CollectionConfig, a: int, params: ProtocolParams):

@@ -9,8 +9,8 @@ from ldpsim import attacks as atk
 from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
 from ldpsim.budget import beta_epsilons
-from ldpsim.classifier import NaiveBayes
-from ldpsim.datasets import Dataset, synthesize_profiles
+from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
+from ldpsim.datasets import Dataset, clip_or_uniform, synthesize_profiles
 from ldpsim.errors import ParameterError
 from ldpsim.rng import stream
 from montecarlo import smp_attack_acc_mc
@@ -384,13 +384,17 @@ def test_reident_rs_fd_all_pass_through_uses_the_pass_through_epsilon(monkeypatc
     # with every attribute's raw value passing through, the fake-data tuple is
     # still sanitized, at one finite epsilon
     seen = []
-    sanitize = atk.rs_sanitize_batch
 
-    def spy(rows, cfg, rng):
-        seen.append(cfg.epsilon)
-        return sanitize(rows, cfg, rng)
+    def spy(sanitize):
+        def sanitize_and_record(rows, cfg, *args):
+            seen.append(cfg.epsilon)
+            return sanitize(rows, cfg, *args)
+        return sanitize_and_record
 
-    monkeypatch.setattr(atk, "rs_sanitize_batch", spy)
+    # the users' tuples go through rs_sanitize_batch, the learning set's through
+    # rs_sanitize_stream
+    for name in ("rs_sanitize_batch", "rs_sanitize_stream"):
+        monkeypatch.setattr(atk, name, spy(getattr(atk, name)))
     ds = _unique_dataset(300)
     atk.run_reident_experiment(ds, "grr", "rs_fd", [math.inf] * ds.d,
                                atk.SurveysConfig(count=3), "fk", (1,), runs=1, seed=18)
@@ -611,38 +615,75 @@ def test_build_learning_set_nk_uniform_labels():
     counts = np.bincount(learn.labels, minlength=3)
     sig = 3 * math.sqrt((1 / 3) * (2 / 3) / 30_000)
     assert (np.abs(counts / 30_000 - 1 / 3) < sig).all()
-    assert learn.features.shape == (30_000, 3)
+    np.testing.assert_array_equal(learn.counts.classes, counts)
+    # every row holds one category of each of the 3 features
+    assert learn.counts.cells.shape == (3, 12)
+    for s, k in zip(learn.counts.starts, cfg.ks):
+        np.testing.assert_array_equal(learn.counts.cells[:, s : s + k].sum(axis=1), counts)
+
+
+def _learning_rows(est, s, cfg, rng):
+    """build_learning_set's synthetic report matrix and labels, made whole by
+    rs_sanitize_batch at the same draws."""
+    dists, _ = clip_or_uniform(est)
+    return mdm.rs_sanitize_batch(synthesize_profiles(dists, s, rng, cfg.ks), cfg, rng)
+
+
+@pytest.mark.parametrize("variant", ["grr", "oue_r", "sue_z"])
+def test_build_learning_set_counts_the_sanitized_rows(variant):
+    # the streamed learning set is the counts of the report matrix rs_sanitize_batch
+    # makes at the same draws, and leaves the stream where that leaves it
+    rows, cfg, M, _ = _collection([4, 5, 3], 3000, 23, variant)
+    est = mdm.rs_estimate(M, cfg)
+    rng, ref_rng = stream(23, 1), stream(23, 1)
+    learn = atk.build_learning_set(est, 2500, cfg, rng)
+    X, y = _learning_rows(est, 2500, cfg, ref_rng)
+    ref = atk._attacker_counts(cfg).add(X, y)
+    np.testing.assert_array_equal(learn.labels, y)
+    np.testing.assert_array_equal(learn.counts.classes, ref.classes)
+    np.testing.assert_array_equal(learn.counts.cells, ref.cells)
+    assert rng.random() == ref_rng.random()
 
 
 def test_train_attacker_fits_the_concatenated_parts(monkeypatch):
     # a list of learning sets is one fit on their concatenation (s + n_pk rows,
-    # synthetic first), passed as row blocks with no concatenated copy;
-    # estimate_fallback comes from any part
+    # synthetic first), passed as count parts; estimate_fallback comes from any part
     rows, cfg, feats, labels = _collection([4, 5, 3], 500, 18)
     est = mdm.rs_estimate(feats, cfg)
     synthetic = atk.build_learning_set(est, 250, cfg, stream(18, 1))
-    compromised = atk.LearningSet(feats[:100], labels[:100])
-    X = np.concatenate([synthetic.features, feats[:100]])
-    y = np.concatenate([synthetic.labels, labels[:100]])
+    compromised = atk.compromised_set(feats, labels, np.arange(100), cfg)
+    synth_X, synth_y = _learning_rows(est, 250, cfg, stream(18, 1))
+    X = np.concatenate([synth_X, feats[:100]])
+    y = np.concatenate([synth_y, labels[:100]])
     one = NaiveBayes(mode="categorical").fit(X, y, n_classes=3, categories=[4, 5, 3])
     fitted, fit = [], NaiveBayes.fit
     monkeypatch.setattr(NaiveBayes, "fit",
                         lambda self, X, y, **kw: fitted.append((X, y)) or fit(self, X, y, **kw))
     clf, flags = atk.train_attacker([synthetic, compromised], cfg)
     assert len(fitted) == 1
-    Xs, ys = fitted[0]
-    assert [len(b) for b in Xs] == [250, 100]
-    assert Xs[0] is synthetic.features and Xs[1] is compromised.features
-    np.testing.assert_array_equal(np.concatenate(Xs), X)
-    np.testing.assert_array_equal(np.concatenate(ys), y)
-    np.testing.assert_array_equal(clf._log_prior, one._log_prior)
-    for got, want in zip(clf._log_like, one._log_like, strict=True):
+    parts, _ = fitted[0]
+    assert parts == [synthetic.counts, compromised.counts]
+    np.testing.assert_array_equal(compromised.labels, labels[:100])
+    for got, want in zip(clf._tables, one._tables, strict=True):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(clf.predict(feats), one.predict(feats))
     assert flags == []
-    fell_back = atk.LearningSet(feats[:100], labels[:100], True)
+    fell_back = atk.LearningSet(compromised.counts, compromised.labels, True)
     for parts in ([synthetic, fell_back], [fell_back, compromised]):
         assert atk.train_attacker(parts, cfg)[1] == ["estimate_fallback"]
+
+
+@pytest.mark.parametrize("variant", ["grr", "oue_r"])
+def test_compromised_set_counts_its_rows_in_predict_blocks(variant):
+    # the users' rows are gathered PREDICT_ROWS at a time; the counts are those of
+    # the whole gathered rows, bit for bit, over 3 blocks
+    rows, cfg, M, labels = _collection([4, 5, 3], 2 * PREDICT_ROWS + 50, 24, variant)
+    users = stream(24, 1).permutation(len(M))[: 2 * PREDICT_ROWS + 10]
+    got = atk.compromised_set(M, labels, users, cfg)
+    ref = atk._attacker_counts(cfg).add(M[users], labels[users])
+    np.testing.assert_array_equal(got.counts.classes, ref.classes)
+    np.testing.assert_array_equal(got.counts.cells, ref.cells)
+    np.testing.assert_array_equal(got.labels, labels[users])
 
 
 def test_build_learning_set_degenerate_estimates_fall_back_to_uniform():
@@ -654,7 +695,8 @@ def test_build_learning_set_degenerate_estimates_fall_back_to_uniform():
     uniform = [np.full(3, 1 / 3), bad[1]]
     same = atk.build_learning_set(uniform, 10, cfg, stream(19, 0))
     assert learn.estimate_fallback and not same.estimate_fallback
-    np.testing.assert_array_equal(learn.features, same.features)
+    np.testing.assert_array_equal(learn.counts.classes, same.counts.classes)
+    np.testing.assert_array_equal(learn.counts.cells, same.counts.cells)
     np.testing.assert_array_equal(learn.labels, same.labels)
 
 
@@ -682,11 +724,13 @@ def test_classifier_pipeline_separable():
     cfg = mdm.CollectionConfig([3, 3, 3], "rs_fd", "grr", 1.0)
     labels = np.arange(300) % 3
     feats = np.column_stack([labels, np.zeros(300, dtype=int), np.zeros(300, dtype=int)])
-    clf, flags = atk.train_attacker([atk.LearningSet(feats, labels)], cfg)
+    clf, flags = atk.train_attacker([atk.compromised_set(feats, labels, np.arange(300), cfg)],
+                                    cfg)
     assert flags == []
     assert np.array_equal(clf.predict(feats), labels)
     # one learning row is one class; the flags keep their order
-    _, flags = atk.train_attacker([atk.LearningSet(feats[:1], labels[:1], True)], cfg)
+    one_row = atk.compromised_set(feats, labels, np.arange(1), cfg)
+    _, flags = atk.train_attacker([atk.LearningSet(one_row.counts, one_row.labels, True)], cfg)
     assert flags == ["single_class", "estimate_fallback"]
 
 

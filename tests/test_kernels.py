@@ -45,7 +45,7 @@ from ldpsim import attacks as atk
 from ldpsim import multidim as mdm
 from ldpsim import oracles as oc
 from ldpsim.classifier import PREDICT_ROWS, NaiveBayes
-from ldpsim.datasets import load_fixture, zipf_dataset
+from ldpsim.datasets import clip_or_uniform, load_fixture, synthesize_profiles, zipf_dataset
 from ldpsim.errors import ParameterError
 from ldpsim.multidim import _categorical
 from ldpsim.rng import CHUNK_ELEMENTS, block_rows, chunk_rows, hash_match_blocks, stream
@@ -134,18 +134,27 @@ def _ref_categorical(pvec, size, rng):
     return np.minimum(idx, len(pvec) - 1).astype(np.int64)
 
 
-def _ref_nb_scores(clf, X):
-    if clf.constant_class is not None:
-        scores = np.full((len(X), clf.n_classes), -np.inf)
-        scores[:, clf.constant_class] = 0.0
+def _ref_nb_scores(mode, X_fit, y_fit, n_classes, ks, X):
+    """The documented law from a float64 copy of the learning set: log prior plus, per
+    feature, the log of the smoothed chance of its value in each class (for bits,
+    x log theta + (1 - x) log(1 - theta), as two GEMMs); one class scores 0, the rest
+    -inf."""
+    counts = np.bincount(y_fit, minlength=n_classes).astype(np.float64)
+    if np.count_nonzero(counts) == 1:
+        scores = np.full((len(X), n_classes), -np.inf)
+        scores[:, np.flatnonzero(counts)[0]] = 0.0
         return scores
-    if clf.mode == "bernoulli":
-        log_t, log_1mt = clf._log_like
-        Xb = X.astype(np.float64)
-        return clf._log_prior[None, :] + Xb @ log_t.T + (1.0 - Xb) @ log_1mt.T
-    scores = np.tile(clf._log_prior, (len(X), 1))
-    for j, tab in enumerate(clf._log_like):
-        scores += tab[:, X[:, j]].T
+    log_prior = np.log((counts + 1.0) / (len(y_fit) + n_classes))
+    if mode == "bernoulli":
+        Xf, Xb = X_fit.astype(np.float64), X.astype(np.float64)
+        ones = np.stack([Xf[y_fit == c].sum(axis=0) for c in range(n_classes)])
+        theta = (ones + 1.0) / (counts[:, None] + 2.0)
+        return log_prior + Xb @ np.log(theta).T + (1.0 - Xb) @ np.log1p(-theta).T
+    scores = np.tile(log_prior, (len(X), 1))
+    for j, k in enumerate(ks):
+        tab = np.stack([np.bincount(X_fit[y_fit == c, j], minlength=k)
+                        for c in range(n_classes)]).astype(np.float64)
+        scores += np.log((tab + 1.0) / (counts[:, None] + k))[:, X[:, j]].T
     return scores
 
 
@@ -525,11 +534,16 @@ def _nb_rows(mode, n, seed):
     return np.column_stack([rng.integers(0, k, n) for k in NB_KS])
 
 
-def _nb_fit(mode, single):
+def _nb_learning_set(mode, single):
     X = _nb_rows(mode, 3000, 40)
     y = stream(41, 0).integers(0, NB_CLASSES, len(X))
     if single:
         y[:] = 2
+    return X, y
+
+
+def _nb_fit(mode, single):
+    X, y = _nb_learning_set(mode, single)
     return NaiveBayes(mode=mode).fit(X, y, n_classes=NB_CLASSES, categories=NB_KS)
 
 
@@ -541,7 +555,7 @@ def test_nb_predict_matches_whole_matrix_scorer(mode, single, n):
     clf = _nb_fit(mode, single)
     assert (clf.constant_class is not None) == single
     X = _nb_rows(mode, n, 42)
-    ref = _ref_nb_scores(clf, X)
+    ref = _ref_nb_scores(mode, *_nb_learning_set(mode, single), NB_CLASSES, NB_KS, X)
     pred = clf.predict(X)
     assert pred.dtype == np.int64
     np.testing.assert_array_equal(pred, np.argmax(ref, axis=1))
@@ -620,6 +634,32 @@ def test_rs_sanitize_writes_one_report_matrix(variant, ks, n):
     for bad in (M[:, 0], M.ravel(), M[:, 1:], np.hstack([M, M[:, :1]])):
         with pytest.raises(ParameterError, match="report matrix must be"):
             mdm.report_batches(bad, cfg)
+
+
+@pytest.mark.parametrize("n", [0, 1, block_rows(300) + 1, 3000])
+@pytest.mark.parametrize("variant,ks", [("grr", (4, 5, 3)), ("grr", (300, 3)),
+                                        ("sue_z", (300, 5, 3)), ("oue_r", (300, 5, 3))])
+def test_rs_sanitize_stream_hands_over_the_report_matrix_columns(variant, ks, n):
+    # the streamed sanitizer makes rs_sanitize_batch's draws and reports, and hands
+    # each attribute's columns of M over in order, in one reused buffer
+    cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
+    rows = np.column_stack([stream(58, n).integers(0, k, n) for k in ks])
+    rng, ref_rng = stream(59, n), stream(59, n)
+    M, sampled = mdm.rs_sanitize_batch(rows, cfg, ref_rng)
+    handed, buffers = [], set()
+
+    def sink(cols, reports, y):
+        assert reports.shape == (n, cols.stop - cols.start) and reports.dtype == M.dtype
+        np.testing.assert_array_equal(y, sampled)
+        handed.append((cols, reports.copy()))
+        buffers.add(id(reports.base))
+
+    np.testing.assert_array_equal(mdm.rs_sanitize_stream(rows, cfg, rng, sink), sampled)
+    assert [cols for cols, _ in handed] == mdm.report_columns(cfg)
+    for cols, reports in handed:
+        np.testing.assert_array_equal(reports, M[:, cols])
+    assert len(buffers) == 1
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("solution,variant", [
@@ -799,24 +839,34 @@ def test_categorical_chunks_draw_the_unchunked_values(k, size):
 
 
 def _ref_attr_infer(rows, cfg, seed, run=0, s_mult=1.0, npk_frac=0.1):
-    """run_attr_infer_experiment with every model's test rows predicted in one call."""
+    """run_attr_infer_experiment with whole learning sets: the synthetic one's report
+    matrix made by rs_sanitize_batch at the same draws, the compromised rows gathered
+    whole, one row-block fit on them, and every model's test rows predicted in one call."""
     n = len(rows)
     rng = stream(seed, 404, run)
     features, labels = mdm.rs_sanitize_batch(rows, cfg, rng)
     est = mdm.rs_estimate(features, cfg)
+    grr = cfg.variant == "grr"
     out = {}
     for i, model in enumerate(atk.ATTACK_MODELS):
         rng_m = stream(seed, 505, run, i)
-        parts, rest = [], slice(None)
+        Xs, ys, fell_back, rest = [], [], [], slice(None)
         if model != "nk":
             perm = rng_m.permutation(n)
             n_pk = atk.compromised_count(npk_frac, n)
             comp, rest = perm[:n_pk], perm[n_pk:]
-            parts.append(atk.LearningSet(features[comp], labels[comp]))
+            Xs.append(features[comp])
+            ys.append(labels[comp])
         if model != "pk":
-            parts.insert(0, atk.build_learning_set(est, atk.synthetic_count(s_mult, n),
-                                                   cfg, rng_m))
-        clf, flags = atk.train_attacker(parts, cfg)
+            dists, fell_back = clip_or_uniform(est)
+            synth = synthesize_profiles(dists, atk.synthetic_count(s_mult, n), rng_m, cfg.ks)
+            M, sampled = mdm.rs_sanitize_batch(synth, cfg, rng_m)
+            Xs.insert(0, M)
+            ys.insert(0, sampled)
+        clf = NaiveBayes(mode="categorical" if grr else "bernoulli").fit(
+            Xs, ys, n_classes=len(cfg.ks), categories=list(cfg.ks))
+        flags = [f for f, hit in (("single_class", clf.constant_class is not None),
+                                  ("estimate_fallback", any(fell_back))) if hit]
         pred = clf.predict(features[rest])
         out[model] = (100.0 * float(np.mean(pred == labels[rest])), flags)
     return out
@@ -944,7 +994,13 @@ def test_attr_infer_peak_memory_bounded():
     # synthetic rows this peaked at 5.61 bytes per n * sum(k) at n = 80,000 and grew
     # by 4.69 bytes per added n * sum(k) from n = 20,000 (one report matrix, block
     # fit and narrow rows: 3.37 and 2.47; block-sized UE and fake-draw scratch,
-    # uint8 sampled labels and test rows scored a block at a time: 2.85 and 2.11)
+    # uint8 sampled labels and test rows scored a block at a time: 2.85 and 2.11).
+    # That 2.11 held only because the 20,000-user peak carried ~1.4 MiB of constant
+    # scoring scratch: the traced peaks were 4.68 / 5.78 / 8.12 / 10.57 MB at
+    # 20 / 40 / 60 / 80 thousand users, 2.61 bytes per added n * sum(k) from 40,000.
+    # With learning sets counted as they are made, not stored, one GEMM per scored
+    # block and bool-mask sanitizer rows: 3.01 / 4.20 / 5.81 / 7.44 MB, so 1.61 from
+    # 20,000 and 1.76 from 40,000; both slopes are checked
     ks = [16, 12, 8, 6, 4]
     cfg = mdm.CollectionConfig(ks, "rs_fd", "oue_r", 1.0)
 
@@ -955,10 +1011,11 @@ def test_attr_infer_peak_memory_bounded():
         assert list(res) == list(atk.ATTACK_MODELS)
         return traced
 
-    n_small, n = 20_000, 80_000
-    small, large = peak(n_small), peak(n)
+    n = 80_000
+    large = peak(n)
     assert large < 3.0 * n * sum(ks)
-    assert large - small < 2.25 * (n - n_small) * sum(ks)
+    for n_small in (20_000, 40_000):
+        assert large - peak(n_small) < 2.25 * (n - n_small) * sum(ks)
 
 
 def test_rank_of_true_peak_memory_bounded():

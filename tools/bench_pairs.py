@@ -14,8 +14,12 @@ strictly better, in the metric's direction) and whether the medians differ
 by more than the parent's interquartile range.  It then totals each side's
 failed rows and flags a change that fails more of them than the parent,
 and flags a digest that differs between runs: the tables are not the same
-bytes.  Standard library only; the benchmark's own files are only run,
-never written.
+bytes.  A last line gives each metric's verdict: ``gain`` when the change
+wins at least 9 in 10 of the pairs and its median moves beyond the parent's
+interquartile range in the better direction, ``WORSE`` when its median is
+worse than the parent's by more than the metric's ``bound`` fraction of it,
+else ``neither``.  Standard library only; the benchmark's own files are
+only run, never written.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ def run_line(i: int, side: str, run: dict, metrics: list[dict]) -> str:
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Summary lines for ``pairs`` of (parent, change) runs, as ``run_once`` returns them;
-    ``metrics`` are BENCHMARK.json's end-to-end entries (name and ``better``)."""
-    lines = []
+    ``metrics`` are BENCHMARK.json's end-to-end entries (name, ``better`` and, for the
+    verdict's WORSE, ``bound``)."""
+    lines, verdicts = [], []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         old = [p["metrics"][name] for p, _ in pairs]
@@ -73,6 +78,13 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         (q1, med, q3), (c1, cmed, c3) = _quartiles(old), _quartiles(new)
         wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
         beyond = "beyond" if abs(cmed - med) > q3 - q1 else "within"
+        better_by = (med - cmed) if lower else (cmed - med)
+        if 10 * wins >= 9 * len(pairs) and better_by > q3 - q1:
+            verdicts.append(f"{name} gain")
+        elif "bound" in m and -better_by > m["bound"] * abs(med):
+            verdicts.append(f"{name} WORSE")
+        else:
+            verdicts.append(f"{name} neither")
         move = f"{cmed / med - 1:+.1%}" if med else "parent median 0"
         lines.append(f"{name}: parent {med:.6g} [{q1:.6g}, {q3:.6g}] -> change {cmed:.6g} "
                      f"[{c1:.6g}, {c3:.6g}] ({move}); change wins "
@@ -85,6 +97,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         lines.append("DIGESTS DIFFER: " + " ".join(digests))
     else:
         lines.append(f"one digest: {digests[0]}")
+    lines.append("verdict: " + ", ".join(verdicts))
     return lines
 
 
