@@ -76,6 +76,8 @@ def test_verdict_gain_needs_nine_in_ten_wins_and_a_move_beyond_the_parent_iqr():
     assert "change wins 10/10" in TOOL["summarize"](
         [(_run(a), _run(b)) for a, b in small], METRICS)[0]
     assert _verdict(small) == "verdict: wall_s neither, reports_per_s neither"
+    # fewer than ten pairs never make a gain, however many of them are won
+    assert _verdict(nine[:9]) == "verdict: wall_s neither, reports_per_s neither"
 
 
 def test_verdict_worse_is_a_median_beyond_the_metric_bound():

@@ -641,7 +641,8 @@ def test_rs_sanitize_writes_one_report_matrix(variant, ks, n):
                                         ("sue_z", (300, 5, 3)), ("oue_r", (300, 5, 3))])
 def test_rs_sanitize_stream_hands_over_the_report_matrix_columns(variant, ks, n):
     # the streamed sanitizer makes rs_sanitize_batch's draws and reports, and hands
-    # each attribute's columns of M over in order, in one reused buffer
+    # each attribute's columns of M over in order, as contiguous rows of one reused
+    # buffer
     cfg = mdm.CollectionConfig(ks, "rs_fd", variant, 1.0)
     rows = np.column_stack([stream(58, n).integers(0, k, n) for k in ks])
     rng, ref_rng = stream(59, n), stream(59, n)
@@ -650,6 +651,7 @@ def test_rs_sanitize_stream_hands_over_the_report_matrix_columns(variant, ks, n)
 
     def sink(cols, reports, y):
         assert reports.shape == (n, cols.stop - cols.start) and reports.dtype == M.dtype
+        assert reports.flags.c_contiguous
         np.testing.assert_array_equal(y, sampled)
         handed.append((cols, reports.copy()))
         buffers.add(id(reports.base))
@@ -999,8 +1001,8 @@ def test_attr_infer_peak_memory_bounded():
     # scoring scratch: the traced peaks were 4.68 / 5.78 / 8.12 / 10.57 MB at
     # 20 / 40 / 60 / 80 thousand users, 2.61 bytes per added n * sum(k) from 40,000.
     # With learning sets counted as they are made, not stored, one GEMM per scored
-    # block and bool-mask sanitizer rows: 3.01 / 4.20 / 5.81 / 7.44 MB, so 1.61 from
-    # 20,000 and 1.76 from 40,000; both slopes are checked
+    # block and bool-mask sanitizer rows: 3.01 / 4.31 / 6.06 / 7.71 MB, so 1.71 from
+    # 20,000 and 1.85 from 40,000; both slopes are checked
     ks = [16, 12, 8, 6, 4]
     cfg = mdm.CollectionConfig(ks, "rs_fd", "oue_r", 1.0)
 

@@ -14,12 +14,12 @@ strictly better, in the metric's direction) and whether the medians differ
 by more than the parent's interquartile range.  It then totals each side's
 failed rows and flags a change that fails more of them than the parent,
 and flags a digest that differs between runs: the tables are not the same
-bytes.  A last line gives each metric's verdict: ``gain`` when the change
-wins at least 9 in 10 of the pairs and its median moves beyond the parent's
-interquartile range in the better direction, ``WORSE`` when its median is
-worse than the parent's by more than the metric's ``bound`` fraction of it,
-else ``neither``.  Standard library only; the benchmark's own files are
-only run, never written.
+bytes.  A last line gives each metric's verdict: ``gain`` when at least
+ten pairs ran, the change wins at least 9 in 10 of them and its median
+moves beyond the parent's interquartile range in the better direction,
+``WORSE`` when its median is worse than the parent's by more than the
+metric's ``bound`` fraction of it, else ``neither``.  Standard library
+only; the benchmark's own files are only run, never written.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
         beyond = "beyond" if abs(cmed - med) > q3 - q1 else "within"
         better_by = (med - cmed) if lower else (cmed - med)
-        if 10 * wins >= 9 * len(pairs) and better_by > q3 - q1:
+        if len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and better_by > q3 - q1:
             verdicts.append(f"{name} gain")
         elif "bound" in m and -better_by > m["bound"] * abs(med):
             verdicts.append(f"{name} WORSE")
